@@ -75,14 +75,13 @@ void BM_Planner_AdversarialOrder(benchmark::State& state) {
 }
 BENCHMARK(BM_Planner_AdversarialOrder)->Arg(1000)->Arg(10000);
 
-// Skewed-distribution twins: one city bucket holds `hot` objects while
-// an equal number of singleton buckets drag the average down to ~1.
-// The skew-blind estimator prices the runtime-bound Y[city->C] probe
-// at that average and drives the whole hot bucket through a resident
-// check; the skew-aware estimator reads the top-k heavy-hitter list,
-// prices the probe at the hot-bucket size, and drives the resident
-// extent (hot/100 objects) instead. Both orders must produce the same
-// answers — the twins differ only in evaluation work.
+// Skewed distribution: one city bucket holds `hot` objects while an
+// equal number of singleton buckets drag the average down to ~1. An
+// average-bucket estimate would price the runtime-bound Y[city->C]
+// probe at that average and drive the whole hot bucket through a
+// resident check; the skew-aware estimator reads the top-k
+// heavy-hitter list, prices the probe at the hot-bucket size, and
+// drives the resident extent (hot/100 objects) instead.
 void BuildSkewedCity(Database* db, int64_t hot) {
   std::string program = "hub[site->metro].\n";
   for (int64_t i = 0; i < hot; ++i) {
@@ -98,42 +97,26 @@ void BuildSkewedCity(Database* db, int64_t hot) {
 
 constexpr const char* kSkewQuery = "?- hub[site->C], Y[city->C], Y:resident.";
 
-std::vector<Literal> PlanSkewQuery(Database& db, PlannerStatsMode mode) {
-  std::vector<Literal> body =
-      bench::CheckResult(ParseQuery(kSkewQuery), "parse skew query").body;
-  bench::Check(
-      PlanConjunction(&body, db.store(), nullptr, nullptr, nullptr, mode),
-      "plan skew query");
-  return body;
-}
-
-void RunSkewTwin(benchmark::State& state, PlannerStatsMode mode) {
+void BM_Planner_SkewAware(benchmark::State& state) {
   Database db;
   const int64_t hot = state.range(0);
   BuildSkewedCity(&db, hot);
-  std::vector<Literal> body = PlanSkewQuery(db, mode);
+  std::vector<Literal> body =
+      bench::CheckResult(ParseQuery(kSkewQuery), "parse skew query").body;
+  bench::Check(PlanConjunction(&body, db.store(), nullptr), "plan skew query");
   size_t solutions = 0;
   for (auto _ : state) {
     solutions = EvalInOrder(db, body);
     benchmark::DoNotOptimize(solutions);
   }
   if (solutions != static_cast<size_t>(hot / 100)) {
-    fprintf(stderr, "FATAL: skew twin answer mismatch: got %zu want %lld\n",
+    fprintf(stderr, "FATAL: skew answer mismatch: got %zu want %lld\n",
             solutions, static_cast<long long>(hot / 100));
     std::abort();
   }
   state.counters["solutions"] = static_cast<double>(solutions);
 }
-
-void BM_Planner_SkewAware(benchmark::State& state) {
-  RunSkewTwin(state, PlannerStatsMode::kSkewAware);
-}
 BENCHMARK(BM_Planner_SkewAware)->Arg(2000)->Arg(10000);
-
-void BM_Planner_SkewBlind(benchmark::State& state) {
-  RunSkewTwin(state, PlannerStatsMode::kAverageBucket);
-}
-BENCHMARK(BM_Planner_SkewBlind)->Arg(2000)->Arg(10000);
 
 void BM_Planner_PlanningCost(benchmark::State& state) {
   Database db;

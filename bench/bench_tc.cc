@@ -338,48 +338,6 @@ void BM_Tc_ClosureLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_Tc_ClosureLookup)->Arg(1000)->Arg(5000);
 
-// Concurrency-guard paired twin: the same ABBA protocol as the obs
-// twins, timing the read path (closure lookups on a materialised
-// store) with the Database snapshot guard on vs off. The off side is
-// the pre-guard single-threaded configuration, so on_off_ratio is
-// exactly what the shared_mutex costs an uncontended reader —
-// ci/bench_smoke.sh gates its median at 1.05.
-double TimedLockMs(bool guard_on, int64_t n) {
-  DatabaseOptions opts;
-  opts.engine.strategy = EvalStrategy::kSemiNaiveRules;
-  opts.concurrency_guard = guard_on;
-  Database db(opts);
-  BuildGraph(&db.store(), Shape::kTree, n);
-  bench::Check(db.Load(kDescRules), "load rules");
-  bench::Check(db.Materialize(), "materialize");
-  // Warm one lookup so both sides time steady-state reads.
-  benchmark::DoNotOptimize(bench::CheckResult(db.Eval("t0..desc"), "eval"));
-  const double t0 = ThreadCpuMs();
-  for (int i = 0; i < 8; ++i) {
-    std::vector<Oid> descendants =
-        bench::CheckResult(db.Eval("t0..desc"), "eval");
-    benchmark::DoNotOptimize(descendants);
-  }
-  return ThreadCpuMs() - t0;
-}
-
-void BM_Db_LockPaired(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  double off_ms = 0, on_ms = 0;
-  for (auto _ : state) {
-    off_ms += TimedLockMs(false, n);
-    on_ms += TimedLockMs(true, n);
-    on_ms += TimedLockMs(true, n);
-    off_ms += TimedLockMs(false, n);
-  }
-  const double sides = 2.0 * static_cast<double>(state.iterations());
-  state.counters["off_cpu_ms"] = off_ms / sides;
-  state.counters["on_cpu_ms"] = on_ms / sides;
-  state.counters["on_off_ratio"] = off_ms > 0 ? on_ms / off_ms : 0;
-}
-BENCHMARK(BM_Db_LockPaired)->Arg(1000)->Iterations(6)
-    ->Unit(benchmark::kMillisecond);
-
 // Concurrent readers on one shared Database: every thread runs the
 // same closure lookup under the shared snapshot guard. Thread 0 owns
 // setup/teardown (the documented google-benchmark idiom — the state

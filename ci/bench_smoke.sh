@@ -17,8 +17,7 @@ JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
 cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "${BUILD_DIR}" -j "${JOBS}" \
-  --target bench_nested_refs bench_second_dimension bench_store bench_tc \
-  bench_planner
+  --target bench_nested_refs bench_second_dimension bench_store bench_tc
 
 mkdir -p "${OUT_DIR}"
 
@@ -55,7 +54,7 @@ mkdir -p "${OUT_DIR}"
 # registry as JSON next to the benchmark JSON.
 PATHLOG_METRICS_OUT="${OUT_DIR}/METRICS_tc.json" \
   "${BUILD_DIR}/bench/bench_tc" \
-  --benchmark_filter='ObsOn|ObsOff|ObsPaired|DiagPaired|BudgetChecks|LockPaired|ConcurrentReaders' \
+  --benchmark_filter='ObsOn|ObsOff|ObsPaired|DiagPaired|BudgetChecks|ConcurrentReaders' \
   --benchmark_min_time=0.05 \
   --benchmark_repetitions=7 \
   --benchmark_enable_random_interleaving=true \
@@ -101,27 +100,21 @@ for twin in ("ObsOff", "ObsOn", "BudgetChecksOff", "BudgetChecksOn"):
     print(f"overhead gate: {twin} best {best(twin):.3f} ms cpu")
 
 failed = False
-for name, what, crept, gate_below in (
+for name, what, crept in (
     ("ObsPaired", "obs",
-     "instrumentation has crept into the evaluation hot loop", True),
+     "instrumentation has crept into the evaluation hot loop"),
     ("BudgetChecksPaired", "budget",
-     "governance checks have crept into the evaluation hot loop", True),
+     "governance checks have crept into the evaluation hot loop"),
     ("DiagPaired", "serving diagnostics",
      "the stats-server sinks (flight recorder / query log) have crept "
-     "into the evaluation hot loop", True),
-    # No lower gate for the lock twin: guard-on and guard-off run
-    # identical code apart from the shared_mutex ops, so on-faster-
-    # than-off is timer noise, not a lost fast path.
-    ("LockPaired", "the concurrency guard",
-     "the Database snapshot guard costs an uncontended reader >5% — "
-     "the shared-lock fast path has regressed", False),
+     "into the evaluation hot loop"),
 ):
     ratio = paired_ratio(name)
     print(f"overhead gate: {name} median on/off ratio {ratio:.3f}")
     if ratio > 1.05:
         print(f"overhead gate FAILED: enabling {what} costs >5% — {crept}")
         failed = True
-    if gate_below and ratio < 1 / 1.05:
+    if ratio < 1 / 1.05:
         print(f"overhead gate FAILED: the {what}-disabled path is >5% "
               f"slower than the enabled path — the fast path is gone")
         failed = True
@@ -136,57 +129,6 @@ for b in iters(lambda n: "ConcurrentReaders" in n):
 if failed:
     sys.exit(1)
 EOF
-
-# Planner skew gate: the SkewAware/SkewBlind twins evaluate the same
-# hot-bucket query in the order each statistics mode picks. The
-# skew-aware plan drives the small resident extent instead of the hot
-# city bucket, so it must never be slower than the skew-blind plan;
-# both twins abort the binary if their answer counts diverge, so a
-# clean exit doubles as a correctness probe.
-"${BUILD_DIR}/bench/bench_planner" \
-  --benchmark_filter='SkewAware|SkewBlind' \
-  --benchmark_min_time=0.05 \
-  --benchmark_repetitions=3 \
-  --benchmark_enable_random_interleaving=true \
-  --benchmark_out="${OUT_DIR}/BENCH_planner.json" \
-  --benchmark_out_format=json
-
-python3 - "${OUT_DIR}/BENCH_planner.json" <<'EOF3'
-import json, sys
-
-with open(sys.argv[1]) as f:
-    data = json.load(f)
-
-# Best-of-repetitions per (twin, scale): min-of-N sheds scheduler
-# noise. The skew-aware order must be at least as fast as the
-# skew-blind one at every scale (10% head-room for timer jitter).
-best = {}
-for b in data["benchmarks"]:
-    if b.get("run_type") != "iteration":
-        continue
-    name = b["name"].split("/")  # BM_Planner_SkewAware/2000[/repeat]
-    key = (name[0], name[1])
-    best[key] = min(best.get(key, float("inf")), b["cpu_time"])
-
-scales = sorted({k[1] for k in best}, key=int)
-if not scales:
-    sys.exit("planner skew gate: no SkewAware/SkewBlind rows found")
-failed = False
-for scale in scales:
-    aware = best.get(("BM_Planner_SkewAware", scale))
-    blind = best.get(("BM_Planner_SkewBlind", scale))
-    if aware is None or blind is None:
-        sys.exit(f"planner skew gate: missing twin at scale {scale}")
-    ratio = aware / blind if blind > 0 else float("inf")
-    print(f"planner skew gate: scale {scale}: aware best {aware:.0f}, "
-          f"blind best {blind:.0f}, aware/blind {ratio:.3f}")
-    if aware > blind * 1.10:
-        failed = True
-if failed:
-    sys.exit("planner skew gate FAILED: the skew-aware plan is slower "
-             "than the skew-blind plan on the hot-bucket workload — "
-             "the heavy-hitter statistics are misleading the planner")
-EOF3
 
 # Build-type gate: every BENCH_*.json must carry the
 # pathlog_build_type custom context key (stamped by bench/bench_main.cc

@@ -123,7 +123,7 @@ Status Engine::PlanBody(Rule* rule) const {
     // (still subject to the same safety constraints), consulting the
     // proven hints. Identical answer set, different literal order.
     st = PlanConjunction(&rule->body, *store_, nullptr, nullptr,
-                         options_.planner_hints, options_.planner_stats);
+                         options_.planner_hints);
     if (st.ok()) {
       for (const Literal& lit : rule->body) {
         if (lit.negated) continue;

@@ -69,12 +69,6 @@ struct EngineOptions {
   /// Answers are identical either way; disabling exists so the
   /// differential tests can prove that, and to measure the win.
   bool use_inverted_indexes = true;
-  /// Estimator for filter targets bound only at runtime
-  /// (store/method_stats.h): skew-aware top-k heavy-hitter statistics
-  /// by default; kAverageBucket restores the historical skew-blind
-  /// planner for differential testing. Answers are identical either
-  /// way — only literal order and printed estimates change.
-  PlannerStatsMode planner_stats = PlannerStatsMode::kSkewAware;
   /// Hard ceilings that turn non-terminating programs into errors.
   uint64_t max_iterations = 1'000'000;
   uint64_t max_facts = 20'000'000;

@@ -7,6 +7,7 @@
 #include <iterator>
 #include <set>
 #include <thread>
+#include <type_traits>
 
 #include "base/budget.h"
 
@@ -114,6 +115,73 @@ std::string PlanFingerprint(const std::vector<Literal>& body) {
   return std::string(buf);
 }
 
+/// Calls `fn` on every name occurring in `t`, in source order, and
+/// stops at the first call that returns false; returns whether none
+/// did. The one walk behind interning a reference's names and testing
+/// whether they are all interned, so the two cannot drift apart.
+template <typename Fn>
+bool ForEachName(const Ref& t, const Fn& fn) {
+  auto each = [&](const std::vector<RefPtr>& refs) {
+    for (const RefPtr& r : refs) {
+      if (!ForEachName(*r, fn)) return false;
+    }
+    return true;
+  };
+  switch (t.kind) {
+    case RefKind::kName:
+      return fn(t);
+    case RefKind::kVar:
+      return true;
+    case RefKind::kParen:
+      return ForEachName(*t.base, fn);
+    case RefKind::kPath:
+      return ForEachName(*t.base, fn) && ForEachName(*t.method, fn) &&
+             each(t.args);
+    case RefKind::kMolecule:
+      if (!ForEachName(*t.base, fn)) return false;
+      for (const Filter& f : t.filters) {
+        if ((f.method && !ForEachName(*f.method, fn)) || !each(f.args) ||
+            (f.value && !ForEachName(*f.value, fn)) || !each(f.elems)) {
+          return false;
+        }
+      }
+      return true;
+  }
+  return true;
+}
+
+/// The query-log `kind` of a read, named by its answer type, and the
+/// span name its flight and trace records carry.
+template <typename Answer>
+constexpr std::string_view kReadKind =
+    std::is_same_v<Answer, ResultSet> ? "query"
+    : std::is_same_v<Answer, bool>    ? "holds"
+                                      : "eval";
+template <typename Answer>
+constexpr std::string_view kReadSpan =
+    std::is_same_v<Answer, ResultSet> ? "db.query"
+    : std::is_same_v<Answer, bool>    ? "db.holds"
+                                      : "db.eval";
+
+/// Parses a read into the conjunction the core evaluates — a `?-`
+/// query's body, or an Eval/Holds reference as its one literal — and
+/// checks every literal is well-formed.
+Result<struct Query> ParseRead(std::string_view text, bool conjunctive) {
+  Result<struct Query> query = [&]() -> Result<struct Query> {
+    if (conjunctive) return ParseQuery(text);
+    Result<RefPtr> ref = ParseRef(text);
+    if (!ref.ok()) return ref.status();
+    struct Query q;
+    q.body.push_back(Literal{*std::move(ref)});
+    return q;
+  }();
+  if (!query.ok()) return query;
+  for (const Literal& lit : query->body) {
+    PATHLOG_RETURN_IF_ERROR(CheckWellFormed(*lit.ref));
+  }
+  return query;
+}
+
 }  // namespace
 
 Database::Database() : Database(DatabaseOptions{}) {}
@@ -158,26 +226,41 @@ void Database::UpdateStoreGauges() {
   }
 }
 
-QueryLog* Database::query_log_sink() const {
-  if (options_.engine.obs.query_log != nullptr) {
-    return options_.engine.obs.query_log;
-  }
-  return options_.query_log;
-}
-
 void Database::RecordQueryObs(QueryLogRecord rec) {
-  if (FlightRecorder* flight = options_.engine.obs.flight;
-      flight != nullptr) {
+  const ObsSinks& obs = options_.engine.obs;
+  if (obs.flight != nullptr) {
     // kind and status are fixed tokens (no escaping needed); the query
     // text stays out of the args to keep the ring entry small.
     std::string args = StrCat("{\"kind\":\"", rec.kind, "\",\"status\":\"",
                               rec.status, "\",\"rows\":", rec.rows, "}");
     const auto dur_us = static_cast<uint64_t>(rec.latency_ms * 1000.0);
-    flight->Record(StrCat("db.", rec.kind), "database",
-                   dur_us == 0 ? 1 : dur_us, args);
+    obs.flight->Record(StrCat("db.", rec.kind), "database",
+                       dur_us == 0 ? 1 : dur_us, args);
   }
   if (rec.budget_rejected) MaybeDumpFlightRecorder("budget_rejection");
-  if (QueryLog* log = query_log_sink(); log != nullptr) {
+  if (rec.status == "ok") {
+    if (obs.metrics != nullptr) {
+      if (Counter* c = obs.metrics->GetCounter(
+              "pathlog_queries_total",
+              "reads answered (Query, Eval and Holds)")) {
+        c->Inc();
+      }
+      if (Histogram* h = obs.metrics->GetHistogram(
+              "pathlog_query_ms", DefaultLatencyBoundsMs(),
+              "read wall time in milliseconds")) {
+        h->Observe(rec.latency_ms);
+      }
+    }
+    if (obs.profiler != nullptr) {
+      Profiler::RouteTotals routes;
+      routes.inverted_probes = rec.route_inverted_probes;
+      routes.extent_scans = rec.route_extent_scans;
+      routes.universe_scans = rec.route_universe_scans;
+      routes.duplicates_suppressed = rec.route_duplicates_suppressed;
+      obs.profiler->RecordRoutes(routes);
+    }
+  }
+  if (QueryLog* log = obs.query_log; log != nullptr) {
     rec.ts_ms = UnixMillis();
     (void)log->Append(std::move(rec));  // latched error; keep serving
   }
@@ -203,101 +286,49 @@ void Database::MaybeDumpFlightRecorder(std::string_view reason) {
 }
 
 void Database::InternNames(const Ref& t) {
-  switch (t.kind) {
-    case RefKind::kName:
-      switch (t.name_kind) {
-        case NameKind::kSymbol:
-          store_.InternSymbol(t.text);
-          break;
-        case NameKind::kInt:
-          store_.InternInt(t.int_value);
-          break;
-        case NameKind::kString:
-          store_.InternString(t.text);
-          break;
-      }
-      return;
-    case RefKind::kVar:
-      return;
-    case RefKind::kParen:
-      InternNames(*t.base);
-      return;
-    case RefKind::kPath:
-      InternNames(*t.base);
-      InternNames(*t.method);
-      for (const RefPtr& a : t.args) InternNames(*a);
-      return;
-    case RefKind::kMolecule:
-      InternNames(*t.base);
-      for (const Filter& f : t.filters) {
-        if (f.method) InternNames(*f.method);
-        for (const RefPtr& a : f.args) InternNames(*a);
-        if (f.value) InternNames(*f.value);
-        for (const RefPtr& e : f.elems) InternNames(*e);
-      }
-      return;
-  }
+  ForEachName(t, [&](const Ref& name) {
+    switch (name.name_kind) {
+      case NameKind::kSymbol:
+        store_.InternSymbol(name.text);
+        break;
+      case NameKind::kInt:
+        store_.InternInt(name.int_value);
+        break;
+      case NameKind::kString:
+        store_.InternString(name.text);
+        break;
+    }
+    return true;
+  });
 }
 
 bool Database::NamesInterned(const Ref& t) const {
-  // Mirrors InternNames exactly: true iff InternNames(t) would be a
-  // no-op, i.e. evaluating t cannot grow the store's name tables.
-  switch (t.kind) {
-    case RefKind::kName:
-      switch (t.name_kind) {
-        case NameKind::kSymbol:
-          return store_.FindSymbol(t.text).has_value();
-        case NameKind::kInt:
-          return store_.FindInt(t.int_value).has_value();
-        case NameKind::kString:
-          return store_.FindString(t.text).has_value();
-      }
-      return false;
-    case RefKind::kVar:
-      return true;
-    case RefKind::kParen:
-      return NamesInterned(*t.base);
-    case RefKind::kPath:
-      if (!NamesInterned(*t.base) || !NamesInterned(*t.method)) return false;
-      for (const RefPtr& a : t.args) {
-        if (!NamesInterned(*a)) return false;
-      }
-      return true;
-    case RefKind::kMolecule:
-      if (!NamesInterned(*t.base)) return false;
-      for (const Filter& f : t.filters) {
-        if (f.method && !NamesInterned(*f.method)) return false;
-        for (const RefPtr& a : f.args) {
-          if (!NamesInterned(*a)) return false;
-        }
-        if (f.value && !NamesInterned(*f.value)) return false;
-        for (const RefPtr& e : f.elems) {
-          if (!NamesInterned(*e)) return false;
-        }
-      }
-      return true;
-  }
-  return false;
+  // True iff InternNames(t) would be a no-op, i.e. evaluating t cannot
+  // grow the store's name tables.
+  return ForEachName(t, [&](const Ref& name) {
+    switch (name.name_kind) {
+      case NameKind::kSymbol:
+        return store_.FindSymbol(name.text).has_value();
+      case NameKind::kInt:
+        return store_.FindInt(name.int_value).has_value();
+      case NameKind::kString:
+        return store_.FindString(name.text).has_value();
+    }
+    return false;
+  });
 }
 
 bool Database::NothingPendingLocked() const {
-  // Mirrors CommitDurable's empty-batch test: true when a commit would
-  // be a no-op.
+  // CommitDurable's empty-batch test: true when a commit is a no-op.
   if (!wal_) return true;
   return store_.UniverseSize() == wal_objects_ &&
          store_.generation() == wal_facts_ && pending_program_text_.empty() &&
          trigger_watermark_ == wal_trigger_watermark_;
 }
 
-bool Database::ReadOnlyReadyLocked(const Ref& t) const {
+bool Database::ReadOnlyReadyLocked(const struct Query& query) const {
   // A degraded database skips materialisation and commit anyway, so
   // only the intern check gates its fast path.
-  if (dirty_ && !degraded()) return false;
-  if (!degraded() && !NothingPendingLocked()) return false;
-  return NamesInterned(t);
-}
-
-bool Database::ReadOnlyReadyLocked(const struct Query& query) const {
   if (dirty_ && !degraded()) return false;
   if (!degraded() && !NothingPendingLocked()) return false;
   for (const Literal& lit : query.body) {
@@ -420,104 +451,121 @@ Status Database::MaterializeLocked() {
 }
 
 Result<ResultSet> Database::Query(std::string_view query_text) {
-  Result<struct Query> q = ParseQuery(query_text);
-  if (!q.ok()) return q.status();
-  return RunQuery(*q);
+  return Read<ResultSet>(query_text);
 }
 
-Result<ResultSet> Database::RunQuery(const struct Query& query) {
+Result<std::vector<Oid>> Database::Eval(std::string_view ref_text) {
+  return Read<std::vector<Oid>>(ref_text);
+}
+
+Result<bool> Database::Holds(std::string_view ref_text) {
+  return Read<bool>(ref_text);
+}
+
+template <typename Answer>
+Result<Answer> Database::Read(std::string_view text) {
+  constexpr bool kConjunctive = std::is_same_v<Answer, ResultSet>;
+  const bool logged = options_.engine.obs.query_log != nullptr;
   QueryLogRecord rec;
-  rec.kind = "query";
-  rec.query = ToString(query);
+  rec.kind = kReadKind<Answer>;
   rec.strategy = StrategyName(options_.engine.strategy);
+  if (logged) rec.query = std::string(text);
   // Sampled outside the body so a rejection anywhere inside — the
   // lazy Materialize() included, which returns early — still reaches
   // the record (and so the flight-recorder incident dump).
-  ResourceBudget* query_budget = options_.engine.budget;
-  const uint64_t query_rejections_before =
-      query_budget != nullptr ? query_budget->rejections() : 0;
-  const auto query_t0 = std::chrono::steady_clock::now();
-  Result<ResultSet> answer = [&]() -> Result<ResultSet> {
+  ResourceBudget* budget = options_.engine.budget;
+  const uint64_t rejections_before =
+      budget != nullptr ? budget->rejections() : 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  Result<Answer> answer = [&]() -> Result<Answer> {
+    Result<struct Query> query = ParseRead(text, kConjunctive);
+    if (!query.ok()) return query.status();
+    if (kConjunctive && logged) rec.query = ToString(*query);
     {
       // Read-only fast path: nothing to materialise, intern or commit,
       // so evaluation runs under a shared hold of the snapshot guard,
       // concurrently with other readers.
       ReadLock lock(*this);
-      if (ReadOnlyReadyLocked(query)) return RunQueryLocked(query, &rec, query_t0);
+      if (ReadOnlyReadyLocked(*query)) {
+        return ReadLocked<Answer>(std::move(query->body), &rec);
+      }
     }
-    // Mutating slow path, under the exclusive lock. Degraded read-only
-    // mode keeps answering from the last consistent state — no
-    // re-materialisation (it would grow the store past what the broken
-    // log can persist) and no WAL commit.
     WriteLock lock(*this);
-    if (dirty_ && !degraded()) {
-      PATHLOG_RETURN_IF_ERROR(MaterializeLocked());
-    }
-    for (const Literal& lit : query.body) {
-      PATHLOG_RETURN_IF_ERROR(CheckWellFormed(*lit.ref));
-      InternNames(*lit.ref);
-    }
-    // Queries intern names; recovery replays oids densely, so even
-    // fact-free universe growth must reach the log. (A degraded
-    // database skips the commit — the checkpoint that recovers it
-    // snapshots the whole store, interns included.)
-    if (!degraded()) {
-      PATHLOG_RETURN_IF_ERROR(CommitDurable());
-    }
-    return RunQueryLocked(query, &rec, query_t0);
+    PATHLOG_RETURN_IF_ERROR(PrepareReadLocked(*query));
+    return ReadLocked<Answer>(std::move(query->body), &rec);
   }();
   rec.latency_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - query_t0)
+                       std::chrono::steady_clock::now() - t0)
                        .count();
   rec.budget_wall_ms = rec.latency_ms;
-  if (query_budget != nullptr) {
-    rec.budget_rejected =
-        query_budget->rejections() - query_rejections_before > 0;
-    rec.budget_derivations = query_budget->derivations();
+  if (budget != nullptr) {
+    rec.budget_rejected = budget->rejections() - rejections_before > 0;
+    rec.budget_derivations = budget->derivations();
   }
-  if (answer.ok()) {
-    rec.rows = answer->size();
-  } else {
-    // The locked core may never have run (well-formedness or plan
+  if (!answer.ok()) {
+    // The core may never have run (parse, well-formedness or plan
     // error): sample the store size for the record under a shared hold.
     ReadLock lock(*this);
     rec.budget_store_bytes = store_.ApproxBytes();
     rec.status = StatusCodeName(answer.status().code());
+  } else if constexpr (std::is_same_v<Answer, bool>) {
+    rec.rows = *answer ? 1 : 0;
+  } else {
+    rec.rows = answer->size();
   }
   RecordQueryObs(std::move(rec));
   return answer;
 }
 
-Result<ResultSet> Database::RunQueryLocked(
-    const struct Query& query, QueryLogRecord* rec,
-    std::chrono::steady_clock::time_point t0) {
+Status Database::PrepareReadLocked(const struct Query& query) {
+  // Degraded read-only mode keeps answering from the last consistent
+  // state: no re-materialisation (it would grow the store past what
+  // the broken log can persist) and no WAL commit.
+  if (dirty_ && !degraded()) {
+    PATHLOG_RETURN_IF_ERROR(MaterializeLocked());
+  }
+  for (const Literal& lit : query.body) InternNames(*lit.ref);
+  // Reads intern names; recovery replays oids densely, so even
+  // fact-free universe growth must reach the log. (A degraded database
+  // skips the commit — the checkpoint that recovers it snapshots the
+  // whole store, interns included.)
+  if (degraded()) return Status::OK();
+  return CommitDurable();
+}
+
+template <typename Answer>
+Result<Answer> Database::ReadLocked(std::vector<Literal> body,
+                                    QueryLogRecord* rec) {
+  constexpr bool kConjunctive = std::is_same_v<Answer, ResultSet>;
   // Sampled under the lock: the store cannot change while we hold it.
   rec->budget_store_bytes = store_.ApproxBytes();
-  TraceSpan query_span(options_.engine.obs.tracer, "db.query", "database");
-  std::vector<Literal> body = query.body;
-  std::set<std::string> user_vars;
-  for (const Literal& lit : body) {
-    PATHLOG_RETURN_IF_ERROR(CheckWellFormed(*lit.ref));
+  TraceSpan span(options_.engine.obs.tracer, kReadSpan<Answer>, "database");
+  // Per-literal estimates and actuals are a planned query's profile.
+  Profiler* profiler = kConjunctive ? options_.engine.obs.profiler : nullptr;
+  std::vector<double> estimates;
+  Answer answer{};
+  if constexpr (kConjunctive) {
     // Variables occurring only under negation are existential inside
     // the negated literal and are not answer variables.
-    if (lit.negated) continue;
-    for (const std::string& v : VarsOf(*lit.ref)) user_vars.insert(v);
+    std::set<std::string> user_vars;
+    for (const Literal& lit : body) {
+      if (lit.negated) continue;
+      for (const std::string& v : VarsOf(*lit.ref)) user_vars.insert(v);
+    }
+    answer = ResultSet(
+        std::vector<std::string>(user_vars.begin(), user_vars.end()));
+    PATHLOG_RETURN_IF_ERROR(PlanConjunction(
+        &body, store_, nullptr, profiler != nullptr ? &estimates : nullptr,
+        options_.use_analysis_hints ? &planner_hints_ : nullptr));
+    if (options_.engine.obs.query_log != nullptr) {
+      rec->plan_fingerprint = PlanFingerprint(body);
+    }
   }
-  Profiler* profiler = options_.engine.obs.profiler;
-  std::vector<double> estimates;
-  PATHLOG_RETURN_IF_ERROR(PlanConjunction(
-      &body, store_, nullptr, profiler != nullptr ? &estimates : nullptr,
-      options_.use_analysis_hints ? &planner_hints_ : nullptr,
-      options_.engine.planner_stats));
-  rec->plan_fingerprint = PlanFingerprint(body);
-
-  std::vector<std::string> vars(user_vars.begin(), user_vars.end());
-  ResultSet result(vars);
 
   SemanticStructure I(store_);
   RefEvaluator eval(I, options_.engine.use_inverted_indexes);
-  // The budget window for the query's own enumeration (Materialize
-  // above already published its window through the engine).
+  // The budget window for the read's own enumeration (a lazy
+  // Materialize() published its window through the engine).
   ResourceBudget* budget = options_.engine.budget;
   if (budget != nullptr) budget->Arm();
   const uint64_t rejections_before =
@@ -530,11 +578,14 @@ Result<ResultSet> Database::RunQueryLocked(
   // is the observed per-probe cardinality the estimate predicts.
   std::vector<uint64_t> produced(profiler != nullptr ? body.size() : 0, 0);
   std::vector<uint64_t> entered(profiler != nullptr ? body.size() : 0, 0);
-  std::function<Result<bool>(size_t)> go = [&](size_t i) -> Result<bool> {
-    if (i == body.size()) {
+  // The terminal sink, the only step that differs by kind: `b` holds
+  // one full solution and `denoted` is the object the last literal
+  // denoted.
+  auto sink = [&](Oid denoted) -> Result<bool> {
+    if constexpr (kConjunctive) {
       std::vector<Oid> row;
-      row.reserve(vars.size());
-      for (const std::string& v : vars) {
+      row.reserve(answer.vars().size());
+      for (const std::string& v : answer.vars()) {
         std::optional<Oid> o = b.Get(v);
         if (!o) {
           return Status(UnsafeRule(StrCat(
@@ -543,23 +594,37 @@ Result<ResultSet> Database::RunQueryLocked(
         }
         row.push_back(*o);
       }
-      result.AddRow(std::move(row));
+      answer.AddRow(std::move(row));
+      return true;
+    } else if constexpr (std::is_same_v<Answer, bool>) {
+      answer = true;
+      return false;  // stop at the first witness
+    } else {
+      answer.push_back(denoted);
       return true;
     }
+  };
+  auto go = [&](auto& self, size_t i) -> Result<bool> {
+    auto next = [&](Oid denoted) {
+      return i + 1 == body.size() ? sink(denoted) : self(self, i + 1);
+    };
     const Literal& lit = body[i];
     if (profiler != nullptr) ++entered[i];
     if (lit.negated) {
       Result<bool> sat = eval.Satisfiable(*lit.ref, &b);
       if (!sat.ok()) return sat.status();
       if (*sat) return true;
-      return go(i + 1);
+      return next(kNilOid);
     }
-    return eval.Enumerate(*lit.ref, &b, [&](Oid) {
-      if (profiler != nullptr) ++produced[i];
-      return go(i + 1);
+    // Two captures keep the callback inside std::function's inline
+    // buffer: no allocation per literal entry.
+    uint64_t* produced_i = profiler != nullptr ? &produced[i] : nullptr;
+    return eval.Enumerate(*lit.ref, &b, [&next, produced_i](Oid o) {
+      if (produced_i != nullptr) ++*produced_i;
+      return next(o);
     });
   };
-  Result<bool> r = go(0);
+  Result<bool> r = go(go, 0);  // ParseRead yields at least one literal
   if (budget != nullptr) {
     CountBudgetRejections(options_.engine.obs.metrics,
                           budget->rejections() - rejections_before);
@@ -569,8 +634,13 @@ Result<ResultSet> Database::RunQueryLocked(
   rec->route_universe_scans = eval.universe_scans();
   rec->route_duplicates_suppressed = eval.duplicates_suppressed();
   if (!r.ok()) return r.status();
-  result.Dedup();
 
+  if constexpr (kConjunctive) {
+    answer.Dedup();
+  } else if constexpr (!std::is_same_v<Answer, bool>) {
+    std::sort(answer.begin(), answer.end());
+    answer.erase(std::unique(answer.begin(), answer.end()), answer.end());
+  }
   if (profiler != nullptr) {
     for (size_t i = 0; i < body.size(); ++i) {
       if (body[i].negated) continue;
@@ -578,225 +648,29 @@ Result<ResultSet> Database::RunQueryLocked(
                                     i < estimates.size() ? estimates[i] : 0,
                                     produced[i], entered[i]);
     }
-    Profiler::RouteTotals routes;
-    routes.inverted_probes = eval.inverted_probes();
-    routes.extent_scans = eval.extent_scans();
-    routes.universe_scans = eval.universe_scans();
-    routes.duplicates_suppressed = eval.duplicates_suppressed();
-    profiler->RecordRoutes(routes);
   }
-  if (MetricsRegistry* m = options_.engine.obs.metrics; m != nullptr) {
-    if (Counter* c = m->GetCounter("pathlog_queries_total",
-                                   "conjunctive queries answered")) {
-      c->Inc();
-    }
-    if (Histogram* h =
-            m->GetHistogram("pathlog_query_ms", DefaultLatencyBoundsMs(),
-                            "query wall time in milliseconds")) {
-      h->Observe(std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count());
-    }
-  }
-  return result;
+  return answer;
 }
 
 Result<std::string> Database::ExplainQuery(std::string_view query_text) {
-  Result<struct Query> q = ParseQuery(query_text);
+  Result<struct Query> q = ParseRead(query_text, /*conjunctive=*/true);
   if (!q.ok()) return q.status();
   WriteLock lock(*this);
-  if (dirty_ && !degraded()) {
-    PATHLOG_RETURN_IF_ERROR(MaterializeLocked());
-  }
-  std::vector<Literal> body = q->body;
-  for (const Literal& lit : body) {
-    PATHLOG_RETURN_IF_ERROR(CheckWellFormed(*lit.ref));
-    InternNames(*lit.ref);
-  }
+  PATHLOG_RETURN_IF_ERROR(PrepareReadLocked(*q));
   std::vector<std::string> log;
   PATHLOG_RETURN_IF_ERROR(PlanConjunction(
-      &body, store_, &log, nullptr,
-      options_.use_analysis_hints ? &planner_hints_ : nullptr,
-      options_.engine.planner_stats));
-  if (!degraded()) {
-    PATHLOG_RETURN_IF_ERROR(CommitDurable());
-  }
+      &q->body, store_, &log, nullptr,
+      options_.use_analysis_hints ? &planner_hints_ : nullptr));
   std::string out = "plan:\n";
   for (size_t i = 0; i < log.size(); ++i) {
     out += StrCat("  ", i + 1, ". ", log[i], "\n");
   }
-  out += StrCat("planner statistics: ",
-                options_.engine.planner_stats == PlannerStatsMode::kSkewAware
-                    ? "skew-aware (top-k heavy-hitter buckets, "
-                      "residual-average floor)"
-                    : "average bucket (skew-blind)",
-                "\n");
+  out += "planner statistics: skew-aware (top-k heavy-hitter buckets, "
+         "residual-average floor)\n";
   // The same fingerprint the query log records, so a slow record's
   // plan can be looked up by hash.
-  out += StrCat("plan fingerprint: ", PlanFingerprint(body), "\n");
+  out += StrCat("plan fingerprint: ", PlanFingerprint(q->body), "\n");
   return out;
-}
-
-Result<std::vector<Oid>> Database::Eval(std::string_view ref_text) {
-  QueryLogRecord rec;
-  rec.kind = "eval";
-  rec.query = std::string(ref_text);
-  rec.strategy = StrategyName(options_.engine.strategy);
-  // Sampled outside the body so a rejection anywhere inside — the
-  // lazy Materialize() included, which returns early — still reaches
-  // the record (and so the flight-recorder incident dump).
-  ResourceBudget* query_budget = options_.engine.budget;
-  const uint64_t query_rejections_before =
-      query_budget != nullptr ? query_budget->rejections() : 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  Result<std::vector<Oid>> answer = [&]() -> Result<std::vector<Oid>> {
-    Result<RefPtr> ref = ParseRef(ref_text);
-    if (!ref.ok()) return ref.status();
-    PATHLOG_RETURN_IF_ERROR(CheckWellFormed(**ref));
-    {
-      // Read-only fast path (see RunQuery): evaluate under a shared
-      // hold, concurrently with other readers.
-      ReadLock lock(*this);
-      if (ReadOnlyReadyLocked(**ref)) return EvalLocked(**ref, &rec);
-    }
-    WriteLock lock(*this);
-    InternNames(**ref);
-    if (dirty_ && !degraded()) {
-      PATHLOG_RETURN_IF_ERROR(MaterializeLocked());
-    }
-    if (!degraded()) {
-      PATHLOG_RETURN_IF_ERROR(CommitDurable());
-    }
-    return EvalLocked(**ref, &rec);
-  }();
-  rec.latency_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-  rec.budget_wall_ms = rec.latency_ms;
-  if (query_budget != nullptr) {
-    rec.budget_rejected =
-        query_budget->rejections() - query_rejections_before > 0;
-    rec.budget_derivations = query_budget->derivations();
-  }
-  if (answer.ok()) {
-    rec.rows = answer->size();
-  } else {
-    // The locked core may never have run (parse error): sample the
-    // store size for the record under a shared hold.
-    ReadLock lock(*this);
-    rec.budget_store_bytes = store_.ApproxBytes();
-    rec.status = StatusCodeName(answer.status().code());
-  }
-  RecordQueryObs(std::move(rec));
-  return answer;
-}
-
-Result<std::vector<Oid>> Database::EvalLocked(const Ref& ref,
-                                              QueryLogRecord* rec) {
-  // Sampled under the lock: the store cannot change while we hold it.
-  rec->budget_store_bytes = store_.ApproxBytes();
-  SemanticStructure I(store_);
-  RefEvaluator eval(I, options_.engine.use_inverted_indexes);
-  ResourceBudget* budget = options_.engine.budget;
-  if (budget != nullptr) budget->Arm();
-  const uint64_t rejections_before =
-      budget != nullptr ? budget->rejections() : 0;
-  eval.set_budget(budget);
-  Bindings b;
-  std::vector<Oid> out;
-  Result<bool> r = eval.Enumerate(ref, &b, [&](Oid o) -> Result<bool> {
-    out.push_back(o);
-    return true;
-  });
-  if (budget != nullptr) {
-    CountBudgetRejections(options_.engine.obs.metrics,
-                          budget->rejections() - rejections_before);
-  }
-  rec->route_inverted_probes = eval.inverted_probes();
-  rec->route_extent_scans = eval.extent_scans();
-  rec->route_universe_scans = eval.universe_scans();
-  rec->route_duplicates_suppressed = eval.duplicates_suppressed();
-  if (!r.ok()) return r.status();
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-Result<bool> Database::Holds(std::string_view ref_text) {
-  QueryLogRecord rec;
-  rec.kind = "holds";
-  rec.query = std::string(ref_text);
-  rec.strategy = StrategyName(options_.engine.strategy);
-  // Sampled outside the body so a rejection anywhere inside — the
-  // lazy Materialize() included, which returns early — still reaches
-  // the record (and so the flight-recorder incident dump).
-  ResourceBudget* query_budget = options_.engine.budget;
-  const uint64_t query_rejections_before =
-      query_budget != nullptr ? query_budget->rejections() : 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  Result<bool> answer = [&]() -> Result<bool> {
-    Result<RefPtr> ref = ParseRef(ref_text);
-    if (!ref.ok()) return ref.status();
-    PATHLOG_RETURN_IF_ERROR(CheckWellFormed(**ref));
-    {
-      // Read-only fast path (see RunQuery): evaluate under a shared
-      // hold, concurrently with other readers.
-      ReadLock lock(*this);
-      if (ReadOnlyReadyLocked(**ref)) return HoldsLocked(**ref, &rec);
-    }
-    WriteLock lock(*this);
-    InternNames(**ref);
-    if (dirty_ && !degraded()) {
-      PATHLOG_RETURN_IF_ERROR(MaterializeLocked());
-    }
-    if (!degraded()) {
-      PATHLOG_RETURN_IF_ERROR(CommitDurable());
-    }
-    return HoldsLocked(**ref, &rec);
-  }();
-  rec.latency_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-  rec.budget_wall_ms = rec.latency_ms;
-  if (query_budget != nullptr) {
-    rec.budget_rejected =
-        query_budget->rejections() - query_rejections_before > 0;
-    rec.budget_derivations = query_budget->derivations();
-  }
-  if (answer.ok()) {
-    rec.rows = *answer ? 1 : 0;
-  } else {
-    // The locked core may never have run (parse error): sample the
-    // store size for the record under a shared hold.
-    ReadLock lock(*this);
-    rec.budget_store_bytes = store_.ApproxBytes();
-    rec.status = StatusCodeName(answer.status().code());
-  }
-  RecordQueryObs(std::move(rec));
-  return answer;
-}
-
-Result<bool> Database::HoldsLocked(const Ref& ref, QueryLogRecord* rec) {
-  // Sampled under the lock: the store cannot change while we hold it.
-  rec->budget_store_bytes = store_.ApproxBytes();
-  SemanticStructure I(store_);
-  RefEvaluator eval(I, options_.engine.use_inverted_indexes);
-  ResourceBudget* budget = options_.engine.budget;
-  if (budget != nullptr) budget->Arm();
-  const uint64_t rejections_before =
-      budget != nullptr ? budget->rejections() : 0;
-  eval.set_budget(budget);
-  Bindings b;
-  Result<bool> sat = eval.Satisfiable(ref, &b);
-  if (budget != nullptr) {
-    CountBudgetRejections(options_.engine.obs.metrics,
-                          budget->rejections() - rejections_before);
-  }
-  rec->route_inverted_probes = eval.inverted_probes();
-  rec->route_extent_scans = eval.extent_scans();
-  rec->route_universe_scans = eval.universe_scans();
-  rec->route_duplicates_suppressed = eval.duplicates_suppressed();
-  return sat;
 }
 
 Status Database::TypeCheck(std::vector<TypeViolation>* violations) const {
@@ -1156,15 +1030,11 @@ Status Database::EnterDegradedMode(Status cause) {
 
 Status Database::CommitDurable() {
   if (degraded()) return DegradedError();
-  if (!wal_) return Status::OK();
+  if (NothingPendingLocked()) return Status::OK();
 
   const uint64_t universe = store_.UniverseSize();
   const uint64_t gen = store_.generation();
   const bool watermark_moved = trigger_watermark_ != wal_trigger_watermark_;
-  if (universe == wal_objects_ && gen == wal_facts_ &&
-      pending_program_text_.empty() && !watermark_moved) {
-    return Status::OK();
-  }
 
   const DurabilityOptions& dur = options_.durability;
   uint64_t records = 0;

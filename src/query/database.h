@@ -12,25 +12,26 @@
 //
 // Concurrency contract (docs/IMPLEMENTATION.md "Concurrency contract"
 // has the full statement): every public entry point serialises on one
-// reader/writer snapshot guard. Query/RunQuery/Eval/Holds take the
-// guard shared when the operation is provably read-only — nothing to
-// materialise, every name already interned, nothing pending for the
-// WAL — so concurrent read-only queries evaluate in parallel and are
-// safe against a concurrent mutator (Load/Materialize/Checkpoint/
-// FireTriggers take the guard exclusively). degraded() and Health()
-// are safe from any thread (the stats server's health callback runs
-// on the accept thread). NOT covered: the direct store()/rules()/
-// engine_stats()/provenance()/trigger_stats() accessors return
-// references into guarded state without holding the guard — callers
-// own the quiescence there — and a shared options_.engine.budget is
-// per-operation state, so attach budgets only to single-threaded
-// databases. SetObsSinks swaps sink pointers that lock-free readers
-// consult; call it only while no other thread is inside the database.
+// reader/writer snapshot guard, always on. Query, Eval and Holds run
+// through one read path that takes the guard shared when the read is
+// provably read-only — nothing to materialise, every name already
+// interned, nothing pending for the WAL — so concurrent read-only
+// reads evaluate in parallel and are safe against a concurrent
+// mutator (Load/Materialize/Checkpoint/FireTriggers take the guard
+// exclusively); any other read restarts under the exclusive side.
+// degraded() and Health() are safe from any thread (the stats
+// server's health callback runs on the accept thread). NOT covered:
+// the direct store()/rules()/engine_stats()/provenance()/
+// trigger_stats() accessors return references into guarded state
+// without holding the guard — callers own the quiescence there — and
+// a shared options_.engine.budget is per-operation state, so attach
+// budgets only to single-threaded databases. SetObsSinks swaps sink
+// pointers that lock-free readers consult; call it only while no
+// other thread is inside the database.
 
 #ifndef PATHLOG_QUERY_DATABASE_H_
 #define PATHLOG_QUERY_DATABASE_H_
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -133,18 +134,8 @@ struct DatabaseOptions {
   /// identical with or without hints — only literal order and cost
   /// estimates change (tests/analysis_differential_test.cc).
   bool use_analysis_hints = false;
-  /// Acquire the reader/writer snapshot guard on every public entry
-  /// point (see the concurrency contract above). Default on. Off makes
-  /// the database strictly single-threaded again and exists only so
-  /// the BM_Db_LockPaired bench twin can isolate the guard's cost;
-  /// never disable it in a served process.
-  bool concurrency_guard = true;
   /// Durability policy; consulted only by databases from Open().
   DurabilityOptions durability;
-  /// Structured per-query JSONL log (obs/query_log.h); borrowed, may
-  /// be null. Every Query/Eval/Holds appends one record. Equivalent to
-  /// engine.obs.query_log, which wins when both are set.
-  QueryLog* query_log = nullptr;
 };
 
 class Database {
@@ -165,17 +156,17 @@ class Database {
   /// Literals execute in the order chosen by the cost planner
   /// (query/planner.h).
   Result<ResultSet> Query(std::string_view query_text);
-  Result<ResultSet> RunQuery(const struct Query& query);
 
   /// The execution plan for a query, without running it: one line per
   /// literal in chosen order with the planner's cardinality estimate.
   Result<std::string> ExplainQuery(std::string_view query_text);
 
   /// Evaluates a reference (variables allowed but must be bindable from
-  /// the reference itself); returns the denoted objects.
+  /// the reference itself); returns the denoted objects, in oid order.
   Result<std::vector<Oid>> Eval(std::string_view ref_text);
 
-  /// Active-domain entailment of a reference used as a formula.
+  /// Active-domain entailment of a reference used as a formula: true
+  /// iff it denotes some object (Definition 5).
   Result<bool> Holds(std::string_view ref_text);
 
   /// Runs the deductive engine now (otherwise it runs lazily on the
@@ -295,22 +286,16 @@ class Database {
 
  private:
   // ---- The snapshot guard ------------------------------------------
-  // RAII holds on state_mu_ honouring options_.concurrency_guard (off
-  // means no-op, strictly single-threaded). The bodies are conditional,
-  // so they opt out of the analysis; the ACQUIRE attributes still
-  // describe the guarded (default) configuration to callers. Public
-  // entry points construct one of these; private *Locked helpers are
-  // annotated REQUIRES and never lock.
+  // RAII holds on state_mu_. Public entry points construct one of
+  // these; private *Locked helpers are annotated REQUIRES and never
+  // lock.
   class SCOPED_CAPABILITY ReadLock {
    public:
-    explicit ReadLock(const Database& db)
-        ACQUIRE_SHARED(db.state_mu_) NO_THREAD_SAFETY_ANALYSIS
-        : mu_(db.options_.concurrency_guard ? db.state_mu_.get() : nullptr) {
-      if (mu_ != nullptr) mu_->ReaderLock();
+    explicit ReadLock(const Database& db) ACQUIRE_SHARED(db.state_mu_)
+        : mu_(db.state_mu_.get()) {
+      mu_->ReaderLock();
     }
-    ~ReadLock() RELEASE() NO_THREAD_SAFETY_ANALYSIS {
-      if (mu_ != nullptr) mu_->ReaderUnlock();
-    }
+    ~ReadLock() RELEASE() { mu_->ReaderUnlock(); }
     ReadLock(const ReadLock&) = delete;
     ReadLock& operator=(const ReadLock&) = delete;
 
@@ -319,14 +304,11 @@ class Database {
   };
   class SCOPED_CAPABILITY WriteLock {
    public:
-    explicit WriteLock(const Database& db)
-        ACQUIRE(db.state_mu_) NO_THREAD_SAFETY_ANALYSIS
-        : mu_(db.options_.concurrency_guard ? db.state_mu_.get() : nullptr) {
-      if (mu_ != nullptr) mu_->Lock();
+    explicit WriteLock(const Database& db) ACQUIRE(db.state_mu_)
+        : mu_(db.state_mu_.get()) {
+      mu_->Lock();
     }
-    ~WriteLock() RELEASE() NO_THREAD_SAFETY_ANALYSIS {
-      if (mu_ != nullptr) mu_->Unlock();
-    }
+    ~WriteLock() RELEASE() { mu_->Unlock(); }
     WriteLock(const WriteLock&) = delete;
     WriteLock& operator=(const WriteLock&) = delete;
 
@@ -346,23 +328,36 @@ class Database {
   /// cover the store and no program text or watermark move waits.
   bool NothingPendingLocked() const REQUIRES_SHARED(state_mu_);
 
-  /// The read-only fast-path test: evaluating this reference (or every
-  /// literal of this query) under a shared lock would be pure — no
-  /// materialisation due, all names interned, nothing to commit.
-  bool ReadOnlyReadyLocked(const Ref& t) const REQUIRES_SHARED(state_mu_);
+  /// The read-only fast-path test: evaluating every literal of this
+  /// query under a shared lock would be pure — no materialisation due,
+  /// all names interned, nothing to commit.
   bool ReadOnlyReadyLocked(const struct Query& query) const
       REQUIRES_SHARED(state_mu_);
 
-  /// The evaluation cores, shared by the read-only fast path (shared
-  /// lock) and the mutating slow path (exclusive lock). They only read
-  /// database state; sinks they touch are internally thread-safe.
-  Result<ResultSet> RunQueryLocked(const struct Query& query,
-                                   QueryLogRecord* rec,
-                                   std::chrono::steady_clock::time_point t0)
-      REQUIRES_SHARED(state_mu_);
-  Result<std::vector<Oid>> EvalLocked(const Ref& ref, QueryLogRecord* rec)
-      REQUIRES_SHARED(state_mu_);
-  Result<bool> HoldsLocked(const Ref& ref, QueryLogRecord* rec)
+  /// The read path behind Query, Eval and Holds, which differ only in
+  /// `Answer`: rows, the denoted objects, or a truth value. Once per
+  /// call it parses `text` (an Eval/Holds reference becomes a
+  /// one-literal query), builds the query-log record, samples the
+  /// budget, runs the core on the shared-lock fast path or after the
+  /// exclusive-lock prepare step, and measures one latency that
+  /// RecordQueryObs hands to every sink.
+  template <typename Answer>
+  Result<Answer> Read(std::string_view text);
+
+  /// The slow path's prepare step, shared with ExplainQuery:
+  /// materialise if dirty, intern the query's names, commit them to
+  /// the WAL. A degraded database skips the materialisation and the
+  /// commit and keeps answering from its last consistent state.
+  Status PrepareReadLocked(const struct Query& query) REQUIRES(state_mu_);
+
+  /// The evaluation core, under either lock: plans a conjunctive
+  /// query's `body` in place (Eval and Holds run their one literal
+  /// unplanned), enumerates it, and ends in the answer's sink — rows
+  /// deduplicated, objects sorted unique, or a stop at the first
+  /// witness. It only reads database state; the sinks it touches are
+  /// thread-safe.
+  template <typename Answer>
+  Result<Answer> ReadLocked(std::vector<Literal> body, QueryLogRecord* rec)
       REQUIRES_SHARED(state_mu_);
 
   /// Exclusive-lock bodies of the public mutators.
@@ -421,13 +416,12 @@ class Database {
   /// no-op without a metrics sink.
   void UpdateStoreGauges() REQUIRES_SHARED(state_mu_);
 
-  /// The query-log sink: engine.obs.query_log, else options.query_log.
-  QueryLog* query_log_sink() const;
-
   /// Closes out one Query/Eval/Holds for observability: records a
   /// "db.<kind>" flight span, auto-dumps the flight ring when the
-  /// operation was budget-rejected, and appends `rec` to the query-log
-  /// sink. No-op without the corresponding sinks.
+  /// operation was budget-rejected, feeds an answered read's latency
+  /// to pathlog_queries_total/pathlog_query_ms and its index routes
+  /// to the profiler, and appends `rec` to the query-log sink. No-op
+  /// without the corresponding sinks.
   void RecordQueryObs(QueryLogRecord rec);
 
   /// Best-effort dump of the flight-recorder ring to a timestamped
@@ -476,7 +470,7 @@ class Database {
   std::vector<DerivationRecord> provenance_;
   EngineStats last_stats_;
   /// Facts proved by RefreshAnalysisHints(); consulted by Materialize,
-  /// RunQuery and ExplainQuery when options_.use_analysis_hints.
+  /// Query and ExplainQuery when options_.use_analysis_hints.
   PlannerHints planner_hints_;
   bool dirty_ GUARDED_BY(state_mu_) = false;
   uint64_t type_check_watermark_ = 0;

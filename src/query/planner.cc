@@ -39,23 +39,11 @@ bool HintedEmpty(const PlannerHints* hints, const Ref& m) {
          hints->empty_methods.count(d.text) > 0;
 }
 
-/// Estimate for probing one inverted-index bucket whose key is bound
-/// only at runtime. kSkewAware reads the store's incrementally
-/// maintained top-k heavy-hitter stats; kAverageBucket reproduces the
-/// pre-stats planner byte for byte (total / distinct, blind to skew).
-double RuntimeBoundBucketEstimate(const MethodStats& stats,
-                                  PlannerStatsMode stats_mode) {
-  return stats_mode == PlannerStatsMode::kSkewAware
-             ? SkewAwareBucketEstimate(stats)
-             : AverageBucketEstimate(stats);
-}
-
 /// Cardinality the evaluator's molecule driver would enumerate for an
 /// unbound-variable base with these filters.
 double DriverCardinality(const std::vector<Filter>& filters,
                          const std::set<std::string>& bound,
-                         const ObjectStore& store, const PlannerHints* hints,
-                         PlannerStatsMode stats_mode) {
+                         const ObjectStore& store, const PlannerHints* hints) {
   auto resolvable = [&](const RefPtr& m) -> std::optional<Oid> {
     const Ref& d = Deref(*m);
     if (d.kind == RefKind::kName) return ResolveName(d, store);
@@ -98,11 +86,10 @@ double DriverCardinality(const std::vector<Filter>& filters,
         consider(static_cast<double>(store.ScalarEntriesByValue(*m, *v).size()));
       } else if (runtime_bound(f.value)) {
         // The value is bound at runtime but unknown here: cost the
-        // bucket the probe might hit. Skew-aware mode prices in the
-        // heavy hitters so one hot value cannot make this path look
-        // cheaper than a smaller guaranteed extent.
-        consider(RuntimeBoundBucketEstimate(store.ScalarValueStats(*m),
-                                            stats_mode));
+        // bucket the probe might hit. The heavy hitters are priced in
+        // so one hot value cannot make this path look cheaper than a
+        // smaller guaranteed extent.
+        consider(SkewAwareBucketEstimate(store.ScalarValueStats(*m)));
       } else {
         consider(static_cast<double>(store.ScalarEntries(*m).size()));
       }
@@ -113,15 +100,10 @@ double DriverCardinality(const std::vector<Filter>& filters,
             // Inverted member→receiver probe.
             consider(
                 static_cast<double>(store.SetGroupsByMember(*m, *v).size()));
-          } else if (runtime_bound(e) &&
-                     stats_mode == PlannerStatsMode::kSkewAware) {
+          } else if (runtime_bound(e)) {
             // A member bound at runtime probes one member bucket, the
-            // exact mirror of the scalar case above. The skew-blind
-            // mode deliberately keeps the historical behaviour (no
-            // estimate: fall through to the full group count) so the
-            // old planner stays reproducible for differential runs.
-            consider(RuntimeBoundBucketEstimate(store.SetMemberStats(*m),
-                                                stats_mode));
+            // exact mirror of the scalar case above.
+            consider(SkewAwareBucketEstimate(store.SetMemberStats(*m)));
           }
         }
       }
@@ -134,8 +116,7 @@ double DriverCardinality(const std::vector<Filter>& filters,
 /// Cost of evaluating `t`'s anchor (its leftmost primary) and walking
 /// outward.
 double AnchorCost(const Ref& t, const std::set<std::string>& bound,
-                  const ObjectStore& store, const PlannerHints* hints,
-                  PlannerStatsMode stats_mode) {
+                  const ObjectStore& store, const PlannerHints* hints) {
   const Ref& d = Deref(t);
   switch (d.kind) {
     case RefKind::kName:
@@ -160,14 +141,14 @@ double AnchorCost(const Ref& t, const std::set<std::string>& bound,
         }
         return static_cast<double>(store.UniverseSize());
       }
-      return AnchorCost(*d.base, bound, store, hints, stats_mode) + 1.0;
+      return AnchorCost(*d.base, bound, store, hints) + 1.0;
     }
     case RefKind::kMolecule: {
       const Ref& base = Deref(*d.base);
       if (base.kind == RefKind::kVar && !bound.count(base.text)) {
-        return DriverCardinality(d.filters, bound, store, hints, stats_mode);
+        return DriverCardinality(d.filters, bound, store, hints);
       }
-      return AnchorCost(*d.base, bound, store, hints, stats_mode) + 1.0;
+      return AnchorCost(*d.base, bound, store, hints) + 1.0;
     }
     case RefKind::kParen:
       break;  // stripped above
@@ -178,16 +159,15 @@ double AnchorCost(const Ref& t, const std::set<std::string>& bound,
 }  // namespace
 
 double EstimateLiteralCost(const Ref& t, const std::set<std::string>& bound,
-                           const ObjectStore& store, const PlannerHints* hints,
-                           PlannerStatsMode stats_mode) {
-  return AnchorCost(t, bound, store, hints, stats_mode);
+                           const ObjectStore& store,
+                           const PlannerHints* hints) {
+  return AnchorCost(t, bound, store, hints);
 }
 
 Status PlanConjunction(std::vector<Literal>* body, const ObjectStore& store,
                        std::vector<std::string>* cost_log,
                        std::vector<double>* estimates,
-                       const PlannerHints* hints,
-                       PlannerStatsMode stats_mode) {
+                       const PlannerHints* hints) {
   std::vector<Literal> remaining = std::move(*body);
   std::vector<Literal> ordered;
   std::set<std::string> bound;
@@ -219,8 +199,7 @@ Status PlanConjunction(std::vector<Literal>* body, const ObjectStore& store,
       // Negated literals are pure tests: defer them until every
       // positive literal of equal or lower cost has bound variables.
       double cost =
-          EstimateLiteralCost(*remaining[i].ref, bound, store, hints,
-                              stats_mode) +
+          EstimateLiteralCost(*remaining[i].ref, bound, store, hints) +
           (remaining[i].negated ? 0.5 : 0.0);
       if (best == remaining.size() || cost < best_cost) {
         best = i;

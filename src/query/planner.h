@@ -20,10 +20,6 @@
 
 namespace pathlog {
 
-// PlannerStatsMode (the runtime-bound estimator toggle) lives in
-// store/method_stats.h next to the statistics it selects between, so
-// EngineOptions can carry it without a header cycle.
-
 /// Facts the semantic analyses (lint/dataflow/analyses.h) proved about
 /// the installed program, consulted by the planner when provided.
 /// Optional everywhere: a null hints pointer keeps the estimates
@@ -39,12 +35,12 @@ struct PlannerHints {
 /// Estimated number of candidate bindings the evaluator must try for
 /// `t` given the already-bound variables: 1 for a bound anchor, the
 /// extent/entry count for an index-driven anchor, the universe size
-/// for an undriven variable.
+/// for an undriven variable. A filter target bound only at runtime is
+/// priced from the store's skew-aware statistics
+/// (store/method_stats.h: SkewAwareBucketEstimate).
 double EstimateLiteralCost(const Ref& t, const std::set<std::string>& bound,
                            const ObjectStore& store,
-                           const PlannerHints* hints = nullptr,
-                           PlannerStatsMode stats_mode =
-                               PlannerStatsMode::kSkewAware);
+                           const PlannerHints* hints = nullptr);
 
 /// Reorders `body` greedily by cost subject to safety. On success the
 /// body is in execution order; kUnsafeRule when no safe order exists.
@@ -55,9 +51,7 @@ double EstimateLiteralCost(const Ref& t, const std::set<std::string>& bound,
 Status PlanConjunction(std::vector<Literal>* body, const ObjectStore& store,
                        std::vector<std::string>* cost_log = nullptr,
                        std::vector<double>* estimates = nullptr,
-                       const PlannerHints* hints = nullptr,
-                       PlannerStatsMode stats_mode =
-                           PlannerStatsMode::kSkewAware);
+                       const PlannerHints* hints = nullptr);
 
 }  // namespace pathlog
 

@@ -29,25 +29,6 @@
 
 namespace pathlog {
 
-/// Which estimator the query planner uses for a filter target that is
-/// bound only at runtime (a variable an earlier literal will bind).
-/// The choice never changes answers — only literal order and the
-/// printed estimates (tests/differential_test.cc proves it per
-/// strategy). Defined here rather than in query/planner.h so
-/// EngineOptions can carry the toggle without a header cycle.
-enum class PlannerStatsMode : uint8_t {
-  /// Skew-blind: the historical planner, byte for byte. Scalar probes
-  /// cost the average bucket (entries / distinct values); set-member
-  /// probes have no runtime-bound estimate at all. Kept for
-  /// differential testing and as the baseline in bench_planner's
-  /// skew twins.
-  kAverageBucket,
-  /// Skew-aware: upper quantile of the exact top-k heavy-hitter
-  /// buckets, floored by the residual-mass average
-  /// (SkewAwareBucketEstimate below). The default.
-  kSkewAware,
-};
-
 /// How many heavy-hitter buckets each method's stats retain. Eight
 /// covers any realistic skew head while keeping the per-update scan
 /// trivially cheap (the sketch is a tiny unsorted array).
@@ -92,9 +73,8 @@ struct MethodStats {
   }
 };
 
-/// The skew-blind estimator the planner used before these stats: the
-/// average bucket, entries / distinct values. Kept callable so the two
-/// estimators stay differentially testable side by side.
+/// The average bucket, entries / distinct values: blind to skew, and
+/// SkewAwareBucketEstimate's fallback when no heavy hitters exist.
 double AverageBucketEstimate(const MethodStats& s);
 
 /// The skew-aware estimate for a probe whose value is bound only at

@@ -205,11 +205,9 @@ class ObjectStore {
 
   /// Number of distinct values among the facts of scalar method m (the
   /// inverted index's bucket count). The planner's runtime-bound
-  /// estimate is skew-aware (ScalarValueStats + SkewAwareBucketEstimate:
+  /// estimate reads ScalarValueStats instead (SkewAwareBucketEstimate:
   /// upper quantile of the exact top-k heavy hitters, floored by the
-  /// residual-mass average); this raw count backs the legacy
-  /// average-bucket fallback kept for differential testing
-  /// (PlannerStatsMode::kAverageBucket).
+  /// residual-mass average).
   size_t ScalarDistinctValues(Oid m) const;
 
   /// Incrementally-maintained statistics over m's inverted value

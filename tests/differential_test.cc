@@ -177,61 +177,6 @@ INSTANTIATE_TEST_SUITE_P(
       return param_info.param.name;
     });
 
-class PlannerStatsDifferentialTest : public ::testing::TestWithParam<Case> {};
-
-TEST_P(PlannerStatsDifferentialTest, SkewStatisticsChangeNoAnswers) {
-  // The skew-aware runtime-bound estimator (PlannerStatsMode, threaded
-  // through EngineOptions into rule-body planning and queries) is a
-  // pure plan change: under every strategy, materialised facts and
-  // query answers with skew-aware statistics must equal the skew-blind
-  // run. use_analysis_hints routes rule bodies through the cost
-  // planner, so the toggle is exercised on rules, not just queries.
-  const Case& c = GetParam();
-  for (EvalStrategy s :
-       {EvalStrategy::kNaive, EvalStrategy::kSemiNaiveRules,
-        EvalStrategy::kSemiNaiveDelta}) {
-    std::set<std::string> facts[2];
-    std::string answers[2];
-    for (int skew_aware = 0; skew_aware < 2; ++skew_aware) {
-      DatabaseOptions opts;
-      opts.engine.strategy = s;
-      opts.engine.planner_stats = skew_aware == 1
-                                      ? PlannerStatsMode::kSkewAware
-                                      : PlannerStatsMode::kAverageBucket;
-      opts.use_analysis_hints = true;
-      Database db(opts);
-      Generate(&db.store(), c.workload);
-      Status st = db.Load(c.rules);
-      ASSERT_TRUE(st.ok()) << st;
-      st = db.Materialize();
-      ASSERT_TRUE(st.ok()) << st;
-      for (uint64_t g = 0; g < db.store().generation(); ++g) {
-        facts[skew_aware].insert(FactToString(db.store().FactAt(g),
-                                              db.store()));
-      }
-      // A query with a runtime-bound scalar value and one with a
-      // runtime-bound set member: the branches the estimator changes.
-      for (const char* q :
-           {"?- X[kids->>{Y}].", "?- A[age->N], B[age->N].",
-            "?- A[kids->>{K}], B[kids->>{K}]."}) {
-        Result<ResultSet> rs = db.Query(q);
-        ASSERT_TRUE(rs.ok()) << q << ": " << rs.status();
-        answers[skew_aware] += rs->ToString(db.store());
-      }
-    }
-    EXPECT_EQ(facts[0], facts[1]) << c.name << " strategy "
-                                  << static_cast<int>(s);
-    EXPECT_EQ(answers[0], answers[1]) << c.name << " strategy "
-                                      << static_cast<int>(s);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Programs, PlannerStatsDifferentialTest, ::testing::ValuesIn(kCases),
-    [](const ::testing::TestParamInfo<Case>& param_info) {
-      return param_info.param.name;
-    });
-
 class ObsDifferentialTest : public ::testing::TestWithParam<Case> {};
 
 TEST_P(ObsDifferentialTest, ObservabilityChangesNoAnswers) {

@@ -297,6 +297,16 @@ TEST(ProfileTest, DatabaseProfileReportListsRules) {
   uint64_t total_actual = 0;
   for (const Profiler::LiteralProfile& l : lits) total_actual += l.actual;
   EXPECT_GT(total_actual, 0u);
+
+  // Eval and Holds feed the index-route totals too; they are not
+  // planned, so they add no driver literals.
+  const uint64_t probes_before = profiler.routes().inverted_probes;
+  ASSERT_TRUE(db.Eval("X[kids->>{c}]").ok());
+  const uint64_t probes_after_eval = profiler.routes().inverted_probes;
+  EXPECT_GT(probes_after_eval, probes_before);
+  ASSERT_TRUE(db.Holds("X[kids->>{c}]").ok());
+  EXPECT_GT(profiler.routes().inverted_probes, probes_after_eval);
+  EXPECT_EQ(profiler.LiteralProfiles().size(), lits.size());
 }
 
 TEST(ProfileTest, ReportWithoutProfilerExplains) {
@@ -320,8 +330,17 @@ TEST(ObsEndToEndTest, StoreAndEngineMetricsAccumulate) {
     mary[friends->>{john}].
     X[peer->Y] <- X:employee[age->A], Y:employee[age->A].
   )").ok());
-  Result<ResultSet> rs = db.Query("?- X:employee[age->A].");
-  ASSERT_TRUE(rs.ok()) << rs.status();
+  // Every answered read of any kind counts once, with one latency
+  // sample: K queries, M evals and N holds give K+M+N.
+  constexpr int kQueries = 2, kEvals = 3, kHolds = 4;
+  for (int i = 0; i < kQueries; ++i) {
+    Result<ResultSet> rs = db.Query("?- X:employee[age->A].");
+    ASSERT_TRUE(rs.ok()) << rs.status();
+  }
+  for (int i = 0; i < kEvals; ++i) ASSERT_TRUE(db.Eval("mary.peer").ok());
+  for (int i = 0; i < kHolds; ++i) {
+    ASSERT_TRUE(db.Holds("john : employee").ok());
+  }
 
   Result<MetricsSamples> samples = ParseMetricsJson(reg.ToJson());
   ASSERT_TRUE(samples.ok()) << samples.status();
@@ -332,8 +351,8 @@ TEST(ObsEndToEndTest, StoreAndEngineMetricsAccumulate) {
   EXPECT_GE((*samples)["pathlog_engine_runs_total"], 1.0);
   EXPECT_GE((*samples)["pathlog_engine_rule_evaluations_total"], 1.0);
   EXPECT_GE((*samples)["pathlog_engine_derivations_total"], 1.0);
-  EXPECT_GE((*samples)["pathlog_queries_total"], 1.0);
-  EXPECT_GE((*samples)["pathlog_query_ms_count"], 1.0);
+  EXPECT_EQ((*samples)["pathlog_queries_total"], kQueries + kEvals + kHolds);
+  EXPECT_EQ((*samples)["pathlog_query_ms_count"], kQueries + kEvals + kHolds);
   EXPECT_GE((*samples)["pathlog_engine_run_ms_count"], 1.0);
   // Gauges reflect the store after materialisation.
   EXPECT_GT((*samples)["pathlog_store_objects"], 0.0);

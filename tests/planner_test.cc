@@ -123,9 +123,7 @@ TEST_F(PlannerTest, PlansProduceSameAnswersAsAnyOrder) {
 // heavy-hitter statistics per method and the planner prices a
 // runtime-bound probe at the upper quantile of those buckets, so the
 // extent drives first and every estimate lands within 2x of the
-// observed per-probe cardinality. The skew-blind estimator survives
-// behind PlannerStatsMode::kAverageBucket and still reproduces the
-// historical misrank, byte for byte.
+// observed per-probe cardinality.
 TEST(PlannerSkewTest, SkewStatisticsRankTheExtentBeforeTheHotBucket) {
   Database db;
   Profiler profiler;
@@ -156,18 +154,6 @@ TEST(PlannerSkewTest, SkewStatisticsRankTheExtentBeforeTheHotBucket) {
   EXPECT_EQ(ToString(*body[1].ref), "Y:resident");
   EXPECT_EQ(ToString(*body[2].ref), "Y[city->C]");
   EXPECT_DOUBLE_EQ(estimates[1], 60.0);
-
-  // The skew-blind estimator is still selectable and still misranks:
-  // the average bucket (100 / 2 = 50) undercuts the extent.
-  std::vector<Literal> blind = q->body;
-  std::vector<double> blind_estimates;
-  ASSERT_TRUE(PlanConjunction(&blind, db.store(), nullptr, &blind_estimates,
-                              nullptr, PlannerStatsMode::kAverageBucket)
-                  .ok());
-  ASSERT_EQ(blind.size(), 3u);
-  EXPECT_EQ(ToString(*blind[1].ref), "Y[city->C]");
-  EXPECT_EQ(ToString(*blind[2].ref), "Y:resident");
-  EXPECT_DOUBLE_EQ(blind_estimates[1], 50.0);
 
   // Run the query with the profiler attached: the answers are the
   // same as ever (60 residents of the hot metro), and the profiler's
@@ -239,22 +225,7 @@ TEST(PlannerSkewTest, SetMemberStatisticsPriceTheProbeNotTheScan) {
   EXPECT_EQ(ToString(*body[2].ref), "Y:resident");
   EXPECT_DOUBLE_EQ(estimates[1], 40.0);
 
-  // Skew-blind (historical behaviour): no runtime-bound member
-  // estimate, the literal costs the full 200-group scan, and the
-  // planner drives the 100-member extent instead.
-  std::vector<Literal> blind = q->body;
-  std::vector<double> blind_estimates;
-  ASSERT_TRUE(PlanConjunction(&blind, db.store(), nullptr, &blind_estimates,
-                              nullptr, PlannerStatsMode::kAverageBucket)
-                  .ok());
-  ASSERT_EQ(blind.size(), 3u);
-  EXPECT_EQ(ToString(*blind[1].ref), "Y:resident");
-  EXPECT_EQ(ToString(*blind[2].ref), "Y[likes->>{C}]");
-  EXPECT_DOUBLE_EQ(blind_estimates[1], 100.0);
-  // Once Y is bound by the extent, the set literal is a bound check.
-  EXPECT_DOUBLE_EQ(blind_estimates[2], 2.0);
-
-  // Either plan answers identically: the 40 metro-liking residents.
+  // The plan answers the 40 metro-liking residents.
   Result<ResultSet> rs =
       db.Query("?- hub[site->C], Y[likes->>{C}], Y:resident.");
   ASSERT_TRUE(rs.ok()) << rs.status();
@@ -264,7 +235,7 @@ TEST(PlannerSkewTest, SetMemberStatisticsPriceTheProbeNotTheScan) {
 TEST_F(PlannerTest, EstimatesAlignWithThePostReorderBody) {
   // Regression: the `estimates` out-param (and the cost log) must be
   // reported in *post-reorder* literal order — the order the body is
-  // returned in and the order RunQuery executes — not in the order the
+  // returned in and the order Query executes — not in the order the
   // query was written. Write the body backwards so any source-order
   // reporting misaligns every entry.
   Result<struct Query> q =

@@ -295,7 +295,7 @@ void ExpectValidQueryLogRecord(const std::string& line) {
 TEST(QueryLogSchemaTest, CompanyWorkload) {
   QueryLog log{QueryLogOptions{}};
   DatabaseOptions opts;
-  opts.query_log = &log;
+  opts.engine.obs.query_log = &log;
   Database db(opts);
   CompanyConfig cfg;
   cfg.num_employees = 50;
@@ -322,8 +322,10 @@ TEST(QueryLogSchemaTest, CompanyWorkload) {
 
 TEST(QueryLogSchemaTest, PeopleWorkload) {
   QueryLog log{QueryLogOptions{}};
+  FlightRecorder flight(64);
   DatabaseOptions opts;
-  opts.query_log = &log;
+  opts.engine.obs.query_log = &log;
+  opts.engine.obs.flight = &flight;
   Database db(opts);
   PeopleConfig cfg;
   cfg.num_persons = 40;
@@ -333,21 +335,37 @@ TEST(QueryLogSchemaTest, PeopleWorkload) {
   ASSERT_TRUE(db.Eval("person0.city").ok());
   ASSERT_TRUE(db.Holds("person0 : person").ok());
   // A failing operation must still produce a schema-valid record with
-  // its error code as the status.
+  // its error code as the status — a malformed query included.
   EXPECT_FALSE(db.Eval("person0..").ok());
+  EXPECT_FALSE(db.Query("?- X:person[city->").ok());
 
   std::vector<std::string> recent = log.Recent();
-  ASSERT_EQ(recent.size(), 4u);
+  ASSERT_EQ(recent.size(), 5u);
   for (const std::string& line : recent) ExpectValidQueryLogRecord(line);
+  for (size_t i = 3; i < recent.size(); ++i) {
+    Result<JsonValue> failed = ParseJson(recent[i]);
+    ASSERT_TRUE(failed.ok());
+    EXPECT_NE(failed->Find("status")->as_string(), "ok") << recent[i];
+  }
   Result<JsonValue> last = ParseJson(recent.back());
   ASSERT_TRUE(last.ok());
-  EXPECT_NE(last->Find("status")->as_string(), "ok");
+  EXPECT_EQ(last->Find("kind")->as_string(), "query");
+  EXPECT_EQ(last->Find("query")->as_string(), "?- X:person[city->");
+
+  // One db.<kind> flight span per call, failed calls included.
+  size_t read_spans = 0;
+  for (const FlightEvent& e : flight.Snapshot()) {
+    if (e.name == "db.query" || e.name == "db.eval" || e.name == "db.holds") {
+      ++read_spans;
+    }
+  }
+  EXPECT_EQ(read_spans, 5u);
 }
 
 TEST(QueryLogSchemaTest, KinshipWorkloads) {
   QueryLog log{QueryLogOptions{}};
   DatabaseOptions opts;
-  opts.query_log = &log;
+  opts.engine.obs.query_log = &log;
   Database db(opts);
   GenerateChain(&db.store(), 12);
   GenerateTree(&db.store(), 15, 2);
@@ -371,7 +389,7 @@ TEST(QueryLogSchemaTest, KinshipWorkloads) {
 TEST(QueryLogSchemaTest, QuerylogzServesTheRecentRing) {
   QueryLog log{QueryLogOptions{}};
   DatabaseOptions opts;
-  opts.query_log = &log;
+  opts.engine.obs.query_log = &log;
   Database db(opts);
   ASSERT_TRUE(db.Load("a[v->1].").ok());
   ASSERT_TRUE(db.Query("?- a[v->V].").ok());
