@@ -105,6 +105,32 @@ printf '%s\n' \
     --metrics-out="${OBS_TMP}/metrics.json" >/dev/null
 python3 -m json.tool "${OBS_TMP}/trace.json" >/dev/null
 python3 -m json.tool "${OBS_TMP}/metrics.json" >/dev/null
+# Span shape, not just JSON: the trace holds complete ("X") events
+# with a duration, and the engine's span tree nests by interval
+# containment — db.materialize > engine.run > stratum > iteration >
+# rule.evaluate, the stratified fixpoint as the ring recorded it.
+python3 - "${OBS_TMP}/trace.json" <<'EOF6'
+import json, sys
+
+with open(sys.argv[1]) as f:
+    events = json.load(f)["traceEvents"]
+spans = [(e["name"], e["ts"], e["ts"] + e["dur"]) for e in events
+         if e.get("ph") == "X" and isinstance(e.get("dur"), (int, float))]
+if not spans:
+    sys.exit("span smoke FAILED: no X events with dur in --trace-out")
+chain = ["db.materialize", "engine.run", "stratum", "iteration",
+         "rule.evaluate"]
+for outer, inner in zip(chain, chain[1:]):
+    inners = [s for s in spans if s[0] == inner]
+    if not inners:
+        sys.exit(f"span smoke FAILED: no {inner} span in --trace-out")
+    for _, start, end in inners:
+        if not any(name == outer and s <= start and end <= e
+                   for name, s, e in spans):
+            sys.exit(f"span smoke FAILED: {inner} [{start}, {end}] "
+                     f"lies inside no {outer}")
+print(f"span smoke: {len(spans)} spans, " + " > ".join(chain) + " nested")
+EOF6
 
 # Serving-diagnostics smoke: a live shell with the embedded stats
 # server (ephemeral port) and the structured query log on. Every HTTP
@@ -148,7 +174,23 @@ done
 grep -q '^pathlog_' "${OBS_TMP}/http_metrics.out"
 grep -q '^ok$' "${OBS_TMP}/http_healthz.out"
 python3 -m json.tool "${OBS_TMP}/http_varz.out" >/dev/null
-python3 -m json.tool "${OBS_TMP}/http_tracez.out" >/dev/null
+# The first scrape can land before the shell has read its first
+# clause: poll /tracez until the ring holds a complete span.
+for _ in $(seq 100); do
+  grep -q '"ph":"X","dur":' "${OBS_TMP}/http_tracez.out" && break
+  sleep 0.1
+  curl -fsS "http://127.0.0.1:${STATS_PORT}/tracez" \
+    > "${OBS_TMP}/http_tracez.out"
+done
+python3 - "${OBS_TMP}/http_tracez.out" <<'EOF7'
+import json, sys
+
+with open(sys.argv[1]) as f:
+    events = json.load(f)["traceEvents"]
+if not any(e.get("ph") == "X" and isinstance(e.get("dur"), (int, float))
+           for e in events):
+    sys.exit("diag smoke FAILED: /tracez holds no X events with dur")
+EOF7
 python3 -m json.tool "${OBS_TMP}/http_querylogz.out" >/dev/null
 
 printf '\\quit\n' >&3

@@ -8,8 +8,8 @@
 #include "eval/bindings.h"
 #include "eval/engine.h"
 #include "eval/ref_eval.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "semantics/structure.h"
 
 namespace pathlog {
@@ -135,7 +135,7 @@ Status TriggerEngine::RunRound(uint64_t from, HeadAsserter* asserter,
 }
 
 Status TriggerEngine::Fire() {
-  TraceSpan fire_span(options_.obs.tracer, "triggers.fire", "triggers");
+  FlightSpan fire_span(options_.obs.flight, "triggers.fire", "triggers");
   const TriggerStats before = stats_;
   const uint64_t start_facts = store_->generation();
 
@@ -163,8 +163,8 @@ Status TriggerEngine::Fire() {
                                         options_.max_cascade_rounds,
                                         " rounds"));
       }
-      TraceSpan round_span(options_.obs.tracer, "triggers.round", "triggers",
-                           StrCat("{\"from\":", from, "}"));
+      FlightSpan round_span(options_.obs.flight, "triggers.round", "triggers",
+                            "from", from);
       PATHLOG_RETURN_IF_ERROR(RunRound(from, &asserter, budget));
       // The round's events are consumed only after every one of its
       // assertions landed: an aborted round (deadline, budget, assert

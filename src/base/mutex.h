@@ -9,7 +9,7 @@
 //
 // Lock order (see docs/IMPLEMENTATION.md "Concurrency contract"): a
 // Database state lock is always outermost; sink-internal locks
-// (MetricsRegistry, QueryLog, Tracer, Profiler) and the StatsServer
+// (MetricsRegistry, QueryLog, Profiler) and the StatsServer
 // lifecycle lock are leaves — code holding a sink lock never acquires
 // another lock.
 

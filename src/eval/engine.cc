@@ -7,10 +7,10 @@
 #include "base/budget.h"
 #include "base/strings.h"
 #include "eval/ref_eval.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "query/planner.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
+#include "query/planner.h"
 #include "semantics/structure.h"
 
 namespace pathlog {
@@ -337,8 +337,8 @@ Status Engine::EvaluateRuleBody(PlannedRule* pr, HeadAsserter* asserter,
       if (body[p].negated) continue;  // monotone store: no new matches
       delta_idx = p;
       ++stats_.delta_passes;
-      TraceSpan delta_span(options_.obs.tracer, "delta_pass", "engine",
-                           StrCat("{\"literal\":", p, "}"));
+      FlightSpan delta_span(options_.obs.flight, "delta_pass", "engine",
+                            "literal", p);
       Result<bool> r = go(0);
       if (!r.ok()) return r.status();
     }
@@ -368,8 +368,8 @@ Status Engine::EvaluateRuleBody(PlannedRule* pr, HeadAsserter* asserter,
 
 Status Engine::RunStratum(int stratum, const std::vector<size_t>& rule_idxs,
                           const std::vector<RuleDeps>& deps) {
-  TraceSpan stratum_span(options_.obs.tracer, "stratum", "engine",
-                         StrCat("{\"stratum\":", stratum, "}"));
+  FlightSpan stratum_span(options_.obs.flight, "stratum", "engine",
+                          "stratum", static_cast<uint64_t>(stratum));
   current_stratum_ = stratum;
   HeadAsserter asserter(store_, options_.head_value_mode);
   bool first = true;
@@ -380,11 +380,9 @@ Status Engine::RunStratum(int stratum, const std::vector<size_t>& rule_idxs,
       return ResourceExhausted(
           StrCat("iteration limit exceeded (", options_.max_iterations, ")"));
     }
-    TraceSpan iter_span(
-        options_.obs.tracer, "iteration", "engine",
-        StrCat("{\"n\":", stats_.stratum_iterations[static_cast<size_t>(
-                              stratum)],
-               "}"));
+    FlightSpan iter_span(
+        options_.obs.flight, "iteration", "engine", "n",
+        stats_.stratum_iterations[static_cast<size_t>(stratum)]);
     const uint64_t start_gen = store_->generation();
     for (size_t idx : rule_idxs) {
       PlannedRule& pr = rules_[idx];
@@ -407,8 +405,8 @@ Status Engine::RunStratum(int stratum, const std::vector<size_t>& rule_idxs,
       if (profiler != nullptr) rule_t0 = std::chrono::steady_clock::now();
       Status rule_status;
       {
-        TraceSpan rule_span(options_.obs.tracer, "rule.evaluate", "engine",
-                            StrCat("{\"rule\":", idx, "}"));
+        FlightSpan rule_span(options_.obs.flight, "rule.evaluate", "engine",
+                             "rule", idx);
         rule_status = EvaluateRule(&pr, &asserter, delta_from);
       }
       if (profiler != nullptr) {
@@ -433,7 +431,7 @@ Status Engine::RunStratum(int stratum, const std::vector<size_t>& rule_idxs,
 }
 
 Status Engine::Run() {
-  TraceSpan run_span(options_.obs.tracer, "engine.run", "engine");
+  FlightSpan run_span(options_.obs.flight, "engine.run", "engine");
   const EngineStats before = stats_;
   const uint64_t rejections_before =
       options_.budget != nullptr ? options_.budget->rejections() : 0;
@@ -499,7 +497,7 @@ Status Engine::RunImpl() {
   plain.reserve(rules_.size());
   for (const PlannedRule& pr : rules_) plain.push_back(pr.rule);
   Result<DependencyGraph> graph_result = [&] {
-    TraceSpan span(options_.obs.tracer, "engine.stratify", "engine");
+    FlightSpan span(options_.obs.flight, "engine.stratify", "engine");
     return DependencyGraph::Build(plain, store_, options_.head_value_mode);
   }();
   PATHLOG_ASSIGN_OR_RETURN(DependencyGraph graph, std::move(graph_result));

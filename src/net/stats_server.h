@@ -12,7 +12,8 @@
 //               the pathlog_db_degraded gauge when no callback is set)
 //   /statusz    human HTML: build type, uptime, health, histogram
 //               quantiles, top rules by wall time, budget rejections
-//   /tracez     the flight recorder's ring as Chrome trace JSON
+//   /tracez     the flight recorder's ring — the one span sink, so the
+//               engine's span tree too — as Chrome trace JSON
 //   /querylogz  recent query-log records as a JSON array
 //
 // The server borrows its sinks (same discipline as ObsSinks) and

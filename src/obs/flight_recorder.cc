@@ -24,10 +24,6 @@ void Unlock(std::atomic<uint32_t>* busy) {
   busy->store(0, std::memory_order_release);
 }
 
-}  // namespace
-
-namespace {
-
 int64_t SteadyNowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -43,7 +39,20 @@ FlightRecorder::FlightRecorder(size_t capacity)
 
 void FlightRecorder::Record(std::string_view name, std::string_view category,
                             uint64_t dur_us, std::string_view args_json) {
-  const uint64_t ts = NowUs();
+  const uint64_t now = NowUs();
+  Put(name, category, /*instant=*/dur_us == 0, now > dur_us ? now - dur_us : 0,
+      dur_us, args_json);
+}
+
+void FlightRecorder::RecordSpan(std::string_view name,
+                                std::string_view category, uint64_t start_us,
+                                uint64_t dur_us, std::string_view args_json) {
+  Put(name, category, /*instant=*/false, start_us, dur_us, args_json);
+}
+
+void FlightRecorder::Put(std::string_view name, std::string_view category,
+                         bool instant, uint64_t ts_us, uint64_t dur_us,
+                         std::string_view args_json) {
   const uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[seq % capacity_];
   // One attempt only: the slot is busy exactly when another writer
@@ -51,8 +60,9 @@ void FlightRecorder::Record(std::string_view name, std::string_view category,
   // event beats stalling the caller.
   if (!TryLock(&slot.busy, 1)) return;
   slot.event.seq = seq;
-  slot.event.ts_us = ts;
+  slot.event.ts_us = ts_us;
   slot.event.dur_us = dur_us;
+  slot.event.instant = instant;
   slot.event.name.assign(name);
   slot.event.category.assign(category);
   slot.event.args_json.assign(args_json);
@@ -78,6 +88,7 @@ std::vector<FlightEvent> FlightRecorder::Snapshot() const {
 }
 
 std::string FlightRecorder::ToTraceJson() const {
+  const uint64_t recorded = this->recorded();
   std::vector<FlightEvent> events = Snapshot();
   // Chrome trace viewers sort by ts; rendering in ts order keeps the
   // file human-scannable too.
@@ -94,7 +105,7 @@ std::string FlightRecorder::ToTraceJson() const {
     AppendJsonString(&out, e.name);
     out += ",\"cat\":";
     AppendJsonString(&out, e.category);
-    if (e.dur_us == 0) {
+    if (e.instant) {
       out += ",\"ph\":\"i\"";
     } else {
       out += ",\"ph\":\"X\",\"dur\":";
@@ -103,20 +114,43 @@ std::string FlightRecorder::ToTraceJson() const {
     out += ",\"ts\":";
     AppendJsonNumber(&out, static_cast<double>(e.ts_us));
     out += ",\"pid\":1,\"tid\":1";
-    if (e.dur_us == 0) out += ",\"s\":\"t\"";
+    if (e.instant) out += ",\"s\":\"t\"";
     if (!e.args_json.empty()) {
       out += ",\"args\":";
       out += e.args_json;
     }
     out += "}";
   }
-  out += "],\"displayTimeUnit\":\"ms\"}";
+  // Events recorded while the snapshot ran may be kept yet not
+  // counted in `recorded`; clamp rather than report a wrapped count.
+  const uint64_t kept = events.size();
+  out += "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"capacity\":";
+  out += std::to_string(capacity_);
+  out += ",\"recorded\":";
+  out += std::to_string(recorded);
+  out += ",\"dropped\":";
+  out += std::to_string(recorded > kept ? recorded - kept : 0);
+  out += "}}";
   return out;
 }
 
 Status FlightRecorder::WriteTo(const std::string& path, FileOps* fops) const {
   if (fops == nullptr) fops = DefaultFileOps();
   return WriteFileAtomic(fops, path, ToTraceJson());
+}
+
+void FlightSpan::End() {
+  const uint64_t now = recorder_->NowUs();
+  // now < start when a concurrent Reset() moved the epoch mid-span:
+  // record a zero-length span at the new clock instead of a wrapped
+  // duration.
+  const uint64_t start = now >= start_us_ ? start_us_ : now;
+  std::string args;
+  if (!arg_key_.empty()) {
+    args.append("{\"").append(arg_key_).append("\":");
+    args.append(std::to_string(arg_)).append("}");
+  }
+  recorder_->RecordSpan(name_, category_, start, now - start, args);
 }
 
 void FlightRecorder::Reset() {

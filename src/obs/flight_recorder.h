@@ -1,22 +1,27 @@
-// FlightRecorder: an always-on black-box recorder of recent engine
-// activity.
+// FlightRecorder: the one span sink. A bounded black-box recorder of
+// recent activity.
 //
 // A fixed-capacity ring buffer of completed spans and instant events
-// (the Tracer's span shapes, but with a duration instead of B/E
-// pairing) that the database, the WAL appender, and the shell feed
-// continuously. Unlike the Tracer — which buffers everything and is
-// attached only when someone asks for a trace — the recorder is cheap
-// enough to leave on in production: recording never blocks (one
-// fetch_add to claim a slot, a try-only per-slot lock to publish it)
-// and memory is bounded by the capacity chosen at construction.
+// that every instrumentation site feeds: the engine's span tree
+// (engine.run, engine.stratify, stratum, iteration, rule.evaluate,
+// delta_pass), the trigger engine (triggers.fire, triggers.round), the
+// database (db.load, db.materialize, one db.<kind> span per read) and
+// the WAL (wal.fsync, wal.checkpoint, failing appends). Recording
+// never blocks (one fetch_add to claim a slot, a try-only per-slot
+// lock to publish it) and memory is bounded by the capacity chosen at
+// construction, so the recorder is cheap enough to leave on in
+// production. A caller that wants a whole run (a test, the shell's
+// --trace-out) passes a capacity that fits it; every rendering says
+// how many events the ring dropped.
 //
 // When an incident fires (degraded-mode entry, a budget rejection, a
 // WAL commit failure), the database auto-dumps the ring to a
 // timestamped file in its durable directory, so the seconds *before*
-// the failure survive to explain it. The dump renders as a Chrome
-// trace ({"traceEvents":[...]}, "X" complete events + "i" instants),
-// loadable in chrome://tracing / Perfetto exactly like Tracer output,
-// and also served live at the stats server's /tracez endpoint.
+// the failure survive to explain it. The ring renders as a Chrome
+// trace ({"traceEvents":[...]}, "X" complete events + "i" instants,
+// loadable in chrome://tracing / Perfetto), which is also what the
+// stats server serves live at /tracez. A span is stamped with its
+// start, so nested spans render nested.
 //
 // Concurrency contract: Record() never blocks and never allocates
 // beyond the event's own strings. Each slot is guarded by a try-only
@@ -43,13 +48,14 @@
 
 namespace pathlog {
 
-/// One recorded event. `dur_us == 0` renders as an instant ("i"),
-/// anything else as a complete span ("X"). `args_json` is either
-/// empty or a complete JSON object rendered by the caller.
+/// One recorded event: a complete span ("X") that started at `ts_us`
+/// and lasted `dur_us`, or an instant ("i") at `ts_us`. `args_json` is
+/// either empty or a complete JSON object rendered by the caller.
 struct FlightEvent {
   uint64_t seq = 0;    ///< global record index (monotone, for ordering)
-  uint64_t ts_us = 0;  ///< microseconds since the recorder's epoch
-  uint64_t dur_us = 0; ///< span duration; 0 = instant event
+  uint64_t ts_us = 0;  ///< span start or instant, µs since the epoch
+  uint64_t dur_us = 0; ///< span duration (0 for instants)
+  bool instant = false;
   std::string name;
   std::string category;
   std::string args_json;
@@ -63,16 +69,23 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// Records one event. Never blocks: claims a slot with one
-  /// fetch_add and try-locks it; a busy slot drops the event.
+  /// Records one event that ends now: an instant when `dur_us` is 0,
+  /// else a span that started `dur_us` ago. Never blocks: claims a
+  /// slot with one fetch_add and try-locks it; a busy slot drops the
+  /// event.
   void Record(std::string_view name, std::string_view category = "pathlog",
               uint64_t dur_us = 0, std::string_view args_json = "");
 
+  /// Records one span that started at `start_us` (a NowUs() reading)
+  /// and lasted `dur_us`, zero included. Same never-block contract.
+  void RecordSpan(std::string_view name, std::string_view category,
+                  uint64_t start_us, uint64_t dur_us,
+                  std::string_view args_json = "");
+
   /// Microseconds since the recorder's epoch — callers stamp a span's
-  /// start with this and pass `NowUs() - start` as the duration. The
-  /// epoch is an atomic so a concurrent Reset() moves the clock
-  /// without a data race (a span straddling the Reset records a
-  /// clamped duration, see FlightSpan).
+  /// start with this. The epoch is an atomic so a concurrent Reset()
+  /// moves the clock without a data race (a span straddling the Reset
+  /// records a zero duration, see FlightSpan).
   uint64_t NowUs() const {
     const int64_t now_ns =
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -95,8 +108,9 @@ class FlightRecorder {
   std::vector<FlightEvent> Snapshot() const;
 
   /// The ring as a Chrome trace: {"traceEvents":[...]} with "X"
-  /// complete events (spans) and "i" instants, same field shapes the
-  /// Tracer renders, so any trace tooling loads a flight dump.
+  /// complete events (spans) and "i" instants, plus
+  /// "otherData":{"capacity","recorded","dropped"} so a reader knows
+  /// whether the ring wrapped.
   std::string ToTraceJson() const;
 
   /// ToTraceJson() written atomically to `path` (nullptr fops = real
@@ -144,42 +158,39 @@ class FlightRecorder {
   std::atomic<uint64_t> next_{0};
   /// Epoch as steady-clock nanoseconds (atomic: Reset() races NowUs()).
   std::atomic<int64_t> epoch_ns_{0};
+
+  void Put(std::string_view name, std::string_view category, bool instant,
+           uint64_t ts_us, uint64_t dur_us, std::string_view args_json);
 };
 
-/// RAII span recorder: stamps the start on construction and records
-/// one complete event with the measured duration on destruction.
-/// No-op when `recorder` is null — same null-sink discipline as
-/// TraceSpan.
+/// RAII span: stamps its start on construction and records one
+/// complete event on destruction. With a null recorder a span site
+/// costs one pointer test: `name`, `category` and `arg_key` are
+/// borrowed, not copied (string literals at every site), and the
+/// optional integer argument is rendered as {"<arg_key>":<arg>} only
+/// when the event is recorded.
 class FlightSpan {
  public:
   FlightSpan(FlightRecorder* recorder, std::string_view name,
-             std::string_view category = "pathlog")
+             std::string_view category = "pathlog",
+             std::string_view arg_key = {}, uint64_t arg = 0)
       : recorder_(recorder), name_(name), category_(category),
+        arg_key_(arg_key), arg_(arg),
         start_us_(recorder != nullptr ? recorder->NowUs() : 0) {}
   ~FlightSpan() {
-    if (recorder_ != nullptr) {
-      const uint64_t now = recorder_->NowUs();
-      // now < start happens when a concurrent Reset() moved the epoch
-      // forward mid-span; clamp instead of recording a wrapped
-      // duration.
-      uint64_t dur = now > start_us_ ? now - start_us_ : 0;
-      recorder_->Record(name_, category_, dur == 0 ? 1 : dur, args_json_);
-    }
+    if (recorder_ != nullptr) End();
   }
   FlightSpan(const FlightSpan&) = delete;
   FlightSpan& operator=(const FlightSpan&) = delete;
 
-  /// Attaches a complete JSON object rendered by the caller to the
-  /// event recorded at destruction.
-  void set_args_json(std::string args_json) {
-    args_json_ = std::move(args_json);
-  }
-
  private:
+  void End();
+
   FlightRecorder* recorder_;
-  std::string name_;
-  std::string category_;
-  std::string args_json_;
+  std::string_view name_;
+  std::string_view category_;
+  std::string_view arg_key_;
+  uint64_t arg_;
   uint64_t start_us_;
 };
 

@@ -1,12 +1,13 @@
 // ObsSinks: the observability layer's plumbing type.
 //
-// A bundle of three optional, borrowed sinks — metrics registry,
-// tracer, profiler — threaded through EngineOptions, TriggerOptions,
-// and DatabaseOptions into every subsystem. All null by default: the
-// disabled cost at an instrumentation site is one pointer test. The
-// caller owns the sink objects and keeps them alive for as long as
-// any component holds the ObsSinks (the shell and benches own them
-// for the session; tests own them on the stack).
+// A bundle of four optional, borrowed sinks — metrics registry,
+// profiler, flight recorder (the one span sink), query log — threaded
+// through EngineOptions, TriggerOptions, and DatabaseOptions into
+// every subsystem. All null by default: the disabled cost at an
+// instrumentation site is one pointer test. The caller owns the sink
+// objects and keeps them alive for as long as any component holds the
+// ObsSinks (the shell and benches own them for the session; tests own
+// them on the stack).
 //
 // This header is deliberately tiny (forward declarations only) so the
 // option structs that embed ObsSinks do not drag the exporters into
@@ -18,25 +19,18 @@
 namespace pathlog {
 
 class MetricsRegistry;
-class Tracer;
 class Profiler;
 class FlightRecorder;
 class QueryLog;
 
 struct ObsSinks {
   MetricsRegistry* metrics = nullptr;
-  Tracer* tracer = nullptr;
   Profiler* profiler = nullptr;
-  /// Always-on ring of recent spans/events, auto-dumped on incidents
-  /// (obs/flight_recorder.h).
+  /// Bounded ring of recent spans and events: the span tree, /tracez,
+  /// trace files and incident dumps (obs/flight_recorder.h).
   FlightRecorder* flight = nullptr;
   /// Per-query structured JSONL log (obs/query_log.h).
   QueryLog* query_log = nullptr;
-
-  bool enabled() const {
-    return metrics != nullptr || tracer != nullptr || profiler != nullptr ||
-           flight != nullptr || query_log != nullptr;
-  }
 };
 
 }  // namespace pathlog

@@ -40,7 +40,6 @@
 #include "obs/obs.h"            // IWYU pragma: export
 #include "obs/profile.h"        // IWYU pragma: export
 #include "obs/query_log.h"      // IWYU pragma: export
-#include "obs/trace.h"          // IWYU pragma: export
 #include "parser/parser.h"      // IWYU pragma: export
 #include "query/database.h"     // IWYU pragma: export
 #include "query/result_set.h"   // IWYU pragma: export

@@ -22,7 +22,6 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
 #include "parser/parser.h"
 #include "query/planner.h"
 #include "semantics/structure.h"
@@ -150,18 +149,13 @@ bool ForEachName(const Ref& t, const Fn& fn) {
   return true;
 }
 
-/// The query-log `kind` of a read, named by its answer type, and the
-/// span name its flight and trace records carry.
+/// The query-log `kind` of a read, named by its answer type; its
+/// flight span is "db.<kind>".
 template <typename Answer>
 constexpr std::string_view kReadKind =
     std::is_same_v<Answer, ResultSet> ? "query"
     : std::is_same_v<Answer, bool>    ? "holds"
                                       : "eval";
-template <typename Answer>
-constexpr std::string_view kReadSpan =
-    std::is_same_v<Answer, ResultSet> ? "db.query"
-    : std::is_same_v<Answer, bool>    ? "db.holds"
-                                      : "db.eval";
 
 /// Parses a read into the conjunction the core evaluates — a `?-`
 /// query's body, or an Eval/Holds reference as its one literal — and
@@ -202,9 +196,8 @@ void Database::SetObsSinks(const ObsSinks& obs) {
   // swap. The lock still orders the WAL re-attachment below.
   WriteLock lock(*this);
   options_.engine.obs = obs;
-  options_.triggers.obs = obs;
   store_.set_metrics(obs.metrics);
-  if (wal_) wal_->set_obs(obs.metrics, obs.tracer, obs.flight);
+  if (wal_) wal_->set_obs(obs.metrics, obs.flight);
   UpdateStoreGauges();
 }
 
@@ -226,16 +219,17 @@ void Database::UpdateStoreGauges() {
   }
 }
 
-void Database::RecordQueryObs(QueryLogRecord rec) {
+void Database::RecordQueryObs(QueryLogRecord rec, uint64_t flight_start_us) {
   const ObsSinks& obs = options_.engine.obs;
   if (obs.flight != nullptr) {
     // kind and status are fixed tokens (no escaping needed); the query
     // text stays out of the args to keep the ring entry small.
     std::string args = StrCat("{\"kind\":\"", rec.kind, "\",\"status\":\"",
                               rec.status, "\",\"rows\":", rec.rows, "}");
-    const auto dur_us = static_cast<uint64_t>(rec.latency_ms * 1000.0);
-    obs.flight->Record(StrCat("db.", rec.kind), "database",
-                       dur_us == 0 ? 1 : dur_us, args);
+    const uint64_t now = obs.flight->NowUs();
+    obs.flight->RecordSpan(
+        StrCat("db.", rec.kind), "database", flight_start_us,
+        now > flight_start_us ? now - flight_start_us : 0, args);
   }
   if (rec.budget_rejected) MaybeDumpFlightRecorder("budget_rejection");
   if (rec.status == "ok") {
@@ -350,7 +344,7 @@ Status Database::LoadProgram(const Program& program) {
 
 Status Database::LoadProgramLocked(const Program& program) {
   if (degraded()) return DegradedError();
-  TraceSpan load_span(options_.engine.obs.tracer, "db.load", "database");
+  FlightSpan load_span(options_.engine.obs.flight, "db.load", "database");
   if (!program.queries.empty()) {
     return InvalidArgument(
         "programs loaded into a Database must not contain `?-` queries; "
@@ -409,10 +403,8 @@ Status Database::Materialize() {
 
 Status Database::MaterializeLocked() {
   if (degraded()) return DegradedError();
-  TraceSpan mat_span(options_.engine.obs.tracer, "db.materialize",
-                     "database");
-  FlightSpan mat_flight(options_.engine.obs.flight, "db.materialize",
-                        "database");
+  FlightSpan mat_span(options_.engine.obs.flight, "db.materialize",
+                      "database");
   EngineOptions engine_options = options_.engine;
   if (options_.use_analysis_hints) {
     RefreshAnalysisHints();
@@ -476,6 +468,8 @@ Result<Answer> Database::Read(std::string_view text) {
   ResourceBudget* budget = options_.engine.budget;
   const uint64_t rejections_before =
       budget != nullptr ? budget->rejections() : 0;
+  FlightRecorder* flight = options_.engine.obs.flight;
+  const uint64_t flight_start_us = flight != nullptr ? flight->NowUs() : 0;
   const auto t0 = std::chrono::steady_clock::now();
   Result<Answer> answer = [&]() -> Result<Answer> {
     Result<struct Query> query = ParseRead(text, kConjunctive);
@@ -513,7 +507,7 @@ Result<Answer> Database::Read(std::string_view text) {
   } else {
     rec.rows = answer->size();
   }
-  RecordQueryObs(std::move(rec));
+  RecordQueryObs(std::move(rec), flight_start_us);
   return answer;
 }
 
@@ -539,7 +533,6 @@ Result<Answer> Database::ReadLocked(std::vector<Literal> body,
   constexpr bool kConjunctive = std::is_same_v<Answer, ResultSet>;
   // Sampled under the lock: the store cannot change while we hold it.
   rec->budget_store_bytes = store_.ApproxBytes();
-  TraceSpan span(options_.engine.obs.tracer, kReadSpan<Answer>, "database");
   // Per-literal estimates and actuals are a planned query's profile.
   Profiler* profiler = kConjunctive ? options_.engine.obs.profiler : nullptr;
   std::vector<double> estimates;
@@ -726,6 +719,7 @@ Status Database::FireTriggersLocked() {
   // The engine's governance follows the cascade: the shared resource
   // budget if one is attached, else the engine's wall deadline.
   TriggerOptions topts = options_.triggers;
+  topts.obs = options_.engine.obs;
   if (topts.max_wall_ms == 0) topts.max_wall_ms = options_.engine.max_wall_ms;
   if (topts.budget == nullptr) topts.budget = options_.engine.budget;
   if (topts.budget != nullptr) topts.budget->Arm();
@@ -893,12 +887,7 @@ Result<Database> Database::Open(const std::string& dir,
         PATHLOG_RETURN_IF_ERROR(
             fops->Truncate(db.WalPath(), scan->valid_bytes));
       }
-      Result<std::unique_ptr<FileOps::WritableFile>> file =
-          fops->OpenForWrite(db.WalPath(), /*truncate=*/false);
-      if (!file.ok()) return file.status();
-      db.wal_ = std::make_unique<WalAppender>(std::move(*file));
-      db.wal_->set_obs(options.engine.obs.metrics, options.engine.obs.tracer,
-                       options.engine.obs.flight);
+      PATHLOG_RETURN_IF_ERROR(db.OpenWalAppender());
       db.wal_good_bytes_ = scan->valid_bytes;
     }
   } else {
@@ -912,16 +901,20 @@ Result<Database> Database::Open(const std::string& dir,
   return db;
 }
 
-Status Database::ResetWal() {
-  wal_.reset();
-  PATHLOG_RETURN_IF_ERROR(WriteFileAtomic(
-      fops_, WalPath(), std::string_view(kWalMagic, kWalMagicLen)));
+Status Database::OpenWalAppender() {
   Result<std::unique_ptr<FileOps::WritableFile>> file =
       fops_->OpenForWrite(WalPath(), /*truncate=*/false);
   if (!file.ok()) return file.status();
   wal_ = std::make_unique<WalAppender>(std::move(*file));
-  wal_->set_obs(options_.engine.obs.metrics, options_.engine.obs.tracer,
-                options_.engine.obs.flight);
+  wal_->set_obs(options_.engine.obs.metrics, options_.engine.obs.flight);
+  return Status::OK();
+}
+
+Status Database::ResetWal() {
+  wal_.reset();
+  PATHLOG_RETURN_IF_ERROR(WriteFileAtomic(
+      fops_, WalPath(), std::string_view(kWalMagic, kWalMagicLen)));
+  PATHLOG_RETURN_IF_ERROR(OpenWalAppender());
   wal_good_bytes_ = kWalMagicLen;
   return Status::OK();
 }
@@ -975,13 +968,7 @@ Status Database::ReopenWalTruncated() {
   // write); appending past them would corrupt the valid prefix. Cut
   // back to the last length every record of which is known good.
   PATHLOG_RETURN_IF_ERROR(fops_->Truncate(WalPath(), wal_good_bytes_));
-  Result<std::unique_ptr<FileOps::WritableFile>> file =
-      fops_->OpenForWrite(WalPath(), /*truncate=*/false);
-  if (!file.ok()) return file.status();
-  wal_ = std::make_unique<WalAppender>(std::move(*file));
-  wal_->set_obs(options_.engine.obs.metrics, options_.engine.obs.tracer,
-                options_.engine.obs.flight);
-  return Status::OK();
+  return OpenWalAppender();
 }
 
 void Database::BackoffSleep(uint64_t ms) {
@@ -1112,8 +1099,7 @@ Status Database::CheckpointLocked() {
         "Checkpoint() is only meaningful for a database from "
         "Database::Open");
   }
-  TraceSpan span(options_.engine.obs.tracer, "wal.checkpoint", "wal");
-  FlightSpan flight_span(options_.engine.obs.flight, "wal.checkpoint", "wal");
+  FlightSpan span(options_.engine.obs.flight, "wal.checkpoint", "wal");
   if (MetricsRegistry* m = options_.engine.obs.metrics; m != nullptr) {
     if (Counter* c = m->GetCounter("pathlog_checkpoints_total",
                                    "snapshot+WAL-reset checkpoints")) {

@@ -25,9 +25,12 @@
 // trigger_stats() accessors return references into guarded state
 // without holding the guard — callers own the quiescence there — and
 // a shared options_.engine.budget is per-operation state, so attach
-// budgets only to single-threaded databases. SetObsSinks swaps sink
-// pointers that lock-free readers consult; call it only while no
-// other thread is inside the database.
+// budgets only to single-threaded databases. Concurrent readers share
+// the attached sinks, which are thread-safe: metrics counters and the
+// flight ring record without blocking, the query log and profiler
+// lock internally as leaves. SetObsSinks swaps sink pointers that
+// lock-free readers consult; call it only while no other thread is
+// inside the database.
 
 #ifndef PATHLOG_QUERY_DATABASE_H_
 #define PATHLOG_QUERY_DATABASE_H_
@@ -117,7 +120,12 @@ struct DatabaseHealth {
 };
 
 struct DatabaseOptions {
+  /// Engine policy, and `engine.obs`: the database's one sink set. The
+  /// engine, the trigger engine, the store, the WAL and the database's
+  /// own spans and counters all report to it.
   EngineOptions engine;
+  /// Trigger cascade limits. `triggers.obs` is ignored: FireTriggers()
+  /// hands the trigger engine `engine.obs`.
   TriggerOptions triggers;
   /// Run the type checker over newly derived facts after every
   /// materialisation and fail on violations.
@@ -261,11 +269,12 @@ class Database {
   DatabaseHealth Health() const;
 
   /// Attaches (or, with all-null sinks, detaches) observability at
-  /// runtime: the engine, trigger engine, store, WAL appender, and the
-  /// database's own spans/counters all pick up the new sinks. The
-  /// sink objects are borrowed; keep them alive until detached or the
-  /// database is destroyed. Equivalent to setting
-  /// DatabaseOptions::engine.obs before construction.
+  /// runtime by replacing options.engine.obs: the engine, trigger
+  /// engine, store, WAL appender, and the database's own spans and
+  /// counters all pick up the new sinks. The sink objects are
+  /// borrowed; keep them alive until detached or the database is
+  /// destroyed. Equivalent to setting DatabaseOptions::engine.obs
+  /// before construction.
   void SetObsSinks(const ObsSinks& obs);
   const ObsSinks& obs() const { return options_.engine.obs; }
 
@@ -407,6 +416,9 @@ class Database {
   Status FinishMutation(Status st) REQUIRES(state_mu_);
   /// Replaces the WAL with a fresh, empty, synced log (atomic).
   Status ResetWal() REQUIRES(state_mu_);
+  /// Opens the WAL for appending at its current end and attaches the
+  /// database's metrics and flight sinks to the new appender.
+  Status OpenWalAppender() REQUIRES(state_mu_);
   /// Loads program text from a WAL record, skipping rules, triggers
   /// and signatures that are already installed (replay after a crash
   /// between checkpoint and WAL reset sees both copies).
@@ -417,12 +429,14 @@ class Database {
   void UpdateStoreGauges() REQUIRES_SHARED(state_mu_);
 
   /// Closes out one Query/Eval/Holds for observability: records a
-  /// "db.<kind>" flight span, auto-dumps the flight ring when the
-  /// operation was budget-rejected, feeds an answered read's latency
+  /// "db.<kind>" flight span from `flight_start_us` (the ring's clock
+  /// when the call began) to now, so it covers the whole call,
+  /// malformed reads included; auto-dumps the flight ring when the
+  /// operation was budget-rejected; feeds an answered read's latency
   /// to pathlog_queries_total/pathlog_query_ms and its index routes
-  /// to the profiler, and appends `rec` to the query-log sink. No-op
+  /// to the profiler; and appends `rec` to the query-log sink. No-op
   /// without the corresponding sinks.
-  void RecordQueryObs(QueryLogRecord rec);
+  void RecordQueryObs(QueryLogRecord rec, uint64_t flight_start_us);
 
   /// Best-effort dump of the flight-recorder ring to a timestamped
   /// trace file in the durable directory (durable databases with a

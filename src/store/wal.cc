@@ -9,7 +9,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace pathlog {
 
@@ -266,9 +265,7 @@ void RecordWalFailure(FlightRecorder* flight, std::string_view op,
 
 }  // namespace
 
-void WalAppender::set_obs(MetricsRegistry* metrics, Tracer* tracer,
-                          FlightRecorder* flight) {
-  tracer_ = tracer;
+void WalAppender::set_obs(MetricsRegistry* metrics, FlightRecorder* flight) {
   flight_ = flight;
   if (metrics == nullptr) {
     appends_ = nullptr;
@@ -304,7 +301,7 @@ Status WalAppender::Append(std::string_view payload) {
 }
 
 Status WalAppender::Sync() {
-  TraceSpan span(tracer_, "wal.fsync", "wal");
+  FlightSpan span(flight_, "wal.fsync", "wal");
   const auto t0 = std::chrono::steady_clock::now();
   Status st = file_->Sync();
   if (fsyncs_ != nullptr) fsyncs_->Inc();

@@ -107,7 +107,6 @@ class Counter;
 class FlightRecorder;
 class Histogram;
 class MetricsRegistry;
-class Tracer;
 
 /// Thin framing wrapper over an open WAL file.
 ///
@@ -124,14 +123,13 @@ class WalAppender {
   explicit WalAppender(std::unique_ptr<FileOps::WritableFile> file)
       : file_(std::move(file)) {}
 
-  /// Attaches observability sinks (any may be null). Appends count
+  /// Attaches observability sinks (either may be null). Appends count
   /// records and bytes; Sync records an fsync latency sample and a
-  /// "wal.fsync" trace span. The flight recorder sees every *failing*
-  /// append/fsync as an instant event with the error attached, so a
-  /// ring dumped on degraded-mode entry names the exact WAL operation
-  /// that broke.
-  void set_obs(MetricsRegistry* metrics, Tracer* tracer,
-               FlightRecorder* flight = nullptr);
+  /// "wal.fsync" span in the flight recorder, which also sees every
+  /// *failing* append/fsync as an instant event with the error
+  /// attached, so a ring dumped on degraded-mode entry names the exact
+  /// WAL operation that broke.
+  void set_obs(MetricsRegistry* metrics, FlightRecorder* flight);
 
   /// Appends one framed payload (buffered by the OS until Sync).
   Status Append(std::string_view payload);
@@ -149,7 +147,6 @@ class WalAppender {
   Counter* append_bytes_ = nullptr;
   Counter* fsyncs_ = nullptr;
   Histogram* fsync_ms_ = nullptr;
-  Tracer* tracer_ = nullptr;
   FlightRecorder* flight_ = nullptr;
 };
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <string>
 
@@ -55,6 +56,10 @@ struct Case {
   Workload workload;
   const char* rules;
 };
+
+// gtest prints the parameter into each test's ctest name; the default
+// printer would dump the struct's bytes, name pointer included.
+void PrintTo(const Case& c, std::ostream* os) { *os << c.name; }
 
 // The same 11-program suite as tests/differential_test.cc.
 const Case kCases[] = {

@@ -1,10 +1,12 @@
 // Tests for the observability layer: the JSON helper, the metrics
 // registry and its two export formats (which must flatten to the same
-// samples), the tracer's balance and nesting over a real
+// samples), span nesting in the flight ring over a real
 // materialisation, the profiler's report, and the store counters.
 
 #include <algorithm>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,7 +18,6 @@
 #include "obs/metrics.h"
 #include "obs/query_log.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
 #include "query/database.h"
 #include "store/file_ops.h"
 
@@ -152,59 +153,56 @@ TEST(MetricsTest, ParserRejectsGarbage) {
 }
 
 // ---------------------------------------------------------------------------
-// Tracer.
+// Span nesting in the flight ring.
 
-TEST(TraceTest, BalancesAndCounts) {
-  Tracer t;
-  t.Begin("outer", "test");
-  t.Begin("inner", "test");
-  EXPECT_EQ(t.open_spans(), 2);
-  t.End();
-  t.Instant("marker", "test");
-  EXPECT_EQ(t.open_spans(), 1);
-  EXPECT_EQ(t.event_count(), 4u);
+/// One rendered "X" event as a closed interval [start, end] in µs.
+struct RenderedSpan {
+  std::string name;
+  double start = 0;
+  double end = 0;
 
-  // ToJson closes still-open spans so output is always balanced.
-  Result<JsonValue> doc = ParseJson(t.ToJson());
-  ASSERT_TRUE(doc.ok()) << doc.status();
-  const JsonValue* events = doc->Find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  int depth = 0;
-  for (const JsonValue& e : events->items()) {
-    const std::string& ph = e.Find("ph")->as_string();
-    if (ph == "B") ++depth;
-    if (ph == "E") --depth;
-    EXPECT_GE(depth, 0);
+  bool Contains(const RenderedSpan& inner) const {
+    return start <= inner.start && inner.end <= end;
   }
-  EXPECT_EQ(depth, 0) << "unbalanced trace: " << t.ToJson();
+};
 
-  t.Reset();
-  EXPECT_EQ(t.event_count(), 0u);
-  EXPECT_EQ(t.open_spans(), 0);
+/// The complete ("X") events of a rendered Chrome trace.
+std::vector<RenderedSpan> RenderedSpans(const std::string& trace_json) {
+  std::vector<RenderedSpan> out;
+  Result<JsonValue> doc = ParseJson(trace_json);
+  EXPECT_TRUE(doc.ok()) << doc.status();
+  if (!doc.ok()) return out;
+  const JsonValue* events = doc->Find("traceEvents");
+  EXPECT_NE(events, nullptr);
+  if (events == nullptr) return out;
+  for (const JsonValue& e : events->items()) {
+    if (e.Find("ph")->as_string() != "X") continue;
+    const double ts = e.Find("ts")->as_number();
+    out.push_back(RenderedSpan{e.Find("name")->as_string(), ts,
+                               ts + e.Find("dur")->as_number()});
+  }
+  return out;
 }
 
-// Nesting over a real materialisation: rule evaluations sit inside
-// iterations inside strata inside engine.run inside db.materialize.
+// Nesting over a real materialisation, by exact interval containment:
+// rule evaluations sit inside iterations inside strata inside
+// engine.run inside db.materialize, and under the delta strategy every
+// delta pass sits inside a rule evaluation.
 TEST(TraceTest, MaterializationSpansNestProperly) {
-  Tracer tracer;
-  Database db;
-  ObsSinks sinks;
-  sinks.tracer = &tracer;
-  db.SetObsSinks(sinks);
+  FlightRecorder ring(1024);
+  DatabaseOptions opts;
+  opts.engine.strategy = EvalStrategy::kSemiNaiveDelta;
+  opts.engine.obs.flight = &ring;
+  Database db(opts);
   ASSERT_TRUE(db.Load(R"(
     a[kids->>{b}]. b[kids->>{c}]. c[kids->>{d}].
     X[desc->>{Y}] <- X[kids->>{Y}].
     X[desc->>{Y}] <- X..desc[kids->>{Y}].
   )").ok());
   ASSERT_TRUE(db.Materialize().ok());
-  EXPECT_EQ(tracer.open_spans(), 0);
+  ASSERT_LT(ring.recorded(), ring.capacity()) << "the ring must hold the run";
 
-  Result<JsonValue> doc = ParseJson(tracer.ToJson());
-  ASSERT_TRUE(doc.ok()) << doc.status();
-  const JsonValue* events = doc->Find("traceEvents");
-  ASSERT_NE(events, nullptr);
-
-  // Expected parent for each span kind (E events replay the name).
+  const std::vector<RenderedSpan> spans = RenderedSpans(ring.ToTraceJson());
   auto expected_parent = [](const std::string& name) -> const char* {
     if (name == "rule.evaluate") return "iteration";
     if (name == "iteration") return "stratum";
@@ -213,26 +211,29 @@ TEST(TraceTest, MaterializationSpansNestProperly) {
     if (name == "delta_pass") return "rule.evaluate";
     return nullptr;  // unconstrained
   };
-  std::vector<std::string> stack;
-  size_t rule_spans = 0;
-  for (const JsonValue& e : events->items()) {
-    const std::string& ph = e.Find("ph")->as_string();
-    const std::string& name = e.Find("name")->as_string();
-    if (ph == "B") {
-      if (const char* parent = expected_parent(name)) {
-        ASSERT_FALSE(stack.empty()) << name << " opened at top level";
-        EXPECT_EQ(stack.back(), parent) << "bad parent for " << name;
-      }
-      if (name == "rule.evaluate") ++rule_spans;
-      stack.push_back(name);
-    } else if (ph == "E") {
-      ASSERT_FALSE(stack.empty());
-      EXPECT_EQ(stack.back(), name) << "E closes the most recent B";
-      stack.pop_back();
+  size_t rule_spans = 0, delta_spans = 0;
+  for (const RenderedSpan& child : spans) {
+    if (child.name == "rule.evaluate") ++rule_spans;
+    if (child.name == "delta_pass") ++delta_spans;
+    const char* parent = expected_parent(child.name);
+    if (parent == nullptr) continue;
+    const bool nested =
+        std::any_of(spans.begin(), spans.end(), [&](const RenderedSpan& p) {
+          return p.name == parent && p.Contains(child);
+        });
+    EXPECT_TRUE(nested) << child.name << " [" << child.start << ", "
+                        << child.end << "] is not inside any " << parent;
+  }
+  // Spans on one thread form a tree: any two are nested or disjoint.
+  for (const RenderedSpan& a : spans) {
+    for (const RenderedSpan& b : spans) {
+      EXPECT_TRUE(a.Contains(b) || b.Contains(a) || a.end <= b.start ||
+                  b.end <= a.start)
+          << a.name << " and " << b.name << " overlap without nesting";
     }
   }
-  EXPECT_TRUE(stack.empty());
   EXPECT_GT(rule_spans, 0u) << "no rule.evaluate spans recorded";
+  EXPECT_GT(delta_spans, 0u) << "no delta_pass spans recorded";
 }
 
 // ---------------------------------------------------------------------------
@@ -395,6 +396,32 @@ TEST(ObsEndToEndTest, TriggerMetricsAccumulate) {
   EXPECT_GE((*samples)["pathlog_trigger_rounds_total"], 1.0);
   EXPECT_GE((*samples)["pathlog_trigger_firings_total"], 1.0);
   EXPECT_GE((*samples)["pathlog_trigger_facts_total"], 1.0);
+}
+
+TEST(ObsEndToEndTest, TriggersReportToSinksGivenAtConstruction) {
+  // Sinks set in DatabaseOptions before construction reach the
+  // trigger engine exactly as sinks attached through SetObsSinks do.
+  MetricsRegistry reg;
+  FlightRecorder ring(64);
+  DatabaseOptions opts;
+  opts.fire_triggers_on_materialize = true;
+  opts.engine.obs.metrics = &reg;
+  opts.engine.obs.flight = &ring;
+  Database db(opts);
+  ASSERT_TRUE(db.Load(R"(
+    audit[saw->>{X}] <~ X:employee.
+    mary : employee.
+  )").ok());
+  ASSERT_TRUE(db.Materialize().ok());
+  Result<MetricsSamples> samples = ParseMetricsJson(reg.ToJson());
+  ASSERT_TRUE(samples.ok()) << samples.status();
+  EXPECT_EQ((*samples)["pathlog_trigger_firings_total"], 1.0);
+  EXPECT_GE((*samples)["pathlog_trigger_rounds_total"], 1.0);
+  std::vector<FlightEvent> events = ring.Snapshot();
+  EXPECT_TRUE(std::any_of(events.begin(), events.end(),
+                          [](const FlightEvent& e) {
+                            return e.name == "triggers.round";
+                          }));
 }
 
 TEST(ObsEndToEndTest, GovernanceMetricsExportOnBothFormatsIdentically) {
@@ -579,15 +606,52 @@ TEST(FlightRecorderTest, ResetDropsEverything) {
 TEST(FlightRecorderTest, FlightSpanRecordsMeasuredDuration) {
   FlightRecorder rec(4);
   {
-    FlightSpan span(&rec, "scoped", "t");
-    span.set_args_json(R"({"tag":true})");
+    FlightSpan span(&rec, "scoped", "t", "tag", 7);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   FlightSpan no_op(nullptr, "never");  // null recorder: no crash, no record
   std::vector<FlightEvent> events = rec.Snapshot();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].name, "scoped");
-  EXPECT_GE(events[0].dur_us, 1u) << "spans never render as instants";
-  EXPECT_EQ(events[0].args_json, R"({"tag":true})");
+  EXPECT_FALSE(events[0].instant) << "spans never render as instants";
+  EXPECT_GE(events[0].dur_us, 2000u);
+  EXPECT_EQ(events[0].args_json, R"({"tag":7})");
+}
+
+TEST(FlightRecorderTest, NestedSpansRenderNested) {
+  // Each span is drawn from where it started: an inner span opened
+  // after its parent and closed before it renders inside it.
+  FlightRecorder rec(8);
+  {
+    FlightSpan outer(&rec, "outer", "t");
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    {
+      FlightSpan inner(&rec, "inner", "t");
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  const std::vector<RenderedSpan> spans = RenderedSpans(rec.ToTraceJson());
+  ASSERT_EQ(spans.size(), 2u);
+  const RenderedSpan& outer = spans[0].name == "outer" ? spans[0] : spans[1];
+  const RenderedSpan& inner = spans[0].name == "outer" ? spans[1] : spans[0];
+  EXPECT_TRUE(outer.Contains(inner))
+      << "outer [" << outer.start << ", " << outer.end << "], inner ["
+      << inner.start << ", " << inner.end << "]";
+  EXPECT_GE(inner.start - outer.start, 2000.0) << "inner opened 2 ms in";
+}
+
+TEST(FlightRecorderTest, TraceJsonReportsDroppedEvents) {
+  FlightRecorder rec(4);
+  for (int i = 0; i < 10; ++i) rec.Record("e", "t", 1);
+  Result<JsonValue> trace = ParseJson(rec.ToTraceJson());
+  ASSERT_TRUE(trace.ok()) << trace.status();
+  EXPECT_EQ(trace->Find("traceEvents")->items().size(), 4u);
+  const JsonValue* other = trace->Find("otherData");
+  ASSERT_NE(other, nullptr);
+  EXPECT_DOUBLE_EQ(other->Find("capacity")->as_number(), 4.0);
+  EXPECT_DOUBLE_EQ(other->Find("recorded")->as_number(), 10.0);
+  EXPECT_DOUBLE_EQ(other->Find("dropped")->as_number(), 6.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -344,12 +344,13 @@ TEST(ShellTest, FlightRecorderSummaryAndDump) {
   std::string out = RunShell(
       "a[v->1].\n"
       "?- a[v->V].\n"
-      "\\flightrec\n"
-      "\\flightrec dump " + dump + "\n"
+      "\\trace\n"
+      "\\trace " + dump + "\n"
       "\\quit\n");
-  EXPECT_NE(out.find("flight recorder:"), std::string::npos);
+  EXPECT_NE(out.find("trace ring: "), std::string::npos);
+  EXPECT_NE(out.find(" dropped (capacity "), std::string::npos);
   EXPECT_NE(out.find("db.query"), std::string::npos);
-  EXPECT_NE(out.find("wrote flight-recorder dump to"), std::string::npos);
+  EXPECT_NE(out.find("wrote trace to"), std::string::npos);
   std::ifstream in(dump);
   ASSERT_TRUE(in.good()) << dump;
   std::string bytes((std::istreambuf_iterator<char>(in)),
@@ -357,6 +358,38 @@ TEST(ShellTest, FlightRecorderSummaryAndDump) {
   EXPECT_NE(bytes.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(bytes.find("db.query"), std::string::npos);
   std::remove(dump.c_str());
+}
+
+TEST(ShellTest, SessionTraceStaysWithinItsCapacity) {
+  // The shell's one span ring holds kSessionTraceCapacity events
+  // (tools/pathlog_shell.cc), however long the session runs.
+  constexpr size_t kCapacity = 4096;
+  const std::string dump = ::testing::TempDir() + "/shell_bounded." +
+                           std::to_string(::getpid()) + ".trace.json";
+  std::string script = "a[v->1].\n";
+  for (size_t i = 0; i < kCapacity + 100; ++i) script += "?- a[v->V].\n";
+  script += "\\trace\n\\trace " + dump + "\n\\quit\n";
+  std::string out = RunShell(script);
+  EXPECT_NE(out.find("(capacity " + std::to_string(kCapacity) + ")"),
+            std::string::npos);
+  std::ifstream in(dump);
+  ASSERT_TRUE(in.good()) << dump;
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  std::remove(dump.c_str());
+  // Every rendered event carries exactly one "ph" key.
+  size_t events = 0;
+  for (size_t at = bytes.find("\"ph\":"); at != std::string::npos;
+       at = bytes.find("\"ph\":", at + 1)) {
+    ++events;
+  }
+  EXPECT_GT(events, 0u);
+  EXPECT_LE(events, kCapacity);
+  const std::string dropped_key = "\"dropped\":";
+  const size_t dropped_at = bytes.find(dropped_key);
+  ASSERT_NE(dropped_at, std::string::npos) << "the dump reports drops";
+  EXPECT_GE(std::stoull(bytes.substr(dropped_at + dropped_key.size())), 100u)
+      << "every read past the capacity displaces an older event";
 }
 
 TEST(ShellTest, QueryLogFlagWritesJsonlAndQuerylogShowsIt) {

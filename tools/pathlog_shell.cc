@@ -12,13 +12,13 @@
 // <dir> on startup and every accepted clause is written ahead to
 // <dir>/wal.plgwal before "ok." is printed.
 //
-// Observability: every session records metrics, a structured trace
-// (chrome://tracing format), an always-on flight recorder of recent
-// activity, and a per-query structured log. \metrics, \trace,
-// \flightrec and \querylog expose them interactively; --metrics-out /
-// --trace-out / --query-log write them to files; --stats-port=N (or
-// \stats_server) serves them over HTTP on 127.0.0.1 (N=0 picks an
-// ephemeral port).
+// Observability: every session records metrics, a bounded ring of the
+// most recent spans (the flight recorder, rendered as chrome://tracing
+// JSON), and a per-query structured log. \metrics, \trace and
+// \querylog expose them interactively; --metrics-out / --trace-out /
+// --query-log write them to files; --stats-port=N (or \stats_server)
+// serves them over HTTP on 127.0.0.1 (N=0 picks an ephemeral port).
+// \trace, --trace-out and /tracez all read the same ring.
 
 #include <cstdio>
 #include <fstream>
@@ -36,6 +36,10 @@
 
 namespace {
 
+/// Events the session's span ring keeps: a few thousand reads with
+/// their materialisations, under a megabyte.
+constexpr size_t kSessionTraceCapacity = 4096;
+
 constexpr const char* kHelp = R"(PathLog shell commands:
   fact or rule clauses end with '.', e.g.   mary[age->30].
   queries start with '?-':                  ?- X:employee[age->A].
@@ -43,7 +47,9 @@ constexpr const char* kHelp = R"(PathLog shell commands:
   \stats            store and engine statistics
   \metrics [file]   session metrics (Prometheus text; with file: JSON)
   \profile on|off   toggle the query/rule profiler; \profile to report
-  \trace <file>     write the session trace (chrome://tracing JSON)
+  \trace [file]     the session's bounded span ring: recorded, kept
+                    and dropped counts and the newest events; with
+                    file: write it as Chrome trace JSON
   \facts [n]        show the first n facts (default 20)
   \rules            show the loaded rules
   \explain <gen>    provenance of the fact with generation <gen>
@@ -58,8 +64,6 @@ constexpr const char* kHelp = R"(PathLog shell commands:
   \health           durability/degraded-mode health: WAL retries,
                     rotations, degraded state and cause, store size
   \why [--json] <gen>  provenance of a fact (--json: one JSON object)
-  \flightrec [dump [file]]  flight-recorder summary; dump writes the
-                    ring as Chrome trace JSON (default flight.trace.json)
   \querylog [n]     the last n structured query-log records (JSONL)
   \stats_server [port]  start the HTTP diagnostics server on
                     127.0.0.1 (default/0: ephemeral port); endpoints:
@@ -72,9 +76,8 @@ constexpr const char* kHelp = R"(PathLog shell commands:
 /// Database mid-session.
 struct SessionObs {
   pathlog::MetricsRegistry metrics;
-  pathlog::Tracer tracer;
   pathlog::Profiler profiler;
-  pathlog::FlightRecorder flight;
+  pathlog::FlightRecorder flight{kSessionTraceCapacity};
   /// Created at startup (in-memory only unless --query-log names a
   /// file), so /querylogz and \querylog always have recent records.
   std::unique_ptr<pathlog::QueryLog> query_log;
@@ -106,7 +109,6 @@ class Shell {
   void AttachObs() {
     pathlog::ObsSinks sinks;
     sinks.metrics = &Obs().metrics;
-    sinks.tracer = &Obs().tracer;
     sinks.profiler = profile_on_ ? &Obs().profiler : nullptr;
     sinks.flight = &Obs().flight;
     sinks.query_log = Obs().query_log.get();
@@ -291,17 +293,35 @@ class Shell {
         printf("%s", db_.ProfileReport().c_str());
       }
     } else if (cmd == "\\trace") {
+      const pathlog::FlightRecorder& ring = Obs().flight;
       std::string path;
       if (iss >> path) {
-        pathlog::Status st = Obs().tracer.WriteTo(path);
+        pathlog::Status st = ring.WriteTo(path);
         if (st.ok()) {
-          printf("wrote trace (%zu events) to %s\n",
-                 Obs().tracer.event_count(), path.c_str());
+          printf("wrote trace to %s\n", path.c_str());
         } else {
           printf("%s\n", st.ToString().c_str());
         }
       } else {
-        printf("usage: \\trace <file>\n");
+        const uint64_t recorded = ring.recorded();
+        const auto events = ring.Snapshot();
+        const uint64_t kept = events.size();
+        printf("trace ring: %llu recorded, %llu kept, %llu dropped "
+               "(capacity %zu)\n",
+               static_cast<unsigned long long>(recorded),
+               static_cast<unsigned long long>(kept),
+               static_cast<unsigned long long>(
+                   recorded > kept ? recorded - kept : 0),
+               ring.capacity());
+        const size_t show = events.size() > 10 ? 10 : events.size();
+        for (size_t i = events.size() - show; i < events.size(); ++i) {
+          const pathlog::FlightEvent& e = events[i];
+          printf("  [%llu] %s (%s) +%llums dur=%lluus\n",
+                 static_cast<unsigned long long>(e.seq), e.name.c_str(),
+                 e.category.c_str(),
+                 static_cast<unsigned long long>(e.ts_us / 1000),
+                 static_cast<unsigned long long>(e.dur_us));
+        }
       }
     } else if (cmd == "\\facts") {
       size_t n = 20;
@@ -458,37 +478,6 @@ class Shell {
       } else {
         printf("%s\n", db_.ExplainFact(std::stoull(arg)).c_str());
       }
-    } else if (cmd == "\\flightrec") {
-      std::string arg;
-      if (iss >> arg) {
-        if (arg == "dump") {
-          std::string path = "flight.trace.json";
-          iss >> path;
-          pathlog::Status st = Obs().flight.WriteTo(path);
-          if (st.ok()) {
-            printf("wrote flight-recorder dump to %s\n", path.c_str());
-          } else {
-            printf("%s\n", st.ToString().c_str());
-          }
-        } else {
-          printf("usage: \\flightrec [dump [file]]\n");
-        }
-      } else {
-        const auto events = Obs().flight.Snapshot();
-        printf("flight recorder: %llu events recorded, %zu in ring "
-               "(capacity %zu)\n",
-               static_cast<unsigned long long>(Obs().flight.recorded()),
-               events.size(), Obs().flight.capacity());
-        const size_t show = events.size() > 10 ? 10 : events.size();
-        for (size_t i = events.size() - show; i < events.size(); ++i) {
-          const pathlog::FlightEvent& e = events[i];
-          printf("  [%llu] %s (%s) +%llums dur=%lluus\n",
-                 static_cast<unsigned long long>(e.seq), e.name.c_str(),
-                 e.category.c_str(),
-                 static_cast<unsigned long long>(e.ts_us / 1000),
-                 static_cast<unsigned long long>(e.dur_us));
-        }
-      }
     } else if (cmd == "\\querylog") {
       if (Obs().query_log == nullptr) {
         printf("query log not enabled\n");
@@ -628,7 +617,7 @@ int main(int argc, char** argv) {
   }
   int rc = shell.Run();
   if (!trace_out.empty()) {
-    pathlog::Status st = Obs().tracer.WriteTo(trace_out);
+    pathlog::Status st = Obs().flight.WriteTo(trace_out);
     if (!st.ok()) {
       fprintf(stderr, "--trace-out: %s\n", st.ToString().c_str());
       rc = rc == 0 ? 1 : rc;
