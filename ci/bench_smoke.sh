@@ -43,15 +43,16 @@ mkdir -p "${OUT_DIR}"
   --benchmark_out="${OUT_DIR}/BENCH_store.json" \
   --benchmark_out_format=json
 
-# Overhead gates: the ObsOn/ObsOff and BudgetChecksOn/Off twins run
-# the same materialisation with the metrics registry / a never-tripping
-# ResourceBudget attached vs detached, and report absolute times for
-# trend tracking. The 5% agreement gates run on the *Paired rows
-# instead: a shared CI core drifts faster than two separately-timed
-# twin blocks run, so only a paired measurement (both variants timed
-# back-to-back inside one iteration, ABBA order, thread-CPU clock)
-# can resolve 5% reliably. The enabled run also exports its metrics
-# registry as JSON next to the benchmark JSON.
+# Overhead gates: the ObsOn/ObsOff twins run the same materialisation
+# with the metrics registry attached vs detached, the
+# BudgetChecksOn/Off twins under a never-tripping set of limits vs the
+# default limits; both report absolute times for trend tracking. The
+# 5% agreement gates run on the *Paired rows instead: a shared CI core
+# drifts faster than two separately-timed twin blocks run, so only a
+# paired measurement (both variants timed back-to-back inside one
+# iteration, ABBA order, thread-CPU clock) can resolve 5% reliably.
+# The enabled run also exports its metrics registry as JSON next to the
+# benchmark JSON.
 PATHLOG_METRICS_OUT="${OUT_DIR}/METRICS_tc.json" \
   "${BUILD_DIR}/bench/bench_tc" \
   --benchmark_filter='ObsOn|ObsOff|ObsPaired|DiagPaired|BudgetChecks|ConcurrentReaders' \

@@ -220,6 +220,15 @@ for i, line in enumerate(lines, 1):
     for key in ("budget", "routes"):
         if not isinstance(rec.get(key), dict):
             sys.exit(f"query-log smoke FAILED: record {i}: bad {key}")
+# One call, one budget window: the desc read lazily materialises the
+# closure, so its record must carry that materialisation's spend.
+desc = [rec for rec in map(json.loads, lines)
+        if rec.get("query") == "?- a[desc->>{D}]."]
+if not desc:
+    sys.exit("query-log smoke FAILED: no record for ?- a[desc->>{D}].")
+if not desc[0]["budget"].get("derivations", 0) > 0:
+    sys.exit("query-log smoke FAILED: the desc read's budget.derivations "
+             f"is {desc[0]['budget'].get('derivations')}, not > 0")
 print(f"query-log smoke: {len(lines)} records validated")
 EOF5
 

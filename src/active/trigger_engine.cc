@@ -65,9 +65,7 @@ Status TriggerEngine::RunRound(uint64_t from, HeadAsserter* asserter,
     return Status(st.code(), StrCat(st.message(), " during trigger round ",
                                     stats_.rounds));
   };
-  if (budget != nullptr) {
-    PATHLOG_RETURN_IF_ERROR(with_round(budget->CheckControl()));
-  }
+  PATHLOG_RETURN_IF_ERROR(with_round(budget->CheckControl()));
 
   SemanticStructure I(*store_);
   RefEvaluator eval(I);
@@ -121,36 +119,30 @@ Status TriggerEngine::RunRound(uint64_t from, HeadAsserter* asserter,
 
   // Enumeration is done; the budget gate sits *before* the assert loop
   // so an over-budget round aborts with zero of its assertions applied.
-  if (budget != nullptr) {
-    PATHLOG_RETURN_IF_ERROR(with_round(budget->Check(store_->ApproxBytes())));
-  }
+  // The store dimensions see the growth of every earlier round.
+  PATHLOG_RETURN_IF_ERROR(with_round(budget->Check(*store_)));
   for (const auto& [ti, bindings] : pending) {
     Bindings hb;
     for (const auto& [var, oid] : bindings) hb.Bind(var, oid);
     PATHLOG_RETURN_IF_ERROR(asserter->Assert(*planned_[ti].rule.head, &hb));
     ++stats_.firings;
-    if (budget != nullptr) budget->ChargeDerivations();
+    budget->ChargeDerivations();
   }
   return Status::OK();
 }
 
 Status TriggerEngine::Fire() {
-  FlightSpan fire_span(options_.obs.flight, "triggers.fire", "triggers");
+  const ResourceLimits defaults;
+  ResourceBudget budget(defaults);
+  Status st = Fire(&budget);
+  CountBudgetRejection(obs_.metrics, budget);
+  return st;
+}
+
+Status TriggerEngine::Fire(ResourceBudget* budget) {
+  FlightSpan fire_span(obs_.flight, "triggers.fire", "triggers");
   const TriggerStats before = stats_;
   const uint64_t start_facts = store_->generation();
-
-  // The governing budget: the caller's shared one, or a cascade-local
-  // deadline-only budget when just max_wall_ms is set.
-  ResourceBudget deadline_budget;
-  ResourceBudget* budget = options_.budget;
-  if (budget == nullptr && options_.max_wall_ms > 0) {
-    deadline_budget.set_limits(ResourceLimits{0, 0, options_.max_wall_ms});
-    if (options_.wall_clock) deadline_budget.set_clock(options_.wall_clock);
-    deadline_budget.Arm();
-    budget = &deadline_budget;
-  }
-  const uint64_t rejections_before =
-      budget != nullptr ? budget->rejections() : 0;
 
   Status st = [&]() -> Status {
     HeadAsserter asserter(store_, options_.head_value_mode);
@@ -163,8 +155,8 @@ Status TriggerEngine::Fire() {
                                         options_.max_cascade_rounds,
                                         " rounds"));
       }
-      FlightSpan round_span(options_.obs.flight, "triggers.round", "triggers",
-                            "from", from);
+      FlightSpan round_span(obs_.flight, "triggers.round", "triggers", "from",
+                            from);
       PATHLOG_RETURN_IF_ERROR(RunRound(from, &asserter, budget));
       // The round's events are consumed only after every one of its
       // assertions landed: an aborted round (deadline, budget, assert
@@ -172,20 +164,11 @@ Status TriggerEngine::Fire() {
       // replays the same events — assertion is idempotent — instead of
       // silently dropping a half-processed round.
       watermark_ = end;
-      if (store_->FactCount() > options_.max_facts) {
-        return ResourceExhausted(
-            StrCat("trigger actions exceeded the fact budget (",
-                   options_.max_facts, ")"));
-      }
     }
     return Status::OK();
   }();
   stats_.facts_added += store_->generation() - start_facts;
-  if (budget != nullptr) {
-    CountBudgetRejections(options_.obs.metrics,
-                          budget->rejections() - rejections_before);
-  }
-  if (MetricsRegistry* m = options_.obs.metrics; m != nullptr) {
+  if (MetricsRegistry* m = obs_.metrics; m != nullptr) {
     auto bump = [&](const char* name, const char* help, uint64_t now_v,
                     uint64_t before_v) {
       Counter* c = m->GetCounter(name, help);

@@ -16,13 +16,13 @@
 // Contrast with the deductive engine: no fixpoint re-evaluation (each
 // event is consumed exactly once), no stratification (conditions see
 // whatever state exists at firing time), and cascades may legitimately
-// loop — the budget turns runaways into kResourceExhausted.
+// loop — max_cascade_rounds and the call's budget window
+// (base/budget.h) turn runaways into kResourceExhausted.
 
 #ifndef PATHLOG_ACTIVE_TRIGGER_ENGINE_H_
 #define PATHLOG_ACTIVE_TRIGGER_ENGINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -39,28 +39,8 @@ namespace pathlog {
 struct TriggerOptions {
   HeadValueMode head_value_mode = HeadValueMode::kRequireDefined;
   /// A cascade round processes the facts appended by the previous one;
-  /// exceeding the budget aborts with kResourceExhausted.
+  /// exceeding this many rounds aborts with kResourceExhausted.
   uint64_t max_cascade_rounds = 10'000;
-  uint64_t max_facts = 20'000'000;
-  /// Wall-clock ceiling for one Fire() cascade, in milliseconds;
-  /// 0 = unlimited. Database::FireTriggers propagates
-  /// EngineOptions::max_wall_ms here so the engine's deadline also
-  /// governs trigger cascades. Expiry mid-round returns
-  /// kDeadlineExceeded *before* any of that round's assertions land
-  /// and without consuming the round's events, so the store is never
-  /// left partially mutated past the last consumed watermark.
-  uint64_t max_wall_ms = 0;
-  /// Clock backing max_wall_ms (milliseconds, monotone); null = the
-  /// real steady clock. Tests inject a fake to trip the deadline
-  /// deterministically, with no real sleeps.
-  std::function<uint64_t()> wall_clock;
-  /// Shared resource budget (base/budget.h; borrowed, may be null).
-  /// When set it governs the cascade — bytes, derivations, wall,
-  /// cancellation — and takes precedence over max_wall_ms (the
-  /// budget's own wall dimension applies instead).
-  ResourceBudget* budget = nullptr;
-  /// Observability sinks (all null by default; borrowed).
-  ObsSinks obs;
 };
 
 struct TriggerStats {
@@ -72,18 +52,25 @@ struct TriggerStats {
 class TriggerEngine {
  public:
   /// Facts with generation >= `watermark` count as fresh events for
-  /// the first Fire() round (pass 0 to replay history).
+  /// the first Fire() round (pass 0 to replay history). `obs` are the
+  /// caller's sinks (borrowed).
   TriggerEngine(ObjectStore* store, uint64_t watermark,
-                TriggerOptions options = {})
-      : store_(store), watermark_(watermark), options_(options) {}
+                TriggerOptions options = {}, const ObsSinks& obs = {})
+      : store_(store), watermark_(watermark), options_(options), obs_(obs) {}
 
   /// Validates and installs a trigger. The event literal stays first;
   /// condition literals are reordered for safety given the event's
   /// variables.
   Status AddTrigger(const TriggerRule& trigger);
 
-  /// Processes all pending events to quiescence.
+  /// Processes all pending events to quiescence under a window with
+  /// default limits, and counts its rejection, if any.
   Status Fire();
+  /// Fire() under the caller's window, which the caller counts. A
+  /// budget trip returns *before* any of that round's assertions land
+  /// and without consuming the round's events, so the store is never
+  /// left partially mutated past the last consumed watermark.
+  Status Fire(ResourceBudget* budget);
 
   uint64_t watermark() const { return watermark_; }
   const TriggerStats& stats() const { return stats_; }
@@ -101,6 +88,7 @@ class TriggerEngine {
   ObjectStore* store_;
   uint64_t watermark_;
   TriggerOptions options_;
+  ObsSinks obs_;
   std::vector<PlannedTrigger> planned_;
   TriggerStats stats_;
 };

@@ -1,16 +1,19 @@
 // ResourceBudget: cooperative resource governance for evaluation.
 //
-// A budget bounds one logical operation (a materialisation, a query, a
-// trigger cascade) along three dimensions — store bytes, derivations,
-// and wall-clock — and carries a CancelToken so a caller on another
-// thread can abort the operation between check points. Checks are
-// cooperative: the engine, the reference evaluator, and the trigger
-// engine poll the budget at loop boundaries (per rule evaluation, every
-// ~1k enumeration steps), so a trip is detected within one polling
-// interval, never mid-assertion.
+// ResourceLimits is a value type that sits in EngineOptions: the
+// ceilings, a CancelToken and an injectable clock. A ResourceBudget is
+// one call's window onto those limits. Every public call that can
+// evaluate (Database::Query, Eval, Holds, ExplainQuery, Materialize,
+// FireTriggers; a standalone Engine::Run or TriggerEngine::Fire)
+// builds one on its stack. The window is armed when it is built and is
+// passed to everything the call runs, so no budget state is shared
+// between threads.
 //
-// The wall clock is injectable so tests can drive deadlines
-// deterministically without real sleeps.
+// Checks are cooperative: the engine, the reference evaluator, and the
+// trigger engine poll the window at loop boundaries (per rule
+// evaluation, every ~1k derivations, every ~1k enumeration steps), so a
+// trip is detected within one polling interval, never mid-assertion.
+// The window with default limits allocates nothing and reads no clock.
 
 #ifndef PATHLOG_BASE_BUDGET_H_
 #define PATHLOG_BASE_BUDGET_H_
@@ -23,6 +26,8 @@
 #include "base/status.h"
 
 namespace pathlog {
+
+class ObjectStore;  // store/object_store.h
 
 /// Cooperative cancellation flag. Copies share the underlying flag, so
 /// a token handed to another thread observes Cancel() calls made on
@@ -39,74 +44,69 @@ class CancelToken {
   std::shared_ptr<std::atomic<bool>> flag_;
 };
 
-/// Limits for one ResourceBudget. 0 means unlimited for that dimension.
+/// The limits every window of one database (or one standalone engine)
+/// is built from. For the ceilings, 0 means unlimited.
 struct ResourceLimits {
-  /// Absolute ceiling on the ObjectStore's approximate heap footprint
-  /// (ObjectStore::ApproxBytes()). Checked against the store the
-  /// operation mutates, so it bounds total retained memory, not growth.
+  /// Ceiling on the ObjectStore's approximate heap footprint
+  /// (ObjectStore::ApproxBytes()). It bounds total retained memory,
+  /// not growth.
   uint64_t max_store_bytes = 0;
-  /// Ceiling on derivations charged since the last Arm().
+  /// Ceiling on the derivations (rule heads and trigger firings) one
+  /// call asserts.
   uint64_t max_derivations = 0;
-  /// Wall-clock ceiling in milliseconds since the last Arm().
+  /// Ceilings on the store's fact log and universe. Paths in rule
+  /// heads invent objects, so a program can grow the store without end
+  /// (lint PL017); these turn such a runaway into kResourceExhausted.
+  uint64_t max_facts = 20'000'000;
+  uint64_t max_objects = 20'000'000;
+  /// Wall-clock ceiling for one call, in milliseconds.
   uint64_t max_wall_ms = 0;
+  /// Cancels every call while set. Copies share the flag, so the
+  /// caller keeps a copy and cancels from any thread.
+  CancelToken token = {};
+  /// The wall clock (milliseconds, monotone); null = the steady clock.
+  /// Read only when max_wall_ms is set. Concurrent readers each read
+  /// it, so an injected clock must be safe to call from many threads.
+  std::function<uint64_t()> clock = {};
 };
 
-/// A reusable budget for one operation at a time: Arm() starts a fresh
-/// accounting window (deadline, derivation count); Check()/CheckControl()
-/// return the typed error for the first exceeded dimension. Rejections
-/// are counted at most once per armed window so metrics reflect
-/// rejected *operations*, not polling frequency.
+/// One call's budget window. Check()/CheckControl() return the typed
+/// error for the first exceeded dimension and mark the window
+/// rejected; the code that built the window counts that rejection
+/// once.
 class ResourceBudget {
  public:
-  ResourceBudget() = default;
-  explicit ResourceBudget(ResourceLimits limits) : limits_(limits) {}
-
-  const ResourceLimits& limits() const { return limits_; }
-  void set_limits(ResourceLimits limits) { limits_ = limits; }
-
-  /// Replaces the wall clock (milliseconds, monotone). Null restores
-  /// the real steady clock. Tests inject a fake to trip deadlines
-  /// deterministically.
-  void set_clock(std::function<uint64_t()> now_ms) {
-    now_ms_ = std::move(now_ms);
-  }
-
-  CancelToken& token() { return token_; }
-  const CancelToken& token() const { return token_; }
-
-  /// Starts a fresh accounting window: stamps the deadline origin,
-  /// zeroes the derivation count, and re-enables rejection counting.
-  void Arm();
+  /// Arms the window: its wall limit runs from here. `limits` must
+  /// outlive the window.
+  explicit ResourceBudget(const ResourceLimits& limits);
+  ResourceBudget(const ResourceBudget&) = delete;
+  ResourceBudget& operator=(const ResourceBudget&) = delete;
 
   void ChargeDerivations(uint64_t n = 1) { derivations_ += n; }
   uint64_t derivations() const { return derivations_; }
 
-  /// Full check: cancellation, then bytes, then derivations, then
-  /// wall clock. Bytes outrank the wall clock so a memory-budgeted
-  /// runaway reports kResourceExhausted naming the byte dimension even
-  /// if a deadline also lapsed.
-  Status Check(uint64_t store_bytes) const;
+  /// Full check against the store the call mutates: cancellation,
+  /// then bytes, derivations, facts and objects, then the wall clock.
+  /// The store dimensions outrank the wall clock, so a memory runaway
+  /// reports kResourceExhausted naming its dimension even if a
+  /// deadline also lapsed.
+  Status Check(const ObjectStore& store);
 
-  /// Cancellation + wall clock only — the cheap probe for read-only
+  /// Cancellation + wall clock only: the cheap probe for read-only
   /// evaluation loops that cannot grow the store.
-  Status CheckControl() const;
+  Status CheckControl();
 
-  /// Operations rejected by this budget since construction (counted
-  /// once per armed window).
-  uint64_t rejections() const { return rejections_; }
+  /// True once a check of this window has failed.
+  bool rejected() const { return rejected_; }
 
  private:
   uint64_t NowMs() const;
-  Status Reject(Status st) const;
+  Status Reject(Status st);
 
-  ResourceLimits limits_;
-  CancelToken token_;
-  std::function<uint64_t()> now_ms_;  // null == std::chrono::steady_clock
-  bool armed_ = false;
-  uint64_t armed_at_ms_ = 0;
+  const ResourceLimits& limits_;
+  uint64_t start_ms_ = 0;
   uint64_t derivations_ = 0;
-  mutable bool rejected_this_window_ = false;
-  mutable uint64_t rejections_ = 0;
+  bool rejected_ = false;
 };
 
 }  // namespace pathlog

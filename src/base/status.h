@@ -38,9 +38,10 @@ enum class StatusCode {
   kNotFound,
   /// Arguments to a library call are invalid (not a program bug).
   kInvalidArgument,
-  /// Resource limit exceeded (derivation cap, universe cap).
+  /// Resource limit exceeded (a budget dimension such as bytes,
+  /// derivations, facts or objects; the iteration or cascade ceiling).
   kResourceExhausted,
-  /// A wall-clock budget (EngineOptions::max_wall_ms) ran out before
+  /// A wall-clock budget (ResourceLimits::max_wall_ms) ran out before
   /// the operation completed.
   kDeadlineExceeded,
   /// An invariant the library promised was broken; indicates a bug.

@@ -1,10 +1,10 @@
 #include "eval/engine.h"
 
 #include <algorithm>
+#include <chrono>
 
 #include "ast/analysis.h"
 #include "ast/printer.h"
-#include "base/budget.h"
 #include "base/strings.h"
 #include "eval/ref_eval.h"
 #include "obs/flight_recorder.h"
@@ -60,7 +60,9 @@ std::set<std::string> SetRefValueVars(const Ref& t) {
 }
 
 Status OrderLiteralsForSafety(std::vector<Literal>* body,
-                              std::set<std::string>* bound_out) {
+                              std::set<std::string>* bound_out,
+                              const LiteralCost& cost,
+                              std::vector<double>* costs) {
   std::vector<Literal> remaining = std::move(*body);
   std::vector<Literal> ordered;
   std::set<std::string> bound;
@@ -90,10 +92,17 @@ Status OrderLiteralsForSafety(std::vector<Literal>* body,
 
   while (!remaining.empty()) {
     size_t pick = remaining.size();
+    double pick_cost = 0;
     for (size_t i = 0; i < remaining.size(); ++i) {
-      if (admissible(remaining[i])) {
+      if (!admissible(remaining[i])) continue;
+      if (!cost) {
         pick = i;
         break;
+      }
+      const double c = cost(remaining[i], bound);
+      if (pick == remaining.size() || c < pick_cost) {
+        pick = i;
+        pick_cost = c;
       }
     }
     if (pick == remaining.size()) {
@@ -101,6 +110,7 @@ Status OrderLiteralsForSafety(std::vector<Literal>* body,
           "cannot order the conjunction: a negated literal or `->>` filter "
           "result needs variables no earlier literal can bind");
     }
+    if (costs != nullptr) costs->push_back(pick_cost);
     if (!remaining[pick].negated) {
       // Negated literals are tests; they bind nothing.
       for (const std::string& v : VarsOf(*remaining[pick].ref)) {
@@ -116,28 +126,24 @@ Status OrderLiteralsForSafety(std::vector<Literal>* body,
 }
 
 Status Engine::PlanBody(Rule* rule) const {
-  std::set<std::string> bound;
-  Status st;
-  if (options_.planner_hints != nullptr) {
-    // Analysis-informed mode: the cost-based planner orders the body
-    // (still subject to the same safety constraints), consulting the
-    // proven hints. Identical answer set, different literal order.
-    st = PlanConjunction(&rule->body, *store_, nullptr, nullptr,
-                         options_.planner_hints);
-    if (st.ok()) {
-      for (const Literal& lit : rule->body) {
-        if (lit.negated) continue;
-        for (const std::string& v : VarsOf(*lit.ref)) bound.insert(v);
-      }
-    }
-  } else {
-    st = OrderLiteralsForSafety(&rule->body, &bound);
-  }
+  // Analysis-informed mode: the cost-based planner orders the body
+  // (under the same safety constraints), consulting the proven hints.
+  // Identical answer set, different literal order.
+  Status st = options_.planner_hints != nullptr
+                  ? PlanConjunction(&rule->body, *store_, nullptr, nullptr,
+                                    options_.planner_hints)
+                  : OrderLiteralsForSafety(&rule->body, nullptr);
   if (!st.ok()) {
     return UnsafeRule(StrCat("in rule `", ToString(*rule), "`: ",
                              st.message()));
   }
 
+  // The positive literals bind the same variables in any order.
+  std::set<std::string> bound;
+  for (const Literal& lit : rule->body) {
+    if (lit.negated) continue;
+    for (const std::string& v : VarsOf(*lit.ref)) bound.insert(v);
+  }
   for (const std::string& v : VarsOf(*rule->head)) {
     if (!bound.count(v)) {
       return UnsafeRule(StrCat("head variable ", v, " of rule `",
@@ -210,56 +216,24 @@ bool Engine::HeadReadsChanged(const PlannedRule& pr,
   return false;
 }
 
-Status Engine::CheckLimits() {
-  // Where evaluation currently stands, for limit diagnostics: without
-  // it, a tripped deadline on a large program gives no hint which rule
-  // was running away.
-  auto record_context = [&]() -> std::string {
-    stats_.limit_stratum = current_stratum_;
-    stats_.limit_rule =
-        current_rule_ != nullptr ? ToString(current_rule_->rule) : "";
-    if (stats_.limit_rule.empty()) return "";
-    return StrCat(" in stratum ", stats_.limit_stratum,
-                  " while evaluating rule `", stats_.limit_rule, "`");
-  };
-  if (store_->FactCount() > options_.max_facts) {
-    return ResourceExhausted(StrCat(
-        "fact limit exceeded (", options_.max_facts, ")", record_context(),
-        "; the program likely creates virtual objects unboundedly"));
-  }
-  if (store_->UniverseSize() > options_.max_objects) {
-    return ResourceExhausted(StrCat(
-        "object limit exceeded (", options_.max_objects, ")",
-        record_context(),
-        "; the program likely creates virtual objects unboundedly"));
-  }
-  if (options_.max_wall_ms > 0 &&
-      std::chrono::steady_clock::now() > deadline_) {
-    return DeadlineExceeded(StrCat(
-        "materialisation exceeded the wall-clock budget (",
-        options_.max_wall_ms, " ms)", record_context()));
-  }
-  return CheckBudget();
-}
-
-Status Engine::CheckBudget() {
-  if (options_.budget == nullptr) return Status::OK();
-  Status st = options_.budget->Check(store_->ApproxBytes());
-  if (st.ok()) return st;
+Status Engine::WithLimitContext(const Status& st) {
+  // Without where evaluation stood, a tripped limit on a large program
+  // gives no hint which rule was running away.
   stats_.limit_stratum = current_stratum_;
   stats_.limit_rule =
       current_rule_ != nullptr ? ToString(current_rule_->rule) : "";
-  if (stats_.limit_rule.empty()) return st;
-  return Status(st.code(),
-                StrCat(st.message(), " in stratum ", stats_.limit_stratum,
-                       " while evaluating rule `", stats_.limit_rule, "`"));
+  std::string where = StrCat(" in stratum ", stats_.limit_stratum);
+  if (!stats_.limit_rule.empty()) {
+    where += StrCat(" while evaluating rule `", stats_.limit_rule, "`");
+  }
+  return Status(st.code(), StrCat(st.message(), where));
 }
 
 Status Engine::EvaluateRule(PlannedRule* pr, HeadAsserter* asserter,
                             std::optional<uint64_t> delta_from) {
   SemanticStructure I(*store_);
   RefEvaluator eval(I, options_.use_inverted_indexes);
-  eval.set_budget(options_.budget);
+  eval.set_budget(budget_);
   Status st = EvaluateRuleBody(pr, asserter, delta_from, &eval);
   // Flush the evaluator's route counters on every path (including
   // errors — a tripped deadline still wants its profile).
@@ -350,20 +324,18 @@ Status Engine::EvaluateRuleBody(PlannedRule* pr, HeadAsserter* asserter,
     const uint64_t before = store_->generation();
     PATHLOG_RETURN_IF_ERROR(asserter->Assert(*pr->rule.head, &hb));
     ++stats_.derivations;
-    if (options_.budget != nullptr) {
-      options_.budget->ChargeDerivations();
-      // Poll mid-batch so a huge assertion batch cannot blow far past
-      // the byte or derivation ceiling before the per-rule check.
-      if ((stats_.derivations & 0x3FF) == 0) {
-        PATHLOG_RETURN_IF_ERROR(CheckBudget());
-      }
+    budget_->ChargeDerivations();
+    // Poll mid-batch so a huge assertion batch cannot blow far past a
+    // store or derivation ceiling before the per-rule check.
+    if ((stats_.derivations & 0x3FF) == 0) {
+      PATHLOG_RETURN_IF_ERROR(budget_->Check(*store_));
     }
     if (options_.trace_provenance && store_->generation() > before) {
       provenance_.push_back(
           DerivationRecord{before, store_->generation(), pr->index, v});
     }
   }
-  return CheckLimits();
+  return budget_->Check(*store_);
 }
 
 Status Engine::RunStratum(int stratum, const std::vector<size_t>& rule_idxs,
@@ -377,8 +349,8 @@ Status Engine::RunStratum(int stratum, const std::vector<size_t>& rule_idxs,
     ++stats_.iterations;
     ++stats_.stratum_iterations[static_cast<size_t>(stratum)];
     if (stats_.iterations > options_.max_iterations) {
-      return ResourceExhausted(
-          StrCat("iteration limit exceeded (", options_.max_iterations, ")"));
+      return WithLimitContext(ResourceExhausted(
+          StrCat("iteration limit exceeded (", options_.max_iterations, ")")));
     }
     FlightSpan iter_span(
         options_.obs.flight, "iteration", "engine", "n",
@@ -419,6 +391,11 @@ Status Engine::RunStratum(int stratum, const std::vector<size_t>& rule_idxs,
             stats_.delta_passes - delta_passes_before,
             stats_.derivations - derivations_before);
       }
+      // A trip inside the evaluator's enumeration polls or at the
+      // per-rule check: either way the window says it was a limit.
+      if (!rule_status.ok() && budget_->rejected()) {
+        rule_status = WithLimitContext(rule_status);
+      }
       current_rule_ = nullptr;
       PATHLOG_RETURN_IF_ERROR(rule_status);
     }
@@ -431,24 +408,26 @@ Status Engine::RunStratum(int stratum, const std::vector<size_t>& rule_idxs,
 }
 
 Status Engine::Run() {
+  ResourceBudget budget(options_.limits);
+  Status st = Run(&budget);
+  CountBudgetRejection(options_.obs.metrics, budget);
+  return st;
+}
+
+Status Engine::Run(ResourceBudget* budget) {
   FlightSpan run_span(options_.obs.flight, "engine.run", "engine");
   const EngineStats before = stats_;
-  const uint64_t rejections_before =
-      options_.budget != nullptr ? options_.budget->rejections() : 0;
+  budget_ = budget;
   const auto t0 = std::chrono::steady_clock::now();
   Status st = RunImpl();
   const double run_ms = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
+  budget_ = nullptr;
   // Recorded even when RunImpl fails: a kDeadlineExceeded run with no
   // elapsed time would be undiagnosable.
   stats_.elapsed_ms += run_ms;
   PublishMetrics(before, run_ms);
-  if (options_.budget != nullptr) {
-    CountBudgetRejections(
-        options_.obs.metrics,
-        options_.budget->rejections() - rejections_before);
-  }
   return st;
 }
 
@@ -487,12 +466,6 @@ void Engine::PublishMetrics(const EngineStats& before, double run_ms) {
 
 Status Engine::RunImpl() {
   const uint64_t start_facts = store_->generation();
-  if (options_.budget != nullptr) options_.budget->Arm();
-  if (options_.max_wall_ms > 0) {
-    deadline_ = std::chrono::steady_clock::now() +
-                std::chrono::milliseconds(options_.max_wall_ms);
-  }
-
   std::vector<Rule> plain;
   plain.reserve(rules_.size());
   for (const PlannedRule& pr : rules_) plain.push_back(pr.rule);

@@ -16,20 +16,23 @@
 // store's set semantics (facts are deduplicated) guarantees
 // termination whenever the derivable fact set is finite. Virtual-object
 // creation can make it infinite (e.g. a rule deriving a fresh successor
-// for every derived object); max_facts/max_objects turn runaway
-// programs into kResourceExhausted instead of livelock.
+// for every derived object). One Run() is one budget window
+// (base/budget.h): its facts and objects ceilings turn such a runaway
+// into kResourceExhausted instead of livelock, and every tripped limit
+// names the stratum and rule it tripped in.
 
 #ifndef PATHLOG_EVAL_ENGINE_H_
 #define PATHLOG_EVAL_ENGINE_H_
 
-#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "ast/program.h"
+#include "base/budget.h"
 #include "base/result.h"
 #include "eval/dependency.h"
 #include "eval/head_assert.h"
@@ -40,8 +43,7 @@
 namespace pathlog {
 
 class RefEvaluator;
-class ResourceBudget;  // base/budget.h
-struct PlannerHints;   // query/planner.h
+struct PlannerHints;  // query/planner.h
 
 enum class EvalStrategy : uint8_t {
   /// Every rule re-evaluated every iteration (textbook oracle).
@@ -69,17 +71,16 @@ struct EngineOptions {
   /// Answers are identical either way; disabling exists so the
   /// differential tests can prove that, and to measure the win.
   bool use_inverted_indexes = true;
-  /// Hard ceilings that turn non-terminating programs into errors.
+  /// Ceiling on fixpoint rounds across all strata: the shape of the
+  /// engine's own loop, so it stays here rather than in `limits`.
   uint64_t max_iterations = 1'000'000;
-  uint64_t max_facts = 20'000'000;
-  uint64_t max_objects = 20'000'000;
-  /// Wall-clock budget for one Run(), in milliseconds; 0 = unlimited.
-  /// A materialisation that derives slowly (heavy rules over a large
-  /// store) can run away long before it trips the fact or iteration
-  /// caps — the deadline turns it into kDeadlineExceeded instead.
-  /// Checked at the same boundaries as the other limits (after each
-  /// rule evaluation), so very long single enumerations can overshoot.
-  uint64_t max_wall_ms = 0;
+  /// The ceilings, the CancelToken and the clock every budget window
+  /// is built from (base/budget.h): store bytes, derivations, facts
+  /// (default 20M), objects (default 20M) and wall clock (default
+  /// none). A standalone Run() builds its window from these; a
+  /// Database builds one per public call from its own copy and passes
+  /// it to Run(ResourceBudget*).
+  ResourceLimits limits;
   /// Observability sinks (all null by default — disabled cost is one
   /// branch per instrumentation site). Borrowed; the caller keeps them
   /// alive for the engine's lifetime.
@@ -91,13 +92,6 @@ struct EngineOptions {
   /// changes. Borrowed; the caller keeps it alive for the engine's
   /// lifetime.
   const PlannerHints* planner_hints = nullptr;
-  /// Cooperative resource budget (base/budget.h): store bytes,
-  /// derivations, wall clock, and a CancelToken, governing the whole
-  /// operation this engine runs for. Armed by Run() (the wall window
-  /// covers one materialisation); checked beside the engine's own
-  /// limits and polled inside enumeration via the reference
-  /// evaluator. Borrowed; null disables budget governance.
-  ResourceBudget* budget = nullptr;
 };
 
 /// One head-instance assertion that added facts: the facts with
@@ -127,9 +121,10 @@ struct EngineStats {
   /// with no rules stay 0). Filled by Run().
   std::vector<uint64_t> stratum_iterations;
   int num_strata = 1;
-  /// Where a kDeadlineExceeded (or other limit) error tripped:
-  /// stratum number and the printed rule under evaluation. -1/empty
-  /// when no limit tripped.
+  /// Where a limit tripped (a budget dimension or max_iterations):
+  /// stratum number and the printed rule under evaluation (empty
+  /// between rule evaluations, where the iteration ceiling trips).
+  /// -1/empty when no limit tripped.
   int limit_stratum = -1;
   std::string limit_rule;
 };
@@ -148,8 +143,11 @@ class Engine {
   /// Adds every rule of a parsed program (queries/signatures ignored).
   Status AddRules(const std::vector<Rule>& rules);
 
-  /// Runs stratified fixpoint evaluation to completion.
+  /// Runs stratified fixpoint evaluation to completion under a window
+  /// built from options.limits, and counts its rejection, if any.
   Status Run();
+  /// Run() under the caller's window, which the caller counts.
+  Status Run(ResourceBudget* budget);
 
   const EngineStats& stats() const { return stats_; }
   size_t num_rules() const { return rules_.size(); }
@@ -171,7 +169,7 @@ class Engine {
   };
 
   Status PlanBody(Rule* rule) const;
-  /// Run() minus the timing/metrics wrapper.
+  /// Run(budget) minus the timing/metrics wrapper.
   Status RunImpl();
   Status RunStratum(int stratum, const std::vector<size_t>& rule_idxs,
                     const std::vector<RuleDeps>& deps);
@@ -187,21 +185,17 @@ class Engine {
   bool RuleAffected(const PlannedRule& pr, const RuleDeps& deps) const;
   bool HeadReadsChanged(const PlannedRule& pr, const RuleDeps& deps) const;
   void ScanNewFacts();
-  /// Non-const: a tripped limit records its context (stratum, rule)
-  /// into stats_ for diagnosability.
-  Status CheckLimits();
-  /// Polls options_.budget (no-op when null), splicing the stratum/rule
-  /// context into the error exactly like CheckLimits does.
-  Status CheckBudget();
+  /// Records where evaluation stands (stratum, rule) into stats_ and
+  /// splices it into the tripped limit's message.
+  Status WithLimitContext(const Status& st);
   /// Bumps the pathlog_engine_* metrics by the growth of stats_ since
   /// `before` (no-op without a registry).
   void PublishMetrics(const EngineStats& before, double run_ms);
 
   ObjectStore* store_;
   EngineOptions options_;
-  /// Deadline for the current Run(); meaningful only when
-  /// options_.max_wall_ms is nonzero.
-  std::chrono::steady_clock::time_point deadline_;
+  /// The window of the Run() in progress; null between runs.
+  ResourceBudget* budget_ = nullptr;
   std::vector<PlannedRule> rules_;
   std::vector<DerivationRecord> provenance_;
   EngineStats stats_;
@@ -223,14 +217,25 @@ class Engine {
 /// them is evaluated. Exposed for tests.
 std::set<std::string> SetRefValueVars(const Ref& t);
 
+/// Scores a literal that is admissible given the variables bound so
+/// far; the ordering loop picks the lowest score.
+using LiteralCost =
+    std::function<double(const Literal&, const std::set<std::string>&)>;
+
 /// Reorders a conjunction so every literal is admissible when reached:
 /// negated literals after all their variables are bound, `->>` filter
-/// results after everything inside them is bound. On success `*bound`
-/// (if non-null) receives the variables bound by the positive
-/// literals. kUnsafeRule when no admissible order exists. Used by the
-/// engine for rule bodies and by Database for ad-hoc queries.
+/// results after everything inside them is bound. Each step picks the
+/// admissible literal `cost` scores lowest, ties going to the earliest;
+/// without a `cost` that is the first admissible literal, the safety
+/// order. On success `*bound` (if non-null) receives the variables
+/// bound by the positive literals and `*costs` (if non-null) the
+/// picked literals' scores in order. kUnsafeRule when no admissible
+/// order exists. The one ordering loop behind rule bodies, triggers,
+/// the linter and the cost planner (PlanConjunction).
 Status OrderLiteralsForSafety(std::vector<Literal>* body,
-                              std::set<std::string>* bound);
+                              std::set<std::string>* bound,
+                              const LiteralCost& cost = nullptr,
+                              std::vector<double>* costs = nullptr);
 
 }  // namespace pathlog
 

@@ -79,13 +79,13 @@ class RefEvaluator {
   /// Whole-universe scans (undriven variables or molecules).
   uint64_t universe_scans() const { return universe_scans_; }
 
-  /// Attaches a cooperative budget (null detaches). Enumeration polls
-  /// budget->CheckControl() — cancellation and wall clock only, since
-  /// enumeration never grows the store — on the first recursion step
-  /// and every ~1k steps after, closing the "very long single
-  /// enumerations can overshoot the deadline" gap the engine-level
-  /// per-rule checks leave open.
-  void set_budget(const ResourceBudget* budget) { budget_ = budget; }
+  /// Attaches the calling operation's budget window (null detaches).
+  /// Enumeration polls budget->CheckControl() — cancellation and wall
+  /// clock only, since enumeration never grows the store — on the
+  /// first recursion step and every ~1k steps after, closing the "very
+  /// long single enumerations can overshoot the deadline" gap the
+  /// engine-level per-rule checks leave open.
+  void set_budget(ResourceBudget* budget) { budget_ = budget; }
 
   // --- Delta-restricted mode (literal-level semi-naive) --------------
   //
@@ -207,7 +207,7 @@ class RefEvaluator {
   bool delta_active_ = false;
   uint64_t delta_from_ = 0;
   int delta_count_ = 0;
-  const ResourceBudget* budget_ = nullptr;
+  ResourceBudget* budget_ = nullptr;
   uint64_t budget_probe_ = 0;
 };
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "base/budget.h"
 #include "base/strings.h"
 #include "obs/json.h"
 
@@ -283,12 +284,13 @@ Result<MetricsSamples> ParseMetricsPrometheusText(std::string_view text) {
   return samples;
 }
 
-void CountBudgetRejections(MetricsRegistry* metrics, uint64_t n) {
-  if (metrics == nullptr || n == 0) return;
+void CountBudgetRejection(MetricsRegistry* metrics,
+                          const ResourceBudget& budget) {
+  if (metrics == nullptr || !budget.rejected()) return;
   Counter* c =
       metrics->GetCounter("pathlog_budget_rejections_total",
                           "operations rejected by a resource budget");
-  if (c != nullptr) c->Inc(n);
+  if (c != nullptr) c->Inc();
 }
 
 }  // namespace pathlog

@@ -39,6 +39,8 @@
 
 namespace pathlog {
 
+class ResourceBudget;  // base/budget.h
+
 /// A monotonically increasing count.
 class Counter {
  public:
@@ -171,10 +173,11 @@ Result<MetricsSamples> ParseMetricsJson(std::string_view json);
 /// comment lines; kInvalidArgument on malformed sample lines.
 Result<MetricsSamples> ParseMetricsPrometheusText(std::string_view text);
 
-/// Bumps pathlog_budget_rejections_total by n. One definition point so
-/// the engine, trigger engine, and database all feed the same series.
-/// No-op when metrics is null or n is 0.
-void CountBudgetRejections(MetricsRegistry* metrics, uint64_t n);
+/// Bumps pathlog_budget_rejections_total when `budget` rejected its
+/// call. Called once per window, by the code that built it, so the
+/// series counts rejected calls, not polls. No-op when metrics is null.
+void CountBudgetRejection(MetricsRegistry* metrics,
+                          const ResourceBudget& budget);
 
 }  // namespace pathlog
 

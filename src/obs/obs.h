@@ -2,12 +2,12 @@
 //
 // A bundle of four optional, borrowed sinks — metrics registry,
 // profiler, flight recorder (the one span sink), query log — threaded
-// through EngineOptions, TriggerOptions, and DatabaseOptions into
-// every subsystem. All null by default: the disabled cost at an
-// instrumentation site is one pointer test. The caller owns the sink
-// objects and keeps them alive for as long as any component holds the
-// ObsSinks (the shell and benches own them for the session; tests own
-// them on the stack).
+// through EngineOptions, the TriggerEngine constructor, and
+// DatabaseOptions into every subsystem. All null by default: the
+// disabled cost at an instrumentation site is one pointer test. The
+// caller owns the sink objects and keeps them alive for as long as any
+// component holds the ObsSinks (the shell and benches own them for the
+// session; tests own them on the stack).
 //
 // This header is deliberately tiny (forward declarations only) so the
 // option structs that embed ObsSinks do not drag the exporters into

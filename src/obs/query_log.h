@@ -57,9 +57,10 @@ struct QueryLogOptions {
   FileOps* fops = nullptr;
 };
 
-/// One query's structured record. `budget_*` report the spend the
-/// operation's ResourceBudget observed (0 when no budget is attached,
-/// except store_bytes which is always the store's footprint).
+/// One query's structured record. `budget_*` report the spend of the
+/// call's budget window, which covers the read's lazy materialisation
+/// and trigger firing too: derivations charged, the store's footprint,
+/// the call's wall time, and whether a limit rejected the call.
 struct QueryLogRecord {
   uint64_t ts_ms = 0;            ///< unix epoch milliseconds
   std::string kind;              ///< "query" | "eval" | "holds"

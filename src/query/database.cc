@@ -9,8 +9,6 @@
 #include <thread>
 #include <type_traits>
 
-#include "base/budget.h"
-
 #include "ast/analysis.h"
 #include "ast/printer.h"
 #include "base/coding.h"
@@ -396,12 +394,22 @@ Status Database::LoadProgramLocked(const Program& program) {
   return FinishMutation(Status::OK());
 }
 
-Status Database::Materialize() {
-  WriteLock lock(*this);
-  return MaterializeLocked();
+template <typename Fn>
+auto Database::Governed(Fn fn) {
+  ResourceBudget budget(options_.engine.limits);
+  auto result = fn(&budget);
+  CountBudgetRejection(options_.engine.obs.metrics, budget);
+  return result;
 }
 
-Status Database::MaterializeLocked() {
+Status Database::Materialize() {
+  return Governed([&](ResourceBudget* budget) {
+    WriteLock lock(*this);
+    return MaterializeLocked(budget);
+  });
+}
+
+Status Database::MaterializeLocked(ResourceBudget* budget) {
   if (degraded()) return DegradedError();
   FlightSpan mat_span(options_.engine.obs.flight, "db.materialize",
                       "database");
@@ -412,7 +420,7 @@ Status Database::MaterializeLocked() {
   }
   Engine engine(&store_, engine_options);
   PATHLOG_RETURN_IF_ERROR(engine.AddRules(rules_));
-  Status run_status = engine.Run();
+  Status run_status = engine.Run(budget);
   // Stats are preserved even when Run() fails — a kDeadlineExceeded
   // with no elapsed time, stratum, or rule context is undiagnosable.
   last_stats_ = engine.stats();
@@ -424,7 +432,7 @@ Status Database::MaterializeLocked() {
   PATHLOG_RETURN_IF_ERROR(run_status);
   dirty_ = false;
   if (options_.fire_triggers_on_materialize && !triggers_.empty()) {
-    PATHLOG_RETURN_IF_ERROR(FireTriggersLocked());
+    PATHLOG_RETURN_IF_ERROR(FireTriggersLocked(budget));
   }
   if (options_.type_check_after_materialize && !signatures_.empty()) {
     TypeChecker checker(store_, signatures_);
@@ -462,12 +470,11 @@ Result<Answer> Database::Read(std::string_view text) {
   rec.kind = kReadKind<Answer>;
   rec.strategy = StrategyName(options_.engine.strategy);
   if (logged) rec.query = std::string(text);
-  // Sampled outside the body so a rejection anywhere inside — the
-  // lazy Materialize() included, which returns early — still reaches
-  // the record (and so the flight-recorder incident dump).
-  ResourceBudget* budget = options_.engine.budget;
-  const uint64_t rejections_before =
-      budget != nullptr ? budget->rejections() : 0;
+  // The call's one window, armed here: its limits cover the lazy
+  // materialisation and trigger firing as well as the enumeration, and
+  // a rejection anywhere inside reaches the record (and so the
+  // flight-recorder incident dump).
+  ResourceBudget budget(options_.engine.limits);
   FlightRecorder* flight = options_.engine.obs.flight;
   const uint64_t flight_start_us = flight != nullptr ? flight->NowUs() : 0;
   const auto t0 = std::chrono::steady_clock::now();
@@ -481,21 +488,20 @@ Result<Answer> Database::Read(std::string_view text) {
       // concurrently with other readers.
       ReadLock lock(*this);
       if (ReadOnlyReadyLocked(*query)) {
-        return ReadLocked<Answer>(std::move(query->body), &rec);
+        return ReadLocked<Answer>(std::move(query->body), &budget, &rec);
       }
     }
     WriteLock lock(*this);
-    PATHLOG_RETURN_IF_ERROR(PrepareReadLocked(*query));
-    return ReadLocked<Answer>(std::move(query->body), &rec);
+    PATHLOG_RETURN_IF_ERROR(PrepareReadLocked(*query, &budget));
+    return ReadLocked<Answer>(std::move(query->body), &budget, &rec);
   }();
   rec.latency_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - t0)
                        .count();
   rec.budget_wall_ms = rec.latency_ms;
-  if (budget != nullptr) {
-    rec.budget_rejected = budget->rejections() - rejections_before > 0;
-    rec.budget_derivations = budget->derivations();
-  }
+  rec.budget_rejected = budget.rejected();
+  rec.budget_derivations = budget.derivations();
+  CountBudgetRejection(options_.engine.obs.metrics, budget);
   if (!answer.ok()) {
     // The core may never have run (parse, well-formedness or plan
     // error): sample the store size for the record under a shared hold.
@@ -511,12 +517,13 @@ Result<Answer> Database::Read(std::string_view text) {
   return answer;
 }
 
-Status Database::PrepareReadLocked(const struct Query& query) {
+Status Database::PrepareReadLocked(const struct Query& query,
+                                   ResourceBudget* budget) {
   // Degraded read-only mode keeps answering from the last consistent
   // state: no re-materialisation (it would grow the store past what
   // the broken log can persist) and no WAL commit.
   if (dirty_ && !degraded()) {
-    PATHLOG_RETURN_IF_ERROR(MaterializeLocked());
+    PATHLOG_RETURN_IF_ERROR(MaterializeLocked(budget));
   }
   for (const Literal& lit : query.body) InternNames(*lit.ref);
   // Reads intern names; recovery replays oids densely, so even
@@ -529,6 +536,7 @@ Status Database::PrepareReadLocked(const struct Query& query) {
 
 template <typename Answer>
 Result<Answer> Database::ReadLocked(std::vector<Literal> body,
+                                    ResourceBudget* budget,
                                     QueryLogRecord* rec) {
   constexpr bool kConjunctive = std::is_same_v<Answer, ResultSet>;
   // Sampled under the lock: the store cannot change while we hold it.
@@ -557,12 +565,6 @@ Result<Answer> Database::ReadLocked(std::vector<Literal> body,
 
   SemanticStructure I(store_);
   RefEvaluator eval(I, options_.engine.use_inverted_indexes);
-  // The budget window for the read's own enumeration (a lazy
-  // Materialize() published its window through the engine).
-  ResourceBudget* budget = options_.engine.budget;
-  if (budget != nullptr) budget->Arm();
-  const uint64_t rejections_before =
-      budget != nullptr ? budget->rejections() : 0;
   eval.set_budget(budget);
   Bindings b;
   // Per-literal solution production and entry counts, recorded against
@@ -618,10 +620,6 @@ Result<Answer> Database::ReadLocked(std::vector<Literal> body,
     });
   };
   Result<bool> r = go(go, 0);  // ParseRead yields at least one literal
-  if (budget != nullptr) {
-    CountBudgetRejections(options_.engine.obs.metrics,
-                          budget->rejections() - rejections_before);
-  }
   rec->route_inverted_probes = eval.inverted_probes();
   rec->route_extent_scans = eval.extent_scans();
   rec->route_universe_scans = eval.universe_scans();
@@ -648,22 +646,24 @@ Result<Answer> Database::ReadLocked(std::vector<Literal> body,
 Result<std::string> Database::ExplainQuery(std::string_view query_text) {
   Result<struct Query> q = ParseRead(query_text, /*conjunctive=*/true);
   if (!q.ok()) return q.status();
-  WriteLock lock(*this);
-  PATHLOG_RETURN_IF_ERROR(PrepareReadLocked(*q));
-  std::vector<std::string> log;
-  PATHLOG_RETURN_IF_ERROR(PlanConjunction(
-      &q->body, store_, &log, nullptr,
-      options_.use_analysis_hints ? &planner_hints_ : nullptr));
-  std::string out = "plan:\n";
-  for (size_t i = 0; i < log.size(); ++i) {
-    out += StrCat("  ", i + 1, ". ", log[i], "\n");
-  }
-  out += "planner statistics: skew-aware (top-k heavy-hitter buckets, "
-         "residual-average floor)\n";
-  // The same fingerprint the query log records, so a slow record's
-  // plan can be looked up by hash.
-  out += StrCat("plan fingerprint: ", PlanFingerprint(q->body), "\n");
-  return out;
+  return Governed([&](ResourceBudget* budget) -> Result<std::string> {
+    WriteLock lock(*this);
+    PATHLOG_RETURN_IF_ERROR(PrepareReadLocked(*q, budget));
+    std::vector<std::string> log;
+    PATHLOG_RETURN_IF_ERROR(PlanConjunction(
+        &q->body, store_, &log, nullptr,
+        options_.use_analysis_hints ? &planner_hints_ : nullptr));
+    std::string out = "plan:\n";
+    for (size_t i = 0; i < log.size(); ++i) {
+      out += StrCat("  ", i + 1, ". ", log[i], "\n");
+    }
+    out += "planner statistics: skew-aware (top-k heavy-hitter buckets, "
+           "residual-average floor)\n";
+    // The same fingerprint the query log records, so a slow record's
+    // plan can be looked up by hash.
+    out += StrCat("plan fingerprint: ", PlanFingerprint(q->body), "\n");
+    return out;
+  });
 }
 
 Status Database::TypeCheck(std::vector<TypeViolation>* violations) const {
@@ -710,24 +710,20 @@ void Database::RefreshAnalysisHints() {
 }
 
 Status Database::FireTriggers() {
-  WriteLock lock(*this);
-  return FireTriggersLocked();
+  return Governed([&](ResourceBudget* budget) {
+    WriteLock lock(*this);
+    return FireTriggersLocked(budget);
+  });
 }
 
-Status Database::FireTriggersLocked() {
+Status Database::FireTriggersLocked(ResourceBudget* budget) {
   if (degraded()) return DegradedError();
-  // The engine's governance follows the cascade: the shared resource
-  // budget if one is attached, else the engine's wall deadline.
-  TriggerOptions topts = options_.triggers;
-  topts.obs = options_.engine.obs;
-  if (topts.max_wall_ms == 0) topts.max_wall_ms = options_.engine.max_wall_ms;
-  if (topts.budget == nullptr) topts.budget = options_.engine.budget;
-  if (topts.budget != nullptr) topts.budget->Arm();
-  TriggerEngine engine(&store_, trigger_watermark_, topts);
+  TriggerEngine engine(&store_, trigger_watermark_, options_.triggers,
+                       options_.engine.obs);
   for (const TriggerRule& t : triggers_) {
     PATHLOG_RETURN_IF_ERROR(engine.AddTrigger(t));
   }
-  Status st = engine.Fire();
+  Status st = engine.Fire(budget);
   trigger_watermark_ = engine.watermark();
   trigger_stats_.rounds += engine.stats().rounds;
   trigger_stats_.firings += engine.stats().firings;

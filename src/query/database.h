@@ -20,17 +20,26 @@
 // mutator (Load/Materialize/Checkpoint/FireTriggers take the guard
 // exclusively); any other read restarts under the exclusive side.
 // degraded() and Health() are safe from any thread (the stats
-// server's health callback runs on the accept thread). NOT covered:
-// the direct store()/rules()/engine_stats()/provenance()/
-// trigger_stats() accessors return references into guarded state
-// without holding the guard — callers own the quiescence there — and
-// a shared options_.engine.budget is per-operation state, so attach
-// budgets only to single-threaded databases. Concurrent readers share
-// the attached sinks, which are thread-safe: metrics counters and the
-// flight ring record without blocking, the query log and profiler
-// lock internally as leaves. SetObsSinks swaps sink pointers that
-// lock-free readers consult; call it only while no other thread is
-// inside the database.
+// server's health callback runs on the accept thread). Budgets are
+// inside the contract: every call that can evaluate builds its own
+// budget window on its stack from options.engine.limits, so readers
+// share no budget state; cancel through a copy of limits.token from
+// any thread, and inject only a clock that is safe to call from
+// concurrent readers. NOT covered: the direct store()/rules()/
+// engine_stats()/provenance()/trigger_stats() accessors return
+// references into guarded state without holding the guard — callers
+// own the quiescence there. Concurrent readers share the attached
+// sinks, which are thread-safe: metrics counters and the flight ring
+// record without blocking, the query log and profiler lock internally
+// as leaves. SetObsSinks swaps sink pointers that lock-free readers
+// consult; call it only while no other thread is inside the database.
+//
+// One call, one window: a read's limits cover its lazy
+// materialisation and trigger firing as well as its own enumeration;
+// fire_triggers_on_materialize shares the Materialize call's window;
+// and a rejection anywhere inside a call is counted once, by the call,
+// in the query-log record's budget.rejected and in
+// pathlog_budget_rejections_total.
 
 #ifndef PATHLOG_QUERY_DATABASE_H_
 #define PATHLOG_QUERY_DATABASE_H_
@@ -120,12 +129,12 @@ struct DatabaseHealth {
 };
 
 struct DatabaseOptions {
-  /// Engine policy, and `engine.obs`: the database's one sink set. The
+  /// Engine policy; `engine.limits`, the limits of every call's budget
+  /// window; and `engine.obs`, the database's one sink set. The
   /// engine, the trigger engine, the store, the WAL and the database's
   /// own spans and counters all report to it.
   EngineOptions engine;
-  /// Trigger cascade limits. `triggers.obs` is ignored: FireTriggers()
-  /// hands the trigger engine `engine.obs`.
+  /// Trigger head mode and cascade-round ceiling.
   TriggerOptions triggers;
   /// Run the type checker over newly derived facts after every
   /// materialisation and fail on violations.
@@ -346,33 +355,42 @@ class Database {
   /// The read path behind Query, Eval and Holds, which differ only in
   /// `Answer`: rows, the denoted objects, or a truth value. Once per
   /// call it parses `text` (an Eval/Holds reference becomes a
-  /// one-literal query), builds the query-log record, samples the
-  /// budget, runs the core on the shared-lock fast path or after the
-  /// exclusive-lock prepare step, and measures one latency that
-  /// RecordQueryObs hands to every sink.
+  /// one-literal query), builds the query-log record and the call's
+  /// budget window, runs the core on the shared-lock fast path or
+  /// after the exclusive-lock prepare step, and measures one latency
+  /// that RecordQueryObs hands to every sink.
   template <typename Answer>
   Result<Answer> Read(std::string_view text);
 
   /// The slow path's prepare step, shared with ExplainQuery:
-  /// materialise if dirty, intern the query's names, commit them to
-  /// the WAL. A degraded database skips the materialisation and the
-  /// commit and keeps answering from its last consistent state.
-  Status PrepareReadLocked(const struct Query& query) REQUIRES(state_mu_);
+  /// materialise if dirty (under the call's `budget`), intern the
+  /// query's names, commit them to the WAL. A degraded database skips
+  /// the materialisation and the commit and keeps answering from its
+  /// last consistent state.
+  Status PrepareReadLocked(const struct Query& query, ResourceBudget* budget)
+      REQUIRES(state_mu_);
 
   /// The evaluation core, under either lock: plans a conjunctive
   /// query's `body` in place (Eval and Holds run their one literal
-  /// unplanned), enumerates it, and ends in the answer's sink — rows
-  /// deduplicated, objects sorted unique, or a stop at the first
-  /// witness. It only reads database state; the sinks it touches are
-  /// thread-safe.
+  /// unplanned), enumerates it under the call's `budget`, and ends in
+  /// the answer's sink — rows deduplicated, objects sorted unique, or
+  /// a stop at the first witness. It only reads database state; the
+  /// sinks it touches are thread-safe.
   template <typename Answer>
-  Result<Answer> ReadLocked(std::vector<Literal> body, QueryLogRecord* rec)
-      REQUIRES_SHARED(state_mu_);
+  Result<Answer> ReadLocked(std::vector<Literal> body, ResourceBudget* budget,
+                            QueryLogRecord* rec) REQUIRES_SHARED(state_mu_);
 
-  /// Exclusive-lock bodies of the public mutators.
+  /// Runs `fn` with a fresh budget window built from
+  /// options_.engine.limits and counts the window's rejection, if any:
+  /// once per call, here.
+  template <typename Fn>
+  auto Governed(Fn fn);
+
+  /// Exclusive-lock bodies of the public mutators; the evaluating ones
+  /// run under the calling operation's budget window.
   Status LoadProgramLocked(const Program& program) REQUIRES(state_mu_);
-  Status MaterializeLocked() REQUIRES(state_mu_);
-  Status FireTriggersLocked() REQUIRES(state_mu_);
+  Status MaterializeLocked(ResourceBudget* budget) REQUIRES(state_mu_);
+  Status FireTriggersLocked(ResourceBudget* budget) REQUIRES(state_mu_);
   Status CheckpointLocked() REQUIRES(state_mu_);
 
   /// The whole database as one byte string (outer "PLGDB002" framing:

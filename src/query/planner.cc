@@ -1,7 +1,6 @@
 #include "query/planner.h"
 
 #include <algorithm>
-#include <map>
 
 #include "ast/analysis.h"
 #include "ast/printer.h"
@@ -168,67 +167,31 @@ Status PlanConjunction(std::vector<Literal>* body, const ObjectStore& store,
                        std::vector<std::string>* cost_log,
                        std::vector<double>* estimates,
                        const PlannerHints* hints) {
-  std::vector<Literal> remaining = std::move(*body);
-  std::vector<Literal> ordered;
-  std::set<std::string> bound;
-
-  std::map<std::string, int> occurrences;
-  for (const Literal& lit : remaining) {
-    for (const std::string& v : VarsOf(*lit.ref)) ++occurrences[v];
-  }
-  auto admissible = [&](const Literal& lit) {
-    std::set<std::string> need;
-    if (lit.negated) {
-      for (const std::string& v : VarsOf(*lit.ref)) {
-        if (occurrences[v] > 1) need.insert(v);
-      }
-    } else {
-      need = SetRefValueVars(*lit.ref);
-    }
-    for (const std::string& v : need) {
-      if (!bound.count(v)) return false;
-    }
-    return true;
-  };
-
-  while (!remaining.empty()) {
-    double best_cost = 0;
-    size_t best = remaining.size();
-    for (size_t i = 0; i < remaining.size(); ++i) {
-      if (!admissible(remaining[i])) continue;
-      // Negated literals are pure tests: defer them until every
-      // positive literal of equal or lower cost has bound variables.
-      double cost =
-          EstimateLiteralCost(*remaining[i].ref, bound, store, hints) +
-          (remaining[i].negated ? 0.5 : 0.0);
-      if (best == remaining.size() || cost < best_cost) {
-        best = i;
-        best_cost = cost;
-      }
-    }
-    if (best == remaining.size()) {
-      return UnsafeRule(
-          "cannot order the conjunction: a negated literal or `->>` filter "
-          "result needs variables no earlier literal can bind");
-    }
+  // The safety loop, picking the cheapest admissible literal. Negated
+  // literals are pure tests: the 0.5 nudge defers them until every
+  // positive literal of equal or lower cost has bound variables.
+  constexpr double kNegationNudge = 0.5;
+  std::vector<double> costs;
+  const bool report = cost_log != nullptr || estimates != nullptr;
+  PATHLOG_RETURN_IF_ERROR(OrderLiteralsForSafety(
+      body, nullptr,
+      [&store, hints](const Literal& lit, const std::set<std::string>& bound) {
+        return EstimateLiteralCost(*lit.ref, bound, store, hints) +
+               (lit.negated ? kNegationNudge : 0.0);
+      },
+      report ? &costs : nullptr));
+  for (size_t i = 0; report && i < body->size(); ++i) {
+    const Literal& lit = (*body)[i];
     if (cost_log != nullptr) {
-      cost_log->push_back(StrCat(ToString(remaining[best]),
+      cost_log->push_back(StrCat(ToString(lit),
                                  "   (estimated driver cardinality ",
-                                 best_cost, ")"));
+                                 costs[i], ")"));
     }
+    // The raw anchor estimate, without the nudge.
     if (estimates != nullptr) {
-      // The raw anchor estimate, without the negation tie-break nudge.
-      estimates->push_back(best_cost - (remaining[best].negated ? 0.5 : 0.0));
+      estimates->push_back(costs[i] - (lit.negated ? kNegationNudge : 0.0));
     }
-    if (!remaining[best].negated) {
-      for (const std::string& v : VarsOf(*remaining[best].ref)) {
-        bound.insert(v);
-      }
-    }
-    ordered.push_back(std::move(remaining[best]));
-    remaining.erase(remaining.begin() + static_cast<ptrdiff_t>(best));
   }
-  *body = std::move(ordered);
   return Status::OK();
 }
 

@@ -3,9 +3,10 @@
 // The evaluator binds variables left-to-right, so literal order
 // dominates query cost: a literal whose anchor is bound (or driven by
 // a small extent) should run before one that would scan. The planner
-// orders greedily by estimated driver cardinality, subject to the same
-// safety constraints as OrderLiteralsForSafety (negated literals and
-// `->>` filter results after their variables are bound).
+// orders greedily by estimated driver cardinality in the one ordering
+// loop, OrderLiteralsForSafety (negated literals and `->>` filter
+// results after their variables are bound): it picks the cheapest
+// admissible literal where the safety order picks the first.
 
 #ifndef PATHLOG_QUERY_PLANNER_H_
 #define PATHLOG_QUERY_PLANNER_H_

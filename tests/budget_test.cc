@@ -1,9 +1,10 @@
-// Resource governance: the ResourceBudget unit contract (dimension
-// ordering, cancellation, injectable clock, once-per-window rejection
-// accounting) and its end-to-end behaviour through Database — a
-// memory-budgeted runaway recursion must come back as
-// kResourceExhausted naming the byte dimension with stratum/rule
-// context, never as a bare deadline.
+// Resource governance: the budget window's unit contract (dimension
+// ordering, cancellation, injectable clock, one rejection per window)
+// and its end-to-end behaviour through Database — a memory-budgeted
+// runaway recursion must come back as kResourceExhausted naming the
+// byte dimension with stratum/rule context, never as a bare deadline,
+// and one call is one window: a read's record carries the spend and
+// the rejection of its lazy materialisation.
 
 #include "base/budget.h"
 
@@ -12,7 +13,11 @@
 #include <string>
 
 #include "eval/engine.h"
+#include "obs/json.h"
+#include "obs/metrics.h"
+#include "obs/query_log.h"
 #include "query/database.h"
+#include "store/object_store.h"
 
 namespace pathlog {
 namespace {
@@ -24,13 +29,32 @@ constexpr std::string_view kRunaway = R"(
   X.succ[count->1] <- X[count->1].
 )";
 
+/// A store with a few facts, for the store dimensions.
+ObjectStore SmallStore() {
+  ObjectStore store;
+  const Oid m = store.InternSymbol("m");
+  for (int i = 0; i < 4; ++i) {
+    const Oid o = store.InternSymbol("o" + std::to_string(i));
+    EXPECT_TRUE(store.SetScalar(m, o, {}, store.InternInt(i)).ok());
+  }
+  return store;
+}
+
+uint64_t Rejections(MetricsRegistry& reg) {
+  return reg.GetCounter("pathlog_budget_rejections_total")->value();
+}
+
 TEST(BudgetTest, DefaultBudgetIsUnlimited) {
-  ResourceBudget b;
-  b.Arm();
+  ResourceLimits limits;
+  uint64_t clock_reads = 0;
+  limits.clock = [&clock_reads] { return ++clock_reads; };
+  ResourceBudget b(limits);
   b.ChargeDerivations(1'000'000);
-  EXPECT_TRUE(b.Check(1ull << 40).ok());
+  ObjectStore store = SmallStore();
+  EXPECT_TRUE(b.Check(store).ok());
   EXPECT_TRUE(b.CheckControl().ok());
-  EXPECT_EQ(b.rejections(), 0u);
+  EXPECT_FALSE(b.rejected());
+  EXPECT_EQ(clock_reads, 0u) << "the default window reads no clock";
 }
 
 TEST(BudgetTest, CancelTokenCopiesShareState) {
@@ -44,39 +68,65 @@ TEST(BudgetTest, CancelTokenCopiesShareState) {
 }
 
 TEST(BudgetTest, CancellationOutranksEveryDimension) {
-  ResourceBudget b({1, 1, 1});
-  b.Arm();
-  b.token().Cancel();
-  EXPECT_EQ(b.Check(1000).code(), StatusCode::kCancelled);
+  ResourceLimits limits{.max_store_bytes = 1,
+                        .max_derivations = 1,
+                        .max_facts = 1,
+                        .max_objects = 1,
+                        .max_wall_ms = 1};
+  limits.token.Cancel();
+  ResourceBudget b(limits);
+  b.ChargeDerivations(10);
+  EXPECT_EQ(b.Check(SmallStore()).code(), StatusCode::kCancelled);
   EXPECT_EQ(b.CheckControl().code(), StatusCode::kCancelled);
 }
 
 TEST(BudgetTest, BytesDimensionTripsAsResourceExhausted) {
-  ResourceBudget b({100, 0, 0});
-  b.Arm();
-  Status st = b.Check(101);
+  ObjectStore store = SmallStore();
+  ResourceLimits limits{.max_store_bytes = store.ApproxBytes()};
+  // At the limit is within budget.
+  EXPECT_TRUE(ResourceBudget(limits).Check(store).ok());
+  limits.max_store_bytes -= 1;
+  ResourceBudget b(limits);
+  Status st = b.Check(store);
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
   EXPECT_NE(st.message().find("bytes dimension"), std::string::npos) << st;
-  EXPECT_TRUE(b.Check(100).ok());  // at the limit is within budget
 }
 
 TEST(BudgetTest, DerivationsDimensionTripsAsResourceExhausted) {
-  ResourceBudget b({0, 4, 0});
-  b.Arm();
+  const ResourceLimits limits{.max_derivations = 4};
+  ResourceBudget b(limits);
+  ObjectStore store;
   b.ChargeDerivations(4);
-  EXPECT_TRUE(b.Check(0).ok());
+  EXPECT_TRUE(b.Check(store).ok());
   b.ChargeDerivations();
-  Status st = b.Check(0);
+  Status st = b.Check(store);
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
   EXPECT_NE(st.message().find("derivations dimension"), std::string::npos)
       << st;
 }
 
+TEST(BudgetTest, FactAndObjectDimensionsTripAsResourceExhausted) {
+  // The ceilings that stop object-inventing runaways, in the engine and
+  // in trigger cascades alike.
+  ObjectStore store = SmallStore();
+  ResourceLimits facts{.max_facts = store.FactCount()};
+  EXPECT_TRUE(ResourceBudget(facts).Check(store).ok());
+  facts.max_facts -= 1;
+  Status st = ResourceBudget(facts).Check(store);
+  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(st.message().find("facts dimension"), std::string::npos) << st;
+
+  const ResourceLimits objects{.max_objects = store.UniverseSize() - 1};
+  st = ResourceBudget(objects).Check(store);
+  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(st.message().find("objects dimension"), std::string::npos) << st;
+}
+
 TEST(BudgetTest, WallDimensionUsesInjectedClockAndTripsAsDeadline) {
-  ResourceBudget b({0, 0, 50});
   uint64_t now = 1000;
-  b.set_clock([&now] { return now; });
-  b.Arm();
+  ResourceLimits limits{.max_wall_ms = 50};
+  limits.clock = [&now] { return now; };
+  ResourceBudget b(limits);
   now += 50;
   EXPECT_TRUE(b.CheckControl().ok());
   now += 1;
@@ -85,13 +135,12 @@ TEST(BudgetTest, WallDimensionUsesInjectedClockAndTripsAsDeadline) {
   EXPECT_NE(st.message().find("wall-ms dimension"), std::string::npos) << st;
 }
 
-TEST(BudgetTest, WallClockOnlyCountsWhileArmed) {
-  ResourceBudget b({0, 0, 1});
+TEST(BudgetTest, WallClockStartsWhenTheWindowIsBuilt) {
   uint64_t now = 0;
-  b.set_clock([&now] { return now; });
-  now = 1'000'000;  // eons pass before the operation starts
-  EXPECT_TRUE(b.CheckControl().ok()) << "unarmed budget has no deadline";
-  b.Arm();  // the window starts here, not at construction
+  ResourceLimits limits{.max_wall_ms = 1};
+  limits.clock = [&now] { return now; };
+  now = 1'000'000;  // eons pass between the limits and the call
+  ResourceBudget b(limits);  // the window starts here
   EXPECT_TRUE(b.CheckControl().ok());
   now += 2;
   EXPECT_EQ(b.CheckControl().code(), StatusCode::kDeadlineExceeded);
@@ -100,39 +149,49 @@ TEST(BudgetTest, WallClockOnlyCountsWhileArmed) {
 TEST(BudgetTest, BytesOutrankTheLapsedDeadline) {
   // Both dimensions are blown; Check must report the bytes dimension so
   // a memory-budgeted runaway is never misdiagnosed as slow.
-  ResourceBudget b({100, 0, 1});
+  ObjectStore store = SmallStore();
   uint64_t now = 0;
-  b.set_clock([&now] { return now; });
-  b.Arm();
+  ResourceLimits limits{.max_store_bytes = 1, .max_wall_ms = 1};
+  limits.clock = [&now] { return now; };
+  ResourceBudget b(limits);
   now += 10'000;
-  EXPECT_EQ(b.Check(1000).code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(b.Check(store).code(), StatusCode::kResourceExhausted);
   // The control-only probe sees just the deadline.
   EXPECT_EQ(b.CheckControl().code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST(BudgetTest, RejectionsCountOncePerArmedWindow) {
-  ResourceBudget b({100, 0, 0});
-  b.Arm();
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_FALSE(b.Check(1000).ok());  // polled repeatedly after the trip
+  MetricsRegistry reg;
+  ObjectStore store = SmallStore();
+  const ResourceLimits limits{.max_store_bytes = 1};
+  {
+    ResourceBudget b(limits);
+    for (int i = 0; i < 5; ++i) {
+      EXPECT_FALSE(b.Check(store).ok());  // polled repeatedly after the trip
+    }
+    CountBudgetRejection(&reg, b);
   }
-  EXPECT_EQ(b.rejections(), 1u) << "one rejected operation, not five polls";
-  b.Arm();
-  EXPECT_TRUE(b.Check(50).ok());
-  EXPECT_EQ(b.rejections(), 1u) << "a clean window adds nothing";
-  b.Arm();
-  EXPECT_FALSE(b.Check(1000).ok());
-  EXPECT_EQ(b.rejections(), 2u);
+  EXPECT_EQ(Rejections(reg), 1u) << "one rejected call, not five polls";
+  const ResourceLimits roomy;
+  ResourceBudget clean(roomy);
+  EXPECT_TRUE(clean.Check(store).ok());
+  CountBudgetRejection(&reg, clean);
+  EXPECT_EQ(Rejections(reg), 1u) << "a clean window adds nothing";
+  ResourceBudget again(limits);
+  EXPECT_FALSE(again.Check(store).ok());
+  CountBudgetRejection(&reg, again);
+  EXPECT_EQ(Rejections(reg), 2u);
 }
 
-TEST(BudgetTest, ArmResetsTheDerivationCount) {
-  ResourceBudget b({0, 10, 0});
-  b.Arm();
-  b.ChargeDerivations(10);
-  EXPECT_EQ(b.derivations(), 10u);
-  b.Arm();
-  EXPECT_EQ(b.derivations(), 0u);
-  EXPECT_TRUE(b.Check(0).ok());
+TEST(BudgetTest, EachWindowStartsItsOwnDerivationCount) {
+  const ResourceLimits limits{.max_derivations = 10};
+  ObjectStore store;
+  ResourceBudget first(limits);
+  first.ChargeDerivations(10);
+  EXPECT_EQ(first.derivations(), 10u);
+  ResourceBudget second(limits);  // the next call, same limits
+  EXPECT_EQ(second.derivations(), 0u);
+  EXPECT_TRUE(second.Check(store).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -144,11 +203,11 @@ TEST(BudgetTest, MemoryBudgetedRunawayNamesTheByteDimension) {
   // a generous wall budget also set) must return kResourceExhausted
   // naming bytes and the offending stratum/rule — not
   // kDeadlineExceeded, and not an unexplained guard trip.
-  ResourceBudget budget({/*max_store_bytes=*/1ull << 20,
-                         /*max_derivations=*/0,
-                         /*max_wall_ms=*/600'000});
+  MetricsRegistry reg;
   DatabaseOptions opts;
-  opts.engine.budget = &budget;
+  opts.engine.limits.max_store_bytes = 1ull << 20;
+  opts.engine.limits.max_wall_ms = 600'000;
+  opts.engine.obs.metrics = &reg;
   Database db(opts);
   ASSERT_TRUE(db.Load(std::string(kRunaway)).ok());
   Status st = db.Materialize();
@@ -158,13 +217,12 @@ TEST(BudgetTest, MemoryBudgetedRunawayNamesTheByteDimension) {
   EXPECT_NE(st.message().find("bytes dimension"), std::string::npos) << st;
   EXPECT_NE(st.message().find("in stratum"), std::string::npos) << st;
   EXPECT_NE(st.message().find("X.succ[count->1]"), std::string::npos) << st;
-  EXPECT_EQ(budget.rejections(), 1u);
+  EXPECT_EQ(Rejections(reg), 1u);
 }
 
 TEST(BudgetTest, DerivationBudgetedRunawayStopsAtTheCount) {
-  ResourceBudget budget({0, /*max_derivations=*/500, 0});
   DatabaseOptions opts;
-  opts.engine.budget = &budget;
+  opts.engine.limits.max_derivations = 500;
   Database db(opts);
   ASSERT_TRUE(db.Load(std::string(kRunaway)).ok());
   Status st = db.Materialize();
@@ -174,14 +232,13 @@ TEST(BudgetTest, DerivationBudgetedRunawayStopsAtTheCount) {
 }
 
 TEST(BudgetTest, WallBudgetedRunawayIsDeterministicWithAFakeClock) {
-  ResourceBudget budget({0, 0, /*max_wall_ms=*/50});
   uint64_t now = 0;
-  budget.set_clock([&now] {
+  DatabaseOptions opts;
+  opts.engine.limits.max_wall_ms = 50;
+  opts.engine.limits.clock = [&now] {
     now += 10;  // every poll costs 10 fake milliseconds
     return now;
-  });
-  DatabaseOptions opts;
-  opts.engine.budget = &budget;
+  };
   Database db(opts);
   ASSERT_TRUE(db.Load(std::string(kRunaway)).ok());
   Status st = db.Materialize();
@@ -190,16 +247,18 @@ TEST(BudgetTest, WallBudgetedRunawayIsDeterministicWithAFakeClock) {
 }
 
 TEST(BudgetTest, CancelTokenAbortsQueriesUntilReset) {
-  ResourceBudget budget;  // no limits: only the token can stop anything
+  MetricsRegistry reg;
+  CancelToken token;  // no limits: only the token can stop anything
   DatabaseOptions opts;
-  opts.engine.budget = &budget;
+  opts.engine.limits.token = token;
+  opts.engine.obs.metrics = &reg;
   Database db(opts);
   ASSERT_TRUE(db.Load("p1 : employee. p1[salary->1000].").ok());
   Result<ResultSet> ok = db.Query("?- X:employee[salary->S].");
   ASSERT_TRUE(ok.ok()) << ok.status();
   EXPECT_EQ(ok->rows().size(), 1u);
 
-  budget.token().Cancel();
+  token.Cancel();
   Result<ResultSet> r = db.Query("?- X:employee[salary->S].");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled) << r.status();
@@ -209,9 +268,9 @@ TEST(BudgetTest, CancelTokenAbortsQueriesUntilReset) {
   Result<bool> h = db.Holds("p1[salary->1000]");
   ASSERT_FALSE(h.ok());
   EXPECT_EQ(h.status().code(), StatusCode::kCancelled);
-  EXPECT_GE(budget.rejections(), 3u);
+  EXPECT_EQ(Rejections(reg), 3u) << "one rejection per rejected call";
 
-  budget.token().Reset();
+  token.Reset();
   Result<ResultSet> again = db.Query("?- X:employee[salary->S].");
   ASSERT_TRUE(again.ok()) << again.status();
   EXPECT_EQ(again->rows().size(), 1u);
@@ -220,11 +279,14 @@ TEST(BudgetTest, CancelTokenAbortsQueriesUntilReset) {
 TEST(BudgetTest, ReadOnlyQueriesRespectTheWallBudget) {
   // A query over an already-materialised store goes through the
   // reference evaluator's control probe, not the engine loop.
-  ResourceBudget budget({0, 0, 50});
   uint64_t now = 0;
-  budget.set_clock([&now] { return now; });
+  uint64_t step = 0;
   DatabaseOptions opts;
-  opts.engine.budget = &budget;
+  opts.engine.limits.max_wall_ms = 50;
+  opts.engine.limits.clock = [&now, &step] {
+    now += step;
+    return now;
+  };
   Database db(opts);
   ASSERT_TRUE(db.Load("p1 : employee. p1[salary->1000].").ok());
   ASSERT_TRUE(db.Materialize().ok());
@@ -233,13 +295,84 @@ TEST(BudgetTest, ReadOnlyQueriesRespectTheWallBudget) {
   EXPECT_TRUE(ok.ok()) << ok.status();
 
   // Now a clock that lapses mid-enumeration.
-  budget.set_clock([&now] {
-    now += 60;
-    return now;
-  });
+  step = 60;
   Result<ResultSet> r = db.Query("?- X:employee[salary->S].");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded) << r.status();
+}
+
+// ---------------------------------------------------------------------------
+// One call, one window.
+// ---------------------------------------------------------------------------
+
+constexpr std::string_view kDescChain = R"(
+  a[kids->>{b}]. b[kids->>{c}]. c[kids->>{d}].
+  X[desc->>{Y}] <- X[kids->>{Y}].
+  X[desc->>{Z}] <- X[kids->>{Y}], Y[desc->>{Z}].
+)";
+
+/// The budget object of the newest query-log record.
+JsonValue LastBudget(const QueryLog& log) {
+  std::vector<std::string> recent = log.Recent(1);
+  EXPECT_EQ(recent.size(), 1u);
+  Result<JsonValue> rec = ParseJson(recent.empty() ? "{}" : recent.back());
+  EXPECT_TRUE(rec.ok()) << rec.status();
+  const JsonValue* budget = rec.ok() ? rec->Find("budget") : nullptr;
+  return budget != nullptr ? *budget : JsonValue();
+}
+
+TEST(BudgetTest, AReadsRecordCarriesItsLazyMaterialisationsDerivations) {
+  QueryLog log(QueryLogOptions{});
+  DatabaseOptions opts;
+  opts.engine.obs.query_log = &log;
+  Database db(opts);
+  ASSERT_TRUE(db.Load(std::string(kDescChain)).ok());
+  Result<ResultSet> rs = db.Query("?- a[desc->>{D}].");
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  EXPECT_EQ(rs->size(), 3u);
+  const JsonValue budget = LastBudget(log);
+  ASSERT_NE(budget.Find("derivations"), nullptr);
+  EXPECT_EQ(budget.Find("derivations")->as_number(), 11.0)
+      << "the read's window covers its lazy materialisation";
+
+  // The next read materialises nothing, so its window charges nothing.
+  ASSERT_TRUE(db.Query("?- a[desc->>{D}].").ok());
+  EXPECT_EQ(LastBudget(log).Find("derivations")->as_number(), 0.0);
+}
+
+TEST(BudgetTest, ARejectionInsideLazyMaterialisationCountsOnceForTheRead) {
+  MetricsRegistry reg;
+  QueryLog log(QueryLogOptions{});
+  DatabaseOptions opts;
+  opts.engine.limits.max_derivations = 1;
+  opts.engine.obs.metrics = &reg;
+  opts.engine.obs.query_log = &log;
+  Database db(opts);
+  ASSERT_TRUE(db.Load(std::string(kDescChain)).ok());
+  Result<ResultSet> rs = db.Query("?- a[desc->>{D}].");
+  ASSERT_EQ(rs.status().code(), StatusCode::kResourceExhausted) << rs.status();
+  EXPECT_EQ(Rejections(reg), 1u) << "the engine must not count it again";
+  const JsonValue budget = LastBudget(log);
+  ASSERT_NE(budget.Find("rejected"), nullptr);
+  EXPECT_TRUE(budget.Find("rejected")->as_bool());
+}
+
+TEST(BudgetTest, TriggersFiredOnMaterializeShareTheCallsWindow) {
+  // Two rule derivations fit the ceiling; the trigger firing that
+  // follows in the same Materialize call is the third and trips it.
+  DatabaseOptions opts;
+  opts.fire_triggers_on_materialize = true;
+  opts.engine.limits.max_derivations = 2;
+  Database db(opts);
+  ASSERT_TRUE(db.Load(R"(
+    a[kids->>{b}]. b[kids->>{c}].
+    X[parent->1] <- X[kids->>{Y}].
+    X[seen->1] <~ X[parent->1].
+  )").ok());
+  Status st = db.Materialize();
+  ASSERT_EQ(st.code(), StatusCode::kResourceExhausted) << st;
+  EXPECT_NE(st.message().find("during trigger round"), std::string::npos)
+      << st;
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "base/budget.h"
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
 #include "query/database.h"
@@ -445,10 +444,9 @@ TEST(ChaosTest, BudgetRejectionLeavesAFlightRecorderDump) {
   // database dumps the ring too, without any WAL fault.
   ChaosRig rig;
   FlightRecorder flight;
-  ResourceBudget budget(ResourceLimits{/*max_store_bytes=*/1ull << 40,
-                                       /*max_derivations=*/1,
-                                       /*max_wall_ms=*/600'000});
-  rig.opts.engine.budget = &budget;
+  rig.opts.engine.limits.max_store_bytes = 1ull << 40;
+  rig.opts.engine.limits.max_derivations = 1;
+  rig.opts.engine.limits.max_wall_ms = 600'000;
   Result<Database> db = rig.Open();
   ASSERT_TRUE(db.ok()) << db.status();
   ObsSinks sinks;

@@ -11,10 +11,8 @@
 // query log rotates under concurrent appends without losing a record;
 // Histogram's relaxed-atomic export is exact once writers quiesce; and
 // StatsServer's Stop() joins the accept thread before borrowed sinks
-// can be destroyed.
-//
-// No test here attaches a ResourceBudget: budgets are per-operation
-// state and explicitly outside the concurrent-reader guarantee.
+// can be destroyed; and budgeted readers, each call in its own budget
+// window, race nothing while another thread cancels them.
 
 #include <gtest/gtest.h>
 
@@ -166,6 +164,88 @@ TEST(ConcurrencyTest, ReadersVsDurableWriterWithCheckpoints) {
   Result<ResultSet> rs = reopened->Query("?- X:employee[salary->S].");
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(rs->size(), static_cast<size_t>(kBatches) + 1);
+}
+
+// ---------------------------------------------------------------------------
+// Budgeted readers: every call builds its own budget window from the
+// database's limits, so concurrent readers share no budget state; only
+// the CancelToken's flag is shared, and it is atomic.
+
+TEST(ConcurrencyTest, BudgetedReadersShareNoBudgetState) {
+  constexpr int kReaders = 4;
+  constexpr int kCallsPerReader = 200;
+  CancelToken token;
+  MetricsRegistry reg;
+  DatabaseOptions opts;
+  opts.engine.limits.max_wall_ms = 600'000;
+  opts.engine.limits.max_derivations = 1'000'000;
+  opts.engine.limits.token = token;
+  opts.engine.obs.metrics = &reg;
+  Database db(opts);
+  ASSERT_TRUE(db.Load(kBaseProgram).ok());
+  ASSERT_TRUE(db.Load(Batch(1)).ok());
+
+  // The serial answers. These first reads materialise and intern, so
+  // every later read of the same text stays on the shared-lock path.
+  Result<ResultSet> query = db.Query("?- X:employee[salary->S].");
+  Result<std::vector<Oid>> eval = db.Eval("e1.salary");
+  Result<bool> holds = db.Holds("e1[paid->1]");
+  ASSERT_TRUE(query.ok() && eval.ok() && holds.ok());
+  ASSERT_EQ(query->size(), 2u);
+  ASSERT_EQ(eval->size(), 1u);
+  ASSERT_TRUE(*holds);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::atomic<uint64_t> cancelled{0};
+  std::thread canceller([&token, &done] {
+    while (!done.load(std::memory_order_acquire)) {
+      token.Cancel();
+      std::this_thread::yield();
+      token.Reset();
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      // Each read must give its serial answer or kCancelled.
+      auto settle = [&](const Status& st, bool serial) {
+        if (st.code() == StatusCode::kCancelled) {
+          ++cancelled;
+        } else if (!st.ok() || !serial) {
+          ++failures;
+        }
+      };
+      for (int i = 0; i < kCallsPerReader; ++i) {
+        switch ((i + r) % 3) {
+          case 0: {
+            Result<ResultSet> rs = db.Query("?- X:employee[salary->S].");
+            settle(rs.status(), rs.ok() && rs->rows() == query->rows());
+            break;
+          }
+          case 1: {
+            Result<std::vector<Oid>> e = db.Eval("e1.salary");
+            settle(e.status(), e.ok() && *e == *eval);
+            break;
+          }
+          default: {
+            Result<bool> h = db.Holds("e1[paid->1]");
+            settle(h.status(), h.ok() && *h);
+            break;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  done.store(true, std::memory_order_release);
+  canceller.join();
+  token.Reset();
+  EXPECT_EQ(failures.load(), 0);
+  // One rejection per cancelled call, counted by the call's window.
+  EXPECT_EQ(reg.GetCounter("pathlog_budget_rejections_total")->value(),
+            cancelled.load());
 }
 
 // ---------------------------------------------------------------------------

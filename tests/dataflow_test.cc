@@ -400,7 +400,7 @@ TEST(TerminationAnalysisTest, Pl017ProgramLoopsWithoutTheCheck) {
                                 "/pl017_nonterminating.plg");
 
   DatabaseOptions opts;
-  opts.engine.max_wall_ms = 200;
+  opts.engine.limits.max_wall_ms = 200;
   Database db(opts);
   ASSERT_TRUE(db.Load(source).ok());
 

@@ -642,8 +642,8 @@ TEST(DurableDatabaseTest, TriggerDeadlineLeavesARecoverableConsistentState) {
   {
     uint64_t now = 0;
     DatabaseOptions opts = DurableOptions();
-    opts.triggers.max_wall_ms = 50;
-    opts.triggers.wall_clock = [&now] {
+    opts.engine.limits.max_wall_ms = 50;
+    opts.engine.limits.clock = [&now] {
       now += 30;
       return now;
     };

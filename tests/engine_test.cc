@@ -309,8 +309,8 @@ TEST(EngineTest, RunawayVirtualCreationHitsGuard) {
   ObjectStore store;
   store.InternSymbol(kSelfMethodName);
   EngineOptions opts;
-  opts.max_facts = 2000;
-  opts.max_objects = 2000;
+  opts.limits.max_facts = 2000;
+  opts.limits.max_objects = 2000;
   Engine engine(&store, opts);
   ASSERT_TRUE(LoadFactsAndRules(&store, &engine, R"(
     z[count->1].
@@ -326,7 +326,7 @@ TEST(EngineTest, WallClockBudgetTripsAsDeadlineExceeded) {
   ObjectStore store;
   store.InternSymbol(kSelfMethodName);
   EngineOptions opts;
-  opts.max_wall_ms = 50;
+  opts.limits.max_wall_ms = 50;
   Engine engine(&store, opts);
   ASSERT_TRUE(LoadFactsAndRules(&store, &engine, R"(
     z[count->1].
@@ -342,7 +342,7 @@ TEST(EngineTest, DeadlineRecordsElapsedTimeAndCulprit) {
   ObjectStore store;
   store.InternSymbol(kSelfMethodName);
   EngineOptions opts;
-  opts.max_wall_ms = 50;
+  opts.limits.max_wall_ms = 50;
   Engine engine(&store, opts);
   ASSERT_TRUE(LoadFactsAndRules(&store, &engine, R"(
     z[count->1].
@@ -380,7 +380,7 @@ TEST(EngineTest, SuccessfulRunRecordsElapsedAndStratumIterations) {
 }
 
 TEST(EngineTest, WallClockBudgetOffByDefault) {
-  // max_wall_ms = 0 must mean "no deadline", not "deadline now".
+  // limits.max_wall_ms = 0 must mean "no deadline", not "deadline now".
   ObjectStore store;
   store.InternSymbol(kSelfMethodName);
   Engine engine(&store);
@@ -390,6 +390,29 @@ TEST(EngineTest, WallClockBudgetOffByDefault) {
     X[desc->>{Z}] <- X[kids->>{Y}], Y[desc->>{Z}].
   )").ok());
   EXPECT_TRUE(engine.Run().ok());
+}
+
+TEST(EngineTest, IterationCeilingNamesItsStratum) {
+  // max_iterations trips between rule evaluations, so no rule is
+  // running; the stratum still is, and both the stats and the message
+  // must say which one, as for every other limit.
+  ObjectStore store;
+  store.InternSymbol(kSelfMethodName);
+  GenerateChain(&store, 11);  // 10 edges
+  EngineOptions opts;
+  opts.max_iterations = 3;
+  Engine engine(&store, opts);
+  ASSERT_TRUE(LoadFactsAndRules(&store, &engine, R"(
+    X[desc->>{Y}] <- X[kids->>{Y}].
+    X[desc->>{Y}] <- X..desc[kids->>{Y}].
+  )").ok());
+  Status st = engine.Run();
+  ASSERT_EQ(st.code(), StatusCode::kResourceExhausted) << st;
+  EXPECT_EQ(engine.stats().limit_stratum, 0);
+  EXPECT_TRUE(engine.stats().limit_rule.empty());
+  EXPECT_NE(st.message().find("iteration limit exceeded (3) in stratum 0"),
+            std::string::npos)
+      << st;
 }
 
 TEST(EngineTest, ScalarConflictFromRulesReported) {

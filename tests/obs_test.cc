@@ -433,9 +433,9 @@ TEST(ObsEndToEndTest, GovernanceMetricsExportOnBothFormatsIdentically) {
   using FaultOp = FaultInjectingFileOps::FaultOp;
   MetricsRegistry reg;
   FaultInjectingFileOps fs;
-  ResourceBudget budget;
+  CancelToken token;
   DatabaseOptions opts;
-  opts.engine.budget = &budget;
+  opts.engine.limits.token = token;
   opts.durability.rotate_wal_bytes = 1;  // every commit rotates
   opts.durability.backoff_sleep = [](uint64_t) {};
   Result<Database> db = Database::Open("/db", opts, &fs);
@@ -461,9 +461,9 @@ TEST(ObsEndToEndTest, GovernanceMetricsExportOnBothFormatsIdentically) {
   ASSERT_TRUE(db->Checkpoint().ok());
 
   // A cancelled query is a budget rejection.
-  budget.token().Cancel();
+  token.Cancel();
   ASSERT_FALSE(db->Query("?- X[v->V].").ok());
-  budget.token().Reset();
+  token.Reset();
 
   Result<MetricsSamples> from_json = ParseMetricsJson(reg.ToJson());
   ASSERT_TRUE(from_json.ok()) << from_json.status();

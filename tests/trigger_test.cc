@@ -176,8 +176,8 @@ TEST(TriggerTest, WallDeadlineStopsTheCascadeMidwayAndALaterFireCompletes) {
   uint64_t now = 0;
   uint64_t step = 30;
   DatabaseOptions opts;
-  opts.triggers.max_wall_ms = 50;
-  opts.triggers.wall_clock = [&now, &step] {
+  opts.engine.limits.max_wall_ms = 50;
+  opts.engine.limits.clock = [&now, &step] {
     now += step;
     return now;
   };
