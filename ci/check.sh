@@ -151,7 +151,8 @@ printf '%s\n' \
   'b[kids->>{c}].' \
   'X[desc->>{Y}] <- X[kids->>{Y}].' \
   'X[desc->>{Y}] <- X..desc[kids->>{Y}].' \
-  '?- a[desc->>{D}].' >&3
+  '?- a[desc->>{D}].' \
+  '\explain ?- a[desc->>{D}].' >&3
 
 STATS_PORT=""
 for _ in $(seq 100); do
@@ -198,8 +199,8 @@ exec 3>&-
 wait "${SHELL_PID}"
 SHELL_PID=""
 
-python3 - "${OBS_TMP}/query_log.jsonl" <<'EOF5'
-import json, sys
+python3 - "${OBS_TMP}/query_log.jsonl" "${OBS_TMP}/shell.out" <<'EOF5'
+import json, re, sys
 
 with open(sys.argv[1]) as f:
     lines = [l for l in f.read().splitlines() if l.strip()]
@@ -229,6 +230,17 @@ if not desc:
 if not desc[0]["budget"].get("derivations", 0) > 0:
     sys.exit("query-log smoke FAILED: the desc read's budget.derivations "
              f"is {desc[0]['budget'].get('derivations')}, not > 0")
+# The read's record names the plan \explain printed, and its routes
+# come from the site executor that ran it.
+with open(sys.argv[2]) as f:
+    printed = re.findall(r"plan fingerprint: ([0-9a-f]{8})", f.read())
+if printed != [desc[0]["plan_fingerprint"]]:
+    sys.exit("query-log smoke FAILED: \\explain printed fingerprints "
+             f"{printed}, the read logged {desc[0]['plan_fingerprint']!r}")
+if not any(v > 0 for k, v in desc[0]["routes"].items()
+           if k != "duplicates_suppressed"):
+    sys.exit(f"query-log smoke FAILED: the desc read's routes are all "
+             f"zero: {desc[0]['routes']}")
 print(f"query-log smoke: {len(lines)} records validated")
 EOF5
 

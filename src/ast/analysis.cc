@@ -122,30 +122,9 @@ Status CheckWellFormed(const Ref& t) {
 }
 
 void CollectVarCounts(const Ref& t, std::map<std::string, int>* out) {
-  switch (t.kind) {
-    case RefKind::kName:
-      return;
-    case RefKind::kVar:
-      ++(*out)[t.text];
-      return;
-    case RefKind::kParen:
-      CollectVarCounts(*t.base, out);
-      return;
-    case RefKind::kPath:
-      CollectVarCounts(*t.base, out);
-      CollectVarCounts(*t.method, out);
-      for (const RefPtr& a : t.args) CollectVarCounts(*a, out);
-      return;
-    case RefKind::kMolecule:
-      CollectVarCounts(*t.base, out);
-      for (const Filter& f : t.filters) {
-        if (f.method) CollectVarCounts(*f.method, out);
-        for (const RefPtr& a : f.args) CollectVarCounts(*a, out);
-        if (f.value) CollectVarCounts(*f.value, out);
-        for (const RefPtr& e : f.elems) CollectVarCounts(*e, out);
-      }
-      return;
-  }
+  ForEachLeaf(t, [&](const Ref& leaf) {
+    if (leaf.kind == RefKind::kVar) ++(*out)[leaf.text];
+  });
 }
 
 std::map<std::string, int> VarCountsOf(const Ref& t) {

@@ -7,11 +7,19 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "ast/ref.h"
 #include "base/status.h"
 
 namespace pathlog {
+
+/// Strips grouping brackets; they affect parsing, not denotation.
+inline const Ref& Deref(const Ref& t) {
+  const Ref* p = &t;
+  while (p->kind == RefKind::kParen) p = p->base.get();
+  return *p;
+}
 
 /// True iff `t` is a *simple* reference (name, variable, or bracketed
 /// reference) — the only forms admitted at method and class positions
@@ -52,6 +60,37 @@ std::set<std::string> VarsOf(const Ref& t);
 
 /// True iff `t` contains no variables.
 bool IsGround(const Ref& t);
+
+/// Calls `fn` on every name and variable node of `t`, in source order.
+template <typename Fn>
+void ForEachLeaf(const Ref& t, const Fn& fn) {
+  auto each = [&](const std::vector<RefPtr>& refs) {
+    for (const RefPtr& r : refs) ForEachLeaf(*r, fn);
+  };
+  switch (t.kind) {
+    case RefKind::kName:
+    case RefKind::kVar:
+      fn(t);
+      return;
+    case RefKind::kParen:
+      ForEachLeaf(*t.base, fn);
+      return;
+    case RefKind::kPath:
+      ForEachLeaf(*t.base, fn);
+      ForEachLeaf(*t.method, fn);
+      each(t.args);
+      return;
+    case RefKind::kMolecule:
+      ForEachLeaf(*t.base, fn);
+      for (const Filter& f : t.filters) {
+        if (f.method) ForEachLeaf(*f.method, fn);
+        each(f.args);
+        if (f.value) ForEachLeaf(*f.value, fn);
+        each(f.elems);
+      }
+      return;
+  }
+}
 
 }  // namespace pathlog
 

@@ -11,29 +11,6 @@
 
 namespace pathlog {
 
-namespace {
-
-/// Strips grouping brackets; they affect parsing, not denotation.
-const Ref& Deref(const Ref& t) {
-  const Ref* p = &t;
-  while (p->kind == RefKind::kParen) p = p->base.get();
-  return *p;
-}
-
-std::optional<Oid> LookupName(const ObjectStore& store, const Ref& t) {
-  switch (t.name_kind) {
-    case NameKind::kSymbol:
-      return store.FindSymbol(t.text);
-    case NameKind::kInt:
-      return store.FindInt(t.int_value);
-    case NameKind::kString:
-      return store.FindString(t.text);
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
 bool RefEvaluator::AllVarsBound(const Ref& t, const Bindings& b) const {
   for (const std::string& v : VarsOf(t)) {
     if (!b.IsBound(v)) return false;
@@ -46,7 +23,7 @@ Result<bool> RefEvaluator::Enumerate(const Ref& t, Bindings* b,
   PATHLOG_RETURN_IF_ERROR(TickBudget());
   switch (t.kind) {
     case RefKind::kName: {
-      std::optional<Oid> o = LookupName(I_.store(), t);
+      std::optional<Oid> o = I_.FindName(t);
       if (!o) return true;  // nothing denoted in this store
       ++emit_count_;
       return emit(*o);
@@ -125,7 +102,7 @@ Result<bool> RefEvaluator::MatchRef(const Ref& t, Oid target, Bindings* b,
       return r;
     }
     case RefKind::kName: {
-      std::optional<Oid> o = LookupName(I_.store(), d);
+      std::optional<Oid> o = I_.FindName(d);
       return (o && *o == target) ? cont() : Result<bool>(true);
     }
     case RefKind::kMolecule:
@@ -221,7 +198,7 @@ Result<bool> RefEvaluator::EnumMethod(
   const Ref& d = Deref(m);
   switch (d.kind) {
     case RefKind::kName: {
-      std::optional<Oid> o = LookupName(I_.store(), d);
+      std::optional<Oid> o = I_.FindName(d);
       if (!o) return true;
       return fn(*o);
     }
@@ -431,7 +408,7 @@ Result<bool> RefEvaluator::EnumMolecule(const Ref& t, Bindings* b,
 
   auto method_oid = [&](const RefPtr& m) -> std::optional<Oid> {
     const Ref& dm = Deref(*m);
-    if (dm.kind == RefKind::kName) return LookupName(store, dm);
+    if (dm.kind == RefKind::kName) return I_.FindName(dm);
     if (dm.kind == RefKind::kVar) return b->Get(dm.text);
     return std::nullopt;
   };
@@ -716,7 +693,7 @@ Result<bool> RefEvaluator::MatchSetElems(const std::vector<RefPtr>& elems,
   // membership probe instead of a member scan.
   std::optional<Oid> known;
   if (e.kind == RefKind::kName) {
-    known = LookupName(I_.store(), e);
+    known = I_.FindName(e);
     if (!known) return true;  // name denotes nothing here
   } else if (e.kind == RefKind::kVar) {
     known = b->Get(e.text);

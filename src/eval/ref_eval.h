@@ -5,10 +5,17 @@
 // reference with free variables and a partial Bindings, it enumerates
 // every pair (object, extended bindings) such that the object belongs
 // to the reference's valuation under the extension. Variables are
-// bound as the reference is walked left-to-right — the "sideways
-// information passing" that makes the paper's second dimension cheap:
-// filters apply to an intermediate object in place instead of being
-// re-joined against the path afterwards.
+// bound as the reference is walked left-to-right — sideways
+// information passing: filters apply to an intermediate object in
+// place instead of being re-joined against the path afterwards.
+//
+// That fixed left-to-right walk is what rule bodies, trigger
+// conditions and the oracle tests use, and what reads call for their
+// negated literals and `->>` results. Reads themselves (Query, Eval,
+// Holds) compile to fact-access sites that the cost planner may run in
+// any order (eval/site_program.h, query/planner.h); the scan reference
+// RefEvaluator(I, /*use_inverted_indexes=*/false) is their oracle
+// (site_differential_test.cc).
 //
 // Deviation from the literal Definition 4, by design (documented in
 // DESIGN.md): evaluation is *active-domain* — a `->>` filter with a

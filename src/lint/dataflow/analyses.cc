@@ -31,12 +31,6 @@ Span SpanOf(const Ref& t, Span fallback) {
   return t.line > 0 ? Span{t.line, t.column} : fallback;
 }
 
-const Ref& Deref(const Ref& t) {
-  const Ref* p = &t;
-  while (p->kind == RefKind::kParen) p = p->base.get();
-  return *p;
-}
-
 bool IsGuardName(const std::string& name) {
   return name == kLtName || name == kLeqName || name == kGtName ||
          name == kGeqName || name == kIntEqName || name == kIntNeqName ||

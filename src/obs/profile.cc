@@ -42,6 +42,7 @@ void Profiler::RecordDriverLiteral(std::string_view literal, double estimated,
 
 void Profiler::RecordRoutes(const RouteTotals& delta) {
   MutexLock lock(&mu_);
+  routes_.receiver_probes += delta.receiver_probes;
   routes_.inverted_probes += delta.inverted_probes;
   routes_.extent_scans += delta.extent_scans;
   routes_.universe_scans += delta.universe_scans;
@@ -105,7 +106,8 @@ std::string Profiler::Report() const {
       out += "\n";
     }
   }
-  out += StrCat("index routes: ", r.inverted_probes, " inverted probes, ",
+  out += StrCat("index routes: ", r.receiver_probes, " receiver probes, ",
+                r.inverted_probes, " inverted probes, ",
                 r.extent_scans, " extent scans, ", r.universe_scans,
                 " universe scans, ", r.duplicates_suppressed,
                 " duplicates suppressed\n");

@@ -62,6 +62,7 @@ class Profiler {
 
   /// How path matching and molecule driving reached the store.
   struct RouteTotals {
+    uint64_t receiver_probes = 0;   ///< bound-receiver probes and tests
     uint64_t inverted_probes = 0;   ///< value→recv / member→recv buckets
     uint64_t extent_scans = 0;      ///< method-extent / class-extent scans
     uint64_t universe_scans = 0;    ///< undriven whole-universe scans

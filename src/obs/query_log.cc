@@ -35,7 +35,9 @@ std::string QueryLogRecordToJson(const QueryLogRecord& rec) {
   AppendJsonNumber(&out, rec.budget_wall_ms);
   out += ",\"rejected\":";
   out += rec.budget_rejected ? "true" : "false";
-  out += "},\"routes\":{\"inverted_probes\":";
+  out += "},\"routes\":{\"receiver_probes\":";
+  AppendJsonNumber(&out, static_cast<double>(rec.route_receiver_probes));
+  out += ",\"inverted_probes\":";
   AppendJsonNumber(&out, static_cast<double>(rec.route_inverted_probes));
   out += ",\"extent_scans\":";
   AppendJsonNumber(&out, static_cast<double>(rec.route_extent_scans));

@@ -74,6 +74,7 @@ struct QueryLogRecord {
   uint64_t budget_store_bytes = 0;
   double budget_wall_ms = 0;
   bool budget_rejected = false;
+  uint64_t route_receiver_probes = 0;
   uint64_t route_inverted_probes = 0;
   uint64_t route_extent_scans = 0;
   uint64_t route_universe_scans = 0;

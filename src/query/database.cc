@@ -14,7 +14,8 @@
 #include "base/coding.h"
 #include "base/crc32.h"
 #include "base/strings.h"
-#include "eval/ref_eval.h"
+#include "eval/bindings.h"
+#include "eval/site_program.h"
 #include "lint/dataflow/analyses.h"
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
@@ -98,53 +99,20 @@ uint64_t UnixMillis() {
           .count());
 }
 
-/// Hex CRC32 of the planned body in execution order — the plan
-/// fingerprint ExplainQuery prints and the query log records, so a
-/// slow log record links straight to its plan.
-std::string PlanFingerprint(const std::vector<Literal>& body) {
+/// Hex CRC32 of the planned sites and their routes in execution order
+/// — the plan fingerprint ExplainQuery prints and the query log
+/// records, so a slow log record links straight to its plan.
+std::string PlanFingerprint(const SiteProgram& program) {
   std::string printed;
-  for (const Literal& lit : body) {
-    printed += ToString(lit);
+  for (const Site& site : program.sites) {
+    printed += program.SiteText(site);
+    printed += " ";
+    printed += SiteRouteName(site.route);
     printed += ";";
   }
   char buf[9];
   std::snprintf(buf, sizeof(buf), "%08x", Crc32(printed));
   return std::string(buf);
-}
-
-/// Calls `fn` on every name occurring in `t`, in source order, and
-/// stops at the first call that returns false; returns whether none
-/// did. The one walk behind interning a reference's names and testing
-/// whether they are all interned, so the two cannot drift apart.
-template <typename Fn>
-bool ForEachName(const Ref& t, const Fn& fn) {
-  auto each = [&](const std::vector<RefPtr>& refs) {
-    for (const RefPtr& r : refs) {
-      if (!ForEachName(*r, fn)) return false;
-    }
-    return true;
-  };
-  switch (t.kind) {
-    case RefKind::kName:
-      return fn(t);
-    case RefKind::kVar:
-      return true;
-    case RefKind::kParen:
-      return ForEachName(*t.base, fn);
-    case RefKind::kPath:
-      return ForEachName(*t.base, fn) && ForEachName(*t.method, fn) &&
-             each(t.args);
-    case RefKind::kMolecule:
-      if (!ForEachName(*t.base, fn)) return false;
-      for (const Filter& f : t.filters) {
-        if ((f.method && !ForEachName(*f.method, fn)) || !each(f.args) ||
-            (f.value && !ForEachName(*f.value, fn)) || !each(f.elems)) {
-          return false;
-        }
-      }
-      return true;
-  }
-  return true;
 }
 
 /// The query-log `kind` of a read, named by its answer type; its
@@ -245,6 +213,7 @@ void Database::RecordQueryObs(QueryLogRecord rec, uint64_t flight_start_us) {
     }
     if (obs.profiler != nullptr) {
       Profiler::RouteTotals routes;
+      routes.receiver_probes = rec.route_receiver_probes;
       routes.inverted_probes = rec.route_inverted_probes;
       routes.extent_scans = rec.route_extent_scans;
       routes.universe_scans = rec.route_universe_scans;
@@ -278,7 +247,8 @@ void Database::MaybeDumpFlightRecorder(std::string_view reason) {
 }
 
 void Database::InternNames(const Ref& t) {
-  ForEachName(t, [&](const Ref& name) {
+  ForEachLeaf(t, [&](const Ref& name) {
+    if (name.kind != RefKind::kName) return;
     switch (name.name_kind) {
       case NameKind::kSymbol:
         store_.InternSymbol(name.text);
@@ -290,23 +260,6 @@ void Database::InternNames(const Ref& t) {
         store_.InternString(name.text);
         break;
     }
-    return true;
-  });
-}
-
-bool Database::NamesInterned(const Ref& t) const {
-  // True iff InternNames(t) would be a no-op, i.e. evaluating t cannot
-  // grow the store's name tables.
-  return ForEachName(t, [&](const Ref& name) {
-    switch (name.name_kind) {
-      case NameKind::kSymbol:
-        return store_.FindSymbol(name.text).has_value();
-      case NameKind::kInt:
-        return store_.FindInt(name.int_value).has_value();
-      case NameKind::kString:
-        return store_.FindString(name.text).has_value();
-    }
-    return false;
   });
 }
 
@@ -318,15 +271,18 @@ bool Database::NothingPendingLocked() const {
          trigger_watermark_ == wal_trigger_watermark_;
 }
 
-bool Database::ReadOnlyReadyLocked(const struct Query& query) const {
+bool Database::ReadOnlyReadyLocked() const {
   // A degraded database skips materialisation and commit anyway, so
   // only the intern check gates its fast path.
-  if (dirty_ && !degraded()) return false;
-  if (!degraded() && !NothingPendingLocked()) return false;
-  for (const Literal& lit : query.body) {
-    if (!NamesInterned(*lit.ref)) return false;
-  }
-  return true;
+  if (degraded()) return true;
+  return !dirty_ && NothingPendingLocked();
+}
+
+SitePlanOptions Database::PlanOptionsLocked() const {
+  SitePlanOptions options;
+  options.use_inverted_indexes = options_.engine.use_inverted_indexes;
+  options.hints = options_.use_analysis_hints ? &planner_hints_ : nullptr;
+  return options;
 }
 
 Status Database::Load(std::string_view program_text) {
@@ -485,15 +441,22 @@ Result<Answer> Database::Read(std::string_view text) {
     {
       // Read-only fast path: nothing to materialise, intern or commit,
       // so evaluation runs under a shared hold of the snapshot guard,
-      // concurrently with other readers.
+      // concurrently with other readers. Compiling resolves every name
+      // the read mentions, so it also tells whether one needs interning.
       ReadLock lock(*this);
-      if (ReadOnlyReadyLocked(*query)) {
-        return ReadLocked<Answer>(std::move(query->body), &budget, &rec);
+      if (ReadOnlyReadyLocked()) {
+        const SemanticStructure I(store_);
+        SiteProgram program = CompileSites(query->body, I);
+        if (program.names_interned) {
+          return ReadLocked<Answer>(I, &program, &budget, &rec);
+        }
       }
     }
     WriteLock lock(*this);
     PATHLOG_RETURN_IF_ERROR(PrepareReadLocked(*query, &budget));
-    return ReadLocked<Answer>(std::move(query->body), &budget, &rec);
+    const SemanticStructure I(store_);
+    SiteProgram program = CompileSites(query->body, I);
+    return ReadLocked<Answer>(I, &program, &budget, &rec);
   }();
   rec.latency_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - t0)
@@ -535,109 +498,75 @@ Status Database::PrepareReadLocked(const struct Query& query,
 }
 
 template <typename Answer>
-Result<Answer> Database::ReadLocked(std::vector<Literal> body,
+Result<Answer> Database::ReadLocked(const SemanticStructure& I,
+                                    SiteProgram* program,
                                     ResourceBudget* budget,
                                     QueryLogRecord* rec) {
   constexpr bool kConjunctive = std::is_same_v<Answer, ResultSet>;
   // Sampled under the lock: the store cannot change while we hold it.
   rec->budget_store_bytes = store_.ApproxBytes();
-  // Per-literal estimates and actuals are a planned query's profile.
+  // Per-site estimates and actuals are a query's profile.
   Profiler* profiler = kConjunctive ? options_.engine.obs.profiler : nullptr;
-  std::vector<double> estimates;
-  Answer answer{};
-  if constexpr (kConjunctive) {
-    // Variables occurring only under negation are existential inside
-    // the negated literal and are not answer variables.
-    std::set<std::string> user_vars;
-    for (const Literal& lit : body) {
-      if (lit.negated) continue;
-      for (const std::string& v : VarsOf(*lit.ref)) user_vars.insert(v);
-    }
-    answer = ResultSet(
-        std::vector<std::string>(user_vars.begin(), user_vars.end()));
-    PATHLOG_RETURN_IF_ERROR(PlanConjunction(
-        &body, store_, nullptr, profiler != nullptr ? &estimates : nullptr,
-        options_.use_analysis_hints ? &planner_hints_ : nullptr));
-    if (options_.engine.obs.query_log != nullptr) {
-      rec->plan_fingerprint = PlanFingerprint(body);
-    }
+  SitePlanOptions plan_options = PlanOptionsLocked();
+  plan_options.price_every_site = profiler != nullptr;
+  PATHLOG_RETURN_IF_ERROR(PlanSites(program, store_, plan_options));
+  if (options_.engine.obs.query_log != nullptr) {
+    rec->plan_fingerprint = PlanFingerprint(*program);
   }
-
-  SemanticStructure I(store_);
-  RefEvaluator eval(I, options_.engine.use_inverted_indexes);
-  eval.set_budget(budget);
-  Bindings b;
-  // Per-literal solution production and entry counts, recorded against
-  // the planner's estimates (profiler only). `entered[i]` counts the
-  // outer binding tuples that reached literal i, so produced/entered
-  // is the observed per-probe cardinality the estimate predicts.
-  std::vector<uint64_t> produced(profiler != nullptr ? body.size() : 0, 0);
-  std::vector<uint64_t> entered(profiler != nullptr ? body.size() : 0, 0);
-  // The terminal sink, the only step that differs by kind: `b` holds
-  // one full solution and `denoted` is the object the last literal
-  // denoted.
-  auto sink = [&](Oid denoted) -> Result<bool> {
+  Answer answer{};
+  // A row reads the query's variables, in name order, from their slots.
+  std::vector<uint32_t> row_slots;
+  if constexpr (kConjunctive) {
+    std::vector<std::string> vars;
+    for (const auto& [name, slot] : program->vars) {
+      vars.emplace_back(name);
+      row_slots.push_back(slot);
+    }
+    answer = ResultSet(std::move(vars));
+  }
+  // The terminal sink, the only step that differs by kind.
+  const uint32_t denoted = program->denoted;
+  auto sink = [&](const Oid* slots) -> Result<bool> {
     if constexpr (kConjunctive) {
-      std::vector<Oid> row;
-      row.reserve(answer.vars().size());
-      for (const std::string& v : answer.vars()) {
-        std::optional<Oid> o = b.Get(v);
-        if (!o) {
-          return Status(UnsafeRule(StrCat(
-              "query variable ", v,
-              " occurs only under negation and is never bound")));
-        }
-        row.push_back(*o);
-      }
+      std::vector<Oid> row(row_slots.size());
+      for (size_t i = 0; i < row.size(); ++i) row[i] = slots[row_slots[i]];
       answer.AddRow(std::move(row));
       return true;
     } else if constexpr (std::is_same_v<Answer, bool>) {
       answer = true;
       return false;  // stop at the first witness
     } else {
-      answer.push_back(denoted);
+      answer.push_back(slots[denoted]);
       return true;
     }
   };
-  auto go = [&](auto& self, size_t i) -> Result<bool> {
-    auto next = [&](Oid denoted) {
-      return i + 1 == body.size() ? sink(denoted) : self(self, i + 1);
-    };
-    const Literal& lit = body[i];
-    if (profiler != nullptr) ++entered[i];
-    if (lit.negated) {
-      Result<bool> sat = eval.Satisfiable(*lit.ref, &b);
-      if (!sat.ok()) return sat.status();
-      if (*sat) return true;
-      return next(kNilOid);
-    }
-    // Two captures keep the callback inside std::function's inline
-    // buffer: no allocation per literal entry.
-    uint64_t* produced_i = profiler != nullptr ? &produced[i] : nullptr;
-    return eval.Enumerate(*lit.ref, &b, [&next, produced_i](Oid o) {
-      if (produced_i != nullptr) ++*produced_i;
-      return next(o);
-    });
-  };
-  Result<bool> r = go(go, 0);  // ParseRead yields at least one literal
-  rec->route_inverted_probes = eval.inverted_probes();
-  rec->route_extent_scans = eval.extent_scans();
-  rec->route_universe_scans = eval.universe_scans();
-  rec->route_duplicates_suppressed = eval.duplicates_suppressed();
+  SiteCounters counters;
+  counters.per_site = profiler != nullptr;
+  Result<bool> r = RunSites(*program, I, options_.engine.use_inverted_indexes,
+                            budget, &counters, sink);
+  rec->route_receiver_probes = counters.receiver_probes;
+  rec->route_inverted_probes = counters.inverted_probes;
+  rec->route_extent_scans = counters.extent_scans;
+  rec->route_universe_scans = counters.universe_scans;
   if (!r.ok()) return r.status();
 
   if constexpr (kConjunctive) {
+    const size_t produced = answer.size();
     answer.Dedup();
+    rec->route_duplicates_suppressed = produced - answer.size();
   } else if constexpr (!std::is_same_v<Answer, bool>) {
+    const size_t produced = answer.size();
     std::sort(answer.begin(), answer.end());
     answer.erase(std::unique(answer.begin(), answer.end()), answer.end());
+    rec->route_duplicates_suppressed = produced - answer.size();
   }
   if (profiler != nullptr) {
-    for (size_t i = 0; i < body.size(); ++i) {
-      if (body[i].negated) continue;
-      profiler->RecordDriverLiteral(ToString(body[i]),
-                                    i < estimates.size() ? estimates[i] : 0,
-                                    produced[i], entered[i]);
+    for (size_t i = 0; i < program->sites.size(); ++i) {
+      const Site& site = program->sites[i];
+      if (site.kind == SiteKind::kNegation) continue;
+      profiler->RecordDriverLiteral(program->SiteText(site), site.estimate,
+                                    counters.produced[i],
+                                    counters.entered[i]);
     }
   }
   return answer;
@@ -649,19 +578,21 @@ Result<std::string> Database::ExplainQuery(std::string_view query_text) {
   return Governed([&](ResourceBudget* budget) -> Result<std::string> {
     WriteLock lock(*this);
     PATHLOG_RETURN_IF_ERROR(PrepareReadLocked(*q, budget));
-    std::vector<std::string> log;
-    PATHLOG_RETURN_IF_ERROR(PlanConjunction(
-        &q->body, store_, &log, nullptr,
-        options_.use_analysis_hints ? &planner_hints_ : nullptr));
+    const SemanticStructure I(store_);
+    SiteProgram program = CompileSites(q->body, I);
+    PATHLOG_RETURN_IF_ERROR(PlanSites(&program, store_, PlanOptionsLocked()));
     std::string out = "plan:\n";
-    for (size_t i = 0; i < log.size(); ++i) {
-      out += StrCat("  ", i + 1, ". ", log[i], "\n");
+    for (size_t i = 0; i < program.sites.size(); ++i) {
+      const Site& site = program.sites[i];
+      out += StrCat("  ", i + 1, ". ", program.SiteText(site), "   (",
+                    SiteRouteName(site.route), ", estimated rows ",
+                    site.estimate, ")\n");
     }
     out += "planner statistics: skew-aware (top-k heavy-hitter buckets, "
            "residual-average floor)\n";
     // The same fingerprint the query log records, so a slow record's
     // plan can be looked up by hash.
-    out += StrCat("plan fingerprint: ", PlanFingerprint(q->body), "\n");
+    out += StrCat("plan fingerprint: ", PlanFingerprint(program), "\n");
     return out;
   });
 }

@@ -170,12 +170,13 @@ class Database {
 
   /// Answers a conjunctive query; variables are reported in name order.
   /// Re-materialises first if rules/facts changed since the last run.
-  /// Literals execute in the order chosen by the cost planner
-  /// (query/planner.h).
+  /// The query's fact-access sites execute in the order chosen by the
+  /// cost planner (query/planner.h).
   Result<ResultSet> Query(std::string_view query_text);
 
   /// The execution plan for a query, without running it: one line per
-  /// literal in chosen order with the planner's cardinality estimate.
+  /// fact-access site in chosen order, with its route and the planner's
+  /// estimate of its rows per input binding.
   Result<std::string> ExplainQuery(std::string_view query_text);
 
   /// Evaluates a reference (variables allowed but must be bindable from
@@ -338,19 +339,14 @@ class Database {
   /// can resolve it (queries may mention names no fact ever used).
   void InternNames(const Ref& t) REQUIRES(state_mu_);
 
-  /// True when every name in `t` is already interned — the query can
-  /// run without mutating the store's name tables.
-  bool NamesInterned(const Ref& t) const REQUIRES_SHARED(state_mu_);
-
   /// True when nothing is pending for the WAL: the logged prefixes
   /// cover the store and no program text or watermark move waits.
   bool NothingPendingLocked() const REQUIRES_SHARED(state_mu_);
 
-  /// The read-only fast-path test: evaluating every literal of this
-  /// query under a shared lock would be pure — no materialisation due,
-  /// all names interned, nothing to commit.
-  bool ReadOnlyReadyLocked(const struct Query& query) const
-      REQUIRES_SHARED(state_mu_);
+  /// The read-only fast-path test: no materialisation due and nothing
+  /// to commit. The read's compiled program adds the last condition,
+  /// that every name it mentions is already interned.
+  bool ReadOnlyReadyLocked() const REQUIRES_SHARED(state_mu_);
 
   /// The read path behind Query, Eval and Holds, which differ only in
   /// `Answer`: rows, the denoted objects, or a truth value. Once per
@@ -370,15 +366,19 @@ class Database {
   Status PrepareReadLocked(const struct Query& query, ResourceBudget* budget)
       REQUIRES(state_mu_);
 
-  /// The evaluation core, under either lock: plans a conjunctive
-  /// query's `body` in place (Eval and Holds run their one literal
-  /// unplanned), enumerates it under the call's `budget`, and ends in
-  /// the answer's sink — rows deduplicated, objects sorted unique, or
-  /// a stop at the first witness. It only reads database state; the
-  /// sinks it touches are thread-safe.
+  /// The evaluation core, under either lock: plans the read's compiled
+  /// `program` (query/planner.h), runs it under the call's `budget`
+  /// (eval/site_program.h), and ends in the answer's sink — rows
+  /// deduplicated, objects sorted unique, or a stop at the first
+  /// witness. It only reads database state; the sinks it touches are
+  /// thread-safe.
   template <typename Answer>
-  Result<Answer> ReadLocked(std::vector<Literal> body, ResourceBudget* budget,
-                            QueryLogRecord* rec) REQUIRES_SHARED(state_mu_);
+  Result<Answer> ReadLocked(const SemanticStructure& I, SiteProgram* program,
+                            ResourceBudget* budget, QueryLogRecord* rec)
+      REQUIRES_SHARED(state_mu_);
+
+  /// The planner options every read uses.
+  SitePlanOptions PlanOptionsLocked() const REQUIRES_SHARED(state_mu_);
 
   /// Runs `fn` with a fresh budget window built from
   /// options_.engine.limits and counts the window's rejection, if any:

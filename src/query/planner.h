@@ -1,12 +1,22 @@
-// Cost-based ordering of conjunctions.
+// The one cost model for reads: greedy ordering of fact-access sites.
 //
-// The evaluator binds variables left-to-right, so literal order
-// dominates query cost: a literal whose anchor is bound (or driven by
-// a small extent) should run before one that would scan. The planner
-// orders greedily by estimated driver cardinality in the one ordering
+// A read is compiled into sites (eval/site_program.h). PlanSites
+// orders them greedily, keeping the bound slots: each step picks the
+// admissible site with the fewest estimated output rows per input
+// binding, and that site's cheapest route. A site whose operands are
+// all bound is a test, priced by its selectivity; a bound receiver
+// yields at most one row on a scalar method and the average group on
+// a set method; a bound value or member probes its inverted bucket
+// (exact for a constant, skew-aware for a value bound only at run
+// time); otherwise the site scans its method or class extent. When no
+// site is admissible, a variable ranges over the universe.
+//
+// The literal-level entry points price a literal through the same
+// sites: EstimateLiteralCost plans the literal's sites alone, and
+// PlanConjunction orders literals by that estimate in the one ordering
 // loop, OrderLiteralsForSafety (negated literals and `->>` filter
-// results after their variables are bound): it picks the cheapest
-// admissible literal where the safety order picks the first.
+// results after their variables are bound). Rule bodies in the
+// analysis-hint mode use it.
 
 #ifndef PATHLOG_QUERY_PLANNER_H_
 #define PATHLOG_QUERY_PLANNER_H_
@@ -17,6 +27,7 @@
 
 #include "ast/program.h"
 #include "base/result.h"
+#include "eval/site_program.h"
 #include "store/object_store.h"
 
 namespace pathlog {
@@ -27,18 +38,32 @@ namespace pathlog {
 /// purely statistical.
 struct PlannerHints {
   /// Methods that provably never hold a tuple under any evaluation
-  /// strategy (AnalysisSummary::empty_methods). A literal driven by
-  /// one enumerates nothing, so it costs nothing and short-circuits
-  /// its conjunction.
+  /// strategy (AnalysisSummary::empty_methods). A site on one yields
+  /// nothing, so it costs nothing and short-circuits its read.
   std::set<std::string> empty_methods;
 };
 
-/// Estimated number of candidate bindings the evaluator must try for
-/// `t` given the already-bound variables: 1 for a bound anchor, the
-/// extent/entry count for an index-driven anchor, the universe size
-/// for an undriven variable. A filter target bound only at runtime is
-/// priced from the store's skew-aware statistics
-/// (store/method_stats.h: SkewAwareBucketEstimate).
+struct SitePlanOptions {
+  /// Off: no inverted value→receiver / member→receiver route is chosen.
+  bool use_inverted_indexes = true;
+  const PlannerHints* hints = nullptr;
+  /// Variables bound before the program runs (for estimates only).
+  const std::set<std::string>* bound = nullptr;
+  /// Off, a site that is the only admissible one at its step is placed
+  /// unpriced (estimate 0): a read needs estimates only to choose, and
+  /// only ExplainQuery, the profiler and literal costs report them.
+  bool price_every_site = true;
+};
+
+/// Orders `program`'s sites for execution, sets each site's route,
+/// estimate and output operands, and adds the method-list and universe
+/// sites the order needs. kUnsafeRule when a negated literal or a `->>`
+/// filter result reads a variable no site can bind.
+Status PlanSites(SiteProgram* program, const ObjectStore& store,
+                 const SitePlanOptions& options = {});
+
+/// The rows `t`'s planned sites produce per binding of `bound`, summed
+/// over its sites: the literal's estimated work.
 double EstimateLiteralCost(const Ref& t, const std::set<std::string>& bound,
                            const ObjectStore& store,
                            const PlannerHints* hints = nullptr);
@@ -46,9 +71,8 @@ double EstimateLiteralCost(const Ref& t, const std::set<std::string>& bound,
 /// Reorders `body` greedily by cost subject to safety. On success the
 /// body is in execution order; kUnsafeRule when no safe order exists.
 /// If `cost_log` is non-null it receives one line per literal with the
-/// estimate used (for ExplainQuery). If `estimates` is non-null it
-/// receives the raw per-literal estimates, aligned with the final body
-/// order (for the profiler's estimate-vs-actual record).
+/// estimate used. If `estimates` is non-null it receives the raw
+/// per-literal estimates, aligned with the final body order.
 Status PlanConjunction(std::vector<Literal>* body, const ObjectStore& store,
                        std::vector<std::string>* cost_log = nullptr,
                        std::vector<double>* estimates = nullptr,

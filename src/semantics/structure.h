@@ -64,6 +64,20 @@ class SemanticStructure {
 
   const ObjectStore& store() const { return store_; }
 
+  /// The object a name denotes (I_N); nullopt when the store has never
+  /// interned it.
+  std::optional<Oid> FindName(const Ref& name) const {
+    switch (name.name_kind) {
+      case NameKind::kSymbol:
+        return store_.FindSymbol(name.text);
+      case NameKind::kInt:
+        return store_.FindInt(name.int_value);
+      case NameKind::kString:
+        return store_.FindString(name.text);
+    }
+    return std::nullopt;
+  }
+
   /// The oid of the built-in `self` method, if interned.
   std::optional<Oid> self_oid() const { return self_; }
   bool IsSelf(Oid m) const { return self_ && *self_ == m; }

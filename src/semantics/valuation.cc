@@ -46,18 +46,7 @@ class Valuator {
 
  private:
   Result<OidVec> EvalName(const Ref& t) {
-    std::optional<Oid> o;
-    switch (t.name_kind) {
-      case NameKind::kSymbol:
-        o = I_.store().FindSymbol(t.text);
-        break;
-      case NameKind::kInt:
-        o = I_.store().FindInt(t.int_value);
-        break;
-      case NameKind::kString:
-        o = I_.store().FindString(t.text);
-        break;
-    }
+    std::optional<Oid> o = I_.FindName(t);
     if (!o) {
       return Status(NotFound(
           StrCat("name '", t.text, "' has never been interned in this store "

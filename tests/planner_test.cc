@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "ast/analysis.h"
 #include "ast/printer.h"
 #include "base/strings.h"
 #include "obs/profile.h"
 #include "parser/parser.h"
 #include "query/database.h"
+#include "semantics/structure.h"
 #include "workload/company.h"
 
 namespace pathlog {
@@ -45,10 +48,17 @@ class PlannerTest : public ::testing::Test {
 };
 
 TEST_F(PlannerTest, BoundAnchorsAreCheapest) {
-  // Each navigation step from a bound anchor adds 1 to the estimate.
-  EXPECT_EQ(Cost("emp0[age->A]"), 2.0);
-  EXPECT_EQ(Cost("X[age->A]", {"X"}), 2.0);
-  EXPECT_EQ(Cost("emp0..vehicles.color[Z]"), 4.0);
+  // A literal costs the rows its sites produce per input binding,
+  // summed: a bound receiver yields at most one row on a scalar method
+  // and the average group on a set method.
+  EXPECT_EQ(Cost("emp0[age->A]"), 1.0);
+  EXPECT_EQ(Cost("X[age->A]", {"X"}), 1.0);
+  const Oid vehicles = *db_.store().FindSymbol("vehicles");
+  const double group =
+      static_cast<double>(db_.store().SetMemberStats(vehicles).total) /
+      static_cast<double>(db_.store().SetGroups(vehicles).size());
+  // emp0..vehicles fans out to a group, and .color adds one row each.
+  EXPECT_DOUBLE_EQ(Cost("emp0..vehicles.color[Z]"), 2 * group);
   EXPECT_LT(Cost("emp0[age->A]"), Cost("X:manager"));
 }
 
@@ -294,12 +304,136 @@ TEST_F(PlannerTest, ExplainQueryShowsOrderedPlan) {
   Result<std::string> plan =
       db_.ExplainQuery("?- X[age->A], X:manager.");
   ASSERT_TRUE(plan.ok()) << plan.status();
-  size_t manager_pos = plan->find("X:manager");
-  size_t age_pos = plan->find("X[age->A]");
-  ASSERT_NE(manager_pos, std::string::npos);
-  ASSERT_NE(age_pos, std::string::npos);
+  // One line per site: its text, its route and its estimate.
+  size_t manager_pos = plan->find("1. X:manager   (class extent, "
+                                  "estimated rows 10)");
+  size_t age_pos = plan->find("2. X[age->A]   (receiver probe, "
+                              "estimated rows 1)");
+  ASSERT_NE(manager_pos, std::string::npos) << *plan;
+  ASSERT_NE(age_pos, std::string::npos) << *plan;
   EXPECT_LT(manager_pos, age_pos);
-  EXPECT_NE(plan->find("estimated driver cardinality"), std::string::npos);
+  EXPECT_NE(plan->find("plan fingerprint: "), std::string::npos);
+}
+
+// The section-2 manager query on a store with serve's proportions: a
+// tenth of the employees manage, and each company has 50 employees.
+class ManagerPlanTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    CompanyConfig cfg;
+    cfg.num_employees = 2000;
+    cfg.num_companies = 40;
+    GenerateCompany(&db_.store(), cfg);
+  }
+
+  /// The read's planned sites.
+  SiteProgram PlannedSites(std::string_view query_text) {
+    Result<struct Query> q = ParseQuery(query_text);
+    EXPECT_TRUE(q.ok()) << q.status();
+    queries_.push_back(*std::move(q));
+    const SemanticStructure I(db_.store());
+    SiteProgram program = CompileSites(queries_.back().body, I);
+    Status st = PlanSites(&program, db_.store());
+    EXPECT_TRUE(st.ok()) << st;
+    return program;
+  }
+
+  /// Position of the first planned site whose text contains `needle`.
+  static size_t SitePos(const SiteProgram& p, std::string_view needle) {
+    for (size_t i = 0; i < p.sites.size(); ++i) {
+      if (p.SiteText(p.sites[i]).find(needle) != std::string::npos) return i;
+    }
+    ADD_FAILURE() << "no site contains " << needle;
+    return p.sites.size();
+  }
+
+  Database db_;
+  std::vector<struct Query> queries_;  // the programs point into these
+};
+
+constexpr char kManagerReference[] =
+    "?- X:manager..vehicles[color->red].producedBy[city->detroit; "
+    "president->X].";
+constexpr char kManagerConjunction[] =
+    "?- X:manager, X[vehicles->>{V}], V[color->red], V[producedBy->C], "
+    "C[city->detroit], C[president->X].";
+
+TEST_F(ManagerPlanTest, CityIsTestedBeforeVehiclesFanOut) {
+  for (const char* text : {kManagerReference, kManagerConjunction}) {
+    SiteProgram p = PlannedSites(text);
+    EXPECT_LT(SitePos(p, "[city->detroit]"), SitePos(p, "[vehicles->>"))
+        << text;
+  }
+  // The literal order of the conjunction agrees.
+  Result<struct Query> q = ParseQuery(kManagerConjunction);
+  ASSERT_TRUE(q.ok());
+  std::vector<Literal> body = q->body;
+  ASSERT_TRUE(PlanConjunction(&body, db_.store()).ok());
+  size_t city = body.size(), vehicles = body.size();
+  for (size_t i = 0; i < body.size(); ++i) {
+    const std::string lit = ToString(body[i]);
+    if (lit == "C[city->detroit]") city = i;
+    if (lit == "X[vehicles->>{V}]") vehicles = i;
+  }
+  EXPECT_LT(city, vehicles);
+}
+
+TEST_F(ManagerPlanTest, ReferenceAndConjunctionCompileToTheSamePlan) {
+  const SiteProgram one = PlannedSites(kManagerReference);
+  const SiteProgram six = PlannedSites(kManagerConjunction);
+  auto shape = [](const SiteProgram& p) {
+    std::vector<std::tuple<SiteKind, std::string, SiteRoute>> out;
+    for (const Site& s : p.sites) {
+      const Slot& m = p.slots[s.method];
+      out.emplace_back(s.kind, ToString(*m.name), s.route);
+    }
+    return out;
+  };
+  EXPECT_EQ(shape(one), shape(six));
+  ASSERT_EQ(one.sites.size(), 6u);
+  // Both answer the same rows.
+  Result<ResultSet> a = db_.Query(kManagerReference);
+  Result<ResultSet> b = db_.Query(kManagerConjunction);
+  ASSERT_TRUE(a.ok()) << a.status();
+  ASSERT_TRUE(b.ok()) << b.status();
+  EXPECT_EQ(a->Column("X", db_.store()), b->Column("X", db_.store()));
+  EXPECT_GT(a->size(), 0u);
+}
+
+TEST_F(ManagerPlanTest, TwoBoundFiltersDriveFromTheSmallerBucket) {
+  // Template 3 of the serve benchmark: filters on both dimensions.
+  const char* text =
+      "?- X:employee[age->30; city->detroit]..vehicles[Y]:automobile"
+      "[cylinders->4].color[Z].";
+  const ObjectStore& store = db_.store();
+  const double age = static_cast<double>(
+      store
+          .ScalarEntriesByValue(*store.FindSymbol("age"), *store.FindInt(30))
+          .size());
+  const double city = static_cast<double>(
+      store
+          .ScalarEntriesByValue(*store.FindSymbol("city"),
+                                *store.FindSymbol("detroit"))
+          .size());
+  ASSERT_NE(age, city);
+  const std::string driver = age < city ? "[age->30]" : "[city->detroit]";
+  const std::string other = age < city ? "[city->detroit]" : "[age->30]";
+  SiteProgram p = PlannedSites(text);
+  ASSERT_EQ(SitePos(p, driver), 0u);
+  EXPECT_EQ(p.sites[0].route, SiteRoute::kInverted);
+  EXPECT_EQ(p.sites[0].estimate, std::min(age, city));
+  const size_t o = SitePos(p, other);
+  ASSERT_LT(o, p.sites.size());
+  EXPECT_EQ(p.sites[o].route, SiteRoute::kTest);
+  // One store probe per candidate that reaches the other filter.
+  const SemanticStructure I(store);
+  SiteCounters counters;
+  counters.per_site = true;
+  auto sink = [](const Oid*) -> Result<bool> { return true; };
+  ASSERT_TRUE(RunSites(p, I, true, nullptr, &counters, sink).ok());
+  EXPECT_EQ(counters.inverted_probes, 1u);
+  EXPECT_EQ(counters.entered[o], counters.produced[o - 1]);
+  EXPECT_LE(counters.entered[o], static_cast<uint64_t>(std::min(age, city)));
 }
 
 }  // namespace

@@ -95,7 +95,15 @@ TEST(ShellTest, ExplainQueryPrintsThePlan) {
       "\\explain nonsense\n"
       "\\quit\n");
   EXPECT_NE(out.find("plan:"), std::string::npos);
+  // One line per fact-access site, with its route and estimate.
+  EXPECT_NE(out.find("1. X:employee   (class extent, estimated rows 1)"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("2. X[age->A]   (receiver probe, estimated rows 1)"),
+            std::string::npos)
+      << out;
   EXPECT_NE(out.find("planner statistics: skew-aware"), std::string::npos);
+  EXPECT_NE(out.find("plan fingerprint: "), std::string::npos);
   EXPECT_NE(out.find("usage: \\explain <generation> | \\explain ?- <query>"),
             std::string::npos);
 }

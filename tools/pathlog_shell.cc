@@ -53,8 +53,8 @@ constexpr const char* kHelp = R"(PathLog shell commands:
   \facts [n]        show the first n facts (default 20)
   \rules            show the loaded rules
   \explain <gen>    provenance of the fact with generation <gen>
-  \explain ?- ...   the query's plan: literal order + cardinality
-                    estimates (skew-aware planner statistics)
+  \explain ?- ...   the query's plan: one line per fact-access site
+                    in run order, with its route and estimated rows
   \lint [file]      lint the loaded program, or a .plg file, with the
                     semantic analyses (PL014-PL019) enabled (:lint works too)
   \dump <file>      write all facts as a loadable program
