@@ -27,15 +27,26 @@ class SitePlanner {
         o_(o),
         universe_(static_cast<double>(store.UniverseSize())) {}
 
-  bool Admissible(const Site& s, const std::vector<char>& bound) const {
+  /// Whether `s` can run next, given the bound slots and the sites
+  /// [first, end) still to place.
+  bool Admissible(const Site& s, const std::vector<char>& bound,
+                  const std::vector<Site>& sites, size_t first) const {
+    // A method variable that another site can bind waits for it; only
+    // one that occurs at method positions alone ranges over the named
+    // methods (RefEvaluator::EnumMethod), so a variable bound to `self`
+    // or an anonymous method object keeps that value.
+    auto method_ready = [&] {
+      return bound[s.method] ||
+             (s.method_var && !BoundElsewhere(s.method, sites, first));
+    };
     switch (s.kind) {
       case SiteKind::kIsa:
         return bound[s.recv] || bound[s.method];
       case SiteKind::kScalar:
       case SiteKind::kMember:
-        return bound[s.method] || s.method_var;
+        return method_ready();
       case SiteKind::kSubset:
-        return (bound[s.method] || s.method_var) && ReadsBound(s, bound);
+        return method_ready() && ReadsBound(s, bound);
       case SiteKind::kGuard:
         return bound[s.recv] &&
                std::all_of(s.args.begin(), s.args.end(),
@@ -175,6 +186,31 @@ class SitePlanner {
 
   double Members(Oid c) const {
     return static_cast<double>(store_.Members(c).size());
+  }
+
+  /// True when a site in [first, end) binds `slot` outside a method
+  /// position.
+  static bool BoundElsewhere(uint32_t slot, const std::vector<Site>& sites,
+                             size_t first) {
+    for (size_t i = first; i < sites.size(); ++i) {
+      const Site& o = sites[i];
+      switch (o.kind) {
+        case SiteKind::kIsa:
+          if (o.recv == slot || o.method == slot) return true;
+          break;
+        case SiteKind::kScalar:
+        case SiteKind::kMember:
+        case SiteKind::kSubset:
+          if (o.recv == slot || o.value == slot ||
+              std::find(o.args.begin(), o.args.end(), slot) != o.args.end()) {
+            return true;
+          }
+          break;
+        default:
+          break;
+      }
+    }
+    return false;
   }
 
   bool ReadsBound(const Site& s, const std::vector<char>& bound) const {
@@ -333,7 +369,7 @@ Status PlanSites(SiteProgram* program, const ObjectStore& store,
   while (next < sites.size()) {
     size_t admissible = 0, pick = sites.size();
     for (size_t i = next; i < sites.size(); ++i) {
-      if (!planner.Admissible(sites[i], bound)) continue;
+      if (!planner.Admissible(sites[i], bound, sites, next)) continue;
       if (admissible++ == 0) pick = i;
     }
     SiteEstimate best;
@@ -343,7 +379,7 @@ Status PlanSites(SiteProgram* program, const ObjectStore& store,
     } else {
       pick = sites.size();
       for (size_t i = next; i < sites.size(); ++i) {
-        if (!planner.Admissible(sites[i], bound)) continue;
+        if (!planner.Admissible(sites[i], bound, sites, next)) continue;
         const SiteEstimate e =
             planner.Estimate(sites[i], planner.Route(sites[i], bound), bound);
         if (pick == sites.size() || e.rows < best.rows) {

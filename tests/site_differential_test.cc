@@ -281,6 +281,7 @@ constexpr char kHandProgram[] = R"(
   gm : company[city->detroit; president->mary].
   mary[kids->>{john, sue}].  sue[kids->>{bob}].
   car1[price@(usd)->100; price@(eur)->90].  car2[price@(usd)->80].
+  cfg[alias->self; cmp->lt].
   X[(M.tc)->>{Y}] <- X[M->>{Y}].
   X[(M.tc)->>{Y}] <- X..(M.tc)[M->>{Y}].
   X[desc->>{Y}] <- X[kids->>{Y}].
@@ -311,6 +312,9 @@ const HandCase kHandCases[] = {
     {"two_set_elements", "?- X[vehicles->>{car1, Y}]."},
     {"missing_name", "?- X[nosuchmethod->Y]."},
     {"missing_value", "?- X[city->atlantis]."},
+    {"runtime_self", "?- cfg[alias->M], mary[M->Y]."},
+    {"runtime_self_unbound_receiver", "?- cfg[alias->M], X[M->mary]."},
+    {"runtime_guard", "?- cfg[cmp->C], X[age->A], A.C@(20)."},
     {"universe_only", "?- X."},
     {"universe_guard", "?- X.lt@(20)."},
     {"negation", "?- X:employee, not X[boss->B]."},
