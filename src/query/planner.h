@@ -3,13 +3,14 @@
 // A read is compiled into sites (eval/site_program.h). PlanSites
 // orders them greedily, keeping the bound slots: each step picks the
 // admissible site with the fewest estimated output rows per input
-// binding, and that site's cheapest route. A site whose operands are
-// all bound is a test, priced by its selectivity; a bound receiver
-// yields at most one row on a scalar method and the average group on
-// a set method; a bound value or member probes its inverted bucket
-// (exact for a constant, skew-aware for a value bound only at run
-// time); otherwise the site scans its method or class extent. When no
-// site is admissible, a variable ranges over the universe.
+// binding; which of its operands are bound fixes its route. A site
+// whose operands are all bound is a test, priced by its selectivity;
+// a bound receiver yields at most one row on a scalar method and the
+// average group on a set method; a bound value or member probes its
+// inverted bucket (exact for a constant, skew-aware for a value bound
+// only at run time); otherwise the site scans its method or class
+// extent. When no site is admissible, a variable ranges over the
+// universe.
 //
 // The literal-level entry points price a literal through the same
 // sites: EstimateLiteralCost plans the literal's sites alone, and
