@@ -244,4 +244,45 @@ if not any(v > 0 for k, v in desc[0]["routes"].items()
 print(f"query-log smoke: {len(lines)} records validated")
 EOF5
 
+# Durable-restart smoke: a database closed after its materialisation
+# reopens clean. Session 1 loads the closure and reads it (the read
+# materialises); session 2 reopens the same directory and reads again.
+# Its record must show that the read ran no rules and found the same
+# rows.
+DURABLE_DIR="${OBS_TMP}/durable"
+printf '%s\n' \
+  'a[kids->>{b}].' \
+  'b[kids->>{c}].' \
+  'X[desc->>{Y}] <- X[kids->>{Y}].' \
+  'X[desc->>{Y}] <- X..desc[kids->>{Y}].' \
+  '?- a[desc->>{D}].' \
+  '\quit' | \
+  "${BUILD_DIR}/tools/pathlog" --durable "${DURABLE_DIR}" \
+    --query-log="${OBS_TMP}/restart1.jsonl" >/dev/null
+printf '%s\n' '?- a[desc->>{D}].' '\quit' | \
+  "${BUILD_DIR}/tools/pathlog" --durable "${DURABLE_DIR}" \
+    --query-log="${OBS_TMP}/restart2.jsonl" >/dev/null
+python3 - "${OBS_TMP}/restart1.jsonl" "${OBS_TMP}/restart2.jsonl" <<'EOF8'
+import json, sys
+
+def desc_record(path):
+    with open(path) as f:
+        recs = [json.loads(l) for l in f.read().splitlines() if l.strip()]
+    desc = [r for r in recs if r.get("query") == "?- a[desc->>{D}]."]
+    if len(desc) != 1 or desc[0].get("status") != "ok":
+        sys.exit(f"restart smoke FAILED: {path} holds no answered desc read")
+    return desc[0]
+
+first, second = desc_record(sys.argv[1]), desc_record(sys.argv[2])
+if not first["budget"].get("derivations", 0) > 0:
+    sys.exit("restart smoke FAILED: session 1's read did not materialise")
+if second["budget"].get("derivations") != 0:
+    sys.exit("restart smoke FAILED: the reopened session's first read made "
+             f"{second['budget'].get('derivations')} derivations, not 0")
+if second["rows"] != first["rows"]:
+    sys.exit(f"restart smoke FAILED: {second['rows']} rows after the "
+             f"reopen, {first['rows']} before")
+print(f"restart smoke: reopened clean, {second['rows']} rows, 0 derivations")
+EOF8
+
 echo "ci/check.sh: all checks passed"

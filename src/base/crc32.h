@@ -2,9 +2,10 @@
 //
 // Used by the durability layer: WAL records and snapshot-v2 bodies
 // carry a CRC so a torn or bit-flipped file is detected before any of
-// its content reaches the store. The implementation is the classic
-// table-driven byte-at-a-time loop; throughput is far above what the
-// fsync-bound write path can consume.
+// its content reaches the store. The implementation is table-driven
+// slice-by-8 (eight bytes per step, a byte loop for the tail): the
+// snapshot checksum runs over every byte of the store on each
+// checkpoint and each reopen, so its throughput is on that path.
 
 #ifndef PATHLOG_BASE_CRC32_H_
 #define PATHLOG_BASE_CRC32_H_

@@ -1,6 +1,7 @@
 #include "query/database.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -32,9 +33,12 @@ namespace pathlog {
 namespace {
 
 /// Magic of the database-level snapshot file (store snapshot + program
-/// text + signatures + trigger watermark, CRC-protected). Legacy files
-/// (no magic, raw length-prefixed blobs) remain readable.
-constexpr char kDbMagic[] = "PLGDB002";
+/// text + signatures + trigger watermark + materialisation flag,
+/// CRC-protected). PLGDB002 files (the same body without the flag) and
+/// legacy files (no magic, raw length-prefixed blobs, no checksum)
+/// remain readable; both reopen dirty.
+constexpr char kDbMagic[] = "PLGDB003";
+constexpr char kDbMagicV2[] = "PLGDB002";
 constexpr size_t kDbMagicLen = 8;
 
 /// The concrete sort of a stored value, for seeding the type-flow
@@ -268,7 +272,7 @@ bool Database::NothingPendingLocked() const {
   if (!wal_) return true;
   return store_.UniverseSize() == wal_objects_ &&
          store_.generation() == wal_facts_ && pending_program_text_.empty() &&
-         trigger_watermark_ == wal_trigger_watermark_;
+         trigger_watermark_ == wal_trigger_watermark_ && dirty_ == wal_dirty_;
 }
 
 bool Database::ReadOnlyReadyLocked() const {
@@ -680,6 +684,7 @@ Result<std::string> Database::SaveSnapshotBytes() const {
   PutU64(&body, signature_text_.size());
   body.append(signature_text_);
   PutU64(&body, trigger_watermark_);
+  PutU8(&body, dirty_ ? 0 : 1);  // 1: the store is at the rules' fixpoint
 
   std::string out;
   out.reserve(kDbMagicLen + 4 + body.size());
@@ -702,8 +707,12 @@ Result<Database> Database::LoadSnapshotBytes(const std::string& bytes,
                                              DatabaseOptions options,
                                              const std::string& origin) {
   std::string_view body(bytes);
-  if (bytes.size() >= kDbMagicLen &&
-      std::memcmp(bytes.data(), kDbMagic, kDbMagicLen) == 0) {
+  auto has_magic = [&bytes](const char* magic) {
+    return bytes.size() >= kDbMagicLen &&
+           std::memcmp(bytes.data(), magic, kDbMagicLen) == 0;
+  };
+  const bool with_flag = has_magic(kDbMagic);
+  if (with_flag || has_magic(kDbMagicV2)) {
     ByteReader header(body.substr(kDbMagicLen));
     const uint32_t crc = header.U32();
     if (!header.Ok()) {
@@ -717,18 +726,21 @@ Result<Database> Database::LoadSnapshotBytes(const std::string& bytes,
     }
   }
   // Legacy files carry the same body with no magic and no checksum.
+  // The blobs are read in place: they are views into `bytes`.
   ByteReader r(body);
-  auto get_blob = [&r](std::string* blob) {
-    uint64_t len = r.U64();
+  auto get_blob = [&r](std::string_view* blob) {
+    const uint64_t len = r.U64();
     if (!r.Ok() || len > r.remaining()) return false;
-    blob->assign(r.Bytes(len));
+    *blob = r.Bytes(len);
     return r.Ok();
   };
-  std::string store_bytes, rules_text, sig_text;
+  std::string_view store_bytes, rules_text, sig_text;
   bool blobs_ok =
       get_blob(&store_bytes) && get_blob(&rules_text) && get_blob(&sig_text);
   const uint64_t trigger_watermark = blobs_ok ? r.U64() : 0;
-  if (!blobs_ok || !r.Ok() || r.remaining() != 0) {
+  // A file without the flag cannot say its store is at the fixpoint.
+  const uint8_t materialised = with_flag ? r.U8() : 0;
+  if (!blobs_ok || !r.Ok() || r.remaining() != 0 || materialised > 1) {
     return Status(
         InvalidArgument(StrCat(origin, ": corrupt database snapshot")));
   }
@@ -743,6 +755,8 @@ Result<Database> Database::LoadSnapshotBytes(const std::string& bytes,
   PATHLOG_RETURN_IF_ERROR(db.Load(rules_text));
   db.trigger_watermark_ =
       std::min(trigger_watermark, db.store_.generation());
+  // The flag is the file's, not the side effect of the Loads above.
+  db.dirty_ = materialised == 0;
   return db;
 }
 
@@ -750,7 +764,13 @@ Result<Database> Database::LoadSnapshotFile(const std::string& path,
                                             DatabaseOptions options) {
   Result<std::string> bytes = DefaultFileOps()->ReadFile(path);
   if (!bytes.ok()) return bytes.status();
-  return LoadSnapshotBytes(*bytes, options, path);
+  Result<Database> loaded = LoadSnapshotBytes(*bytes, options, path);
+  if (loaded.ok() && options.use_analysis_hints) {
+    Database& db = *loaded;
+    WriteLock lock(db);
+    if (!db.dirty_) db.RefreshAnalysisHints();
+  }
+  return loaded;
 }
 
 Result<Database> Database::Open(const std::string& dir,
@@ -762,7 +782,8 @@ Result<Database> Database::Open(const std::string& dir,
   // Members are set after this assignment: the snapshot loader builds a
   // plain in-memory database and the assignment wipes durability state.
   const std::string snapshot_path = dir + "/snapshot.plgdb";
-  if (fops->Exists(snapshot_path)) {
+  const bool have_snapshot = fops->Exists(snapshot_path);
+  if (have_snapshot) {
     Result<std::string> bytes = fops->ReadFile(snapshot_path);
     if (!bytes.ok()) return bytes.status();
     Result<Database> loaded = LoadSnapshotBytes(*bytes, options, snapshot_path);
@@ -790,6 +811,19 @@ Result<Database> Database::Open(const std::string& dir,
     if (!bytes.ok()) return bytes.status();
     Result<WalScan> scan = ScanWal(*bytes);
     if (!scan.ok()) return scan.status();
+    // The materialisation flag recovers from the snapshot's flag and the
+    // log's marks, in log order, and from nothing else: replaying
+    // program text dirties the database as a side effect. Without a
+    // snapshot, a log with records starts dirty: one written before the
+    // marks existed has none, and every later log marks its first Load.
+    const bool snapshot_dirty = db.dirty_;
+    bool dirty = have_snapshot ? snapshot_dirty : !scan->records.empty();
+    auto footprint = [&db] {
+      return std::array<uint64_t, 4>{db.store_.UniverseSize(),
+                                     db.store_.generation(), db.rules_.size(),
+                                     db.triggers_.size()};
+    };
+    const std::array<uint64_t, 4> snapshot_footprint = footprint();
     for (const WalRecord& rec : scan->records) {
       switch (rec.type) {
         case WalRecordType::kIntern:
@@ -802,8 +836,21 @@ Result<Database> Database::Open(const std::string& dir,
         case WalRecordType::kTriggerWatermark:
           db.trigger_watermark_ = rec.watermark;
           break;
+        case WalRecordType::kMaterialisation:
+          dirty = !rec.materialised;
+          break;
       }
     }
+    // A log that added nothing to the snapshot recovers exactly the
+    // snapshot's state, and the snapshot's flag is the one for that
+    // state. Its marks may predate the snapshot: a crash between a
+    // checkpoint's rename and its log reset keeps the old log, and a
+    // checkpoint that heals degraded mode snapshots a dirty state the
+    // broken log never marked.
+    if (have_snapshot && footprint() == snapshot_footprint) {
+      dirty = snapshot_dirty;
+    }
+    db.dirty_ = dirty;
     db.trigger_watermark_ =
         std::min(db.trigger_watermark_, db.store_.generation());
     if (scan->valid_bytes < kWalMagicLen) {
@@ -824,7 +871,11 @@ Result<Database> Database::Open(const std::string& dir,
   db.wal_objects_ = db.store_.UniverseSize();
   db.wal_facts_ = db.store_.generation();
   db.wal_trigger_watermark_ = db.trigger_watermark_;
+  db.wal_dirty_ = db.dirty_;
   db.pending_program_text_.clear();
+  // A clean reopen runs no materialisation, which is where the hints
+  // are refreshed otherwise; a reopened database plans as it did.
+  if (options.use_analysis_hints && !db.dirty_) db.RefreshAnalysisHints();
   return db;
 }
 
@@ -851,7 +902,16 @@ Status Database::AppendPendingToWal(uint64_t universe, uint64_t gen,
                                     uint64_t* records) {
   // Interns first so replay never meets a fact or rule referencing an
   // object it has not seen; facts before the watermark so a recovered
-  // watermark never exceeds the recovered generation.
+  // watermark never exceeds the recovered generation. A batch that
+  // dirties the database opens with a stale mark, and one that cleans
+  // it closes with a materialised mark. A batch torn by a crash then
+  // recovers "dirty", or the previous flag if none of its records
+  // survived; "clean" takes the whole cleaning batch.
+  const bool flag_moved = dirty_ != wal_dirty_;
+  if (flag_moved && dirty_) {
+    PATHLOG_RETURN_IF_ERROR(wal_->Append(EncodeWalMaterialisation(false)));
+    ++*records;
+  }
   for (Oid o = static_cast<Oid>(wal_objects_); o < universe; ++o) {
     const ObjectKind kind = store_.kind(o);
     const int64_t int_value =
@@ -880,6 +940,10 @@ Status Database::AppendPendingToWal(uint64_t universe, uint64_t gen,
   if (watermark_moved) {
     PATHLOG_RETURN_IF_ERROR(
         wal_->Append(EncodeWalTriggerWatermark(trigger_watermark_)));
+    ++*records;
+  }
+  if (flag_moved && !dirty_) {
+    PATHLOG_RETURN_IF_ERROR(wal_->Append(EncodeWalMaterialisation(true)));
     ++*records;
   }
   if (options_.durability.fsync_policy ==
@@ -987,6 +1051,7 @@ Status Database::CommitDurable() {
   wal_objects_ = universe;
   wal_facts_ = gen;
   wal_trigger_watermark_ = trigger_watermark_;
+  wal_dirty_ = dirty_;
   pending_program_text_.clear();
 
   if (dur.rotate_wal_bytes > 0 && wal_good_bytes_ >= dur.rotate_wal_bytes) {
@@ -1043,6 +1108,7 @@ Status Database::CheckpointLocked() {
   wal_objects_ = store_.UniverseSize();
   wal_facts_ = store_.generation();
   wal_trigger_watermark_ = trigger_watermark_;
+  wal_dirty_ = dirty_;  // the snapshot carries the flag
   wal_records_ = 0;
   pending_program_text_.clear();
   // A successful checkpoint is the recovery probe: the snapshot holds

@@ -228,12 +228,15 @@ class Database {
   }
 
   /// Persists the whole database — object store (including anonymous
-  /// virtual objects), rules and signatures — to a binary file.
+  /// virtual objects), rules, signatures and whether the store is at
+  /// the rules' fixpoint — to a binary file.
   Status SaveSnapshotFile(const std::string& path) const;
 
-  /// Restores a database saved with SaveSnapshotFile. The restored
-  /// database re-materialises lazily on the first query (rules replay
-  /// idempotently over the restored facts).
+  /// Restores a database saved with SaveSnapshotFile, with the saved
+  /// database's materialisation state: one saved after a successful
+  /// Materialize answers its first read without running the rules; one
+  /// saved with work pending, or from a file older than that flag
+  /// (PLGDB002, legacy), re-materialises on its first read.
   static Result<Database> LoadSnapshotFile(const std::string& path,
                                            DatabaseOptions options = {});
 
@@ -242,9 +245,15 @@ class Database {
   /// (`dir`/snapshot.plgdb) is loaded, the WAL (`dir`/wal.plgwal) is
   /// scanned and its valid prefix replayed, and a torn tail — the
   /// remains of an append interrupted by a crash — is truncated, not
-  /// fatal. Thereafter every mutation is WAL-logged per
-  /// `options.durability` before the mutating call returns. `fops`
-  /// injects a file system (fault injection in tests); nullptr = real.
+  /// fatal. The database reopens with the materialisation state it
+  /// closed with (the snapshot's flag and the WAL's marks): closed
+  /// after a successful Materialize, its first read runs no rules;
+  /// closed with work pending, or recovered from files that predate the
+  /// flag, its first read materialises. A crash never recovers it clean
+  /// over facts the rules have not seen. Thereafter every mutation is
+  /// WAL-logged per `options.durability` before the mutating call
+  /// returns. `fops` injects a file system (fault injection in tests);
+  /// nullptr = real.
   static Result<Database> Open(const std::string& dir,
                                DatabaseOptions options = {},
                                FileOps* fops = nullptr)
@@ -393,9 +402,9 @@ class Database {
   Status FireTriggersLocked(ResourceBudget* budget) REQUIRES(state_mu_);
   Status CheckpointLocked() REQUIRES(state_mu_);
 
-  /// The whole database as one byte string (outer "PLGDB002" framing:
+  /// The whole database as one byte string (outer "PLGDB003" framing:
   /// store snapshot + rules/trigger text + signature text + trigger
-  /// watermark, checksummed).
+  /// watermark + materialisation flag, checksummed).
   Result<std::string> SaveSnapshotBytes() const REQUIRES_SHARED(state_mu_);
   /// Builds a database from snapshot bytes. Single-threaded
   /// construction — nobody else can hold the new database yet, so it
@@ -406,16 +415,17 @@ class Database {
       NO_THREAD_SAFETY_ANALYSIS;
 
   /// Appends everything not yet logged — new objects, installed
-  /// program text, new facts, the trigger watermark — to the WAL and
-  /// syncs per policy. No-op for non-durable databases. After a write
-  /// error the WAL is considered broken and every subsequent commit
-  /// fails with that error until Checkpoint() rebuilds the log —
-  /// appending past a torn middle would silently lose the suffix.
+  /// program text, new facts, the trigger watermark, a change of the
+  /// dirty flag — to the WAL and syncs per policy. No-op for
+  /// non-durable databases. After a write error the WAL is considered
+  /// broken and every subsequent commit fails with that error until
+  /// Checkpoint() rebuilds the log — appending past a torn middle would
+  /// silently lose the suffix.
   Status CommitDurable() REQUIRES(state_mu_);
-  /// One attempt at appending everything pending to the WAL (interns,
-  /// program text, facts, watermark) plus the policy fsync. Counts
-  /// records into `*records` but mutates no bookkeeping — retries
-  /// re-run it from the same state.
+  /// One attempt at appending everything pending to the WAL (a stale
+  /// mark, interns, program text, facts, watermark, a materialised
+  /// mark) plus the policy fsync. Counts records into `*records` but
+  /// mutates no bookkeeping — retries re-run it from the same state.
   Status AppendPendingToWal(uint64_t universe, uint64_t gen,
                             bool watermark_moved, uint64_t* records)
       REQUIRES(state_mu_);
@@ -504,6 +514,10 @@ class Database {
   /// Facts proved by RefreshAnalysisHints(); consulted by Materialize,
   /// Query and ExplainQuery when options_.use_analysis_hints.
   PlannerHints planner_hints_;
+  /// True while the rules have not run over everything in the store:
+  /// set by every Load, cleared by a successful materialisation, and
+  /// left alone by FireTriggers. Durable, via the WAL's marks and the
+  /// snapshot's flag.
   bool dirty_ GUARDED_BY(state_mu_) = false;
   uint64_t type_check_watermark_ = 0;
 
@@ -519,6 +533,8 @@ class Database {
   uint64_t wal_objects_ GUARDED_BY(state_mu_) = 0;  ///< universe logged
   uint64_t wal_facts_ GUARDED_BY(state_mu_) = 0;  ///< fact prefix logged
   uint64_t wal_trigger_watermark_ GUARDED_BY(state_mu_) = 0;
+  /// dirty_ as the log and the snapshot would recover it.
+  bool wal_dirty_ GUARDED_BY(state_mu_) = false;
   /// Records since the last checkpoint.
   uint64_t wal_records_ GUARDED_BY(state_mu_) = 0;
   /// Known-good WAL length: the recovered valid prefix plus every

@@ -55,6 +55,13 @@ std::string EncodeWalTriggerWatermark(uint64_t watermark) {
   return out;
 }
 
+std::string EncodeWalMaterialisation(bool materialised) {
+  std::string out;
+  PutU8(&out, static_cast<uint8_t>(WalRecordType::kMaterialisation));
+  PutU8(&out, materialised ? 1 : 0);
+  return out;
+}
+
 void AppendWalFrame(std::string* out, std::string_view payload) {
   PutU32(out, static_cast<uint32_t>(payload.size()));
   PutU32(out, Crc32(payload));
@@ -118,6 +125,15 @@ Result<WalRecord> DecodePayload(std::string_view payload) {
     case static_cast<uint8_t>(WalRecordType::kTriggerWatermark): {
       rec.type = WalRecordType::kTriggerWatermark;
       rec.watermark = r.U64();
+      break;
+    }
+    case static_cast<uint8_t>(WalRecordType::kMaterialisation): {
+      rec.type = WalRecordType::kMaterialisation;
+      const uint8_t materialised = r.U8();
+      if (materialised > 1) {
+        return Status(InvalidArgument("wal corrupt: unknown mark value"));
+      }
+      rec.materialised = materialised == 1;
       break;
     }
     default:
@@ -245,6 +261,7 @@ Status ApplyWalRecordToStore(const WalRecord& record, ObjectStore* store) {
     }
     case WalRecordType::kProgram:
     case WalRecordType::kTriggerWatermark:
+    case WalRecordType::kMaterialisation:
       return Status::OK();  // database-level; handled by the caller
   }
   return Internal("unreachable wal record type");

@@ -3,9 +3,9 @@
 // The fact log is already the canonical replayable event stream —
 // snapshots replay it, triggers consume it — so durability logs
 // exactly that stream: object interns (universe growth) and facts, in
-// commit order, plus the program text of installed rules/signatures
-// and the trigger watermark. Recovery = newest valid snapshot + the
-// WAL's valid prefix.
+// commit order, plus the program text of installed rules/signatures,
+// the trigger watermark, and marks of the database's materialisation
+// state. Recovery = newest valid snapshot + the WAL's valid prefix.
 //
 // File format (little-endian):
 //   magic "PLGWAL01" (8 bytes)
@@ -19,6 +19,18 @@
 //   kProgram           u8 type, u32 len + program text (rules,
 //                      triggers and signatures as loadable PathLog)
 //   kTriggerWatermark  u8 type, u64 watermark
+//   kMaterialisation   u8 type, u8 materialised (0: a *stale* mark, the
+//                      rules have not seen everything logged from here
+//                      on; 1: a *materialised* mark, everything logged
+//                      so far is at the rules' fixpoint)
+//
+// A commit batch orders its records interns, program text, facts,
+// watermark. A batch that makes the database dirty opens with a stale
+// mark; one that makes it clean closes with a materialised mark; a
+// batch that leaves the flag alone carries no mark. A torn batch is a
+// prefix of its frames, so it can lose a materialised mark but never
+// keep one without the facts it covers (docs/IMPLEMENTATION.md,
+// "Durability").
 //
 // Torn-tail rule: a frame whose length field, payload bytes, or CRC
 // cannot be completed is the torn tail of an interrupted append. The
@@ -52,11 +64,15 @@ enum class WalRecordType : uint8_t {
   kFact = 1,
   kProgram = 2,
   kTriggerWatermark = 3,
+  kMaterialisation = 4,
 };
 
 /// One decoded WAL record. Only the fields of its type are meaningful.
 struct WalRecord {
   WalRecordType type;
+  // kMaterialisation. Kept in the padding after `type`: a scan holds
+  // every record of the log at once, and a larger record slows it.
+  bool materialised = false;
   // kIntern
   Oid oid = kNilOid;
   ObjectKind obj_kind = ObjectKind::kSymbol;
@@ -75,6 +91,7 @@ std::string EncodeWalIntern(Oid oid, ObjectKind kind, int64_t int_value,
 std::string EncodeWalFact(uint64_t gen, const Fact& fact);
 std::string EncodeWalProgram(std::string_view program_text);
 std::string EncodeWalTriggerWatermark(uint64_t watermark);
+std::string EncodeWalMaterialisation(bool materialised);
 
 /// Appends one framed record (length + CRC + payload) to `out`.
 void AppendWalFrame(std::string* out, std::string_view payload);
@@ -99,8 +116,8 @@ Result<WalScan> ScanWal(std::string_view bytes);
 /// and fact) is skipped, so a WAL that overlaps its snapshot — the
 /// window between checkpoint rename and log reset — replays cleanly.
 /// Mismatches and out-of-table oids are kInvalidArgument.
-/// kProgram/kTriggerWatermark records are database-level; this
-/// function ignores them.
+/// kProgram/kTriggerWatermark/kMaterialisation records are
+/// database-level; this function ignores them.
 Status ApplyWalRecordToStore(const WalRecord& record, ObjectStore* store);
 
 class Counter;

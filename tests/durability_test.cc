@@ -1,17 +1,20 @@
 // Crash-safe durability: WAL framing and scan, snapshot + WAL
-// recovery through Database::Open, and the torture test — a scripted
-// workload crashed at *every* write-syscall boundary, after which the
-// recovered database must answer a reference query set identically to
-// a run that never crashed.
+// recovery through Database::Open, the durable materialisation flag,
+// and the torture test — a scripted workload crashed at *every*
+// write-syscall boundary, after which the recovered database must
+// answer a reference query set identically to a run that never
+// crashed, and be at its fixpoint if it reopened clean.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <memory>
 #include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
+#include "base/coding.h"
 #include "base/crc32.h"
 #include "query/database.h"
 #include "store/file_ops.h"
@@ -27,6 +30,40 @@ TEST(Crc32Test, KnownVectors) {
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   // Seeding chains incrementally computed checksums.
   EXPECT_EQ(Crc32("456789", Crc32("123")), Crc32("123456789"));
+}
+
+/// The CRC one bit at a time, straight from the reflected polynomial:
+/// the reference the table-driven implementation must reproduce.
+uint32_t BitwiseCrc32(std::string_view bytes, uint32_t seed) {
+  uint32_t c = ~seed;
+  for (char ch : bytes) {
+    c ^= static_cast<uint8_t>(ch);
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+TEST(Crc32Test, MatchesTheBitwiseReferenceAtEveryLengthAlignmentAndSeed) {
+  std::mt19937 rng(20260418);
+  std::string buffer(4096 + 16, '\0');
+  for (char& ch : buffer) ch = static_cast<char>(rng());
+  for (size_t len = 0; len <= 64; ++len) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      const std::string_view bytes(buffer.data() + offset, len);
+      const uint32_t seed = rng();
+      ASSERT_EQ(Crc32(bytes, seed), BitwiseCrc32(bytes, seed))
+          << "len=" << len << " offset=" << offset;
+      ASSERT_EQ(Crc32(bytes), BitwiseCrc32(bytes, 0));
+    }
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t offset = rng() % 16;
+    const size_t len = rng() % (buffer.size() - offset + 1);
+    const std::string_view bytes(buffer.data() + offset, len);
+    const uint32_t seed = trial % 2 == 0 ? 0 : rng();
+    ASSERT_EQ(Crc32(bytes, seed), BitwiseCrc32(bytes, seed))
+        << "len=" << len << " offset=" << offset;
+  }
 }
 
 std::string FreshWal() { return std::string(kWalMagic, kWalMagicLen); }
@@ -65,12 +102,14 @@ TEST(WalTest, RecordsRoundTrip) {
   AppendWalFrame(&wal, EncodeWalFact(11, f));
   AppendWalFrame(&wal, EncodeWalProgram("X[a->1] <- X[b->1].\n"));
   AppendWalFrame(&wal, EncodeWalTriggerWatermark(12));
+  AppendWalFrame(&wal, EncodeWalMaterialisation(false));
+  AppendWalFrame(&wal, EncodeWalMaterialisation(true));
 
   Result<WalScan> scan = ScanWal(wal);
   ASSERT_TRUE(scan.ok()) << scan.status();
   EXPECT_FALSE(scan->torn);
   EXPECT_EQ(scan->valid_bytes, wal.size());
-  ASSERT_EQ(scan->records.size(), 6u);
+  ASSERT_EQ(scan->records.size(), 8u);
 
   EXPECT_EQ(scan->records[0].type, WalRecordType::kIntern);
   EXPECT_EQ(scan->records[0].oid, 7u);
@@ -86,6 +125,10 @@ TEST(WalTest, RecordsRoundTrip) {
   EXPECT_EQ(scan->records[4].text, "X[a->1] <- X[b->1].\n");
   EXPECT_EQ(scan->records[5].type, WalRecordType::kTriggerWatermark);
   EXPECT_EQ(scan->records[5].watermark, 12u);
+  EXPECT_EQ(scan->records[6].type, WalRecordType::kMaterialisation);
+  EXPECT_FALSE(scan->records[6].materialised);
+  EXPECT_EQ(scan->records[7].type, WalRecordType::kMaterialisation);
+  EXPECT_TRUE(scan->records[7].materialised);
 }
 
 TEST(WalTest, TornTailAtEveryCutIsTruncatedNotFatal) {
@@ -132,6 +175,13 @@ TEST(WalTest, BitFlipAtEveryOffsetNeverCrashesTheScan) {
 TEST(WalTest, CrcValidButMalformedPayloadIsCorruption) {
   std::string wal = FreshWal();
   AppendWalFrame(&wal, std::string("\xEE junk type", 12));
+  EXPECT_EQ(ScanWal(wal).status().code(), StatusCode::kInvalidArgument);
+
+  // A materialisation mark holds 0 or 1.
+  std::string mark = EncodeWalMaterialisation(true);
+  mark[1] = 2;
+  wal = FreshWal();
+  AppendWalFrame(&wal, mark);
   EXPECT_EQ(ScanWal(wal).status().code(), StatusCode::kInvalidArgument);
 }
 
@@ -410,7 +460,13 @@ std::vector<TortureStep> TortureWorkload() {
                            "X.boss[dept->D] <- X:emp[dept->D]."},
       {TortureStep::kFire, ""},
       {TortureStep::kQuery, "?- X:emp[salary->S]."},
-      {TortureStep::kLoad, "ann : emp[salary->90; dept->cs]."},
+      // A batch of several employees after a materialisation: a crash
+      // keeps about half of an unsynced batch, which here holds whole
+      // employees, so it checks that the batch's stale mark precedes
+      // the facts the rules have not seen.
+      {TortureStep::kLoad, "ann : emp[dept->cs; salary->90].\n"
+                           "eve : emp[dept->cs; salary->95].\n"
+                           "ned : emp[dept->ee; salary->85]."},
   };
 }
 
@@ -446,6 +502,22 @@ std::vector<std::string> ReferenceAnswers(Database* db) {
     out.push_back(rs.ok() ? rs->ToString(db->store()) : "<error>");
   }
   return out;
+}
+
+/// A recovered database whose first read ran no rules has recovered a
+/// store it claims is at the rules' fixpoint: an explicit Materialize
+/// must then derive nothing. The torture workload keeps that claim
+/// checkable because no rule reads the trigger's audit[saw] facts,
+/// which FireTriggers adds without dirtying the database (a rule that
+/// did would see them only here).
+void ExpectCleanReopenIsAFixpoint(Database* db) {
+  Result<ResultSet> first = db->Query(kReferenceQueries[0]);
+  ASSERT_TRUE(first.ok()) << first.status();
+  if (db->engine_stats().iterations != 0) return;  // it reopened dirty
+  const uint64_t gen = db->store().generation();
+  ASSERT_TRUE(db->Materialize().ok());
+  EXPECT_EQ(db->store().generation(), gen)
+      << "reopened clean over facts the rules had not seen";
 }
 
 TEST(DurabilityTortureTest, CrashAtEveryWriteBoundaryRecoversExactly) {
@@ -508,6 +580,7 @@ TEST(DurabilityTortureTest, CrashAtEveryWriteBoundaryRecoversExactly) {
       db.reset();
       fs.RecoverAfterCrash();
       ASSERT_TRUE(reopen());
+      ExpectCleanReopenIsAFixpoint(&*db);
       // Re-apply the failed step: the crash may have persisted any
       // prefix of it, including all of it.
     }
@@ -520,6 +593,7 @@ TEST(DurabilityTortureTest, CrashAtEveryWriteBoundaryRecoversExactly) {
     db.reset();
     Result<Database> final_db = Database::Open("/db", opts, &fs);
     ASSERT_TRUE(final_db.ok()) << final_db.status();
+    ExpectCleanReopenIsAFixpoint(&*final_db);
     EXPECT_EQ(ReferenceAnswers(&*final_db), expected);
   }
 }
@@ -567,6 +641,12 @@ TEST(DurabilityTortureTest, ShortWriteAtEveryBoundaryIsRecoverable) {
     }
     fs.ArmFault(FaultKind::kNone, 0);
     EXPECT_EQ(ReferenceAnswers(&*db), expected);
+
+    // The degraded-and-healed history must reopen to the same state.
+    Result<Database> reopened = Database::Open("/db", opts, &fs);
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    ExpectCleanReopenIsAFixpoint(&*reopened);
+    EXPECT_EQ(ReferenceAnswers(&*reopened), expected);
   }
 }
 
@@ -669,6 +749,274 @@ TEST(DurableDatabaseTest, TriggerDeadlineLeavesARecoverableConsistentState) {
     Result<bool> got = db->Holds(ref);
     ASSERT_TRUE(got.ok()) << ref;
     EXPECT_TRUE(*got) << ref;
+  }
+}
+
+// --- The durable materialisation flag ----------------------------------
+//
+// A database reopens with the dirty flag it closed with: its first read
+// runs the rules exactly when the closed database's next read would
+// have (engine_stats().iterations stays 0 when it runs none).
+
+constexpr std::string_view kKinship = R"(
+  ann[kids->>{bob}]. bob[kids->>{cleo}].
+  X[desc->>{Y}] <- X[kids->>{Y}].
+  X[desc->>{Z}] <- X[kids->>{Y}], Y[desc->>{Z}].
+)";
+
+std::string DescAnswers(Database* db) {
+  Result<ResultSet> rs = db->Query("?- ann[desc->>{D}].");
+  EXPECT_TRUE(rs.ok()) << rs.status();
+  return rs.ok() ? rs->ToString(db->store()) : "<error>";
+}
+
+TEST(DurableDatabaseTest, ReopenAfterMaterializeRunsNoRules) {
+  enum class Route { kWalOnly, kSnapshotOnly, kSnapshotAndWalTail };
+  for (Route route :
+       {Route::kWalOnly, Route::kSnapshotOnly, Route::kSnapshotAndWalTail}) {
+    SCOPED_TRACE("route " + std::to_string(static_cast<int>(route)));
+    FaultInjectingFileOps fs;
+    std::string before;
+    {
+      Result<Database> db = Database::Open("/db", DurableOptions(), &fs);
+      ASSERT_TRUE(db.ok()) << db.status();
+      ASSERT_TRUE(db->Load(kKinship).ok());
+      ASSERT_TRUE(db->Materialize().ok());
+      if (route != Route::kWalOnly) {
+        ASSERT_TRUE(db->Checkpoint().ok());
+      }
+      if (route == Route::kSnapshotAndWalTail) {
+        ASSERT_TRUE(db->Load("cleo[kids->>{dan}].").ok());
+        ASSERT_TRUE(db->Materialize().ok());
+      }
+      before = DescAnswers(&*db);
+    }
+    Result<std::string> wal = fs.ReadFile("/db/wal.plgwal");
+    ASSERT_TRUE(wal.ok());
+    EXPECT_EQ(*wal == FreshWal(), route == Route::kSnapshotOnly);
+    EXPECT_EQ(fs.Exists("/db/snapshot.plgdb"), route != Route::kWalOnly);
+
+    Result<Database> db = Database::Open("/db", DurableOptions(), &fs);
+    ASSERT_TRUE(db.ok()) << db.status();
+    EXPECT_EQ(DescAnswers(&*db), before);
+    EXPECT_EQ(db->engine_stats().iterations, 0u) << "the first read ran rules";
+  }
+}
+
+TEST(DurableDatabaseTest, ReopenWithWorkPendingMaterialisesOnce) {
+  FaultInjectingFileOps fs;
+  {
+    Result<Database> db = Database::Open("/db", DurableOptions(), &fs);
+    ASSERT_TRUE(db.ok()) << db.status();
+    ASSERT_TRUE(db->Load(kKinship).ok());
+  }  // closed dirty: nothing has run the rules
+  Database oracle;
+  ASSERT_TRUE(oracle.Load(kKinship).ok());
+  {
+    Result<Database> db = Database::Open("/db", DurableOptions(), &fs);
+    ASSERT_TRUE(db.ok()) << db.status();
+    EXPECT_EQ(DescAnswers(&*db), DescAnswers(&oracle));
+    EXPECT_GT(db->engine_stats().iterations, 0u) << "the first read did not "
+                                                    "materialise";
+  }
+  // That materialisation was logged: the next reopen runs nothing.
+  Result<Database> db = Database::Open("/db", DurableOptions(), &fs);
+  ASSERT_TRUE(db.ok()) << db.status();
+  EXPECT_EQ(DescAnswers(&*db), DescAnswers(&oracle));
+  EXPECT_EQ(db->engine_stats().iterations, 0u);
+}
+
+TEST(DurableDatabaseTest, RuleLoadedAfterMaterializeMakesTheReopenMaterialise) {
+  FaultInjectingFileOps fs;
+  {
+    Result<Database> db = Database::Open("/db", DurableOptions(), &fs);
+    ASSERT_TRUE(db.ok()) << db.status();
+    ASSERT_TRUE(db->Load("ann[kids->>{bob}]. bob[kids->>{cleo}].\n"
+                         "X[desc->>{Y}] <- X[kids->>{Y}].")
+                    .ok());
+    ASSERT_TRUE(db->Materialize().ok());
+    ASSERT_TRUE(
+        db->Load("X[desc->>{Z}] <- X[kids->>{Y}], Y[desc->>{Z}].").ok());
+  }
+  Result<Database> db = Database::Open("/db", DurableOptions(), &fs);
+  ASSERT_TRUE(db.ok()) << db.status();
+  Result<bool> deep = db->Holds("ann[desc->>{cleo}]");
+  ASSERT_TRUE(deep.ok()) << deep.status();
+  EXPECT_TRUE(*deep);
+  EXPECT_GT(db->engine_stats().iterations, 0u);
+}
+
+TEST(DurableDatabaseTest, TriggerFactsAfterMaterializeKeepTheReopenClean) {
+  // FireTriggers leaves the flag as it finds it, in memory and on disk,
+  // so the reopened database answers as the closed one did. The `seen`
+  // rule reads the trigger's facts: neither database has run it since
+  // the firing (whether trigger facts should dirty the database is
+  // still open; this pins parity, not that choice).
+  FaultInjectingFileOps fs;
+  constexpr std::string_view kProgram = R"(
+    audit[saw->>{X}] <~ X[kids->>{Y}].
+    X[seen->yes] <- audit[saw->>{X}].
+  )";
+  std::vector<std::string> before;
+  const char* const kReads[] = {"?- ann[desc->>{D}].", "?- audit[saw->>{X}].",
+                                "?- X[seen->yes]."};
+  {
+    Result<Database> db = Database::Open("/db", DurableOptions(), &fs);
+    ASSERT_TRUE(db.ok()) << db.status();
+    ASSERT_TRUE(db->Load(kKinship).ok());
+    ASSERT_TRUE(db->Load(kProgram).ok());
+    ASSERT_TRUE(db->Materialize().ok());
+    ASSERT_TRUE(db->FireTriggers().ok());
+    for (const char* q : kReads) {
+      Result<ResultSet> rs = db->Query(q);
+      ASSERT_TRUE(rs.ok()) << q << ": " << rs.status();
+      before.push_back(rs->ToString(db->store()));
+    }
+  }
+  EXPECT_EQ(before[2], ResultSet({"X"}).ToString(ObjectStore()))
+      << "the closed database derived from the trigger's facts";
+  Result<Database> db = Database::Open("/db", DurableOptions(), &fs);
+  ASSERT_TRUE(db.ok()) << db.status();
+  for (size_t i = 0; i < before.size(); ++i) {
+    Result<ResultSet> rs = db->Query(kReads[i]);
+    ASSERT_TRUE(rs.ok()) << kReads[i] << ": " << rs.status();
+    EXPECT_EQ(rs->ToString(db->store()), before[i]) << kReads[i];
+  }
+  EXPECT_EQ(db->engine_stats().iterations, 0u);
+}
+
+TEST(DurableDatabaseTest, SnapshotFileRoundTripsTheFlag) {
+  const std::string path =
+      ::testing::TempDir() + "/flag_roundtrip." +
+      std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
+      ".plgdb";
+  Database db;
+  ASSERT_TRUE(db.Load(kKinship).ok());
+  for (bool materialised : {false, true}) {
+    SCOPED_TRACE(materialised ? "saved clean" : "saved dirty");
+    if (materialised) {
+      ASSERT_TRUE(db.Materialize().ok());
+    }
+    ASSERT_TRUE(db.SaveSnapshotFile(path).ok());
+    Result<Database> restored = Database::LoadSnapshotFile(path);
+    ASSERT_TRUE(restored.ok()) << restored.status();
+    EXPECT_EQ(DescAnswers(&*restored), DescAnswers(&db));
+    EXPECT_EQ(restored->engine_stats().iterations == 0, materialised);
+  }
+  std::remove(path.c_str());
+}
+
+/// The PLGDB002 file an older build wrote for the same database: the
+/// PLGDB003 body without its trailing flag byte, re-checksummed.
+std::string AsPlgdb002(const std::string& plgdb003) {
+  const std::string body = plgdb003.substr(12, plgdb003.size() - 13);
+  std::string out = "PLGDB002";
+  PutU32(&out, Crc32(body));
+  return out + body;
+}
+
+/// The WAL an older build wrote: the same frames without the marks.
+std::string WithoutMarks(const std::string& wal) {
+  std::string out = FreshWal();
+  ByteReader r(std::string_view(wal).substr(kWalMagicLen));
+  while (r.remaining() > 0) {
+    const uint32_t len = r.U32();
+    (void)r.U32();  // crc
+    const std::string_view payload = r.Bytes(len);
+    if (static_cast<uint8_t>(payload[0]) !=
+        static_cast<uint8_t>(WalRecordType::kMaterialisation)) {
+      AppendWalFrame(&out, payload);
+    }
+  }
+  return out;
+}
+
+void ReplaceFile(FaultInjectingFileOps* fs, const std::string& path,
+                 const std::string& bytes) {
+  Result<std::unique_ptr<FileOps::WritableFile>> f =
+      fs->OpenForWrite(path, /*truncate=*/true);
+  ASSERT_TRUE(f.ok()) << f.status();
+  ASSERT_TRUE((*f)->Append(bytes).ok());
+  ASSERT_TRUE((*f)->Sync().ok());
+}
+
+TEST(DurableDatabaseTest, FilesWithoutTheFlagOpenDirtyAndAnswerCorrectly) {
+  Database oracle;
+  ASSERT_TRUE(oracle.Load(kKinship).ok());
+  ASSERT_TRUE(oracle.Load("cleo[kids->>{dan}].").ok());
+  for (bool with_snapshot : {false, true}) {
+    SCOPED_TRACE(with_snapshot ? "PLGDB002 snapshot + unmarked WAL tail"
+                               : "unmarked WAL alone");
+    FaultInjectingFileOps fs;
+    {
+      Result<Database> db = Database::Open("/db", DurableOptions(), &fs);
+      ASSERT_TRUE(db.ok()) << db.status();
+      ASSERT_TRUE(db->Load(kKinship).ok());
+      ASSERT_TRUE(db->Materialize().ok());
+      if (with_snapshot) {
+        ASSERT_TRUE(db->Checkpoint().ok());
+      }
+      ASSERT_TRUE(db->Load("cleo[kids->>{dan}].").ok());
+      ASSERT_TRUE(db->Materialize().ok());
+    }  // closed clean, then rewritten as an older build would have
+    if (with_snapshot) {
+      Result<std::string> snap = fs.ReadFile("/db/snapshot.plgdb");
+      ASSERT_TRUE(snap.ok());
+      ASSERT_EQ(snap->substr(0, 8), "PLGDB003");
+      ReplaceFile(&fs, "/db/snapshot.plgdb", AsPlgdb002(*snap));
+    }
+    Result<std::string> wal = fs.ReadFile("/db/wal.plgwal");
+    ASSERT_TRUE(wal.ok());
+    ASSERT_NE(WithoutMarks(*wal), *wal) << "the log held no marks to strip";
+    ReplaceFile(&fs, "/db/wal.plgwal", WithoutMarks(*wal));
+
+    Result<Database> db = Database::Open("/db", DurableOptions(), &fs);
+    ASSERT_TRUE(db.ok()) << db.status();
+    EXPECT_EQ(DescAnswers(&*db), DescAnswers(&oracle));
+    EXPECT_GT(db->engine_stats().iterations, 0u) << "opened clean";
+  }
+}
+
+TEST(DurableDatabaseTest, ACrashInsideAHealingCheckpointNeverRecoversClean) {
+  // A checkpoint that heals degraded mode snapshots a store holding a
+  // Load the broken log never took, and a crash between the snapshot's
+  // rename and the log's reset leaves that log, whose last mark says
+  // clean, beside the dirty snapshot. Crash at every write of that
+  // checkpoint: the recovered database must never claim a fixpoint it
+  // does not have.
+  auto degrade = [](FaultInjectingFileOps* fs) -> std::optional<Database> {
+    Result<Database> db = Database::Open("/db", DurableOptions(), fs);
+    EXPECT_TRUE(db.ok()) << db.status();
+    if (!db.ok()) return std::nullopt;
+    EXPECT_TRUE(db->Load(kKinship).ok());
+    EXPECT_TRUE(db->Materialize().ok());
+    fs->ArmFault(FaultKind::kFail, 1);  // the Load's first append
+    EXPECT_FALSE(db->Load("cleo[kids->>{dan}].").ok());
+    EXPECT_TRUE(db->degraded());
+    return std::move(*db);
+  };
+  uint64_t checkpoint_ops = 0;
+  {
+    FaultInjectingFileOps fs;
+    std::optional<Database> db = degrade(&fs);
+    ASSERT_TRUE(db.has_value());
+    const uint64_t before = fs.WriteOpCount();
+    ASSERT_TRUE(db->Checkpoint().ok());
+    checkpoint_ops = fs.WriteOpCount() - before;
+  }
+  ASSERT_GT(checkpoint_ops, 2u);
+  for (uint64_t nth = 1; nth <= checkpoint_ops; ++nth) {
+    SCOPED_TRACE("crash at checkpoint write " + std::to_string(nth));
+    FaultInjectingFileOps fs;
+    std::optional<Database> db = degrade(&fs);
+    ASSERT_TRUE(db.has_value());
+    fs.ArmFault(FaultKind::kCrash, nth);
+    EXPECT_FALSE(db->Checkpoint().ok());
+    db.reset();
+    fs.RecoverAfterCrash();
+    Result<Database> recovered = Database::Open("/db", DurableOptions(), &fs);
+    ASSERT_TRUE(recovered.ok()) << recovered.status();
+    ExpectCleanReopenIsAFixpoint(&*recovered);
   }
 }
 
