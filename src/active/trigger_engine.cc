@@ -1,7 +1,5 @@
 #include "active/trigger_engine.h"
 
-#include <functional>
-
 #include "ast/analysis.h"
 #include "ast/printer.h"
 #include "base/strings.h"
@@ -28,7 +26,8 @@ Status TriggerEngine::AddTrigger(const TriggerRule& trigger) {
   // its own `->>` results need foreign variables, which is unsafe for
   // an event anyway.)
   std::vector<Literal> body = pt.rule.body;
-  PATHLOG_RETURN_IF_ERROR(OrderLiteralsForSafety(&body, nullptr));
+  std::set<std::string> bound;
+  PATHLOG_RETURN_IF_ERROR(OrderLiteralsForSafety(&body, &bound));
   if (!RefEquals(*body.front().ref, *pt.rule.body.front().ref) ||
       body.front().negated) {
     return UnsafeRule(StrCat(
@@ -39,12 +38,6 @@ Status TriggerEngine::AddTrigger(const TriggerRule& trigger) {
   pt.rule.body = std::move(body);
 
   // Range restriction for the head.
-  std::set<std::string> bound;
-  for (const Literal& lit : pt.rule.body) {
-    if (!lit.negated) {
-      for (const std::string& v : VarsOf(*lit.ref)) bound.insert(v);
-    }
-  }
   for (const std::string& v : pt.head_vars) {
     if (!bound.count(v)) {
       return UnsafeRule(StrCat("head variable ", v, " of trigger `",
@@ -73,60 +66,30 @@ Status TriggerEngine::RunRound(uint64_t from, HeadAsserter* asserter,
 
   // All firings of the round are collected first (the store must not
   // change under enumeration), deduplicated per (trigger, head
-  // bindings), then asserted.
-  std::set<std::pair<size_t, VarValuation>> pending;
-
+  // bindings), then asserted. Only the event literal, body[0], must
+  // consume a fresh fact.
+  std::vector<std::set<VarValuation>> pending(planned_.size());
   for (size_t ti = 0; ti < planned_.size(); ++ti) {
     const PlannedTrigger& pt = planned_[ti];
-    Bindings b;
-    const std::vector<Literal>& body = pt.rule.body;
-    std::function<Result<bool>(size_t)> go = [&](size_t i) -> Result<bool> {
-      if (i == body.size()) {
-        VarValuation v;
-        for (const std::string& hv : pt.head_vars) v.emplace(hv, *b.Get(hv));
-        pending.insert({ti, std::move(v)});
-        return true;
-      }
-      const Literal& lit = body[i];
-      if (lit.negated) {
-        Result<bool> sat = eval.Satisfiable(*lit.ref, &b);
-        if (!sat.ok()) return sat.status();
-        if (*sat) return true;
-        return go(i + 1);
-      }
-      if (i != 0) {
-        return eval.Enumerate(*lit.ref, &b, [&](Oid) { return go(i + 1); });
-      }
-      // The event literal: only solutions that consumed a fresh fact.
-      eval.EnterDelta(from);
-      Result<bool> res = eval.Enumerate(*lit.ref, &b,
-                                        [&](Oid) -> Result<bool> {
-        if (!eval.DeltaSeen()) return true;
-        bool saved = eval.SuspendDelta();
-        Result<bool> r = go(i + 1);
-        eval.ResumeDelta(saved);
-        return r;
-      });
-      eval.ExitDelta();
-      return res;
-    };
-    Result<bool> r = go(0);
     // Budget trips surface here too (the evaluator polls while
     // enumerating), so condition-evaluation errors need the round
     // context as much as the explicit gates do.
-    if (!r.ok()) return with_round(r.status());
+    PATHLOG_RETURN_IF_ERROR(with_round(EnumerateBody(
+        pt.rule.body, pt.head_vars, &eval, &pending[ti], 0, from)));
   }
 
   // Enumeration is done; the budget gate sits *before* the assert loop
   // so an over-budget round aborts with zero of its assertions applied.
   // The store dimensions see the growth of every earlier round.
   PATHLOG_RETURN_IF_ERROR(with_round(budget->Check(*store_)));
-  for (const auto& [ti, bindings] : pending) {
-    Bindings hb;
-    for (const auto& [var, oid] : bindings) hb.Bind(var, oid);
-    PATHLOG_RETURN_IF_ERROR(asserter->Assert(*planned_[ti].rule.head, &hb));
-    ++stats_.firings;
-    budget->ChargeDerivations();
+  for (size_t ti = 0; ti < planned_.size(); ++ti) {
+    for (const VarValuation& bindings : pending[ti]) {
+      Bindings hb;
+      for (const auto& [var, oid] : bindings) hb.Bind(var, oid);
+      PATHLOG_RETURN_IF_ERROR(asserter->Assert(*planned_[ti].rule.head, &hb));
+      ++stats_.firings;
+      budget->ChargeDerivations();
+    }
   }
   return Status::OK();
 }

@@ -10,7 +10,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "query/planner.h"
 #include "semantics/structure.h"
 
 namespace pathlog {
@@ -49,6 +48,25 @@ void CollectSetRefValueVars(const Ref& t, std::set<std::string>* out) {
       }
       return;
   }
+}
+
+/// Puts the body in safety order and checks range restriction.
+Status PlanBody(Rule* rule) {
+  std::set<std::string> bound;
+  Status st = OrderLiteralsForSafety(&rule->body, &bound);
+  if (!st.ok()) {
+    return UnsafeRule(StrCat("in rule `", ToString(*rule), "`: ",
+                             st.message()));
+  }
+  for (const std::string& v : VarsOf(*rule->head)) {
+    if (!bound.count(v)) {
+      return UnsafeRule(StrCat("head variable ", v, " of rule `",
+                               ToString(*rule),
+                               "` is not bound by any positive body literal "
+                               "(range restriction)"));
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -125,34 +143,44 @@ Status OrderLiteralsForSafety(std::vector<Literal>* body,
   return Status::OK();
 }
 
-Status Engine::PlanBody(Rule* rule) const {
-  // Analysis-informed mode: the cost-based planner orders the body
-  // (under the same safety constraints), consulting the proven hints.
-  // Identical answer set, different literal order.
-  Status st = options_.planner_hints != nullptr
-                  ? PlanConjunction(&rule->body, *store_, nullptr, nullptr,
-                                    options_.planner_hints)
-                  : OrderLiteralsForSafety(&rule->body, nullptr);
-  if (!st.ok()) {
-    return UnsafeRule(StrCat("in rule `", ToString(*rule), "`: ",
-                             st.message()));
-  }
-
-  // The positive literals bind the same variables in any order.
-  std::set<std::string> bound;
-  for (const Literal& lit : rule->body) {
-    if (lit.negated) continue;
-    for (const std::string& v : VarsOf(*lit.ref)) bound.insert(v);
-  }
-  for (const std::string& v : VarsOf(*rule->head)) {
-    if (!bound.count(v)) {
-      return UnsafeRule(StrCat("head variable ", v, " of rule `",
-                               ToString(*rule),
-                               "` is not bound by any positive body literal "
-                               "(range restriction)"));
+Status EnumerateBody(const std::vector<Literal>& body,
+                     const std::set<std::string>& vars, RefEvaluator* eval,
+                     std::set<VarValuation>* out, size_t delta_literal,
+                     uint64_t delta_from) {
+  Bindings b;
+  std::function<Result<bool>(size_t)> go = [&](size_t i) -> Result<bool> {
+    if (i == body.size()) {
+      VarValuation v;
+      for (const std::string& var : vars) v.emplace(var, *b.Get(var));
+      out->insert(std::move(v));
+      return true;
     }
-  }
-  return Status::OK();
+    const Literal& lit = body[i];
+    if (lit.negated) {
+      Result<bool> sat = eval->Satisfiable(*lit.ref, &b);
+      if (!sat.ok()) return sat.status();
+      if (*sat) return true;  // negated literal fails: backtrack
+      return go(i + 1);
+    }
+    if (i != delta_literal) {
+      return eval->Enumerate(*lit.ref, &b, [&](Oid) { return go(i + 1); });
+    }
+    // The designated literal: delta counting is active only while this
+    // literal matches.
+    eval->EnterDelta(delta_from);
+    Result<bool> res =
+        eval->Enumerate(*lit.ref, &b, [&](Oid) -> Result<bool> {
+          if (!eval->DeltaSeen()) return true;
+          bool saved = eval->SuspendDelta();
+          Result<bool> r = go(i + 1);
+          eval->ResumeDelta(saved);
+          return r;
+        });
+    eval->ExitDelta();
+    return res;
+  };
+  Result<bool> r = go(0);
+  return r.ok() ? Status::OK() : r.status();
 }
 
 Status Engine::AddRule(const Rule& rule) {
@@ -251,70 +279,22 @@ Status Engine::EvaluateRule(PlannedRule* pr, HeadAsserter* asserter,
 
 Status Engine::EvaluateRuleBody(PlannedRule* pr, HeadAsserter* asserter,
                                 std::optional<uint64_t> delta_from,
-                                RefEvaluator* eval_ptr) {
-  RefEvaluator& eval = *eval_ptr;
-  Bindings b;
-
+                                RefEvaluator* eval) {
   // Body enumeration must not mutate the store (iterator stability), so
   // solutions are batched — projected onto the head's variables and
   // deduplicated — and asserted afterwards.
   std::set<VarValuation> batch;
   const std::vector<Literal>& body = pr->rule.body;
-
-  // Index of the literal currently under delta restriction, or one
-  // past the end for a full (unrestricted) evaluation.
-  size_t delta_idx = body.size();
-
-  std::function<Result<bool>(size_t)> go =
-      [&](size_t i) -> Result<bool> {
-    if (i == body.size()) {
-      VarValuation v;
-      for (const std::string& hv : pr->head_vars) {
-        v.emplace(hv, *b.Get(hv));
-      }
-      batch.insert(std::move(v));
-      return true;
-    }
-    const Literal& lit = body[i];
-    if (lit.negated) {
-      Result<bool> sat = eval.Satisfiable(*lit.ref, &b);
-      if (!sat.ok()) return sat.status();
-      if (*sat) return true;  // negated literal fails: backtrack
-      return go(i + 1);
-    }
-    if (i != delta_idx) {
-      return eval.Enumerate(*lit.ref, &b, [&](Oid) { return go(i + 1); });
-    }
-    // The designated literal: delta counting is active only while this
-    // literal matches — earlier literals ran before EnterDelta, later
-    // ones run with counting suspended. A solution survives only if
-    // this literal consumed a fact newer than the rule's previous
-    // evaluation.
-    eval.EnterDelta(*delta_from);
-    Result<bool> res =
-        eval.Enumerate(*lit.ref, &b, [&](Oid) -> Result<bool> {
-          if (!eval.DeltaSeen()) return true;
-          bool saved = eval.SuspendDelta();
-          Result<bool> r = go(i + 1);
-          eval.ResumeDelta(saved);
-          return r;
-        });
-    eval.ExitDelta();
-    return res;
-  };
-
   if (!delta_from.has_value()) {
-    Result<bool> r = go(0);
-    if (!r.ok()) return r.status();
+    PATHLOG_RETURN_IF_ERROR(EnumerateBody(body, pr->head_vars, eval, &batch));
   } else {
     for (size_t p = 0; p < body.size(); ++p) {
       if (body[p].negated) continue;  // monotone store: no new matches
-      delta_idx = p;
       ++stats_.delta_passes;
       FlightSpan delta_span(options_.obs.flight, "delta_pass", "engine",
                             "literal", p);
-      Result<bool> r = go(0);
-      if (!r.ok()) return r.status();
+      PATHLOG_RETURN_IF_ERROR(EnumerateBody(body, pr->head_vars, eval,
+                                            &batch, p, *delta_from));
     }
   }
 

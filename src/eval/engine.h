@@ -43,7 +43,6 @@
 namespace pathlog {
 
 class RefEvaluator;
-struct PlannerHints;  // query/planner.h
 
 enum class EvalStrategy : uint8_t {
   /// Every rule re-evaluated every iteration (textbook oracle).
@@ -85,13 +84,6 @@ struct EngineOptions {
   /// branch per instrumentation site). Borrowed; the caller keeps them
   /// alive for the engine's lifetime.
   ObsSinks obs;
-  /// Facts proved by the semantic analyses (query/planner.h). When
-  /// non-null, rule bodies are ordered by the cost-based planner with
-  /// these hints instead of the first-admissible safety order — the
-  /// answer set is identical (differential-tested), only literal order
-  /// changes. Borrowed; the caller keeps it alive for the engine's
-  /// lifetime.
-  const PlannerHints* planner_hints = nullptr;
 };
 
 /// One head-instance assertion that added facts: the facts with
@@ -168,7 +160,6 @@ class Engine {
     uint64_t last_eval_gen = 0;   // store generation at last evaluation
   };
 
-  Status PlanBody(Rule* rule) const;
   /// Run(budget) minus the timing/metrics wrapper.
   Status RunImpl();
   Status RunStratum(int stratum, const std::vector<size_t>& rule_idxs,
@@ -236,6 +227,19 @@ Status OrderLiteralsForSafety(std::vector<Literal>* body,
                               std::set<std::string>* bound,
                               const LiteralCost& cost = nullptr,
                               std::vector<double>* costs = nullptr);
+
+/// The one body walk behind rules and triggers. Runs `body`, already in
+/// evaluation order, on `eval`: a positive literal enumerates its
+/// matches, a negated one must be unsatisfiable under the bindings so
+/// far. Every solution is projected onto `vars` and inserted into
+/// `*out`. With `delta_literal` < body.size(), that positive literal is
+/// delta-restricted: a solution survives only if its match consumed a
+/// fact of generation >= `delta_from`. Earlier literals run before the
+/// restriction starts, later ones with it suspended.
+Status EnumerateBody(const std::vector<Literal>& body,
+                     const std::set<std::string>& vars, RefEvaluator* eval,
+                     std::set<VarValuation>* out,
+                     size_t delta_literal = SIZE_MAX, uint64_t delta_from = 0);
 
 }  // namespace pathlog
 

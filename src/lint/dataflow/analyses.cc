@@ -1486,9 +1486,22 @@ class Analyzer {
       if (engine_scans == 0) continue;
 
       // Is there an admissible order with fewer unbound-target scans?
-      std::vector<Literal> better;
-      size_t better_scans = GreedyOrder(c.rule->body, &better);
-      if (better_scans >= engine_scans) continue;
+      // Greedily: the earliest admissible literal that scans nothing
+      // (cost 0), else the earliest admissible one (cost 1).
+      std::vector<Literal> better = c.rule->body;
+      std::vector<double> scans;
+      Status ordered = OrderLiteralsForSafety(
+          &better, nullptr,
+          [](const Literal& lit, const std::set<std::string>& bound_so_far) {
+            bool anchor_bound = false, driven = false;
+            Modes(*lit.ref, bound_so_far, &anchor_bound, &driven);
+            return lit.negated || driven ? 0.0 : 1.0;
+          },
+          &scans);
+      if (!ordered.ok() || std::count(scans.begin(), scans.end(), 1.0) >=
+                               static_cast<ptrdiff_t>(engine_scans)) {
+        continue;
+      }
 
       std::string suggestion;
       for (size_t i = 0; i < better.size(); ++i) {
@@ -1501,65 +1514,9 @@ class Analyzer {
                  "value is bound when it runs, so it scans instead of "
                  "probing the inverted value->receiver indexes"),
           {StrCat("an admissible order avoids the scan: ", suggestion),
-           "rule bodies follow safety order only; the cost-based planner "
-           "hook (DatabaseOptions::use_analysis_hints) and queries reorder "
+           "rule bodies follow safety order only; queries reorder "
            "automatically"});
     }
-  }
-
-  /// Greedy admissible order preferring index-driven literals; returns
-  /// the number of positive literals that still evaluate undriven.
-  static size_t GreedyOrder(const std::vector<Literal>& body,
-                            std::vector<Literal>* out) {
-    std::vector<Literal> remaining = body;
-    std::set<std::string> bound;
-    std::map<std::string, int> occurrences;
-    for (const Literal& lit : remaining) {
-      for (const std::string& v : VarsOf(*lit.ref)) ++occurrences[v];
-    }
-    auto admissible = [&](const Literal& lit) {
-      std::set<std::string> need;
-      if (lit.negated) {
-        for (const std::string& v : VarsOf(*lit.ref)) {
-          if (occurrences[v] > 1) need.insert(v);
-        }
-      } else {
-        need = SetRefValueVars(*lit.ref);
-      }
-      for (const std::string& v : need) {
-        if (!bound.count(v)) return false;
-      }
-      return true;
-    };
-    size_t scans = 0;
-    while (!remaining.empty()) {
-      size_t pick = remaining.size();
-      bool pick_driven = false;
-      for (size_t i = 0; i < remaining.size(); ++i) {
-        if (!admissible(remaining[i])) continue;
-        bool anchor_bound = false, driven = false;
-        Modes(*remaining[i].ref, bound, &anchor_bound, &driven);
-        if (remaining[i].negated) driven = true;  // tests scan nothing new
-        if (pick == remaining.size() || (driven && !pick_driven)) {
-          pick = i;
-          pick_driven = driven;
-          if (driven) break;
-        }
-      }
-      if (pick == remaining.size()) {
-        out->clear();
-        return body.size();  // unorderable (reported as PL005 elsewhere)
-      }
-      if (!pick_driven && !remaining[pick].negated) ++scans;
-      if (!remaining[pick].negated) {
-        for (const std::string& v : VarsOf(*remaining[pick].ref)) {
-          bound.insert(v);
-        }
-      }
-      out->push_back(remaining[pick]);
-      remaining.erase(remaining.begin() + static_cast<ptrdiff_t>(pick));
-    }
-    return scans;
   }
 
   const Program& program_;

@@ -2,8 +2,7 @@
 // (lint/dataflow/dataflow.h) and the abstract domains
 // (lint/dataflow/domains.h). Each is an abstract interpretation of the
 // program over the method dependency structure; together they produce
-// the PL014-PL019 diagnostics and the planner hints
-// (query/planner.h: PlannerHints).
+// the PL014-PL019 diagnostics and a summary (AnalysisSummary).
 //
 //   type-flow     — least fixpoint of result sorts per method, seeded
 //                   from fact values, signature result types and (for
@@ -21,8 +20,7 @@
 //                   positive body method is live. Rules that can never
 //                   fire *transitively* (every body method is defined
 //                   somewhere, but only by other dead rules — deeper
-//                   than PL011's syntactic check) are PL016. Methods
-//                   proven empty feed PlannerHints.
+//                   than PL011's syntactic check) are PL016.
 //
 //   termination   — object invention through head spine paths
 //                   (eval/head_assert.h) combined with recursion can
@@ -96,8 +94,8 @@ struct RuleAdornment {
   std::vector<LiteralMode> literals;  ///< in evaluation order
 };
 
-/// Everything the analyses computed, beyond the diagnostics: the
-/// planner hook and the `--analyze` summary consume this.
+/// Everything the analyses computed, beyond the diagnostics. Only the
+/// tests read it (tests/dataflow_test.cc).
 struct AnalysisSummary {
   /// Least-fixpoint result sorts per method (methods never assigned a
   /// value are absent or kSortBottom).
@@ -105,8 +103,7 @@ struct AnalysisSummary {
   /// Methods that can hold at least one tuple.
   std::set<std::string> live_methods;
   /// Methods mentioned by the program that provably never hold a
-  /// tuple. Sound under any of the three evaluation strategies, so the
-  /// planner may cost literals reading them as empty.
+  /// tuple, under any of the three evaluation strategies.
   std::set<std::string> empty_methods;
   /// Per-rule binding modes, engine order.
   std::vector<RuleAdornment> adornments;

@@ -17,7 +17,7 @@
 #include "base/strings.h"
 #include "eval/bindings.h"
 #include "eval/site_program.h"
-#include "lint/dataflow/analyses.h"
+#include "lint/dataflow/domains.h"
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -55,7 +55,7 @@ SortSet SortOfOid(const ObjectStore& store, Oid o) {
 }
 
 /// Every method with extensional facts, plus the observed sorts of its
-/// stored values. Seeds for both Lint() and RefreshAnalysisHints().
+/// stored values. Seeds for Lint().
 void CollectStoreSeeds(const ObjectStore& store,
                        std::set<std::string>* defined,
                        std::map<std::string, SortSet>* sorts) {
@@ -285,7 +285,6 @@ bool Database::ReadOnlyReadyLocked() const {
 SitePlanOptions Database::PlanOptionsLocked() const {
   SitePlanOptions options;
   options.use_inverted_indexes = options_.engine.use_inverted_indexes;
-  options.hints = options_.use_analysis_hints ? &planner_hints_ : nullptr;
   return options;
 }
 
@@ -315,8 +314,21 @@ Status Database::LoadProgramLocked(const Program& program) {
     PATHLOG_RETURN_IF_ERROR(
         ReportToStatus(ProgramLinter(lint_options).Lint(program)));
   }
+  // Once a clause is in, a later clause's error must still mark the
+  // rules stale and commit what went in, or reads would skip the rules
+  // over it; the Load's own error wins.
+  bool installed = false;
+  Status st = InstallClausesLocked(program, &installed);
+  if (!st.ok() && !installed) return st;
+  dirty_ = true;
+  return FinishMutation(st);
+}
+
+Status Database::InstallClausesLocked(const Program& program,
+                                      bool* installed) {
   for (const SignatureDecl& sig : program.signatures) {
     PATHLOG_RETURN_IF_ERROR(signatures_.Declare(sig, &store_));
+    *installed = true;
     signature_text_ += ToString(sig);
     signature_text_ += "\n";
     if (wal_) {
@@ -326,6 +338,7 @@ Status Database::LoadProgramLocked(const Program& program) {
   }
   for (const TriggerRule& trigger : program.triggers) {
     PATHLOG_RETURN_IF_ERROR(CheckTriggerWellFormed(trigger));
+    *installed = true;
     InternNames(*trigger.rule.head);
     for (const Literal& lit : trigger.rule.body) InternNames(*lit.ref);
     triggers_.push_back(trigger);
@@ -336,6 +349,7 @@ Status Database::LoadProgramLocked(const Program& program) {
   }
   for (const Rule& rule : program.rules) {
     PATHLOG_RETURN_IF_ERROR(CheckRuleWellFormed(rule));
+    *installed = true;  // a fact failing part-way keeps its first facts
     InternNames(*rule.head);
     for (const Literal& lit : rule.body) InternNames(*lit.ref);
     if (rule.IsFact()) {
@@ -350,8 +364,7 @@ Status Database::LoadProgramLocked(const Program& program) {
       }
     }
   }
-  dirty_ = true;
-  return FinishMutation(Status::OK());
+  return Status::OK();
 }
 
 template <typename Fn>
@@ -373,12 +386,7 @@ Status Database::MaterializeLocked(ResourceBudget* budget) {
   if (degraded()) return DegradedError();
   FlightSpan mat_span(options_.engine.obs.flight, "db.materialize",
                       "database");
-  EngineOptions engine_options = options_.engine;
-  if (options_.use_analysis_hints) {
-    RefreshAnalysisHints();
-    engine_options.planner_hints = &planner_hints_;
-  }
-  Engine engine(&store_, engine_options);
+  Engine engine(&store_, options_.engine);
   PATHLOG_RETURN_IF_ERROR(engine.AddRules(rules_));
   Status run_status = engine.Run(budget);
   // Stats are preserved even when Run() fails — a kDeadlineExceeded
@@ -628,22 +636,6 @@ LintReport Database::Lint() const {
   return ProgramLinter(std::move(lint_options)).Lint(program);
 }
 
-void Database::RefreshAnalysisHints() {
-  Program program;
-  program.rules = rules_;
-  program.triggers = triggers_;
-  if (!signature_text_.empty()) {
-    Result<Program> sigs = ParseProgram(signature_text_);
-    if (sigs.ok()) program.signatures = std::move(sigs->signatures);
-  }
-  AnalysisOptions analysis;
-  analysis.head_value_mode = options_.engine.head_value_mode;
-  CollectStoreSeeds(store_, &analysis.assume_defined,
-                    &analysis.extensional_sorts);
-  AnalysisSummary summary = AnalyzeProgram(program, analysis, nullptr);
-  planner_hints_.empty_methods = std::move(summary.empty_methods);
-}
-
 Status Database::FireTriggers() {
   return Governed([&](ResourceBudget* budget) {
     WriteLock lock(*this);
@@ -764,13 +756,7 @@ Result<Database> Database::LoadSnapshotFile(const std::string& path,
                                             DatabaseOptions options) {
   Result<std::string> bytes = DefaultFileOps()->ReadFile(path);
   if (!bytes.ok()) return bytes.status();
-  Result<Database> loaded = LoadSnapshotBytes(*bytes, options, path);
-  if (loaded.ok() && options.use_analysis_hints) {
-    Database& db = *loaded;
-    WriteLock lock(db);
-    if (!db.dirty_) db.RefreshAnalysisHints();
-  }
-  return loaded;
+  return LoadSnapshotBytes(*bytes, options, path);
 }
 
 Result<Database> Database::Open(const std::string& dir,
@@ -873,9 +859,6 @@ Result<Database> Database::Open(const std::string& dir,
   db.wal_trigger_watermark_ = db.trigger_watermark_;
   db.wal_dirty_ = db.dirty_;
   db.pending_program_text_.clear();
-  // A clean reopen runs no materialisation, which is where the hints
-  // are refreshed otherwise; a reopened database plans as it did.
-  if (options.use_analysis_hints && !db.dirty_) db.RefreshAnalysisHints();
   return db;
 }
 

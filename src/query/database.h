@@ -145,12 +145,6 @@ struct DatabaseOptions {
   /// Run the linter (errors only) over every program before installing
   /// it; Load/LoadProgram fail with the first lint error's status.
   bool lint_on_load = false;
-  /// Re-run the semantic analyses (lint/dataflow/analyses.h) on every
-  /// materialisation and let the engine and query planner consult the
-  /// proven facts (query/planner.h: PlannerHints). Answers are
-  /// identical with or without hints — only literal order and cost
-  /// estimates change (tests/analysis_differential_test.cc).
-  bool use_analysis_hints = false;
   /// Durability policy; consulted only by databases from Open().
   DurabilityOptions durability;
 };
@@ -398,6 +392,10 @@ class Database {
   /// Exclusive-lock bodies of the public mutators; the evaluating ones
   /// run under the calling operation's budget window.
   Status LoadProgramLocked(const Program& program) REQUIRES(state_mu_);
+  /// LoadProgramLocked's clause loop: stops at the first failing
+  /// clause, and sets `*installed` once one clause is in.
+  Status InstallClausesLocked(const Program& program, bool* installed)
+      REQUIRES(state_mu_);
   Status MaterializeLocked(ResourceBudget* budget) REQUIRES(state_mu_);
   Status FireTriggersLocked(ResourceBudget* budget) REQUIRES(state_mu_);
   Status CheckpointLocked() REQUIRES(state_mu_);
@@ -472,14 +470,6 @@ class Database {
   /// entry and budget rejections.
   void MaybeDumpFlightRecorder(std::string_view reason);
 
-  /// Re-runs the semantic analyses over the installed rules and
-  /// triggers, refreshing planner_hints_. Called by Materialize() when
-  /// options_.use_analysis_hints is set. The proofs are monotone-safe:
-  /// a method that is statically underivable stays empty no matter how
-  /// many facts the rules derive, so hints computed before a
-  /// materialisation remain valid after it.
-  void RefreshAnalysisHints() REQUIRES(state_mu_);
-
   std::string WalPath() const { return durable_dir_ + "/wal.plgwal"; }
   std::string SnapshotPath() const {
     return durable_dir_ + "/snapshot.plgdb";
@@ -494,7 +484,7 @@ class Database {
   std::unique_ptr<SharedMutex> state_mu_ = std::make_unique<SharedMutex>();
 
   DatabaseOptions options_;
-  // The core state below (store through planner_hints_) is guarded by
+  // The core state below (store through last_stats_) is guarded by
   // state_mu_ in the same discipline as the annotated fields, but left
   // unannotated because the public store()/rules()/signatures()/...
   // accessors hand out references without the lock — that escape hatch
@@ -511,13 +501,11 @@ class Database {
   std::string signature_text_;
   std::vector<DerivationRecord> provenance_;
   EngineStats last_stats_;
-  /// Facts proved by RefreshAnalysisHints(); consulted by Materialize,
-  /// Query and ExplainQuery when options_.use_analysis_hints.
-  PlannerHints planner_hints_;
   /// True while the rules have not run over everything in the store:
-  /// set by every Load, cleared by a successful materialisation, and
-  /// left alone by FireTriggers. Durable, via the WAL's marks and the
-  /// snapshot's flag.
+  /// set by every Load that installs a clause, failed Loads included,
+  /// cleared by a successful materialisation, and left alone by
+  /// FireTriggers. Durable, via the WAL's marks and the snapshot's
+  /// flag.
   bool dirty_ GUARDED_BY(state_mu_) = false;
   uint64_t type_check_watermark_ = 0;
 

@@ -229,11 +229,6 @@ class SitePlanner {
            std::any_of(s.args.begin(), s.args.end(), missing);
   }
 
-  bool HintedEmpty(Oid m) const {
-    return o_.hints != nullptr && store_.kind(m) == ObjectKind::kSymbol &&
-           o_.hints->empty_methods.count(store_.DisplayName(m)) > 0;
-  }
-
   /// One method's rows on `route`; `m` unset: a method known only at
   /// run time.
   double Rows(const Site& s, SiteRoute route, std::optional<Oid> m,
@@ -243,7 +238,6 @@ class SitePlanner {
              : route == SiteRoute::kExtent ? universe_
                                            : 1;
     }
-    if (HintedEmpty(*m)) return 0;
     const std::optional<Oid> v =
         s.value != kNoSlot ? Const(s.value) : std::nullopt;
     if (s.kind == SiteKind::kScalar) {
@@ -422,14 +416,12 @@ Status PlanSites(SiteProgram* program, const ObjectStore& store,
 }
 
 double EstimateLiteralCost(const Ref& t, const std::set<std::string>& bound,
-                           const ObjectStore& store,
-                           const PlannerHints* hints) {
+                           const ObjectStore& store) {
   // A non-owning handle: the program only points into `t`.
   const std::vector<Literal> body = {Literal{RefPtr(RefPtr(), &t), false}};
   const SemanticStructure I(store);
   SiteProgram program = CompileSites(body, I);
   SitePlanOptions options;
-  options.hints = hints;
   options.bound = &bound;
   if (!PlanSites(&program, store, options).ok()) return store.UniverseSize();
   double rows = 1, work = 0;
@@ -442,8 +434,7 @@ double EstimateLiteralCost(const Ref& t, const std::set<std::string>& bound,
 
 Status PlanConjunction(std::vector<Literal>* body, const ObjectStore& store,
                        std::vector<std::string>* cost_log,
-                       std::vector<double>* estimates,
-                       const PlannerHints* hints) {
+                       std::vector<double>* estimates) {
   // The safety loop, picking the cheapest admissible literal. Negated
   // literals are pure tests: the 0.5 nudge defers them until every
   // positive literal of equal or lower cost has bound variables.
@@ -452,8 +443,8 @@ Status PlanConjunction(std::vector<Literal>* body, const ObjectStore& store,
   const bool report = cost_log != nullptr || estimates != nullptr;
   PATHLOG_RETURN_IF_ERROR(OrderLiteralsForSafety(
       body, nullptr,
-      [&store, hints](const Literal& lit, const std::set<std::string>& bound) {
-        return EstimateLiteralCost(*lit.ref, bound, store, hints) +
+      [&store](const Literal& lit, const std::set<std::string>& bound) {
+        return EstimateLiteralCost(*lit.ref, bound, store) +
                (lit.negated ? kNegationNudge : 0.0);
       },
       report ? &costs : nullptr));

@@ -16,8 +16,11 @@
 // sites: EstimateLiteralCost plans the literal's sites alone, and
 // PlanConjunction orders literals by that estimate in the one ordering
 // loop, OrderLiteralsForSafety (negated literals and `->>` filter
-// results after their variables are bound). Rule bodies in the
-// analysis-hint mode use it.
+// results after their variables are bound). Nothing in the library
+// calls PlanConjunction: rule bodies take the safety order. It stays
+// for the benchmarks that replay a read's literal plan (perfbench's
+// ReplicateRead, bench_planner) until they plan through PlanSites;
+// cost-planned rule bodies will come back through PlanSites.
 
 #ifndef PATHLOG_QUERY_PLANNER_H_
 #define PATHLOG_QUERY_PLANNER_H_
@@ -33,21 +36,9 @@
 
 namespace pathlog {
 
-/// Facts the semantic analyses (lint/dataflow/analyses.h) proved about
-/// the installed program, consulted by the planner when provided.
-/// Optional everywhere: a null hints pointer keeps the estimates
-/// purely statistical.
-struct PlannerHints {
-  /// Methods that provably never hold a tuple under any evaluation
-  /// strategy (AnalysisSummary::empty_methods). A site on one yields
-  /// nothing, so it costs nothing and short-circuits its read.
-  std::set<std::string> empty_methods;
-};
-
 struct SitePlanOptions {
   /// Off: no inverted value→receiver / member→receiver route is chosen.
   bool use_inverted_indexes = true;
-  const PlannerHints* hints = nullptr;
   /// Variables bound before the program runs (for estimates only).
   const std::set<std::string>* bound = nullptr;
   /// Off, a site that is the only admissible one at its step is placed
@@ -66,8 +57,7 @@ Status PlanSites(SiteProgram* program, const ObjectStore& store,
 /// The rows `t`'s planned sites produce per binding of `bound`, summed
 /// over its sites: the literal's estimated work.
 double EstimateLiteralCost(const Ref& t, const std::set<std::string>& bound,
-                           const ObjectStore& store,
-                           const PlannerHints* hints = nullptr);
+                           const ObjectStore& store);
 
 /// Reorders `body` greedily by cost subject to safety. On success the
 /// body is in execution order; kUnsafeRule when no safe order exists.
@@ -76,8 +66,7 @@ double EstimateLiteralCost(const Ref& t, const std::set<std::string>& bound,
 /// per-literal estimates, aligned with the final body order.
 Status PlanConjunction(std::vector<Literal>* body, const ObjectStore& store,
                        std::vector<std::string>* cost_log = nullptr,
-                       std::vector<double>* estimates = nullptr,
-                       const PlannerHints* hints = nullptr);
+                       std::vector<double>* estimates = nullptr);
 
 }  // namespace pathlog
 

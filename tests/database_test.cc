@@ -188,5 +188,58 @@ TEST(DatabaseScalarConflictTest, ConflictingFactsRejectedAtLoad) {
   EXPECT_EQ(st.code(), StatusCode::kScalarConflict);
 }
 
+TEST(DatabaseScalarConflictTest, AFailedLoadStillRunsTheRulesOverWhatItKept) {
+  // The failing Load keeps the facts its earlier clauses asserted, so
+  // the next read must run the rules over them.
+  Database db;
+  ASSERT_TRUE(
+      db.Load("a[kids->>{b}]. X[desc->>{Y}] <- X[kids->>{Y}].").ok());
+  ASSERT_TRUE(db.Materialize().ok());
+  EXPECT_EQ(db.Load("b[kids->>{c}]. d[age->1]. d[age->2].").code(),
+            StatusCode::kScalarConflict);
+  Result<bool> kept = db.Holds("b[kids->>{c}]");
+  ASSERT_TRUE(kept.ok()) << kept.status();
+  EXPECT_TRUE(*kept);
+  Result<bool> derived = db.Holds("b[desc->>{c}]");
+  ASSERT_TRUE(derived.ok()) << derived.status();
+  EXPECT_TRUE(*derived);
+}
+
+TEST(DatabaseRuleTest, BodyLiteralOverAnUndefinedMethodDerivesNothing) {
+  // Nothing defines `ghost`, so `senior` derives nothing, while the
+  // rule beside it still fires.
+  Database db;
+  ASSERT_TRUE(db.Load(R"(
+    alice[age->30]. bob[age->40].
+    X[senior->1] <- X[age->A], X[ghost->1].
+    X[adult->1] <- X[age->A], A.geq@(18).
+  )").ok());
+  ASSERT_TRUE(db.Materialize().ok());
+  Result<bool> senior = db.Holds("alice[senior->1]");
+  ASSERT_TRUE(senior.ok());
+  EXPECT_FALSE(*senior);
+  Result<bool> adult = db.Holds("alice[adult->1]");
+  ASSERT_TRUE(adult.ok());
+  EXPECT_TRUE(*adult);
+}
+
+TEST(DatabaseRuleTest, AProducerLoadedLaterMakesTheRuleFire) {
+  Database db;
+  ASSERT_TRUE(db.Load(R"(
+    alice[age->30].
+    X[senior->1] <- X[age->A], X[emeritus->1].
+  )").ok());
+  ASSERT_TRUE(db.Materialize().ok());
+  Result<bool> senior = db.Holds("alice[senior->1]");
+  ASSERT_TRUE(senior.ok());
+  EXPECT_FALSE(*senior);
+
+  ASSERT_TRUE(db.Load("X[emeritus->1] <- X[age->A], A.geq@(30).").ok());
+  ASSERT_TRUE(db.Materialize().ok());
+  senior = db.Holds("alice[senior->1]");
+  ASSERT_TRUE(senior.ok());
+  EXPECT_TRUE(*senior);
+}
+
 }  // namespace
 }  // namespace pathlog

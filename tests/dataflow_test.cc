@@ -288,6 +288,26 @@ const Diagnostic* FindCode(const LintReport& report, LintCode code) {
   return nullptr;
 }
 
+TEST(AnalyzeProgramTest, Pl019SuggestsTheGreedyIndexDrivenOrder) {
+  // Safety order runs `X[p->Y]` first, a scan. The suggested order
+  // picks, at each step, the earliest admissible literal that scans
+  // nothing: the ground class first, then the literals it drives; the
+  // negated test and `X[p->Y]` both scan nothing by then, and the tie
+  // goes to the earlier one.
+  Program program = Parse(R"(
+    z1 : c. a[p->b]. b[q->z1].
+    X[r->1] <- not Y[bad->1], X[p->Y], Y[q->Z], Z : c.
+  )");
+  LintReport report;
+  AnalyzeProgram(program, {}, &report);
+  const Diagnostic* d = FindCode(report, LintCode::kUnboundTarget);
+  ASSERT_NE(d, nullptr) << report.ToString("inline");
+  ASSERT_FALSE(d->notes.empty());
+  EXPECT_EQ(d->notes[0],
+            "an admissible order avoids the scan: Z:c, Y[q->Z], "
+            "not Y[bad->1], X[p->Y]");
+}
+
 struct AnalysisFixture {
   const char* file;
   LintCode code;

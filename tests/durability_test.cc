@@ -885,6 +885,30 @@ TEST(DurableDatabaseTest, TriggerFactsAfterMaterializeKeepTheReopenClean) {
   EXPECT_EQ(db->engine_stats().iterations, 0u);
 }
 
+TEST(DurableDatabaseTest, AFailedLoadNeverReopensClean) {
+  // A Load that fails on a later clause keeps what its earlier clauses
+  // installed. A read commits those facts; the reopen must still run
+  // the rules over them.
+  FaultInjectingFileOps fs;
+  {
+    Result<Database> db = Database::Open("/db", DurableOptions(), &fs);
+    ASSERT_TRUE(db.ok()) << db.status();
+    ASSERT_TRUE(
+        db->Load("a[kids->>{b}]. X[desc->>{Y}] <- X[kids->>{Y}].").ok());
+    ASSERT_TRUE(db->Materialize().ok());
+    EXPECT_EQ(db->Load("b[kids->>{c}]. d[age->1]. d[age->2].").code(),
+              StatusCode::kScalarConflict);
+    Result<bool> kept = db->Holds("b[kids->>{c}]");
+    ASSERT_TRUE(kept.ok()) << kept.status();
+    EXPECT_TRUE(*kept);
+  }
+  Result<Database> db = Database::Open("/db", DurableOptions(), &fs);
+  ASSERT_TRUE(db.ok()) << db.status();
+  Result<bool> derived = db->Holds("b[desc->>{c}]");
+  ASSERT_TRUE(derived.ok()) << derived.status();
+  EXPECT_TRUE(*derived);
+}
+
 TEST(DurableDatabaseTest, SnapshotFileRoundTripsTheFlag) {
   const std::string path =
       ::testing::TempDir() + "/flag_roundtrip." +

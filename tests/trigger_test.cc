@@ -128,6 +128,33 @@ TEST(TriggerTest, DerivedFactsAreEventsToo) {
   EXPECT_EQ(rs->Column("X", db.store()), (std::vector<std::string>{"p0"}));
 }
 
+TEST(TriggerTest, OnlyTheEventLiteralNeedsAFreshFact) {
+  // The event literal must consume a fact of the round; the conditions
+  // read the current state. A condition fact that arrives after its
+  // event was consumed fires nothing: the event is old.
+  Database db;
+  ASSERT_TRUE(db.Load(R"(
+    X[alert->1] <~ X:car, X[color->red].
+    c1 : car.
+  )").ok());
+  ASSERT_TRUE(db.FireTriggers().ok());
+  EXPECT_EQ(db.trigger_stats().firings, 0u);
+
+  ASSERT_TRUE(db.Load("c1[color->red].").ok());
+  ASSERT_TRUE(db.FireTriggers().ok());
+  EXPECT_EQ(db.trigger_stats().firings, 0u);
+  Result<bool> c1 = db.Holds("c1[alert->1]");
+  ASSERT_TRUE(c1.ok());
+  EXPECT_FALSE(*c1);
+
+  ASSERT_TRUE(db.Load("c2 : car[color->red].").ok());
+  ASSERT_TRUE(db.FireTriggers().ok());
+  EXPECT_EQ(db.trigger_stats().firings, 1u);
+  Result<bool> c2 = db.Holds("c2[alert->1]");
+  ASSERT_TRUE(c2.ok());
+  EXPECT_TRUE(*c2);
+}
+
 TEST(TriggerTest, NegatedConditions) {
   Database db;
   ASSERT_TRUE(db.Load(R"(
