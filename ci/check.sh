@@ -285,4 +285,45 @@ if second["rows"] != first["rows"]:
 print(f"restart smoke: reopened clean, {second['rows']} rows, 0 derivations")
 EOF8
 
+# Sessions 3 and 4: a Load stops at its first syntax error and keeps
+# the clauses before it. Session 3 loads a file whose last line does
+# not parse; the shell must exit non-zero and name the error's line.
+# Session 4 reopens the directory; its read must return the rows the
+# clauses before the error imply.
+DURABLE_DIR2="${OBS_TMP}/durable2"
+printf '%s\n' \
+  'a[kids->>{b}].' \
+  'b[kids->>{c}].' \
+  'X[desc->>{Y}] <- X[kids->>{Y}].' \
+  'X[desc->>{Y}] <- X..desc[kids->>{Y}].' \
+  'c[kids->>{d}}.' > "${OBS_TMP}/broken.plg"
+if "${BUILD_DIR}/tools/pathlog" --durable "${DURABLE_DIR2}" \
+    "${OBS_TMP}/broken.plg" </dev/null >/dev/null \
+    2>"${OBS_TMP}/broken.err"; then
+  echo "error-rule smoke FAILED: loading broken.plg exited 0" >&2
+  exit 1
+fi
+if ! grep -q "ParseError: line 5," "${OBS_TMP}/broken.err"; then
+  echo "error-rule smoke FAILED: no ParseError naming line 5:" >&2
+  cat "${OBS_TMP}/broken.err" >&2
+  exit 1
+fi
+printf '%s\n' '?- a[desc->>{D}].' '\quit' | \
+  "${BUILD_DIR}/tools/pathlog" --durable "${DURABLE_DIR2}" \
+    --query-log="${OBS_TMP}/restart4.jsonl" >/dev/null
+python3 - "${OBS_TMP}/restart4.jsonl" <<'EOF9'
+import json, sys
+
+with open(sys.argv[1]) as f:
+    recs = [json.loads(l) for l in f.read().splitlines() if l.strip()]
+desc = [r for r in recs if r.get("query") == "?- a[desc->>{D}]."]
+if len(desc) != 1 or desc[0].get("status") != "ok":
+    sys.exit("error-rule smoke FAILED: session 4 holds no answered desc read")
+if desc[0]["rows"] != 2:
+    sys.exit(f"error-rule smoke FAILED: session 4 read {desc[0]['rows']} "
+             "rows, not the 2 (b, c) the clauses before the error imply")
+print("error-rule smoke: the clauses before the syntax error survived, "
+      "2 rows")
+EOF9
+
 echo "ci/check.sh: all checks passed"

@@ -27,6 +27,15 @@ inline void PutU64(std::string* out, uint64_t v) {
   for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
 }
 
+/// Overwrites the fixed-width value at byte `pos` of `out`, for fields
+/// such as a checksum that are known only after what follows them.
+inline void PatchU32(std::string* out, size_t pos, uint32_t v) {
+  for (int i = 0; i < 4; ++i) (*out)[pos + i] = static_cast<char>(v >> (8 * i));
+}
+inline void PatchU64(std::string* out, size_t pos, uint64_t v) {
+  for (int i = 0; i < 8; ++i) (*out)[pos + i] = static_cast<char>(v >> (8 * i));
+}
+
 class ByteReader {
  public:
   explicit ByteReader(std::string_view bytes) : bytes_(bytes) {}

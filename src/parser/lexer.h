@@ -64,6 +64,35 @@ struct Token {
   int column = 1;
 };
 
+/// Lexes `source` on demand, one token per call: a caller that drops
+/// each token before asking for the next never holds the rest.
+class Lexer {
+ public:
+  explicit Lexer(std::string_view source) : src_(source) {}
+
+  /// Lexes the next token into `*out`: kEof at, and after, the end of
+  /// input. A ParseError names the offending line and column; the
+  /// lexer must not be called again after one.
+  Status Next(Token* out);
+
+ private:
+  bool AtEnd() const { return pos_ >= src_.size(); }
+  char Peek(size_t ahead = 0) const {
+    return pos_ + ahead < src_.size() ? src_[pos_ + ahead] : '\0';
+  }
+  char Advance();
+  Status Error(std::string_view what) const;
+  void SkipSpaceAndComments();
+  void LexIdent(Token* out);
+  Status LexInt(bool negative, Token* out);
+  Status LexString(Token* out);
+
+  std::string_view src_;
+  size_t pos_ = 0;
+  int line_ = 1;
+  int column_ = 1;
+};
+
 /// Tokenises `source` completely (ending with a kEof token), or returns
 /// a ParseError naming the offending line and column.
 Result<std::vector<Token>> Tokenize(std::string_view source);

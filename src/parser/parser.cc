@@ -8,25 +8,26 @@
 
 namespace pathlog {
 
-namespace {
-
-class ParserImpl {
+/// The recursive-descent parser over an on-demand lexer. It holds the
+/// tokens of one clause — through its terminating dot, or to the end
+/// of input — and lexes the next clause's only once those are consumed.
+class ClauseParser {
  public:
-  explicit ParserImpl(std::vector<Token> tokens)
-      : tokens_(std::move(tokens)) {}
+  explicit ClauseParser(std::string_view source) : lexer_(source) {}
 
-  Result<Program> ParseProgram() {
-    Program prog;
-    while (!Check(TokenKind::kEof)) {
-      PATHLOG_RETURN_IF_ERROR(ParseClause(&prog));
-    }
-    return prog;
+  /// Parses the next clause into `*prog`; false at the end of input.
+  Result<bool> ParseNextClause(Program* prog) {
+    PATHLOG_RETURN_IF_ERROR(LexClause());
+    if (Check(TokenKind::kEof)) return false;
+    PATHLOG_RETURN_IF_ERROR(ParseClause(prog));
+    return true;
   }
 
   Result<RefPtr> ParseSingleRef() {
+    PATHLOG_RETURN_IF_ERROR(LexClause());
     PATHLOG_ASSIGN_OR_RETURN(RefPtr r, ParseRef());
     // A trailing terminator dot is tolerated.
-    Match(TokenKind::kTermDot);
+    if (Match(TokenKind::kTermDot)) PATHLOG_RETURN_IF_ERROR(LexClause());
     if (!Check(TokenKind::kEof)) {
       return Error(StrCat("unexpected ", TokenKindName(Peek().kind),
                           " after reference"));
@@ -35,8 +36,10 @@ class ParserImpl {
   }
 
   Result<Rule> ParseSingleRule() {
+    PATHLOG_RETURN_IF_ERROR(LexClause());
     Program prog;
     PATHLOG_RETURN_IF_ERROR(ParseClause(&prog));
+    PATHLOG_RETURN_IF_ERROR(LexClause());
     if (!Check(TokenKind::kEof) || prog.rules.size() != 1 ||
         !prog.queries.empty() || !prog.signatures.empty()) {
       return Status(ParseError("expected exactly one rule clause"));
@@ -45,10 +48,12 @@ class ParserImpl {
   }
 
   Result<Query> ParseSingleQuery() {
+    PATHLOG_RETURN_IF_ERROR(LexClause());
     Query q;
     Match(TokenKind::kQuery);  // optional
     PATHLOG_RETURN_IF_ERROR(ParseLiterals(&q.body));
-    Match(TokenKind::kTermDot);  // optional for queries
+    // Optional for queries.
+    if (Match(TokenKind::kTermDot)) PATHLOG_RETURN_IF_ERROR(LexClause());
     if (!Check(TokenKind::kEof)) {
       return Status(
           Error(StrCat("unexpected ", TokenKindName(Peek().kind),
@@ -58,13 +63,29 @@ class ParserImpl {
   }
 
  private:
-  const Token& Peek(size_t ahead = 0) const {
-    size_t i = pos_ + ahead;
-    return i < tokens_.size() ? tokens_[i] : tokens_.back();
+  /// Once the current clause's tokens are consumed, lexes the next
+  /// clause's. A lexer error anywhere in a clause is that clause's
+  /// error, ahead of any parse error earlier in it.
+  Status LexClause() {
+    if (pos_ < tokens_.size()) return Status::OK();
+    tokens_.clear();
+    pos_ = 0;
+    do {
+      tokens_.emplace_back();
+      PATHLOG_RETURN_IF_ERROR(lexer_.Next(&tokens_.back()));
+    } while (tokens_.back().kind != TokenKind::kTermDot &&
+             tokens_.back().kind != TokenKind::kEof);
+    return Status::OK();
+  }
+
+  /// The current token. Past a consumed terminating dot — only before
+  /// the next LexClause — it stays on that dot.
+  const Token& Peek() const {
+    return pos_ < tokens_.size() ? tokens_[pos_] : tokens_.back();
   }
   const Token& Advance() {
-    const Token& t = tokens_[pos_];
-    if (pos_ + 1 < tokens_.size()) ++pos_;
+    const Token& t = Peek();
+    if (t.kind != TokenKind::kEof && pos_ < tokens_.size()) ++pos_;
     return t;
   }
   bool Check(TokenKind kind) const { return Peek().kind == kind; }
@@ -199,6 +220,8 @@ class ParserImpl {
     PATHLOG_ASSIGN_OR_RETURN(RefPtr klass, ParseSimple("signature class"));
     PATHLOG_RETURN_IF_ERROR(
         Expect(TokenKind::kLBracket, "in signature declaration"));
+    // Appended only once the whole clause parses.
+    std::vector<SignatureDecl> sigs;
     do {
       SignatureDecl sig;
       sig.klass = klass;
@@ -216,11 +239,14 @@ class ParserImpl {
       }
       PATHLOG_ASSIGN_OR_RETURN(sig.result_type,
                                ParseSimple("signature result type"));
-      prog->signatures.push_back(std::move(sig));
+      sigs.push_back(std::move(sig));
     } while (Match(TokenKind::kSemicolon));
     PATHLOG_RETURN_IF_ERROR(
         Expect(TokenKind::kRBracket, "after signature declarations"));
-    return Expect(TokenKind::kTermDot, "at end of signature clause");
+    PATHLOG_RETURN_IF_ERROR(
+        Expect(TokenKind::kTermDot, "at end of signature clause"));
+    for (SignatureDecl& sig : sigs) prog->signatures.push_back(std::move(sig));
+    return Status::OK();
   }
 
   // --- references -----------------------------------------------------
@@ -419,37 +445,40 @@ class ParserImpl {
     return Ref::ScalarFilter(std::move(self), std::move(head));
   }
 
-  std::vector<Token> tokens_;
+  Lexer lexer_;
+  std::vector<Token> tokens_;  ///< the current clause's
   size_t pos_ = 0;
   int depth_ = 0;
 };
 
-Result<ParserImpl> MakeParser(std::string_view source) {
-  Result<std::vector<Token>> toks = Tokenize(source);
-  if (!toks.ok()) return toks.status();
-  return ParserImpl(std::move(*toks));
+ClauseReader::ClauseReader(std::string_view source)
+    : parser_(std::make_unique<ClauseParser>(source)) {}
+
+ClauseReader::~ClauseReader() = default;
+
+Result<bool> ClauseReader::Next(Program* out) {
+  return parser_->ParseNextClause(out);
 }
 
-}  // namespace
-
 Result<Program> ParseProgram(std::string_view source) {
-  PATHLOG_ASSIGN_OR_RETURN(ParserImpl parser, MakeParser(source));
-  return parser.ParseProgram();
+  ClauseReader reader(source);
+  Program prog;
+  for (;;) {
+    PATHLOG_ASSIGN_OR_RETURN(bool more, reader.Next(&prog));
+    if (!more) return prog;
+  }
 }
 
 Result<RefPtr> ParseRef(std::string_view source) {
-  PATHLOG_ASSIGN_OR_RETURN(ParserImpl parser, MakeParser(source));
-  return parser.ParseSingleRef();
+  return ClauseParser(source).ParseSingleRef();
 }
 
 Result<Rule> ParseRule(std::string_view source) {
-  PATHLOG_ASSIGN_OR_RETURN(ParserImpl parser, MakeParser(source));
-  return parser.ParseSingleRule();
+  return ClauseParser(source).ParseSingleRule();
 }
 
 Result<Query> ParseQuery(std::string_view source) {
-  PATHLOG_ASSIGN_OR_RETURN(ParserImpl parser, MakeParser(source));
-  return parser.ParseSingleQuery();
+  return ClauseParser(source).ParseSingleQuery();
 }
 
 }  // namespace pathlog

@@ -24,6 +24,7 @@
 #ifndef PATHLOG_PARSER_PARSER_H_
 #define PATHLOG_PARSER_PARSER_H_
 
+#include <memory>
 #include <string_view>
 
 #include "ast/program.h"
@@ -32,7 +33,32 @@
 
 namespace pathlog {
 
-/// Parses a whole program (facts, rules, queries, signatures).
+class ClauseParser;
+
+/// Reads a program one clause at a time. Tokens are lexed on demand, a
+/// clause's worth at a time, so a caller that handles each clause and
+/// drops it before reading the next never holds more than one clause's
+/// tokens and AST — Database::Load streams a bulk load this way.
+class ClauseReader {
+ public:
+  explicit ClauseReader(std::string_view source);
+  ~ClauseReader();
+  ClauseReader(const ClauseReader&) = delete;
+  ClauseReader& operator=(const ClauseReader&) = delete;
+
+  /// Parses the next clause and appends it to `*out` (one rule, fact,
+  /// trigger or query, or the declarations of one signature clause).
+  /// False at the end of the input. A ParseError names the line and
+  /// column of the clause that fails to lex or parse; the reader must
+  /// not be called again after one.
+  Result<bool> Next(Program* out);
+
+ private:
+  std::unique_ptr<ClauseParser> parser_;
+};
+
+/// Parses a whole program (facts, rules, queries, signatures): a
+/// ClauseReader run to the end of its input.
 Result<Program> ParseProgram(std::string_view source);
 
 /// Parses a single reference; the input must contain nothing else.

@@ -289,44 +289,73 @@ SitePlanOptions Database::PlanOptionsLocked() const {
 }
 
 Status Database::Load(std::string_view program_text) {
-  Result<Program> program = ParseProgram(program_text);
-  if (!program.ok()) return program.status();
-  return LoadProgram(*program);
-}
-
-Status Database::LoadProgram(const Program& program) {
   WriteLock lock(*this);
-  return LoadProgramLocked(program);
+  return LoadLocked(program_text, /*installed=*/nullptr);
 }
 
-Status Database::LoadProgramLocked(const Program& program) {
+namespace {
+
+/// Drops from `clause` every rule, trigger and signature whose printed
+/// form is in `installed`.
+void DropInstalled(const std::set<std::string>& installed, Program* clause) {
+  auto seen = [&installed](const auto& c) {
+    return installed.count(ToString(c)) > 0;
+  };
+  std::erase_if(clause->signatures, seen);
+  std::erase_if(clause->triggers, seen);
+  std::erase_if(clause->rules, seen);
+}
+
+}  // namespace
+
+Status Database::LoadLocked(std::string_view text,
+                            const std::set<std::string>* installed) {
   if (degraded()) return DegradedError();
   FlightSpan load_span(options_.engine.obs.flight, "db.load", "database");
-  if (!program.queries.empty()) {
-    return InvalidArgument(
-        "programs loaded into a Database must not contain `?-` queries; "
-        "run them with Database::Query");
-  }
   if (options_.lint_on_load) {
+    // The linter needs the whole program, so this pre-pass parses the
+    // text once on its own; a text that does not parse or lint clean
+    // installs nothing.
+    Result<Program> program = ParseProgram(text);
+    if (!program.ok()) return program.status();
+    if (installed != nullptr) DropInstalled(*installed, &*program);
     LintOptions lint_options;
     lint_options.head_value_mode = options_.engine.head_value_mode;
     lint_options.errors_only = true;
     PATHLOG_RETURN_IF_ERROR(
-        ReportToStatus(ProgramLinter(lint_options).Lint(program)));
+        ReportToStatus(ProgramLinter(lint_options).Lint(*program)));
   }
-  // Once a clause is in, a later clause's error must still mark the
-  // rules stale and commit what went in, or reads would skip the rules
-  // over it; the Load's own error wins.
-  bool installed = false;
-  Status st = InstallClausesLocked(program, &installed);
-  if (!st.ok() && !installed) return st;
+  // Each clause is installed and dropped before the next is read. Once
+  // one is in, a later clause's error — lexing, parsing or installing —
+  // must still mark the rules stale and commit what went in, or reads
+  // would skip the rules over it; the Load's own error wins.
+  ClauseReader reader(text);
+  Program clause;
+  bool any_installed = false;
+  Status st;
+  for (;;) {
+    Result<bool> more = reader.Next(&clause);
+    if (!more.ok()) st = more.status();
+    if (!st.ok() || !*more) break;
+    if (installed != nullptr) DropInstalled(*installed, &clause);
+    st = InstallClauseLocked(clause, &any_installed);
+    if (!st.ok()) break;
+    clause.rules.clear();
+    clause.triggers.clear();
+    clause.signatures.clear();
+  }
+  if (!st.ok() && !any_installed) return st;
   dirty_ = true;
   return FinishMutation(st);
 }
 
-Status Database::InstallClausesLocked(const Program& program,
-                                      bool* installed) {
-  for (const SignatureDecl& sig : program.signatures) {
+Status Database::InstallClauseLocked(const Program& clause, bool* installed) {
+  if (!clause.queries.empty()) {
+    return InvalidArgument(
+        "programs loaded into a Database must not contain `?-` queries; "
+        "run them with Database::Query");
+  }
+  for (const SignatureDecl& sig : clause.signatures) {
     PATHLOG_RETURN_IF_ERROR(signatures_.Declare(sig, &store_));
     *installed = true;
     signature_text_ += ToString(sig);
@@ -336,7 +365,7 @@ Status Database::InstallClausesLocked(const Program& program,
       pending_program_text_ += "\n";
     }
   }
-  for (const TriggerRule& trigger : program.triggers) {
+  for (const TriggerRule& trigger : clause.triggers) {
     PATHLOG_RETURN_IF_ERROR(CheckTriggerWellFormed(trigger));
     *installed = true;
     InternNames(*trigger.rule.head);
@@ -347,7 +376,7 @@ Status Database::InstallClausesLocked(const Program& program,
       pending_program_text_ += "\n";
     }
   }
-  for (const Rule& rule : program.rules) {
+  for (const Rule& rule : clause.rules) {
     PATHLOG_RETURN_IF_ERROR(CheckRuleWellFormed(rule));
     *installed = true;  // a fact failing part-way keeps its first facts
     InternNames(*rule.head);
@@ -659,8 +688,6 @@ Status Database::FireTriggersLocked(ResourceBudget* budget) {
 }
 
 Result<std::string> Database::SaveSnapshotBytes() const {
-  Result<std::string> store_bytes = SerializeSnapshot(store_);
-  if (!store_bytes.ok()) return store_bytes.status();
   std::string program;
   {
     Program prog;
@@ -668,21 +695,27 @@ Result<std::string> Database::SaveSnapshotBytes() const {
     prog.triggers = triggers_;
     program = ToString(prog);
   }
-  std::string body;
-  PutU64(&body, store_bytes->size());
-  body.append(*store_bytes);
-  PutU64(&body, program.size());
-  body.append(program);
-  PutU64(&body, signature_text_.size());
-  body.append(signature_text_);
-  PutU64(&body, trigger_watermark_);
-  PutU8(&body, dirty_ ? 0 : 1);  // 1: the store is at the rules' fixpoint
-
+  // One buffer at its final size: the store image is serialised in
+  // place and both checksums are patched in once what they cover is
+  // written.
+  const size_t store_size = SnapshotSize(store_);
   std::string out;
-  out.reserve(kDbMagicLen + 4 + body.size());
+  out.reserve(kDbMagicLen + 4 + 8 + store_size + 8 + program.size() + 8 +
+              signature_text_.size() + 8 + 1);
   out.append(kDbMagic, kDbMagicLen);
-  PutU32(&out, Crc32(body));
-  out.append(body);
+  PutU32(&out, 0);  // crc32(body), patched below
+  const size_t store_at = out.size();
+  PutU64(&out, 0);  // the store image's length, patched below
+  PATHLOG_RETURN_IF_ERROR(AppendSnapshot(store_, &out));
+  PatchU64(&out, store_at, out.size() - store_at - 8);
+  PutU64(&out, program.size());
+  out.append(program);
+  PutU64(&out, signature_text_.size());
+  out.append(signature_text_);
+  PutU64(&out, trigger_watermark_);
+  PutU8(&out, dirty_ ? 0 : 1);  // 1: the store is at the rules' fixpoint
+  PatchU32(&out, kDbMagicLen,
+           Crc32(std::string_view(out).substr(kDbMagicLen + 4)));
   return out;
 }
 
@@ -795,38 +828,42 @@ Result<Database> Database::Open(const std::string& dir,
   if (fops->Exists(db.WalPath())) {
     Result<std::string> bytes = fops->ReadFile(db.WalPath());
     if (!bytes.ok()) return bytes.status();
-    Result<WalScan> scan = ScanWal(*bytes);
-    if (!scan.ok()) return scan.status();
+    // Each record is applied as the scan decodes it; none is kept.
     // The materialisation flag recovers from the snapshot's flag and the
     // log's marks, in log order, and from nothing else: replaying
     // program text dirties the database as a side effect. Without a
     // snapshot, a log with records starts dirty: one written before the
     // marks existed has none, and every later log marks its first Load.
     const bool snapshot_dirty = db.dirty_;
-    bool dirty = have_snapshot ? snapshot_dirty : !scan->records.empty();
+    bool dirty = snapshot_dirty;
+    bool replayed_any = false;
     auto footprint = [&db] {
       return std::array<uint64_t, 4>{db.store_.UniverseSize(),
                                      db.store_.generation(), db.rules_.size(),
                                      db.triggers_.size()};
     };
     const std::array<uint64_t, 4> snapshot_footprint = footprint();
-    for (const WalRecord& rec : scan->records) {
+    auto replay = [&](WalRecord& rec) NO_THREAD_SAFETY_ANALYSIS -> Status {
+      // Single-threaded construction, as in the rest of Open.
+      if (!have_snapshot && !replayed_any) dirty = true;
+      replayed_any = true;
       switch (rec.type) {
         case WalRecordType::kIntern:
         case WalRecordType::kFact:
-          PATHLOG_RETURN_IF_ERROR(ApplyWalRecordToStore(rec, &db.store_));
-          break;
+          return ApplyWalRecordToStore(rec, &db.store_);
         case WalRecordType::kProgram:
-          PATHLOG_RETURN_IF_ERROR(db.ReplayProgramText(rec.text));
-          break;
+          return db.ReplayProgramText(rec.text);
         case WalRecordType::kTriggerWatermark:
           db.trigger_watermark_ = rec.watermark;
-          break;
+          return Status::OK();
         case WalRecordType::kMaterialisation:
           dirty = !rec.materialised;
-          break;
+          return Status::OK();
       }
-    }
+      return Status::OK();
+    };
+    Result<WalExtent> scan = ScanWal(*bytes, replay);
+    if (!scan.ok()) return scan.status();
     // A log that added nothing to the snapshot recovers exactly the
     // snapshot's state, and the snapshot's flag is the one for that
     // state. Its marks may predate the snapshot: a crash between a
@@ -1125,33 +1162,21 @@ DatabaseHealth Database::Health() const {
   return h;
 }
 
-Status Database::ReplayProgramText(const std::string& text) {
-  Result<Program> parsed = ParseProgram(text);
-  if (!parsed.ok()) return parsed.status();
+Status Database::ReplayProgramText(std::string_view text) {
   // A crash between checkpoint and WAL reset leaves program records
   // that overlap the snapshot; skip anything already installed.
   std::set<std::string> have;
   for (const Rule& rule : rules_) have.insert(ToString(rule));
   for (const TriggerRule& trigger : triggers_) have.insert(ToString(trigger));
-  if (!signature_text_.empty()) {
-    Result<Program> sigs = ParseProgram(signature_text_);
-    if (sigs.ok()) {
-      for (const SignatureDecl& sig : sigs->signatures) {
-        have.insert(ToString(sig));
-      }
+  ClauseReader declared(signature_text_);
+  Program clause;
+  while (declared.Next(&clause).value_or(false)) {
+    for (const SignatureDecl& sig : clause.signatures) {
+      have.insert(ToString(sig));
     }
+    clause.signatures.clear();
   }
-  Program fresh;
-  for (const SignatureDecl& sig : parsed->signatures) {
-    if (have.count(ToString(sig)) == 0) fresh.signatures.push_back(sig);
-  }
-  for (const TriggerRule& trigger : parsed->triggers) {
-    if (have.count(ToString(trigger)) == 0) fresh.triggers.push_back(trigger);
-  }
-  for (const Rule& rule : parsed->rules) {
-    if (have.count(ToString(rule)) == 0) fresh.rules.push_back(rule);
-  }
-  return LoadProgramLocked(fresh);
+  return LoadLocked(text, &have);
 }
 
 std::string Database::ExplainFact(uint64_t gen) const {

@@ -18,7 +18,9 @@
 // interned, nothing pending for the WAL — so concurrent read-only
 // reads evaluate in parallel and are safe against a concurrent
 // mutator (Load/Materialize/Checkpoint/FireTriggers take the guard
-// exclusively); any other read restarts under the exclusive side.
+// exclusively; a Load's lexing and parsing run inside that hold, since
+// it reads, installs and drops one clause at a time); any other read
+// restarts under the exclusive side.
 // degraded() and Health() are safe from any thread (the stats
 // server's health callback runs on the accept thread). Budgets are
 // inside the contract: every call that can evaluate builds its own
@@ -47,6 +49,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -143,7 +146,9 @@ struct DatabaseOptions {
   /// (after the deductive fixpoint). Off: call FireTriggers() manually.
   bool fire_triggers_on_materialize = false;
   /// Run the linter (errors only) over every program before installing
-  /// it; Load/LoadProgram fail with the first lint error's status.
+  /// any of it; Load fails with the first lint error's status. The
+  /// linter needs the whole program, so such a Load parses its text
+  /// twice, and a text that fails to parse or lint installs nothing.
   bool lint_on_load = false;
   /// Durability policy; consulted only by databases from Open().
   DurabilityOptions durability;
@@ -155,12 +160,20 @@ class Database {
   explicit Database(DatabaseOptions options);
 
   /// Parses and installs a program: facts are asserted immediately,
-  /// rules and signatures are registered, and any `?-` queries in the
-  /// text are rejected (use Query()). Names are interned eagerly.
+  /// rules, triggers and signatures are registered, and a `?-` query
+  /// is an error (use Query()). Names are interned eagerly.
+  ///
+  /// The load streams: it lexes and parses one clause, installs it and
+  /// drops it before reading the next, so a bulk load never holds more
+  /// than one clause's tokens and AST, and clauses take effect — and
+  /// names get their oids — in text order. It stops at the first
+  /// clause that fails to lex, parse or install and returns that
+  /// clause's error (a syntax error names its line and column). The
+  /// clauses before it stay installed: the database is marked for
+  /// re-materialisation and, when durable, they are committed to the
+  /// WAL. With options.lint_on_load, the whole text is first parsed
+  /// and linted, and nothing is installed unless it lints clean.
   Status Load(std::string_view program_text);
-
-  /// Installs an already-parsed program (same semantics as Load).
-  Status LoadProgram(const Program& program);
 
   /// Answers a conjunctive query; variables are reported in name order.
   /// Re-materialises first if rules/facts changed since the last run.
@@ -390,11 +403,16 @@ class Database {
   auto Governed(Fn fn);
 
   /// Exclusive-lock bodies of the public mutators; the evaluating ones
-  /// run under the calling operation's budget window.
-  Status LoadProgramLocked(const Program& program) REQUIRES(state_mu_);
-  /// LoadProgramLocked's clause loop: stops at the first failing
-  /// clause, and sets `*installed` once one clause is in.
-  Status InstallClausesLocked(const Program& program, bool* installed)
+  /// run under the calling operation's budget window. LoadLocked
+  /// streams `text` clause by clause (see Load), skipping every rule,
+  /// trigger and signature whose printed form is in `installed`, if
+  /// given.
+  Status LoadLocked(std::string_view text,
+                    const std::set<std::string>* installed)
+      REQUIRES(state_mu_);
+  /// Installs one parsed clause (a query is an error); sets
+  /// `*installed` once anything of it is in.
+  Status InstallClauseLocked(const Program& clause, bool* installed)
       REQUIRES(state_mu_);
   Status MaterializeLocked(ResourceBudget* budget) REQUIRES(state_mu_);
   Status FireTriggersLocked(ResourceBudget* budget) REQUIRES(state_mu_);
@@ -448,7 +466,7 @@ class Database {
   /// Loads program text from a WAL record, skipping rules, triggers
   /// and signatures that are already installed (replay after a crash
   /// between checkpoint and WAL reset sees both copies).
-  Status ReplayProgramText(const std::string& text) REQUIRES(state_mu_);
+  Status ReplayProgramText(std::string_view text) REQUIRES(state_mu_);
 
   /// Refreshes the pathlog_store_* gauges (universe size, fact count);
   /// no-op without a metrics sink.

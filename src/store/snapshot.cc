@@ -14,44 +14,49 @@ constexpr char kMagicV1[] = "PLGSNAP1";
 constexpr char kMagicV2[] = "PLGSNAP2";
 constexpr size_t kMagicLen = 8;
 
-/// Serialises the object table + fact log (the shared v1/v2 body).
-Result<std::string> SerializeBody(const ObjectStore& store) {
-  std::string out;
+/// The stored bytes of a non-integer object: its display name, less
+/// the quotes a string displays with.
+std::string_view RawName(const ObjectStore& store, Oid o) {
+  std::string_view name = store.DisplayName(o);
+  if (store.kind(o) == ObjectKind::kString) {
+    name = name.substr(1, name.size() - 2);
+  }
+  return name;
+}
+
+/// Appends the object table + fact log (the shared v1/v2 body).
+Status AppendBody(const ObjectStore& store, std::string* out) {
   const size_t n = store.UniverseSize();
-  PutU64(&out, n);
+  PutU64(out, n);
   for (Oid o = 0; o < n; ++o) {
     ObjectKind kind = store.kind(o);
-    PutU8(&out, static_cast<uint8_t>(kind));
+    PutU8(out, static_cast<uint8_t>(kind));
     if (kind == ObjectKind::kInt) {
-      PutU64(&out, static_cast<uint64_t>(store.IntValue(o)));
+      PutU64(out, static_cast<uint64_t>(store.IntValue(o)));
       continue;
     }
-    // Strings display quoted; strip the quotes to store the raw value.
-    std::string name = store.DisplayName(o);
-    if (kind == ObjectKind::kString) {
-      name = name.substr(1, name.size() - 2);
-    }
-    PutU32(&out, static_cast<uint32_t>(name.size()));
-    out.append(name);
+    std::string_view name = RawName(store, o);
+    PutU32(out, static_cast<uint32_t>(name.size()));
+    out->append(name);
   }
 
   const uint64_t facts = store.generation();
-  PutU64(&out, facts);
+  PutU64(out, facts);
   for (uint64_t g = 0; g < facts; ++g) {
     const Fact& f = store.FactAt(g);
     if (f.args.size() > 65535) {
-      return Status(InvalidArgument(StrCat(
+      return InvalidArgument(StrCat(
           "cannot snapshot fact ", g, ": ", f.args.size(),
-          " arguments exceed the format's u16 argc limit (65535)")));
+          " arguments exceed the format's u16 argc limit (65535)"));
     }
-    PutU8(&out, static_cast<uint8_t>(f.kind));
-    PutU32(&out, f.method);
-    PutU32(&out, f.recv);
-    PutU16(&out, static_cast<uint16_t>(f.args.size()));
-    for (Oid a : f.args) PutU32(&out, a);
-    PutU32(&out, f.value);
+    PutU8(out, static_cast<uint8_t>(f.kind));
+    PutU32(out, f.method);
+    PutU32(out, f.recv);
+    PutU16(out, static_cast<uint16_t>(f.args.size()));
+    for (Oid a : f.args) PutU32(out, a);
+    PutU32(out, f.value);
   }
-  return out;
+  return Status::OK();
 }
 
 Result<ObjectStore> DeserializeBody(std::string_view body) {
@@ -146,15 +151,37 @@ Result<ObjectStore> DeserializeBody(std::string_view body) {
 }  // namespace
 
 Result<std::string> SerializeSnapshot(const ObjectStore& store) {
-  Result<std::string> body = SerializeBody(store);
-  if (!body.ok()) return body.status();
   std::string out;
-  out.reserve(kMagicLen + 12 + body->size());
-  out.append(kMagicV2, kMagicLen);
-  PutU32(&out, Crc32(*body));
-  PutU64(&out, body->size());
-  out.append(*body);
+  out.reserve(SnapshotSize(store));
+  PATHLOG_RETURN_IF_ERROR(AppendSnapshot(store, &out));
   return out;
+}
+
+size_t SnapshotSize(const ObjectStore& store) {
+  size_t size = kMagicLen + 12 + 8 + 8;  // header, object and fact counts
+  const size_t n = store.UniverseSize();
+  for (Oid o = 0; o < n; ++o) {
+    size += store.kind(o) == ObjectKind::kInt ? 1 + 8
+                                               : 1 + 4 + RawName(store, o).size();
+  }
+  const uint64_t facts = store.generation();
+  for (uint64_t g = 0; g < facts; ++g) {
+    size += 1 + 4 + 4 + 2 + 4 * store.FactAt(g).args.size() + 4;
+  }
+  return size;
+}
+
+Status AppendSnapshot(const ObjectStore& store, std::string* out) {
+  const size_t header = out->size();
+  out->append(kMagicV2, kMagicLen);
+  PutU32(out, 0);  // crc32(body), patched below
+  PutU64(out, 0);  // body_len, patched below
+  const size_t body = out->size();
+  PATHLOG_RETURN_IF_ERROR(AppendBody(store, out));
+  const std::string_view written = std::string_view(*out).substr(body);
+  PatchU32(out, header + kMagicLen, Crc32(written));
+  PatchU64(out, header + kMagicLen + 4, written.size());
+  return Status::OK();
 }
 
 Result<ObjectStore> DeserializeSnapshot(std::string_view bytes) {

@@ -40,6 +40,17 @@ namespace pathlog {
 /// would corrupt the snapshot.
 Result<std::string> SerializeSnapshot(const ObjectStore& store);
 
+/// The exact length of SerializeSnapshot(store), computed without
+/// serialising: lets a caller that embeds the image reserve its whole
+/// buffer once.
+size_t SnapshotSize(const ObjectStore& store);
+
+/// Appends SerializeSnapshot(store)'s bytes to `*out` in place: the
+/// body is written directly into `*out` and the header's checksum and
+/// length are patched in afterwards, so the image is never copied.
+/// Fails like SerializeSnapshot, leaving a partial image in `*out`.
+Status AppendSnapshot(const ObjectStore& store, std::string* out);
+
 /// Reconstructs a store from SerializeSnapshot output (v2) or a legacy
 /// v1 image. The result is bit-for-bit equivalent: same oids, names,
 /// facts and generations.

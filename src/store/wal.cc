@@ -151,13 +151,14 @@ Result<WalRecord> DecodePayload(std::string_view payload) {
 
 }  // namespace
 
-Result<WalScan> ScanWal(std::string_view bytes) {
-  WalScan scan;
+Result<WalExtent> ScanWal(std::string_view bytes,
+                          const std::function<Status(WalRecord&)>& visit) {
+  WalExtent extent;
   if (bytes.size() < kWalMagicLen) {
     // Crash during log creation: only part of the header landed.
-    scan.torn = true;
-    scan.valid_bytes = 0;
-    return scan;
+    extent.torn = true;
+    extent.valid_bytes = 0;
+    return extent;
   }
   if (std::memcmp(bytes.data(), kWalMagic, kWalMagicLen) != 0) {
     return Status(InvalidArgument("not a PathLog WAL (bad magic)"));
@@ -178,11 +179,22 @@ Result<WalScan> ScanWal(std::string_view bytes) {
     if (Crc32(payload) != crc) break;  // torn or flipped: drop the tail
     Result<WalRecord> rec = DecodePayload(payload);
     if (!rec.ok()) return rec.status();  // intact CRC, bad content
-    scan.records.push_back(std::move(*rec));
+    PATHLOG_RETURN_IF_ERROR(visit(*rec));
     pos += 8 + len;
   }
-  scan.valid_bytes = pos;
-  scan.torn = pos != bytes.size();
+  extent.valid_bytes = pos;
+  extent.torn = pos != bytes.size();
+  return extent;
+}
+
+Result<WalScan> ScanWal(std::string_view bytes) {
+  WalScan scan;
+  Result<WalExtent> extent = ScanWal(bytes, [&scan](WalRecord& rec) {
+    scan.records.push_back(std::move(rec));
+    return Status::OK();
+  });
+  if (!extent.ok()) return extent.status();
+  static_cast<WalExtent&>(scan) = *extent;
   return scan;
 }
 

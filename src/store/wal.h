@@ -44,6 +44,7 @@
 #define PATHLOG_STORE_WAL_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -70,8 +71,9 @@ enum class WalRecordType : uint8_t {
 /// One decoded WAL record. Only the fields of its type are meaningful.
 struct WalRecord {
   WalRecordType type;
-  // kMaterialisation. Kept in the padding after `type`: a scan holds
-  // every record of the log at once, and a larger record slows it.
+  // kMaterialisation. Kept in the padding after `type`: the vector
+  // form of ScanWal holds every record of the log at once, and a larger
+  // record slows it.
   bool materialised = false;
   // kIntern
   Oid oid = kNilOid;
@@ -96,19 +98,30 @@ std::string EncodeWalMaterialisation(bool materialised);
 /// Appends one framed record (length + CRC + payload) to `out`.
 void AppendWalFrame(std::string* out, std::string_view payload);
 
-struct WalScan {
-  std::vector<WalRecord> records;
+/// Where a scan stopped.
+struct WalExtent {
   /// Bytes of the valid prefix (header + intact frames). When `torn`,
   /// the caller should truncate the file to this length.
   uint64_t valid_bytes = 0;
   bool torn = false;
 };
 
-/// Scans a WAL image. A file shorter than the magic is treated as the
-/// torn remains of log creation (recovered empty); a full-length but
-/// wrong magic is kInvalidArgument (not a WAL at all); a frame that
-/// decodes under a matching CRC into an unknown type or malformed
-/// fields is kInvalidArgument (real corruption).
+struct WalScan : WalExtent {
+  std::vector<WalRecord> records;
+};
+
+/// Scans a WAL image, handing each record to `visit` as soon as it is
+/// decoded, in log order, and keeping none: `visit` may move from it.
+/// A file shorter than the magic is treated as the torn remains of log
+/// creation (recovered empty); a full-length but wrong magic is
+/// kInvalidArgument (not a WAL at all); a frame that decodes under a
+/// matching CRC into an unknown type or malformed fields is
+/// kInvalidArgument (real corruption). Either error, or one returned by
+/// `visit`, stops the scan, after the records before it were visited.
+Result<WalExtent> ScanWal(std::string_view bytes,
+                          const std::function<Status(WalRecord&)>& visit);
+
+/// The same scan, collecting every record in `records`.
 Result<WalScan> ScanWal(std::string_view bytes);
 
 /// Replays one intern/fact record into the store, idempotently: a

@@ -3,6 +3,13 @@
 #include "query/database.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+
+#include <optional>
+#include <string>
+
+#include "store/fact.h"
+#include "workload/company.h"
 
 namespace pathlog {
 namespace {
@@ -239,6 +246,113 @@ TEST(DatabaseRuleTest, AProducerLoadedLaterMakesTheRuleFire) {
   senior = db.Holds("alice[senior->1]");
   ASSERT_TRUE(senior.ok());
   EXPECT_TRUE(*senior);
+}
+
+TEST(DatabaseLoadErrorTest, ASyntaxErrorKeepsTheClausesBeforeIt) {
+  // A Load stops at the first clause that fails to parse and returns
+  // its error; the clauses before it stay installed, and the next read
+  // runs the rules over them.
+  Database db;
+  Status st = db.Load("a[v->1].\nX[w->1] <- X[v->1].\nb[v->).");
+  EXPECT_EQ(st.code(), StatusCode::kParseError);
+  EXPECT_NE(st.message().find("line 3"), std::string::npos) << st;
+  Result<bool> derived = db.Holds("a[w->1]");
+  ASSERT_TRUE(derived.ok()) << derived.status();
+  EXPECT_TRUE(*derived);
+  Result<bool> after = db.Holds("b[v->1]");
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_FALSE(*after);
+}
+
+TEST(DatabaseLoadErrorTest, ALexerErrorKeepsTheClausesBeforeIt) {
+  Database db;
+  Status st = db.Load("a[v->1].\nX[w->1] <- X[v->1].\nb[v->2]. #");
+  EXPECT_EQ(st.code(), StatusCode::kParseError);
+  EXPECT_NE(st.message().find("line 3"), std::string::npos) << st;
+  Result<bool> derived = db.Holds("a[w->1]");
+  ASSERT_TRUE(derived.ok()) << derived.status();
+  EXPECT_TRUE(*derived);
+}
+
+TEST(DatabaseLoadErrorTest, AnErrorInTheFirstClauseInstallsNothing) {
+  Database db;
+  EXPECT_EQ(db.Load("a[v->). b[v->1].").code(), StatusCode::kParseError);
+  EXPECT_EQ(db.store().FactCount(), 0u);
+  EXPECT_FALSE(db.store().FindSymbol("b").has_value());
+}
+
+TEST(DatabaseLoadTest, NamesTakeTheirOidsInTextOrder) {
+  // Clauses take effect in text order: a signature after a fact
+  // interns its names after the fact's.
+  Database db;
+  ASSERT_TRUE(db.Load("ann[age->33].\nperson[age => integer].").ok());
+  std::optional<Oid> ann = db.store().FindSymbol("ann");
+  std::optional<Oid> person = db.store().FindSymbol("person");
+  ASSERT_TRUE(ann.has_value() && person.has_value());
+  EXPECT_LT(*ann, *person);
+}
+
+TEST(DatabaseLoadTest, LintOnLoadInstallsNothingFromAFailingText) {
+  // lint_on_load lints the whole text before installing any of it, so
+  // neither a lint error nor a syntax error leaves a clause behind.
+  DatabaseOptions opts;
+  opts.lint_on_load = true;
+  Database db(opts);
+  EXPECT_FALSE(db.Load("a[v->1]. X[w->Y] <- X[v->1].").ok());
+  EXPECT_EQ(db.store().FactCount(), 0u);
+  EXPECT_EQ(db.Load("a[v->1]. b[v->).").code(), StatusCode::kParseError);
+  EXPECT_EQ(db.store().FactCount(), 0u);
+  ASSERT_TRUE(db.Load("a[v->1]. X[w->1] <- X[v->1].").ok());
+  EXPECT_EQ(db.num_rules(), 1u);
+}
+
+/// Peak resident set of this process so far, in bytes.
+uint64_t PeakRssBytes() {
+  struct rusage ru {};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<uint64_t>(ru.ru_maxrss) * 1024;  // KiB on Linux
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kRssMeasuresASanitizer = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kRssMeasuresASanitizer = true;
+#else
+constexpr bool kRssMeasuresASanitizer = false;
+#endif
+#else
+constexpr bool kRssMeasuresASanitizer = false;
+#endif
+
+TEST(DatabaseLoadMemoryTest, ABulkLoadPeaksBelowTheStoreItBuilds) {
+  // A streaming Load holds one clause's tokens and AST at a time, so
+  // the process peak grows across it by less than the store it builds:
+  // the generated store freed below leaves heap the new one reuses. A
+  // Load that tokenised and parsed the whole text first held every
+  // token and clause at once, on top of the store. The peak is this
+  // test's own: every case runs in its own process.
+  if (kRssMeasuresASanitizer) {
+    GTEST_SKIP() << "under ASan or TSan, RSS measures the sanitizer";
+  }
+  std::string text;
+  {
+    ObjectStore generated;
+    CompanyConfig config;
+    config.num_employees = 5000;
+    GenerateCompany(&generated, config);
+    text = StoreToProgramText(generated);
+  }
+  const uint64_t before = PeakRssBytes();
+  Database db;
+  ASSERT_TRUE(db.Load(text).ok());
+  const uint64_t growth = PeakRssBytes() - before;
+  RecordProperty("peak_growth_kib", std::to_string(growth / 1024));
+  RecordProperty("store_kib", std::to_string(db.store().ApproxBytes() / 1024));
+  EXPECT_LT(growth, db.store().ApproxBytes())
+      << "peak grew " << growth / 1024 << " KiB across a Load of "
+      << text.size() / 1024 << " KiB of text into a store of "
+      << db.store().ApproxBytes() / 1024 << " KiB";
 }
 
 }  // namespace

@@ -226,6 +226,24 @@ DatabaseOptions DurableOptions(uint64_t checkpoint_every = 0) {
   return opts;
 }
 
+TEST(DurableDatabaseTest, ClausesBeforeASyntaxErrorSurviveReopen) {
+  // A Load that stops at a syntax error commits the clauses before it.
+  FaultInjectingFileOps fs;
+  {
+    Result<Database> db = Database::Open("/db", DurableOptions(), &fs);
+    ASSERT_TRUE(db.ok()) << db.status();
+    Status st = db->Load("a[v->1].\nX[w->1] <- X[v->1].\nb[v->).");
+    EXPECT_EQ(st.code(), StatusCode::kParseError);
+    EXPECT_NE(st.message().find("line 3"), std::string::npos) << st;
+  }
+  Result<Database> db = Database::Open("/db", DurableOptions(), &fs);
+  ASSERT_TRUE(db.ok()) << db.status();
+  EXPECT_EQ(db->num_rules(), 1u);
+  Result<bool> derived = db->Holds("a[w->1]");
+  ASSERT_TRUE(derived.ok()) << derived.status();
+  EXPECT_TRUE(*derived);
+}
+
 TEST(DurableDatabaseTest, MutationsSurviveReopen) {
   FaultInjectingFileOps fs;
   {

@@ -173,6 +173,50 @@ TEST(SnapshotTest, DatabaseSnapshotRestoresRulesAndSignatures) {
   std::remove(path.c_str());
 }
 
+TEST(SnapshotTest, DatabaseSnapshotEmbedsTheStoreImageByteForByte) {
+  // The database image is built in one buffer with the store image
+  // serialised in place; the embedded blob must equal
+  // SerializeSnapshot's bytes, and both checksums must verify.
+  const std::string path = ::testing::TempDir() + "/pathlog_db_embed.snap";
+  Database db;
+  ASSERT_TRUE(db.Load(R"(
+    person[age => integer].
+    ann : person[age->33; kids->>{bob, "cy"}; rank@(1)->-7].
+    X[desc->>{Y}] <- X[kids->>{Y}].
+    X.guardian[of->X] <- X:person.
+  )").ok());
+  ASSERT_TRUE(db.Materialize().ok());
+  ASSERT_TRUE(db.SaveSnapshotFile(path).ok());
+  Result<std::string> file = DefaultFileOps()->ReadFile(path);
+  ASSERT_TRUE(file.ok()) << file.status();
+  const std::string& bytes = *file;
+  ASSERT_EQ(bytes.substr(0, 8), "PLGDB003");
+  ByteReader header(std::string_view(bytes).substr(8));
+  const uint32_t body_crc = header.U32();
+  const uint64_t store_len = header.U64();
+  ASSERT_TRUE(header.Ok());
+  EXPECT_EQ(Crc32(std::string_view(bytes).substr(12)), body_crc);
+
+  const std::string store_blob = bytes.substr(20, store_len);
+  EXPECT_EQ(store_blob, MustSerialize(db.store()));
+  EXPECT_EQ(SnapshotSize(db.store()), store_blob.size());
+  ByteReader store_header(std::string_view(store_blob).substr(8));
+  const uint32_t store_crc = store_header.U32();
+  const uint64_t store_body_len = store_header.U64();
+  ASSERT_TRUE(store_header.Ok());
+  EXPECT_EQ(store_body_len, store_blob.size() - 20);
+  EXPECT_EQ(Crc32(std::string_view(store_blob).substr(20)), store_crc);
+
+  Result<Database> restored = Database::LoadSnapshotFile(path);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ(MustSerialize(restored->store()), store_blob);
+  EXPECT_EQ(restored->num_rules(), db.num_rules());
+  Result<bool> desc = restored->Holds("ann[desc->>{bob}]");
+  ASSERT_TRUE(desc.ok()) << desc.status();
+  EXPECT_TRUE(*desc);
+  std::remove(path.c_str());
+}
+
 TEST(SnapshotTest, DatabaseSnapshotCorruptionDetected) {
   const std::string path = ::testing::TempDir() + "/pathlog_db_bad.snap";
   {
