@@ -165,27 +165,29 @@ struct WalFixture {
 };
 
 void BM_Store_WalAppend(benchmark::State& state) {
-  // Encode + frame + append one commit's worth of records through the
-  // in-memory file system: the logging path with the disk factored out.
+  // One commit of N records plus its fsync through DurableLog::Commit:
+  // encode, frame and append each record into the in-memory file
+  // system, the logging path with the disk factored out.
   WalFixture fx(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
     FaultInjectingFileOps fs;
-    auto file = fs.OpenForWrite("/wal", /*truncate=*/true);
-    bench::Check(file.status(), "open");
-    (void)(*file)->Append(std::string_view(kWalMagic, kWalMagicLen));
-    WalAppender appender(std::move(*file));
+    Result<std::unique_ptr<DurableLog>> log = DurableLog::Open(
+        &fs, "/wal", DurabilityOptions{},
+        [](WalRecord&) { return Status::OK(); });
+    bench::Check(log.status(), "open");
     state.ResumeTiming();
-    for (Oid o = 0; o < fx.store.UniverseSize(); ++o) {
-      bench::Check(appender.Append(EncodeWalIntern(
-                       o, fx.store.kind(o), 0, fx.store.DisplayName(o))),
-                   "append");
-    }
-    for (uint64_t g = 0; g < fx.store.generation(); ++g) {
-      bench::Check(appender.Append(EncodeWalFact(g, fx.store.FactAt(g))),
-                   "append");
-    }
-    bench::Check(appender.Sync(), "sync");
+    bench::Check((*log)->Commit([&fx](DurableLog::Batch& batch) {
+      for (Oid o = 0; o < fx.store.UniverseSize(); ++o) {
+        PATHLOG_RETURN_IF_ERROR(batch.Append(EncodeWalIntern(
+            o, fx.store.kind(o), 0, fx.store.DisplayName(o))));
+      }
+      for (uint64_t g = 0; g < fx.store.generation(); ++g) {
+        PATHLOG_RETURN_IF_ERROR(
+            batch.Append(EncodeWalFact(g, fx.store.FactAt(g))));
+      }
+      return Status::OK();
+    }), "commit");
   }
   state.SetItemsProcessed(state.iterations() * fx.records());
 }

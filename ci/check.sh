@@ -52,9 +52,10 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 # The recovery torture tests run as part of ctest above, but they are
 # the one gate crash-safety rests on, so run them again by name: a
 # filter typo or discovery failure must not silently skip them under
-# the sanitizers.
+# the sanitizers. The DurableLog cases are the named gate for the log's
+# retry policy (truncate, reopen, re-run the batch) and failure latch.
 "${BUILD_DIR}/tests/durability_test" \
-  --gtest_filter='DurabilityTortureTest.*'
+  --gtest_filter='DurabilityTortureTest.*:DurableLogTest.*'
 
 # Same reasoning for the chaos harness: the scripted fault schedules
 # (transient retries, ENOSPC windows, degraded-mode entry/exit,

@@ -284,13 +284,17 @@ Result<MetricsSamples> ParseMetricsPrometheusText(std::string_view text) {
   return samples;
 }
 
+void BumpCounter(MetricsRegistry* metrics, std::string_view name,
+                 std::string_view help) {
+  if (metrics == nullptr) return;
+  if (Counter* c = metrics->GetCounter(name, help)) c->Inc();
+}
+
 void CountBudgetRejection(MetricsRegistry* metrics,
                           const ResourceBudget& budget) {
-  if (metrics == nullptr || !budget.rejected()) return;
-  Counter* c =
-      metrics->GetCounter("pathlog_budget_rejections_total",
-                          "operations rejected by a resource budget");
-  if (c != nullptr) c->Inc();
+  if (!budget.rejected()) return;
+  BumpCounter(metrics, "pathlog_budget_rejections_total",
+              "operations rejected by a resource budget");
 }
 
 }  // namespace pathlog

@@ -173,6 +173,10 @@ Result<MetricsSamples> ParseMetricsJson(std::string_view json);
 /// comment lines; kInvalidArgument on malformed sample lines.
 Result<MetricsSamples> ParseMetricsPrometheusText(std::string_view text);
 
+/// Adds one to the named counter. No-op when metrics is null.
+void BumpCounter(MetricsRegistry* metrics, std::string_view name,
+                 std::string_view help);
+
 /// Bumps pathlog_budget_rejections_total when `budget` rejected its
 /// call. Called once per window, by the code that built it, so the
 /// series counts rejected calls, not polls. No-op when metrics is null.

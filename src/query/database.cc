@@ -7,7 +7,6 @@
 #include <cstring>
 #include <iterator>
 #include <set>
-#include <thread>
 #include <type_traits>
 
 #include "ast/analysis.h"
@@ -167,7 +166,7 @@ void Database::SetObsSinks(const ObsSinks& obs) {
   WriteLock lock(*this);
   options_.engine.obs = obs;
   store_.set_metrics(obs.metrics);
-  if (wal_) wal_->set_obs(obs.metrics, obs.flight);
+  if (log_) log_->set_obs(obs.metrics, obs.flight);
   UpdateStoreGauges();
 }
 
@@ -241,13 +240,8 @@ void Database::MaybeDumpFlightRecorder(std::string_view reason) {
   flight->Record("flightrec.dump", "database", /*dur_us=*/0,
                  StrCat("{\"reason\":\"", reason, "\"}"));
   if (!flight->WriteTo(path, fops_).ok()) return;  // best-effort
-  if (MetricsRegistry* m = options_.engine.obs.metrics; m != nullptr) {
-    if (Counter* c =
-            m->GetCounter("pathlog_flightrec_dumps_total",
-                          "flight-recorder incident dumps written")) {
-      c->Inc();
-    }
-  }
+  BumpCounter(options_.engine.obs.metrics, "pathlog_flightrec_dumps_total",
+              "flight-recorder incident dumps written");
 }
 
 void Database::InternNames(const Ref& t) {
@@ -267,12 +261,15 @@ void Database::InternNames(const Ref& t) {
   });
 }
 
+Database::LogPosition Database::PositionLocked() const {
+  return {store_.UniverseSize(), store_.generation(), trigger_watermark_,
+          dirty_};
+}
+
 bool Database::NothingPendingLocked() const {
   // CommitDurable's empty-batch test: true when a commit is a no-op.
-  if (!wal_) return true;
-  return store_.UniverseSize() == wal_objects_ &&
-         store_.generation() == wal_facts_ && pending_program_text_.empty() &&
-         trigger_watermark_ == wal_trigger_watermark_ && dirty_ == wal_dirty_;
+  if (!durable()) return true;
+  return PositionLocked() == logged_ && pending_program_text_.empty();
 }
 
 bool Database::ReadOnlyReadyLocked() const {
@@ -355,15 +352,16 @@ Status Database::InstallClauseLocked(const Program& clause, bool* installed) {
         "programs loaded into a Database must not contain `?-` queries; "
         "run them with Database::Query");
   }
+  // Installed signature, trigger and rule text waits for the next
+  // commit; only a durable database logs it.
+  auto queue_for_log = [this](const auto& c) NO_THREAD_SAFETY_ANALYSIS {
+    if (durable()) pending_program_text_ += ToString(c) + "\n";
+  };
   for (const SignatureDecl& sig : clause.signatures) {
     PATHLOG_RETURN_IF_ERROR(signatures_.Declare(sig, &store_));
     *installed = true;
-    signature_text_ += ToString(sig);
-    signature_text_ += "\n";
-    if (wal_) {
-      pending_program_text_ += ToString(sig);
-      pending_program_text_ += "\n";
-    }
+    signature_text_ += ToString(sig) + "\n";
+    queue_for_log(sig);
   }
   for (const TriggerRule& trigger : clause.triggers) {
     PATHLOG_RETURN_IF_ERROR(CheckTriggerWellFormed(trigger));
@@ -371,10 +369,7 @@ Status Database::InstallClauseLocked(const Program& clause, bool* installed) {
     InternNames(*trigger.rule.head);
     for (const Literal& lit : trigger.rule.body) InternNames(*lit.ref);
     triggers_.push_back(trigger);
-    if (wal_) {
-      pending_program_text_ += ToString(trigger);
-      pending_program_text_ += "\n";
-    }
+    queue_for_log(trigger);
   }
   for (const Rule& rule : clause.rules) {
     PATHLOG_RETURN_IF_ERROR(CheckRuleWellFormed(rule));
@@ -387,10 +382,7 @@ Status Database::InstallClauseLocked(const Program& clause, bool* installed) {
       PATHLOG_RETURN_IF_ERROR(asserter.Assert(*rule.head, &empty));
     } else {
       rules_.push_back(rule);
-      if (wal_) {
-        pending_program_text_ += ToString(rule);
-        pending_program_text_ += "\n";
-      }
+      queue_for_log(rule);
     }
   }
   return Status::OK();
@@ -809,8 +801,6 @@ Result<Database> Database::Open(const std::string& dir,
     if (!loaded.ok()) return loaded.status();
     db = std::move(*loaded);
   }
-  db.fops_ = fops;
-  db.durable_dir_ = dir;
 
   // An atomic write interrupted before its rename leaves a temp file;
   // it was never part of the committed state. Sweep every stale one,
@@ -825,101 +815,66 @@ Result<Database> Database::Open(const std::string& dir,
     }
   }
 
-  if (fops->Exists(db.WalPath())) {
-    Result<std::string> bytes = fops->ReadFile(db.WalPath());
-    if (!bytes.ok()) return bytes.status();
-    // Each record is applied as the scan decodes it; none is kept.
-    // The materialisation flag recovers from the snapshot's flag and the
-    // log's marks, in log order, and from nothing else: replaying
-    // program text dirties the database as a side effect. Without a
-    // snapshot, a log with records starts dirty: one written before the
-    // marks existed has none, and every later log marks its first Load.
-    const bool snapshot_dirty = db.dirty_;
-    bool dirty = snapshot_dirty;
-    bool replayed_any = false;
-    auto footprint = [&db] {
-      return std::array<uint64_t, 4>{db.store_.UniverseSize(),
-                                     db.store_.generation(), db.rules_.size(),
-                                     db.triggers_.size()};
-    };
-    const std::array<uint64_t, 4> snapshot_footprint = footprint();
-    auto replay = [&](WalRecord& rec) NO_THREAD_SAFETY_ANALYSIS -> Status {
-      // Single-threaded construction, as in the rest of Open.
-      if (!have_snapshot && !replayed_any) dirty = true;
-      replayed_any = true;
-      switch (rec.type) {
-        case WalRecordType::kIntern:
-        case WalRecordType::kFact:
-          return ApplyWalRecordToStore(rec, &db.store_);
-        case WalRecordType::kProgram:
-          return db.ReplayProgramText(rec.text);
-        case WalRecordType::kTriggerWatermark:
-          db.trigger_watermark_ = rec.watermark;
-          return Status::OK();
-        case WalRecordType::kMaterialisation:
-          dirty = !rec.materialised;
-          return Status::OK();
-      }
-      return Status::OK();
-    };
-    Result<WalExtent> scan = ScanWal(*bytes, replay);
-    if (!scan.ok()) return scan.status();
-    // A log that added nothing to the snapshot recovers exactly the
-    // snapshot's state, and the snapshot's flag is the one for that
-    // state. Its marks may predate the snapshot: a crash between a
-    // checkpoint's rename and its log reset keeps the old log, and a
-    // checkpoint that heals degraded mode snapshots a dirty state the
-    // broken log never marked.
-    if (have_snapshot && footprint() == snapshot_footprint) {
-      dirty = snapshot_dirty;
+  // The log hands each record to `replay` as its scan decodes it; none
+  // is kept. The database is not durable yet, so replayed program text
+  // queues nothing for the log. The materialisation flag recovers from
+  // the snapshot's flag and the log's marks, in log order, and from
+  // nothing else: replaying program text dirties the database as a side
+  // effect. Without a snapshot, a log with records starts dirty: one
+  // written before the marks existed has none, and every later log
+  // marks its first Load.
+  const bool snapshot_dirty = db.dirty_;
+  bool dirty = snapshot_dirty;
+  bool replayed_any = false;
+  auto footprint = [&db] {
+    return std::array<uint64_t, 4>{db.store_.UniverseSize(),
+                                   db.store_.generation(), db.rules_.size(),
+                                   db.triggers_.size()};
+  };
+  const std::array<uint64_t, 4> snapshot_footprint = footprint();
+  auto replay = [&](WalRecord& rec) NO_THREAD_SAFETY_ANALYSIS -> Status {
+    // Single-threaded construction, as in the rest of Open.
+    if (!have_snapshot && !replayed_any) dirty = true;
+    replayed_any = true;
+    switch (rec.type) {
+      case WalRecordType::kIntern:
+      case WalRecordType::kFact:
+        return ApplyWalRecordToStore(rec, &db.store_);
+      case WalRecordType::kProgram:
+        return db.ReplayProgramText(rec.text);
+      case WalRecordType::kTriggerWatermark:
+        db.trigger_watermark_ = rec.watermark;
+        return Status::OK();
+      case WalRecordType::kMaterialisation:
+        dirty = !rec.materialised;
+        return Status::OK();
     }
-    db.dirty_ = dirty;
-    db.trigger_watermark_ =
-        std::min(db.trigger_watermark_, db.store_.generation());
-    if (scan->valid_bytes < kWalMagicLen) {
-      // Not even the magic survived the crash; recreate the log.
-      PATHLOG_RETURN_IF_ERROR(db.ResetWal());
-    } else {
-      if (scan->torn) {
-        PATHLOG_RETURN_IF_ERROR(
-            fops->Truncate(db.WalPath(), scan->valid_bytes));
-      }
-      PATHLOG_RETURN_IF_ERROR(db.OpenWalAppender());
-      db.wal_good_bytes_ = scan->valid_bytes;
-    }
-  } else {
-    PATHLOG_RETURN_IF_ERROR(db.ResetWal());
+    return Status::OK();
+  };
+  Result<std::unique_ptr<DurableLog>> log = DurableLog::Open(
+      fops, dir + "/wal.plgwal", options.durability, replay);
+  if (!log.ok()) return log.status();
+  // A log that added nothing to the snapshot recovers exactly the
+  // snapshot's state, and the snapshot's flag is the one for that
+  // state. Its marks may predate the snapshot: a crash between a
+  // checkpoint's rename and its log reset keeps the old log, and a
+  // checkpoint that heals degraded mode snapshots a dirty state the
+  // broken log never marked.
+  if (have_snapshot && footprint() == snapshot_footprint) {
+    dirty = snapshot_dirty;
   }
-
-  db.wal_objects_ = db.store_.UniverseSize();
-  db.wal_facts_ = db.store_.generation();
-  db.wal_trigger_watermark_ = db.trigger_watermark_;
-  db.wal_dirty_ = db.dirty_;
-  db.pending_program_text_.clear();
+  db.dirty_ = dirty;
+  db.trigger_watermark_ =
+      std::min(db.trigger_watermark_, db.store_.generation());
+  db.log_ = std::move(*log);
+  db.log_->set_obs(options.engine.obs.metrics, options.engine.obs.flight);
+  db.fops_ = fops;
+  db.durable_dir_ = dir;
+  db.MarkLoggedLocked();
   return db;
 }
 
-Status Database::OpenWalAppender() {
-  Result<std::unique_ptr<FileOps::WritableFile>> file =
-      fops_->OpenForWrite(WalPath(), /*truncate=*/false);
-  if (!file.ok()) return file.status();
-  wal_ = std::make_unique<WalAppender>(std::move(*file));
-  wal_->set_obs(options_.engine.obs.metrics, options_.engine.obs.flight);
-  return Status::OK();
-}
-
-Status Database::ResetWal() {
-  wal_.reset();
-  PATHLOG_RETURN_IF_ERROR(WriteFileAtomic(
-      fops_, WalPath(), std::string_view(kWalMagic, kWalMagicLen)));
-  PATHLOG_RETURN_IF_ERROR(OpenWalAppender());
-  wal_good_bytes_ = kWalMagicLen;
-  return Status::OK();
-}
-
-Status Database::AppendPendingToWal(uint64_t universe, uint64_t gen,
-                                    bool watermark_moved,
-                                    uint64_t* records) {
+Status Database::WriteBatchLocked(DurableLog::Batch* batch) {
   // Interns first so replay never meets a fact or rule referencing an
   // object it has not seen; facts before the watermark so a recovered
   // watermark never exceeds the recovered generation. A batch that
@@ -927,12 +882,12 @@ Status Database::AppendPendingToWal(uint64_t universe, uint64_t gen,
   // it closes with a materialised mark. A batch torn by a crash then
   // recovers "dirty", or the previous flag if none of its records
   // survived; "clean" takes the whole cleaning batch.
-  const bool flag_moved = dirty_ != wal_dirty_;
+  const bool flag_moved = dirty_ != logged_.dirty;
   if (flag_moved && dirty_) {
-    PATHLOG_RETURN_IF_ERROR(wal_->Append(EncodeWalMaterialisation(false)));
-    ++*records;
+    PATHLOG_RETURN_IF_ERROR(batch->Append(EncodeWalMaterialisation(false)));
   }
-  for (Oid o = static_cast<Oid>(wal_objects_); o < universe; ++o) {
+  for (Oid o = static_cast<Oid>(logged_.objects); o < store_.UniverseSize();
+       ++o) {
     const ObjectKind kind = store_.kind(o);
     const int64_t int_value =
         kind == ObjectKind::kInt ? store_.IntValue(o) : 0;
@@ -945,80 +900,62 @@ Status Database::AppendPendingToWal(uint64_t universe, uint64_t gen,
       }
     }
     PATHLOG_RETURN_IF_ERROR(
-        wal_->Append(EncodeWalIntern(o, kind, int_value, name)));
-    ++*records;
+        batch->Append(EncodeWalIntern(o, kind, int_value, name)));
   }
   if (!pending_program_text_.empty()) {
     PATHLOG_RETURN_IF_ERROR(
-        wal_->Append(EncodeWalProgram(pending_program_text_)));
-    ++*records;
+        batch->Append(EncodeWalProgram(pending_program_text_)));
   }
-  for (uint64_t g = wal_facts_; g < gen; ++g) {
-    PATHLOG_RETURN_IF_ERROR(wal_->Append(EncodeWalFact(g, store_.FactAt(g))));
-    ++*records;
+  for (uint64_t g = logged_.facts; g < store_.generation(); ++g) {
+    PATHLOG_RETURN_IF_ERROR(batch->Append(EncodeWalFact(g, store_.FactAt(g))));
   }
-  if (watermark_moved) {
+  if (trigger_watermark_ != logged_.trigger_watermark) {
     PATHLOG_RETURN_IF_ERROR(
-        wal_->Append(EncodeWalTriggerWatermark(trigger_watermark_)));
-    ++*records;
+        batch->Append(EncodeWalTriggerWatermark(trigger_watermark_)));
   }
   if (flag_moved && !dirty_) {
-    PATHLOG_RETURN_IF_ERROR(wal_->Append(EncodeWalMaterialisation(true)));
-    ++*records;
-  }
-  if (options_.durability.fsync_policy ==
-      DurabilityOptions::FsyncPolicy::kAlways) {
-    PATHLOG_RETURN_IF_ERROR(wal_->Sync());
+    PATHLOG_RETURN_IF_ERROR(batch->Append(EncodeWalMaterialisation(true)));
   }
   return Status::OK();
 }
 
-Status Database::ReopenWalTruncated() {
-  wal_.reset();
-  // A failed batch may have torn bytes into the log's middle (a short
-  // write); appending past them would corrupt the valid prefix. Cut
-  // back to the last length every record of which is known good.
-  PATHLOG_RETURN_IF_ERROR(fops_->Truncate(WalPath(), wal_good_bytes_));
-  return OpenWalAppender();
-}
-
-void Database::BackoffSleep(uint64_t ms) {
-  if (options_.durability.backoff_sleep) {
-    options_.durability.backoff_sleep(ms);
-    return;
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+void Database::MarkLoggedLocked() {
+  logged_ = PositionLocked();
+  pending_program_text_.clear();
 }
 
 Status Database::DegradedError() const {
   return Unavailable(StrCat(
-      "database is in degraded read-only mode (", wal_error_.message(),
+      "database is in degraded read-only mode (", log_->error().message(),
       "); queries serve the last consistent state, mutations are "
       "rejected until a checkpoint succeeds"));
 }
 
-Status Database::EnterDegradedMode(Status cause) {
-  wal_error_ = cause;
+void Database::MirrorLogLatchLocked() {
+  const bool broken = !log_->error().ok();
   // Publish to unlocked readers of degraded() — the health callback
   // runs on the stats server's accept thread.
-  degraded_.store(true, std::memory_order_release);
-  ++degraded_entries_;
+  degraded_.store(broken, std::memory_order_release);
   if (MetricsRegistry* m = options_.engine.obs.metrics; m != nullptr) {
-    if (Counter* c =
-            m->GetCounter("pathlog_db_degraded_entries_total",
-                          "entries into degraded read-only mode")) {
-      c->Inc();
-    }
     if (Gauge* g = m->GetGauge("pathlog_db_degraded",
                                "1 while serving degraded read-only")) {
-      g->Set(1);
+      g->Set(broken ? 1 : 0);
     }
   }
+}
+
+Status Database::EnterDegradedMode() {
+  if (degraded()) return DegradedError();
+  MirrorLogLatchLocked();
+  ++degraded_entries_;
+  BumpCounter(options_.engine.obs.metrics,
+              "pathlog_db_degraded_entries_total",
+              "entries into degraded read-only mode");
   // Record the entry first so the incident dump below includes it.
   if (FlightRecorder* flight = options_.engine.obs.flight;
       flight != nullptr) {
     std::string args = "{\"cause\":";
-    AppendJsonString(&args, cause.ToString());
+    AppendJsonString(&args, log_->error().ToString());
     args += "}";
     flight->Record("db.degraded", "database", /*dur_us=*/0, args);
   }
@@ -1029,63 +966,24 @@ Status Database::EnterDegradedMode(Status cause) {
 Status Database::CommitDurable() {
   if (degraded()) return DegradedError();
   if (NothingPendingLocked()) return Status::OK();
-
-  const uint64_t universe = store_.UniverseSize();
-  const uint64_t gen = store_.generation();
-  const bool watermark_moved = trigger_watermark_ != wal_trigger_watermark_;
+  Status st = log_->Commit(
+      [this](DurableLog::Batch& batch) NO_THREAD_SAFETY_ANALYSIS {
+        // Runs inside Commit, under this call's exclusive hold.
+        return WriteBatchLocked(&batch);
+      });
+  if (!st.ok()) return EnterDegradedMode();
+  MarkLoggedLocked();
 
   const DurabilityOptions& dur = options_.durability;
-  uint64_t records = 0;
-  uint64_t bytes_before = wal_->appended_bytes();
-  Status st = AppendPendingToWal(universe, gen, watermark_moved, &records);
-  uint64_t backoff = dur.initial_backoff_ms;
-  uint32_t attempt = 0;
-  while (!st.ok() && IsTransientIoError(st) &&
-         attempt < dur.max_transient_retries) {
-    ++attempt;
-    ++wal_retries_;
-    if (MetricsRegistry* m = options_.engine.obs.metrics; m != nullptr) {
-      if (Counter* c =
-              m->GetCounter("pathlog_wal_retries_total",
-                            "transient WAL failures retried with backoff")) {
-        c->Inc();
-      }
-    }
-    BackoffSleep(backoff);
-    backoff = std::min(backoff * 2, dur.max_backoff_ms);
-    Status reopen = ReopenWalTruncated();
-    if (!reopen.ok()) {
-      // The reopen itself can hit the same transient condition; let
-      // the loop treat it like another failed attempt.
-      st = reopen;
-      continue;
-    }
-    records = 0;
-    bytes_before = wal_->appended_bytes();
-    st = AppendPendingToWal(universe, gen, watermark_moved, &records);
-  }
-  if (!st.ok()) return EnterDegradedMode(st);
-
-  wal_good_bytes_ += wal_->appended_bytes() - bytes_before;
-  wal_records_ += records;
-  wal_objects_ = universe;
-  wal_facts_ = gen;
-  wal_trigger_watermark_ = trigger_watermark_;
-  wal_dirty_ = dirty_;
-  pending_program_text_.clear();
-
-  if (dur.rotate_wal_bytes > 0 && wal_good_bytes_ >= dur.rotate_wal_bytes) {
+  const bool rotate =
+      dur.rotate_wal_bytes > 0 && log_->good_bytes() >= dur.rotate_wal_bytes;
+  if (rotate) {
     ++wal_rotations_;
-    if (MetricsRegistry* m = options_.engine.obs.metrics; m != nullptr) {
-      if (Counter* c = m->GetCounter(
-              "pathlog_wal_rotations_total",
-              "WAL segment rotations (size-triggered checkpoints)")) {
-        c->Inc();
-      }
-    }
-    return CheckpointLocked();
+    BumpCounter(options_.engine.obs.metrics, "pathlog_wal_rotations_total",
+                "WAL segment rotations (size-triggered checkpoints)");
   }
-  if (dur.checkpoint_every > 0 && wal_records_ >= dur.checkpoint_every) {
+  if (rotate ||
+      (dur.checkpoint_every > 0 && log_->records() >= dur.checkpoint_every)) {
     return CheckpointLocked();
   }
   return Status::OK();
@@ -1093,8 +991,7 @@ Status Database::CommitDurable() {
 
 Status Database::FinishMutation(Status st) {
   UpdateStoreGauges();
-  if (!wal_) return st;
-  Status commit = CommitDurable();
+  Status commit = CommitDurable();  // a no-op unless durable
   // The mutation's own error wins, but the commit still ran: whatever
   // the store gained before the failure is on disk either way.
   return st.ok() ? commit : st;
@@ -1112,50 +1009,38 @@ Status Database::CheckpointLocked() {
         "Database::Open");
   }
   FlightSpan span(options_.engine.obs.flight, "wal.checkpoint", "wal");
-  if (MetricsRegistry* m = options_.engine.obs.metrics; m != nullptr) {
-    if (Counter* c = m->GetCounter("pathlog_checkpoints_total",
-                                   "snapshot+WAL-reset checkpoints")) {
-      c->Inc();
-    }
-  }
+  BumpCounter(options_.engine.obs.metrics, "pathlog_checkpoints_total",
+              "snapshot+WAL-reset checkpoints");
   Result<std::string> bytes = SaveSnapshotBytes();
   if (!bytes.ok()) return bytes.status();
   PATHLOG_RETURN_IF_ERROR(WriteFileAtomic(fops_, SnapshotPath(), *bytes));
   // A crash between the rename above and the reset below leaves a WAL
   // overlapping the snapshot; replay is idempotent, so that window is
-  // safe.
-  PATHLOG_RETURN_IF_ERROR(ResetWal());
-  wal_objects_ = store_.UniverseSize();
-  wal_facts_ = store_.generation();
-  wal_trigger_watermark_ = trigger_watermark_;
-  wal_dirty_ = dirty_;  // the snapshot carries the flag
-  wal_records_ = 0;
-  pending_program_text_.clear();
+  // safe. A reset that fails breaks the log: the old log may still be
+  // in place, or no file be open, so nothing more can be logged until
+  // a checkpoint resets it.
+  if (!log_->Reset().ok()) return EnterDegradedMode();
+  MarkLoggedLocked();  // the snapshot carries everything, the flag too
   // A successful checkpoint is the recovery probe: the snapshot holds
   // everything the broken WAL could not persist, so read-write service
   // resumes on a fresh log.
-  wal_error_ = Status::OK();
-  degraded_.store(false, std::memory_order_release);
-  if (MetricsRegistry* m = options_.engine.obs.metrics; m != nullptr) {
-    if (Gauge* g = m->GetGauge("pathlog_db_degraded",
-                               "1 while serving degraded read-only")) {
-      g->Set(0);
-    }
-  }
+  MirrorLogLatchLocked();
   return Status::OK();
 }
 
 DatabaseHealth Database::Health() const {
   ReadLock lock(*this);
   DatabaseHealth h;
-  h.durable = wal_ != nullptr || fops_ != nullptr;
+  h.durable = durable();
   h.degraded = degraded();
-  if (h.degraded) h.degraded_cause = wal_error_.message();
+  if (h.degraded) h.degraded_cause = log_->error().message();
   h.degraded_entries = degraded_entries_;
-  h.wal_retries = wal_retries_;
   h.wal_rotations = wal_rotations_;
-  h.wal_records = wal_records_;
-  h.wal_bytes = wal_good_bytes_;
+  if (log_) {
+    h.wal_retries = log_->retries();
+    h.wal_records = log_->records();
+    h.wal_bytes = log_->good_bytes();
+  }
   h.store_bytes = store_.ApproxBytes();
   h.objects = store_.UniverseSize();
   h.facts = store_.generation();

@@ -42,12 +42,17 @@
 // and a rejection anywhere inside a call is counted once, by the call,
 // in the query-log record's budget.rejected and in
 // pathlog_budget_rejections_total.
+//
+// Durability: a database from Open() commits every mutation through a
+// DurableLog (store/wal.h), the one owner of the log file, which
+// retries transient write failures and latches the one that breaks
+// it. The database decides what each commit holds and when to
+// checkpoint, and serves degraded read-only while its log is broken.
 
 #ifndef PATHLOG_QUERY_DATABASE_H_
 #define PATHLOG_QUERY_DATABASE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -71,47 +76,6 @@
 #include "types/type_check.h"
 
 namespace pathlog {
-
-/// Crash-safety policy for a database opened with Database::Open.
-/// Every mutation — loads, materialisations, trigger firings, even the
-/// name interning a query performs — is appended to a write-ahead log
-/// before the call returns; recovery replays the newest valid snapshot
-/// plus the WAL's valid prefix, truncating a torn tail.
-struct DurabilityOptions {
-  enum class FsyncPolicy : uint8_t {
-    /// fsync the WAL at every commit boundary: a returned OK means the
-    /// mutation survives any crash.
-    kAlways,
-    /// Never fsync (the OS flushes when it pleases). Recovery still
-    /// works from whatever prefix reached disk; only the durability
-    /// of the most recent commits is at risk. For bulk loads.
-    kNever,
-  };
-  FsyncPolicy fsync_policy = FsyncPolicy::kAlways;
-  /// Checkpoint (snapshot + WAL reset) automatically once this many
-  /// WAL records have accumulated; 0 = only on explicit Checkpoint().
-  uint64_t checkpoint_every = 0;
-  /// A WAL append/fsync failure classified as transient (kUnavailable:
-  /// EIO, ENOSPC, ...) is retried up to this many times. Each retry
-  /// truncates the log back to its last known-good length, reopens it
-  /// and re-appends the whole pending batch — a short write may have
-  /// torn the middle, so appending past it would corrupt the log.
-  /// Failures with any other code are treated as persistent: no
-  /// retries, immediate degraded read-only mode.
-  uint32_t max_transient_retries = 4;
-  /// Backoff before the first retry, doubling per attempt and capped
-  /// at max_backoff_ms.
-  uint64_t initial_backoff_ms = 1;
-  uint64_t max_backoff_ms = 64;
-  /// Rotate the WAL — auto-checkpoint, which snapshots and resets the
-  /// log — once the segment reaches this many bytes; 0 = never.
-  /// Bounds both recovery time and log disk usage.
-  uint64_t rotate_wal_bytes = 64ull << 20;
-  /// Injectable sleep for retry backoff (argument: milliseconds);
-  /// null = a real sleep. Tests inject a recorder so retry schedules
-  /// are asserted without real delays.
-  std::function<void(uint64_t)> backoff_sleep;
-};
 
 /// A point-in-time health summary of a database (see Database::Health,
 /// and the shell's \health command).
@@ -150,7 +114,8 @@ struct DatabaseOptions {
   /// linter needs the whole program, so such a Load parses its text
   /// twice, and a text that fails to parse or lint installs nothing.
   bool lint_on_load = false;
-  /// Durability policy; consulted only by databases from Open().
+  /// Durability policy (store/wal.h); consulted only by databases from
+  /// Open().
   DurabilityOptions durability;
 };
 
@@ -268,22 +233,25 @@ class Database {
 
   /// Writes a full snapshot atomically and resets the WAL. Bounds
   /// recovery time; also the only way to resume logging after a WAL
-  /// write error. No-op rules: safe to call at any commit boundary.
+  /// write error. No-op rules: safe to call at any commit boundary. A
+  /// failure to write the snapshot leaves the log as it was; a failure
+  /// to reset the log after the snapshot is in place degrades the
+  /// database, as a failed commit does.
   Status Checkpoint();
 
-  /// True when this database was produced by Open() (durable mode; the
-  /// WAL itself may be momentarily absent while degraded). Reads a
-  /// pointer set once before the database can be shared, so it is safe
-  /// from any thread.
+  /// True when this database was produced by Open() (durable mode, its
+  /// log broken or not). Reads a pointer set once before the database
+  /// can be shared, so it is safe from any thread.
   bool durable() const { return fops_ != nullptr; }
 
-  /// True while the database is serving degraded read-only: a WAL
-  /// write failed persistently (or exhausted its transient retries),
-  /// so queries keep answering from the last consistent state while
-  /// every mutation fails fast with kUnavailable. The next successful
+  /// True while the database is serving degraded read-only: its log is
+  /// broken — a WAL write failed persistently (or exhausted its
+  /// transient retries), or a checkpoint failed to reset the log — so
+  /// queries keep answering from the last consistent state while every
+  /// mutation fails fast with kUnavailable. The next successful
   /// Checkpoint() — the recovery probe — restores read-write service.
-  /// Safe from any thread: reads an atomic mirror of the latched WAL
-  /// error, maintained by EnterDegradedMode() and CheckpointLocked()
+  /// Safe from any thread: reads an atomic mirror of the log's failure
+  /// latch, maintained by EnterDegradedMode() and CheckpointLocked()
   /// (the stats server's health callback calls this from its accept
   /// thread).
   bool degraded() const {
@@ -296,7 +264,7 @@ class Database {
 
   /// Attaches (or, with all-null sinks, detaches) observability at
   /// runtime by replacing options.engine.obs: the engine, trigger
-  /// engine, store, WAL appender, and the database's own spans and
+  /// engine, store, log, and the database's own spans and
   /// counters all pick up the new sinks. The sink objects are
   /// borrowed; keep them alive until detached or the database is
   /// destroyed. Equivalent to setting DatabaseOptions::engine.obs
@@ -355,8 +323,21 @@ class Database {
   /// can resolve it (queries may mention names no fact ever used).
   void InternNames(const Ref& t) REQUIRES(state_mu_);
 
-  /// True when nothing is pending for the WAL: the logged prefixes
-  /// cover the store and no program text or watermark move waits.
+  /// How far the log covers a database: the universe and fact-log
+  /// prefixes, the trigger watermark, and dirty_ as recovery would
+  /// restore it.
+  struct LogPosition {
+    uint64_t objects = 0;
+    uint64_t facts = 0;
+    uint64_t trigger_watermark = 0;
+    bool dirty = false;
+    bool operator==(const LogPosition&) const = default;
+  };
+  /// The database's own position; a commit brings logged_ up to it.
+  LogPosition PositionLocked() const REQUIRES_SHARED(state_mu_);
+
+  /// True when nothing is pending for the WAL: the logged position is
+  /// the database's and no program text waits.
   bool NothingPendingLocked() const REQUIRES_SHARED(state_mu_);
 
   /// The read-only fast-path test: no materialisation due and nothing
@@ -430,39 +411,33 @@ class Database {
                                             const std::string& origin)
       NO_THREAD_SAFETY_ANALYSIS;
 
-  /// Appends everything not yet logged — new objects, installed
+  /// Commits everything not yet logged — new objects, installed
   /// program text, new facts, the trigger watermark, a change of the
-  /// dirty flag — to the WAL and syncs per policy. No-op for
-  /// non-durable databases. After a write error the WAL is considered
-  /// broken and every subsequent commit fails with that error until
-  /// Checkpoint() rebuilds the log — appending past a torn middle would
-  /// silently lose the suffix.
+  /// dirty flag — as one batch of the log (DurableLog::Commit retries
+  /// transient failures), then checkpoints once the log has reached
+  /// rotate_wal_bytes or checkpoint_every records. A failed commit
+  /// degrades the database.
   Status CommitDurable() REQUIRES(state_mu_);
-  /// One attempt at appending everything pending to the WAL (a stale
-  /// mark, interns, program text, facts, watermark, a materialised
-  /// mark) plus the policy fsync. Counts records into `*records` but
-  /// mutates no bookkeeping — retries re-run it from the same state.
-  Status AppendPendingToWal(uint64_t universe, uint64_t gen,
-                            bool watermark_moved, uint64_t* records)
-      REQUIRES(state_mu_);
-  /// Drops whatever a failed append attempt left beyond the last
-  /// known-good WAL length and reopens the appender there.
-  Status ReopenWalTruncated() REQUIRES(state_mu_);
-  /// Latches `cause` (every further mutation fails fast), counts the
-  /// entry, sets the degraded gauge, and returns the kUnavailable
-  /// error the failing mutation reports.
-  Status EnterDegradedMode(Status cause) REQUIRES(state_mu_);
+  /// Appends to `batch` everything past `logged_`, in the batch order
+  /// store/wal.h documents: a stale mark, interns, program text, facts,
+  /// the watermark, a materialised mark. It changes nothing, so each of
+  /// the log's attempts re-runs it from the same state.
+  Status WriteBatchLocked(DurableLog::Batch* batch) REQUIRES(state_mu_);
+  /// Records that the log, with the snapshot under it, now covers the
+  /// database as it stands.
+  void MarkLoggedLocked() REQUIRES(state_mu_);
+  /// Enters degraded mode once the log has broken: mutations then fail
+  /// fast, the entry is counted and the flight ring dumped (a database
+  /// already degraded only reports). Returns the kUnavailable error the
+  /// failing call reports.
+  Status EnterDegradedMode() REQUIRES(state_mu_);
+  /// Mirrors the log's failure latch into degraded_ and the
+  /// pathlog_db_degraded gauge.
+  void MirrorLogLatchLocked() REQUIRES(state_mu_);
   /// The fail-fast error mutations get while degraded.
   Status DegradedError() const REQUIRES_SHARED(state_mu_);
-  /// Sleeps `ms` (or calls the injected durability.backoff_sleep).
-  void BackoffSleep(uint64_t ms);
   /// Wraps a mutating entry point: preserves `st`, commits the WAL.
   Status FinishMutation(Status st) REQUIRES(state_mu_);
-  /// Replaces the WAL with a fresh, empty, synced log (atomic).
-  Status ResetWal() REQUIRES(state_mu_);
-  /// Opens the WAL for appending at its current end and attaches the
-  /// database's metrics and flight sinks to the new appender.
-  Status OpenWalAppender() REQUIRES(state_mu_);
   /// Loads program text from a WAL record, skipping rules, triggers
   /// and signatures that are already installed (replay after a crash
   /// between checkpoint and WAL reset sees both copies).
@@ -488,7 +463,6 @@ class Database {
   /// entry and budget rejections.
   void MaybeDumpFlightRecorder(std::string_view reason);
 
-  std::string WalPath() const { return durable_dir_ + "/wal.plgwal"; }
   std::string SnapshotPath() const {
     return durable_dir_ + "/snapshot.plgdb";
   }
@@ -532,21 +506,10 @@ class Database {
   // can be shared and never change after — safe to read lock-free.
   FileOps* fops_ = nullptr;
   std::string durable_dir_;
-  std::unique_ptr<WalAppender> wal_ GUARDED_BY(state_mu_);
-  /// First WAL write failure; cleared by Checkpoint. Source of truth
-  /// for degraded mode under the lock; degraded_ is its atomic mirror.
-  Status wal_error_ GUARDED_BY(state_mu_);
-  uint64_t wal_objects_ GUARDED_BY(state_mu_) = 0;  ///< universe logged
-  uint64_t wal_facts_ GUARDED_BY(state_mu_) = 0;  ///< fact prefix logged
-  uint64_t wal_trigger_watermark_ GUARDED_BY(state_mu_) = 0;
-  /// dirty_ as the log and the snapshot would recover it.
-  bool wal_dirty_ GUARDED_BY(state_mu_) = false;
-  /// Records since the last checkpoint.
-  uint64_t wal_records_ GUARDED_BY(state_mu_) = 0;
-  /// Known-good WAL length: the recovered valid prefix plus every
-  /// fully committed batch since. Retries truncate back to this.
-  uint64_t wal_good_bytes_ GUARDED_BY(state_mu_) = 0;
-  uint64_t wal_retries_ GUARDED_BY(state_mu_) = 0;    ///< retried writes
+  /// The log file, its retries and its failure latch.
+  std::unique_ptr<DurableLog> log_ GUARDED_BY(state_mu_);
+  /// What the log, with the snapshot under it, covers.
+  LogPosition logged_ GUARDED_BY(state_mu_);
   uint64_t wal_rotations_ GUARDED_BY(state_mu_) = 0;  ///< rotations
   uint64_t degraded_entries_ GUARDED_BY(state_mu_) = 0;
   /// Rules/triggers/signatures installed since the last commit,
@@ -554,9 +517,10 @@ class Database {
   std::string pending_program_text_ GUARDED_BY(state_mu_);
 
   // lock-free: atomic mirrors readable from any thread without the
-  // guard. degraded_ mirrors `fops_ && !wal_error_.ok()` (written
-  // under the exclusive lock by EnterDegradedMode/CheckpointLocked,
-  // read by degraded() — e.g. the stats server's health callback);
+  // guard. degraded_ mirrors the log's latch (written under the
+  // exclusive lock by MirrorLogLatchLocked, from EnterDegradedMode and
+  // CheckpointLocked; read by degraded() — e.g. the stats server's
+  // health callback);
   // flight_dumps_ counts incident dumps (bumped by
   // MaybeDumpFlightRecorder, which budget-rejected queries reach
   // outside the guard).

@@ -1,7 +1,9 @@
 #include "store/wal.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <thread>
 
 #include "base/coding.h"
 #include "base/crc32.h"
@@ -294,7 +296,91 @@ void RecordWalFailure(FlightRecorder* flight, std::string_view op,
 
 }  // namespace
 
-void WalAppender::set_obs(MetricsRegistry* metrics, FlightRecorder* flight) {
+Result<std::unique_ptr<DurableLog>> DurableLog::Open(
+    FileOps* fops, std::string path, DurabilityOptions options,
+    const std::function<Status(WalRecord&)>& replay) {
+  std::unique_ptr<DurableLog> log(
+      new DurableLog(fops, std::move(path), std::move(options)));
+  // A missing log scans like one whose creation tore before its magic.
+  Result<std::string> bytes = fops->Exists(log->path_)
+                                  ? fops->ReadFile(log->path_)
+                                  : Result<std::string>(std::string());
+  if (!bytes.ok()) return bytes.status();
+  Result<WalExtent> scan = ScanWal(*bytes, replay);
+  if (!scan.ok()) return scan.status();
+  if (scan->valid_bytes < kWalMagicLen) {
+    PATHLOG_RETURN_IF_ERROR(log->Reset());
+    return log;
+  }
+  if (scan->torn) {
+    PATHLOG_RETURN_IF_ERROR(fops->Truncate(log->path_, scan->valid_bytes));
+  }
+  PATHLOG_RETURN_IF_ERROR(log->OpenFile());
+  log->good_bytes_ = scan->valid_bytes;
+  return log;
+}
+
+Status DurableLog::OpenFile() {
+  Result<std::unique_ptr<FileOps::WritableFile>> file =
+      fops_->OpenForWrite(path_, /*truncate=*/false);
+  if (!file.ok()) return file.status();
+  file_ = std::move(*file);
+  return Status::OK();
+}
+
+Status DurableLog::Commit(const std::function<Status(Batch&)>& write) {
+  if (!error_.ok()) return error_;
+  uint64_t backoff = options_.initial_backoff_ms;
+  Status st;
+  for (uint32_t retry = 0;; ++retry) {
+    // One attempt. A truncate or reopen that failed before it left its
+    // error in `st`, which counts as one more failed attempt.
+    Batch batch(this);
+    if (st.ok()) st = write(batch);
+    if (st.ok() &&
+        options_.fsync_policy == DurabilityOptions::FsyncPolicy::kAlways) {
+      st = Sync();
+    }
+    if (st.ok()) {
+      good_bytes_ += batch.bytes_;
+      records_ += batch.records_;
+      return st;
+    }
+    if (!IsTransientIoError(st) || retry == options_.max_transient_retries) {
+      error_ = st;
+      return st;
+    }
+    ++retries_;
+    BumpCounter(metrics_, "pathlog_wal_retries_total",
+                "transient WAL failures retried with backoff");
+    if (options_.backoff_sleep) {
+      options_.backoff_sleep(backoff);
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
+    }
+    backoff = std::min(backoff * 2, options_.max_backoff_ms);
+    // A failed attempt may have torn bytes into the log's middle (a
+    // short write); appending past them would corrupt the valid prefix.
+    // Cut back to the last length every record of which is known good.
+    file_.reset();
+    st = fops_->Truncate(path_, good_bytes_);
+    if (st.ok()) st = OpenFile();
+  }
+}
+
+Status DurableLog::Reset() {
+  file_.reset();
+  error_ = WriteFileAtomic(fops_, path_,
+                           std::string_view(kWalMagic, kWalMagicLen));
+  if (error_.ok()) error_ = OpenFile();
+  if (!error_.ok()) return error_;
+  good_bytes_ = kWalMagicLen;
+  records_ = 0;
+  return Status::OK();
+}
+
+void DurableLog::set_obs(MetricsRegistry* metrics, FlightRecorder* flight) {
+  metrics_ = metrics;
   flight_ = flight;
   if (metrics == nullptr) {
     appends_ = nullptr;
@@ -314,22 +400,24 @@ void WalAppender::set_obs(MetricsRegistry* metrics, FlightRecorder* flight) {
                                     "WAL fsync latency in milliseconds");
 }
 
-Status WalAppender::Append(std::string_view payload) {
+Status DurableLog::Batch::Append(std::string_view payload) {
+  DurableLog& log = *log_;
   std::string frame;
   frame.reserve(payload.size() + 8);
   AppendWalFrame(&frame, payload);
-  if (appends_ != nullptr) appends_->Inc();
-  if (append_bytes_ != nullptr) append_bytes_->Inc(frame.size());
-  Status st = file_->Append(frame);
-  if (st.ok()) {
-    appended_bytes_ += frame.size();
-  } else {
-    RecordWalFailure(flight_, "wal.append", st);
+  if (log.appends_ != nullptr) log.appends_->Inc();
+  if (log.append_bytes_ != nullptr) log.append_bytes_->Inc(frame.size());
+  Status st = log.file_->Append(frame);
+  if (!st.ok()) {
+    RecordWalFailure(log.flight_, "wal.append", st);
+    return st;
   }
-  return st;
+  ++records_;
+  bytes_ += frame.size();
+  return Status::OK();
 }
 
-Status WalAppender::Sync() {
+Status DurableLog::Sync() {
   FlightSpan span(flight_, "wal.fsync", "wal");
   const auto t0 = std::chrono::steady_clock::now();
   Status st = file_->Sync();

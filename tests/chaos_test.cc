@@ -319,6 +319,64 @@ TEST(ChaosTest, CheckpointRenameFaultFailsTheCheckpointNotTheDatabase) {
   ExpectMatchesOracle(*db, rig.applied, {"a[v->1]", "b[v->2]"});
 }
 
+TEST(ChaosTest, AFailedLogResetDegradesInsteadOfDroppingLaterWrites) {
+  // A checkpoint renames its snapshot into place and then resets the
+  // log: temp file, fsync, rename (the checkpoint's second rename), and
+  // a reopen (its third open). When the reset fails the log is broken —
+  // the old log may still be in place, or no file is open — so a later
+  // mutation that returned OK would be lost on reopen. The database
+  // must degrade instead, and the next checkpoint must heal it. Each
+  // case hits the reset once: through an explicit Checkpoint() or
+  // through the size rotation a Load's commit triggers.
+  struct Case {
+    const char* name;
+    bool rotate;  // reach the checkpoint through rotate_wal_bytes = 1
+    FaultOp op;
+    uint64_t at;
+  };
+  for (const Case& c : {Case{"checkpoint, log rename", false,
+                             FaultOp::kRename, 2},
+                        Case{"rotation, log rename", true, FaultOp::kRename,
+                             2},
+                        Case{"checkpoint, log reopen", false, FaultOp::kOpen,
+                             3}}) {
+    SCOPED_TRACE(c.name);
+    ChaosRig rig;
+    if (c.rotate) rig.opts.durability.rotate_wal_bytes = 1;
+    Result<Database> db = rig.Open();
+    ASSERT_TRUE(db.ok()) << db.status();
+    ASSERT_TRUE(db->Load("a[v->1].").ok());
+    rig.applied.push_back("a[v->1].");
+
+    rig.Inject(c.op, c.at, 1, FaultKind::kFail);
+    if (c.rotate) {
+      // The commit lands and the rotation's snapshot holds it; only the
+      // log reset after it fails.
+      EXPECT_EQ(db->Load("c[v->3].").code(), StatusCode::kUnavailable);
+    } else {
+      EXPECT_FALSE(db->Checkpoint().ok());
+    }
+    EXPECT_TRUE(db->degraded());
+    EXPECT_EQ(db->Health().degraded_entries, 1u);
+    EXPECT_EQ(db->Load("b[v->2].").code(), StatusCode::kUnavailable);
+    Result<bool> holds = db->Holds("a[v->1]");
+    ASSERT_TRUE(holds.ok()) << holds.status();
+    EXPECT_TRUE(*holds) << "reads keep answering while degraded";
+
+    rig.ClearFaults();
+    ASSERT_TRUE(db->Checkpoint().ok());
+    EXPECT_FALSE(db->degraded());
+    if (c.rotate) rig.applied.push_back("c[v->3].");  // snapshotted
+    ASSERT_TRUE(db->Load("d[v->4].").ok());
+    rig.applied.push_back("d[v->4].");
+
+    db = rig.Open();
+    ASSERT_TRUE(db.ok()) << db.status();
+    ExpectMatchesOracle(*db, rig.applied,
+                        {"a[v->1]", "b[v->2]", "c[v->3]", "d[v->4]"});
+  }
+}
+
 TEST(ChaosTest, TinyRotationThresholdRotatesEveryCommitAndStaysConsistent) {
   // rotate_wal_bytes far below one commit: every commit trips the
   // rotation check and auto-checkpoints. Recovery then comes from the

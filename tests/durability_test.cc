@@ -16,6 +16,7 @@
 
 #include "base/coding.h"
 #include "base/crc32.h"
+#include "obs/metrics.h"
 #include "query/database.h"
 #include "store/file_ops.h"
 #include "store/wal.h"
@@ -216,6 +217,165 @@ TEST(WalTest, ReplayIsIdempotentOverAnOverlappingStore) {
   intern.text = "zz";
   EXPECT_EQ(ApplyWalRecordToStore(intern, &store).code(),
             StatusCode::kInvalidArgument);
+}
+
+// --- DurableLog, without a Database -------------------------------------
+
+using FaultOp = FaultInjectingFileOps::FaultOp;
+using FaultEvent = FaultInjectingFileOps::FaultEvent;
+
+/// A log at /log on an in-memory file system, with backoff sleeps
+/// recorded instead of slept. The log's sleep callback holds the rig's
+/// address, so a rig is neither copied nor moved.
+struct LogRig {
+  FaultInjectingFileOps fs;
+  std::vector<uint64_t> sleeps;
+  std::unique_ptr<DurableLog> log;
+
+  LogRig(const LogRig&) = delete;
+  LogRig& operator=(const LogRig&) = delete;
+  LogRig() {
+    DurabilityOptions options;
+    options.backoff_sleep = [this](uint64_t ms) { sleeps.push_back(ms); };
+    Result<std::unique_ptr<DurableLog>> opened = DurableLog::Open(
+        &fs, "/log", options, [](WalRecord&) { return Status::OK(); });
+    EXPECT_TRUE(opened.ok()) << opened.status();
+    if (opened.ok()) log = std::move(*opened);
+  }
+
+  /// Scripts faults counted from the next write-side op.
+  void Inject(std::vector<FaultEvent> events) {
+    fs.SetSchedule(FaultInjectingFileOps::FaultSchedule{std::move(events)});
+  }
+
+  /// Commits one batch of three program records, "a." "b." "c.".
+  Status CommitThree() {
+    return log->Commit([](DurableLog::Batch& batch) {
+      for (const char* text : {"a.", "b.", "c."}) {
+        PATHLOG_RETURN_IF_ERROR(batch.Append(EncodeWalProgram(text)));
+      }
+      return Status::OK();
+    });
+  }
+
+  /// The file's length and the texts of its records, in log order.
+  uint64_t FileBytes() { return fs.ReadFile("/log").value_or("").size(); }
+  std::vector<std::string> Texts() {
+    std::vector<std::string> texts;
+    Result<WalScan> scan = ScanWal(fs.ReadFile("/log").value_or(""));
+    EXPECT_TRUE(scan.ok()) << scan.status();
+    if (!scan.ok()) return texts;
+    EXPECT_FALSE(scan->torn);
+    for (const WalRecord& rec : scan->records) texts.push_back(rec.text);
+    return texts;
+  }
+};
+
+const std::vector<std::string> kThree = {"a.", "b.", "c."};
+
+TEST(DurableLogTest, ARetryWhoseTruncateFailsOnceLandsTheBatchOnce) {
+  // The second append tears (half its frame lands) with a transient
+  // code, and the first retry's truncate fails too. The second retry
+  // cuts the torn bytes away and writes the whole batch again: every
+  // record once, and the known-good length is the file's.
+  LogRig rig;
+  ASSERT_NE(rig.log, nullptr);
+  rig.Inject({{FaultOp::kAppend, 2, 1, FaultKind::kShortWrite,
+               StatusCode::kUnavailable},
+              {FaultOp::kTruncate, 1, 1, FaultKind::kFail,
+               StatusCode::kUnavailable}});
+  ASSERT_TRUE(rig.CommitThree().ok());
+  EXPECT_EQ(rig.sleeps, (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(rig.log->retries(), 2u);
+  EXPECT_EQ(rig.log->records(), 3u);
+  EXPECT_TRUE(rig.log->error().ok());
+  EXPECT_EQ(rig.Texts(), kThree);
+  EXPECT_EQ(rig.log->good_bytes(), rig.FileBytes());
+}
+
+TEST(DurableLogTest, ARetryWhoseReopenFailsOnceLandsTheBatchOnce) {
+  // The same, with the first retry's reopen failing after its truncate
+  // succeeded: the log has no file open until the second retry.
+  LogRig rig;
+  ASSERT_NE(rig.log, nullptr);
+  rig.Inject({{FaultOp::kAppend, 2, 1, FaultKind::kShortWrite,
+               StatusCode::kUnavailable},
+              {FaultOp::kOpen, 1, 1, FaultKind::kFail,
+               StatusCode::kUnavailable}});
+  ASSERT_TRUE(rig.CommitThree().ok());
+  EXPECT_EQ(rig.sleeps, (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(rig.log->retries(), 2u);
+  EXPECT_EQ(rig.log->records(), 3u);
+  EXPECT_TRUE(rig.log->error().ok());
+  EXPECT_EQ(rig.Texts(), kThree);
+  EXPECT_EQ(rig.log->good_bytes(), rig.FileBytes());
+}
+
+TEST(DurableLogTest, AFailedResetFailsEveryCommitFastUntilAResetSucceeds) {
+  LogRig rig;
+  ASSERT_NE(rig.log, nullptr);
+  ASSERT_TRUE(rig.CommitThree().ok());
+  // The reset's rename fails, with a code a commit would retry: a reset
+  // is not retried, and the log it leaves behind is broken.
+  rig.Inject({{FaultOp::kRename, 1, 1, FaultKind::kFail,
+               StatusCode::kUnavailable}});
+  EXPECT_FALSE(rig.log->Reset().ok());
+  EXPECT_FALSE(rig.log->error().ok());
+
+  const uint64_t ops = rig.fs.WriteOpCount();
+  bool wrote = false;
+  Status st = rig.log->Commit([&wrote](DurableLog::Batch&) {
+    wrote = true;
+    return Status::OK();
+  });
+  EXPECT_FALSE(st.ok());
+  EXPECT_FALSE(wrote) << "a broken log runs no writer";
+  EXPECT_EQ(rig.fs.WriteOpCount(), ops) << "a broken log issues no write";
+  EXPECT_TRUE(rig.sleeps.empty());
+  EXPECT_EQ(rig.Texts(), kThree) << "the rename never replaced the old log";
+
+  rig.Inject({});
+  ASSERT_TRUE(rig.log->Reset().ok());
+  EXPECT_TRUE(rig.log->error().ok());
+  EXPECT_EQ(rig.log->records(), 0u);
+  EXPECT_EQ(rig.log->good_bytes(), kWalMagicLen);
+  ASSERT_TRUE(rig.CommitThree().ok());
+  EXPECT_EQ(rig.Texts(), kThree);
+  EXPECT_EQ(rig.log->good_bytes(), rig.FileBytes());
+}
+
+TEST(DurableLogTest, OpenReplaysTheValidPrefixAndCutsTheTornTail) {
+  FaultInjectingFileOps fs;
+  std::string image(kWalMagic, kWalMagicLen);
+  for (const std::string& text : kThree) {
+    AppendWalFrame(&image, EncodeWalProgram(text));
+  }
+  const uint64_t valid = image.size();
+  std::string torn;
+  AppendWalFrame(&torn, EncodeWalProgram("d."));
+  image += torn.substr(0, torn.size() / 2);
+  ASSERT_TRUE(WriteFileAtomic(&fs, "/log", image).ok());
+
+  std::vector<std::string> replayed;
+  Result<std::unique_ptr<DurableLog>> log = DurableLog::Open(
+      &fs, "/log", DurabilityOptions{}, [&replayed](WalRecord& rec) {
+        replayed.push_back(rec.text);
+        return Status::OK();
+      });
+  ASSERT_TRUE(log.ok()) << log.status();
+  EXPECT_EQ(replayed, kThree);
+  EXPECT_EQ((*log)->good_bytes(), valid);
+  EXPECT_EQ((*log)->records(), 0u) << "records count commits, not replay";
+  EXPECT_EQ(fs.ReadFile("/log").value_or("").size(), valid);
+
+  // A log shorter than its magic is the torn remains of its creation.
+  ASSERT_TRUE(WriteFileAtomic(&fs, "/short", "PLG").ok());
+  Result<std::unique_ptr<DurableLog>> recreated = DurableLog::Open(
+      &fs, "/short", DurabilityOptions{},
+      [](WalRecord&) { return Status::OK(); });
+  ASSERT_TRUE(recreated.ok()) << recreated.status();
+  EXPECT_EQ(fs.ReadFile("/short").value_or(""),
+            std::string(kWalMagic, kWalMagicLen));
 }
 
 // --- Database::Open ---------------------------------------------------
@@ -665,6 +825,134 @@ TEST(DurabilityTortureTest, ShortWriteAtEveryBoundaryIsRecoverable) {
     ASSERT_TRUE(reopened.ok()) << reopened.status();
     ExpectCleanReopenIsAFixpoint(&*reopened);
     EXPECT_EQ(ReferenceAnswers(&*reopened), expected);
+  }
+}
+
+/// One call of the never-healing session: a Load of `text` (a rule, or
+/// one fact of its own), a read of `text` (a name no fact uses, which
+/// the read interns), a Materialize or an explicit Checkpoint.
+struct SessionCall {
+  enum Kind { kLoad, kRead, kMaterialize, kCheckpoint } kind;
+  std::string text;
+};
+
+std::vector<SessionCall> NeverHealingSession() {
+  using C = SessionCall;
+  return {
+      {C::kLoad, "X[w->V] <- X[v->V]."},
+      {C::kLoad, "f1[v->1]."},
+      {C::kRead, "n1"},
+      {C::kLoad, "f2[v->2]."},
+      {C::kMaterialize, ""},
+      {C::kLoad, "f3[v->3]."},
+      {C::kCheckpoint, ""},
+      {C::kLoad, "f4[v->4]."},
+      {C::kRead, "n2"},
+      {C::kLoad, "f5[v->5]."},
+      {C::kMaterialize, ""},
+      {C::kCheckpoint, ""},
+      {C::kLoad, "f6[v->6]."},
+      {C::kLoad, "f7[v->7]."},
+      {C::kRead, "n3"},
+      {C::kMaterialize, ""},
+      {C::kLoad, "f8[v->8]."},
+  };
+}
+
+TEST(DurabilityTortureTest, FailAtEveryWriteOpKeepsEveryAcknowledgedWrite) {
+  // A persistent (kInternal) fault at each write-side op of one session
+  // — loads, reads that intern, materialisations, explicit checkpoints
+  // and checkpoint_every rotations — once, or at that op and every op
+  // after it. The session goes on after a failure and checkpoints only
+  // where it always does, so nothing but its own checkpoints can heal
+  // a broken log. After the fault clears, a reopen must hold every
+  // call that returned OK: the fact of each acknowledged Load (and,
+  // with the rule acknowledged, the fact it derives), and the name of
+  // each read acknowledged by a database that was not degraded (a read
+  // served degraded promises only its answer).
+  const std::vector<SessionCall> calls = NeverHealingSession();
+  const DatabaseOptions opts = DurableOptions(/*checkpoint_every=*/6);
+  auto run = [&](Database* db, std::vector<bool>* acked) {
+    for (const SessionCall& call : calls) {
+      Status st;
+      switch (call.kind) {
+        case SessionCall::kLoad:
+          st = db->Load(call.text);
+          break;
+        case SessionCall::kRead:
+          st = db->Eval(call.text).status();
+          // A read served degraded promises only its answer.
+          if (db->degraded()) st = Unavailable("served degraded");
+          break;
+        case SessionCall::kMaterialize:
+          st = db->Materialize();
+          break;
+        case SessionCall::kCheckpoint:
+          st = db->Checkpoint();
+          break;
+      }
+      acked->push_back(st.ok());
+    }
+  };
+
+  uint64_t total_ops = 0;
+  {
+    FaultInjectingFileOps fs;
+    Result<Database> db = Database::Open("/db", opts, &fs);
+    ASSERT_TRUE(db.ok()) << db.status();
+    MetricsRegistry metrics;
+    ObsSinks sinks;
+    sinks.metrics = &metrics;
+    db->SetObsSinks(sinks);
+    const uint64_t open_ops = fs.WriteOpCount();
+    std::vector<bool> acked;
+    run(&*db, &acked);
+    ASSERT_EQ(acked, std::vector<bool>(calls.size(), true));
+    EXPECT_GT(metrics.GetCounter("pathlog_checkpoints_total")->value(), 2u)
+        << "checkpoint_every checkpoints the session as well";
+    total_ops = fs.WriteOpCount() - open_ops;
+  }
+  ASSERT_GT(total_ops, 40u);
+
+  for (const uint64_t count : {uint64_t{1}, uint64_t{1} << 20}) {
+    for (uint64_t nth = 1; nth <= total_ops; ++nth) {
+      SCOPED_TRACE(testing::Message() << "fault at write op " << nth
+                                      << (count == 1 ? " once" : " on"));
+      FaultInjectingFileOps fs;
+      std::vector<bool> acked;
+      {
+        Result<Database> db = Database::Open("/db", opts, &fs);
+        ASSERT_TRUE(db.ok()) << db.status();
+        FaultInjectingFileOps::FaultSchedule schedule;
+        schedule.events.push_back({FaultOp::kAny, nth, count,
+                                   FaultKind::kFail, StatusCode::kInternal});
+        fs.SetSchedule(schedule);
+        run(&*db, &acked);
+      }
+      fs.SetSchedule({});
+
+      Result<Database> reopened = Database::Open("/db", opts, &fs);
+      ASSERT_TRUE(reopened.ok()) << reopened.status();
+      for (size_t i = 0; i < calls.size(); ++i) {
+        const SessionCall& call = calls[i];
+        if (!acked[i]) continue;
+        SCOPED_TRACE(testing::Message() << "call " << i << ": " << call.text);
+        if (call.kind == SessionCall::kRead) {
+          EXPECT_TRUE(reopened->store().FindSymbol(call.text).has_value());
+        }
+        if (call.kind != SessionCall::kLoad || call.text[0] != 'f') continue;
+        const std::string k = call.text.substr(1, 1);
+        Result<bool> fact = reopened->Holds("f" + k + "[v->" + k + "]");
+        ASSERT_TRUE(fact.ok()) << fact.status();
+        EXPECT_TRUE(*fact);
+        if (acked[0]) {
+          Result<bool> derived = reopened->Holds("f" + k + "[w->" + k + "]");
+          ASSERT_TRUE(derived.ok()) << derived.status();
+          EXPECT_TRUE(*derived);
+        }
+      }
+      ExpectCleanReopenIsAFixpoint(&*reopened);
+    }
   }
 }
 
