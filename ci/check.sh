@@ -83,9 +83,11 @@ TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
   "${TSAN_BUILD_DIR}/tests/stats_server_test"
 
 # Shipped programs must be lint-clean with the semantic analyses
-# (PL014-PL019) enabled: pathlog_lint exits 1 on any diagnostic,
-# warning or error, and that fails the gate.
+# (PL014-PL019) enabled, in both head-value modes: pathlog_lint exits 1
+# on any diagnostic, warning or error, and that fails the gate.
 "${BUILD_DIR}/tools/pathlog_lint" --analyze \
+  examples/programs/*.plg src/workload/programs/*.plg
+"${BUILD_DIR}/tools/pathlog_lint" --analyze --skolemize \
   examples/programs/*.plg src/workload/programs/*.plg
 "${BUILD_DIR}/tools/pathlog_lint" --analyze --json \
   examples/programs/*.plg src/workload/programs/*.plg >/dev/null

@@ -147,4 +147,133 @@ std::set<std::string> VarsOf(const Ref& t) {
 
 bool IsGround(const Ref& t) { return VarsOf(t).empty(); }
 
+namespace {
+
+/// The walk behind both ForEachMethodSite overloads. A context is a
+/// MethodSite whose place and flags hold for everything below it; its
+/// node, filter and span are filled in per site.
+class SiteWalker {
+ public:
+  SiteWalker(const MethodSiteFn& fn, const FilterResultFn& on_result)
+      : fn_(fn), on_result_(on_result) {}
+
+  void Walk(const Ref& t, const MethodSite& ctx, Span fallback) {
+    const Span here = SpanOf(t, fallback);
+    switch (t.kind) {
+      case RefKind::kName:
+      case RefKind::kVar:
+        return;
+      case RefKind::kParen:
+        Walk(*t.base, ctx, here);
+        return;
+      case RefKind::kPath:
+        Visit(ctx, t, nullptr, here);
+        Walk(*t.base, ctx, here);
+        for (const RefPtr& a : t.args) Walk(*a, ValueOf(ctx), here);
+        return;
+      case RefKind::kMolecule:
+        Walk(*t.base, ctx, here);
+        for (const Filter& f : t.filters) {
+          const MethodSite site = Visit(ctx, t, &f, here);
+          if (f.kind == FilterKind::kClass) {
+            Walk(*f.value, ValueOf(ctx), here);
+            continue;
+          }
+          for (const RefPtr& a : f.args) Walk(*a, ValueOf(ctx), here);
+          switch (f.kind) {
+            case FilterKind::kScalar:
+              Result(site, *f.value, ValueOf(ctx), here);
+              break;
+            case FilterKind::kSetRef: {
+              MethodSite set_result = ReadOf(ctx);
+              set_result.in_set_result = true;
+              Result(site, *f.value, set_result, here);
+              break;
+            }
+            case FilterKind::kSetEnum:
+              for (const RefPtr& e : f.elems) {
+                Result(site, *e, ValueOf(ctx), here);
+              }
+              break;
+            case FilterKind::kClass:
+              break;
+          }
+        }
+        return;
+    }
+  }
+
+ private:
+  /// A head spine position's arguments and results are head values.
+  static MethodSite ValueOf(MethodSite ctx) {
+    if (ctx.place == SitePlace::kHeadSpine) ctx.place = SitePlace::kHeadValue;
+    return ctx;
+  }
+
+  /// What the head reads is kHeadRead; a body read stays a body read.
+  static MethodSite ReadOf(MethodSite ctx) {
+    if (ctx.place != SitePlace::kBody) ctx.place = SitePlace::kHeadRead;
+    return ctx;
+  }
+
+  /// Reports one site, then walks a complex method as the caller asks.
+  MethodSite Visit(const MethodSite& ctx, const Ref& node,
+                   const Filter* filter, Span here) {
+    MethodSite site = ctx;
+    site.node = &node;
+    site.filter = filter;
+    site.span = here;
+    const Descend how = fn_(site);
+    const Ref& m = site.position();
+    if (site.is_class() ||
+        (m.kind != RefKind::kPath && m.kind != RefKind::kMolecule)) {
+      return site;
+    }
+    if (how == Descend::kDefine || how == Descend::kDefineAndRead) {
+      MethodSite spine = ctx;
+      spine.place = SitePlace::kHeadSpine;
+      spine.in_set_result = false;
+      Walk(m, spine, here);
+    }
+    if (how == Descend::kRead || how == Descend::kDefineAndRead) {
+      Walk(m, ReadOf(ctx), here);
+    }
+    return site;
+  }
+
+  void Result(const MethodSite& site, const Ref& result,
+              const MethodSite& ctx, Span here) {
+    if (on_result_) on_result_(site, result);
+    Walk(result, ctx, here);
+  }
+
+  const MethodSiteFn& fn_;
+  const FilterResultFn& on_result_;
+};
+
+}  // namespace
+
+void ForEachMethodSite(const Rule& rule, const MethodSiteFn& fn,
+                       const FilterResultFn& on_result) {
+  SiteWalker walker(fn, on_result);
+  if (rule.head) {
+    MethodSite head;
+    head.place = SitePlace::kHeadSpine;
+    walker.Walk(*rule.head, head, Span{rule.line, rule.column});
+  }
+  for (size_t i = 0; i < rule.body.size(); ++i) {
+    const Literal& lit = rule.body[i];
+    if (!lit.ref) continue;
+    MethodSite body;
+    body.negated = lit.negated;
+    body.literal = static_cast<int>(i);
+    walker.Walk(*lit.ref, body, Span{lit.line, lit.column});
+  }
+}
+
+void ForEachMethodSite(const Ref& t, const MethodSiteFn& fn) {
+  const FilterResultFn no_results;
+  SiteWalker(fn, no_results).Walk(t, MethodSite{}, Span{});
+}
+
 }  // namespace pathlog

@@ -1,14 +1,18 @@
 // Static analysis of references: scalarity (Definition 2),
-// well-formedness (Definition 3), simplicity, and variable collection.
+// well-formedness (Definition 3), simplicity, variable collection, and
+// the one walk over a rule's method and class positions.
 
 #ifndef PATHLOG_AST_ANALYSIS_H_
 #define PATHLOG_AST_ANALYSIS_H_
 
+#include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "ast/program.h"
 #include "ast/ref.h"
 #include "base/status.h"
 
@@ -91,6 +95,107 @@ void ForEachLeaf(const Ref& t, const Fn& fn) {
       return;
   }
 }
+
+/// A source position, 1-based; {0, 0} when unknown.
+struct Span {
+  int line = 0;
+  int column = 0;
+};
+
+/// `t`'s own position, or `fallback` when `t` was built without one.
+inline Span SpanOf(const Ref& t, Span fallback) {
+  return t.line > 0 ? Span{t.line, t.column} : fallback;
+}
+
+/// Where a method or class position sits in a rule (head assertion:
+/// eval/head_assert.h; the completeness condition: paper section 6).
+enum class SitePlace : uint8_t {
+  /// On the head's spine: the head and the base of every spine path or
+  /// molecule. A path here invents an object; a filter asserts.
+  kHeadSpine,
+  /// In a head argument, scalar result, set element or class. A path
+  /// here is looked up, and invents only under kSkolemize.
+  kHeadValue,
+  /// Read by the head when it asserts: the result of a head `->>`
+  /// filter, and a complex head method walked as a read.
+  kHeadRead,
+  /// In a body literal.
+  kBody,
+};
+
+/// One method or class position, as ForEachMethodSite reports it.
+struct MethodSite {
+  SitePlace place = SitePlace::kBody;
+  /// Inside the result reference of a `->>` filter.
+  bool in_set_result = false;
+  /// Inside a negated body literal.
+  bool negated = false;
+  /// Index of the body literal; -1 in the head and in a bare reference.
+  int literal = -1;
+  /// The kPath node of a `.`/`..` step (set_valued_path tells which),
+  /// or the kMolecule node of a filter.
+  const Ref* node = nullptr;
+  /// The filter; null for a path step.
+  const Filter* filter = nullptr;
+  /// Position of `node`, else of the nearest enclosing reference,
+  /// literal or clause that has one.
+  Span span;
+
+  bool is_class() const {
+    return filter != nullptr && filter->kind == FilterKind::kClass;
+  }
+  bool in_head() const { return place != SitePlace::kBody; }
+  /// On the head's spine or at a head value: the part of the head that
+  /// is asserted rather than read.
+  bool in_asserted_head() const {
+    return place == SitePlace::kHeadSpine || place == SitePlace::kHeadValue;
+  }
+  /// The method, or the class of a class filter, brackets stripped.
+  const Ref& position() const {
+    if (filter == nullptr) return Deref(*node->method);
+    return Deref(is_class() ? *filter->value : *filter->method);
+  }
+  /// A symbol at the position (as opposed to a variable, an integer or
+  /// string name, or a complex reference).
+  bool is_symbol() const {
+    const Ref& p = position();
+    return p.kind == RefKind::kName && p.name_kind == NameKind::kSymbol;
+  }
+};
+
+/// How ForEachMethodSite continues into a complex method (a path or
+/// molecule, such as the generic `(M.tc)`) after reporting it. Ignored
+/// at every other position; a class is always walked as a value.
+enum class Descend : uint8_t {
+  kNo,
+  /// Walk it as a read in the site's own context (a head site's
+  /// becomes kHeadRead).
+  kRead,
+  /// Walk it as a head spine: its paths and filters define.
+  kDefine,
+  /// kDefine, then kRead.
+  kDefineAndRead,
+};
+
+using MethodSiteFn = std::function<Descend(const MethodSite&)>;
+/// Called with a filter's site just before each of its result
+/// references is walked: the scalar result, the `->>` result, each set
+/// element.
+using FilterResultFn = std::function<void(const MethodSite&, const Ref&)>;
+
+/// Calls `fn` once for every method and class position of `rule`: the
+/// head (if any), then each body literal in order. Within a reference a
+/// path step's method comes before its base and arguments, and a
+/// molecule's base before its filters; a filter's method or class comes
+/// before its arguments and results. The positions inside a complex
+/// method follow it, once for each walk `fn` asked for. Every site of a
+/// program is found here, so callers decide only what a site means to
+/// them.
+void ForEachMethodSite(const Rule& rule, const MethodSiteFn& fn,
+                       const FilterResultFn& on_result = nullptr);
+
+/// The same over `t` read as a positive body literal.
+void ForEachMethodSite(const Ref& t, const MethodSiteFn& fn);
 
 }  // namespace pathlog
 

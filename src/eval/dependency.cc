@@ -6,155 +6,64 @@ namespace pathlog {
 
 namespace {
 
-/// Collects definition/read sets of a single rule.
-class Collector {
- public:
-  Collector(ObjectStore* store, RuleDeps* deps, HeadValueMode mode)
-      : store_(store), deps_(deps),
-        value_creates_(mode == HeadValueMode::kSkolemize) {}
-
-  /// Entry point for rule heads: everything read while walking the
-  /// head is an assert-time read (see RuleDeps::head_reads).
-  void WalkHeadTop(const Ref& t) {
-    in_head_ = true;
-    WalkHead(t, /*create=*/true);
-    in_head_ = false;
-  }
-
-  /// `create` is true on the head spine (paths there always define
-  /// virtual objects) and mode-dependent at value positions.
-  void WalkHead(const Ref& t, bool create) {
-    switch (t.kind) {
-      case RefKind::kName:
-      case RefKind::kVar:
-        return;
-      case RefKind::kParen:
-        WalkHead(*t.base, create);
-        return;
-      case RefKind::kPath: {
-        if (create || value_creates_) {
-          DefineMethod(*t.method);
-        }
-        // The assert-time lookup is also a read (change tracking).
-        ReadMethod(*t.method, /*complete=*/false);
-        WalkHead(*t.base, create);
-        for (const RefPtr& a : t.args) WalkHead(*a, value_creates_);
-        return;
-      }
-      case RefKind::kMolecule: {
-        WalkHead(*t.base, create);
-        for (const Filter& f : t.filters) {
-          if (f.kind == FilterKind::kClass) {
-            deps_->defines_isa = true;
-            WalkHead(*f.value, value_creates_);
-            continue;
-          }
-          DefineMethod(*f.method);
-          for (const RefPtr& a : f.args) WalkHead(*a, value_creates_);
-          switch (f.kind) {
-            case FilterKind::kScalar:
-              WalkHead(*f.value, value_creates_);
-              break;
-            case FilterKind::kSetRef:
-              // Referenced, not asserted: a needs-complete body read.
-              WalkBody(*f.value, /*complete=*/true);
-              break;
-            case FilterKind::kSetEnum:
-              for (const RefPtr& e : f.elems) WalkHead(*e, value_creates_);
-              break;
-            case FilterKind::kClass:
-              break;
-          }
-        }
-        return;
-      }
+/// Fills `deps` from one rule's method and class positions.
+void CollectDeps(const Rule& rule, ObjectStore* store, HeadValueMode mode,
+                 RuleDeps* deps) {
+  const bool value_creates = mode == HeadValueMode::kSkolemize;
+  auto define = [&](const MethodSite& site) {
+    if (site.is_symbol()) {
+      deps->defines.insert(store->InternSymbol(site.position().text));
+    } else {
+      // A variable or complex method may define any method.
+      deps->defines_any = true;
     }
-  }
-
-  void WalkBody(const Ref& t, bool complete) {
-    switch (t.kind) {
-      case RefKind::kName:
-      case RefKind::kVar:
-        return;
-      case RefKind::kParen:
-        WalkBody(*t.base, complete);
-        return;
-      case RefKind::kPath:
-        ReadMethod(*t.method, complete);
-        WalkBody(*t.base, complete);
-        for (const RefPtr& a : t.args) WalkBody(*a, complete);
-        return;
-      case RefKind::kMolecule: {
-        WalkBody(*t.base, complete);
-        for (const Filter& f : t.filters) {
-          if (f.kind == FilterKind::kClass) {
-            deps_->reads_isa = true;
-            if (complete) deps_->reads_isa_complete = true;
-            WalkBody(*f.value, complete);
-            continue;
-          }
-          ReadMethod(*f.method, complete);
-          for (const RefPtr& a : f.args) WalkBody(*a, complete);
-          switch (f.kind) {
-            case FilterKind::kScalar:
-              WalkBody(*f.value, complete);
-              break;
-            case FilterKind::kSetRef:
-              // The specified set must be final before the subset test
-              // is meaningful (paper section 6, [NT89]).
-              WalkBody(*f.value, /*complete=*/true);
-              break;
-            case FilterKind::kSetEnum:
-              for (const RefPtr& e : f.elems) WalkBody(*e, complete);
-              break;
-            case FilterKind::kClass:
-              break;
-          }
-        }
-        return;
-      }
-    }
-  }
-
- private:
-  void DefineMethod(const Ref& m) {
-    const Ref* d = &m;
-    while (d->kind == RefKind::kParen) d = d->base.get();
-    if (d->kind == RefKind::kName && d->name_kind == NameKind::kSymbol) {
-      deps_->defines.insert(store_->InternSymbol(d->text));
+  };
+  // Every read in the head, the assert-time lookups included, is a
+  // head read (RuleDeps::head_reads). A read is needs-complete inside a
+  // `->>` result or a negated literal (paper section 6, [NT89]).
+  auto read = [&](const MethodSite& site) {
+    const bool complete = site.in_set_result || site.negated;
+    if (site.is_symbol()) {
+      Oid o = store->InternSymbol(site.position().text);
+      deps->reads.insert(o);
+      if (complete) deps->reads_complete.insert(o);
+      if (site.in_head()) deps->head_reads.insert(o);
       return;
     }
-    // Variable or complex method: may define any method (and a complex
-    // method path's own steps are defined as virtual method objects).
-    deps_->defines_any = true;
-    if (d->kind == RefKind::kPath || d->kind == RefKind::kMolecule) {
-      WalkHead(*d, /*create=*/true);
+    deps->reads_any = true;
+    if (complete) deps->reads_any_complete = true;
+    if (site.in_head()) deps->head_reads_any = true;
+  };
+  ForEachMethodSite(rule, [&](const MethodSite& site) {
+    if (site.is_class()) {
+      if (site.in_asserted_head()) {
+        deps->defines_isa = true;
+      } else {
+        deps->reads_isa = true;
+        if (site.in_set_result || site.negated) deps->reads_isa_complete = true;
+      }
+      return Descend::kNo;
     }
-  }
-
-  void ReadMethod(const Ref& m, bool complete) {
-    const Ref* d = &m;
-    while (d->kind == RefKind::kParen) d = d->base.get();
-    if (d->kind == RefKind::kName && d->name_kind == NameKind::kSymbol) {
-      Oid o = store_->InternSymbol(d->text);
-      deps_->reads.insert(o);
-      if (complete) deps_->reads_complete.insert(o);
-      if (in_head_) deps_->head_reads.insert(o);
-      return;
+    if (!site.in_asserted_head()) {
+      read(site);
+      return Descend::kRead;
     }
-    deps_->reads_any = true;
-    if (complete) deps_->reads_any_complete = true;
-    if (in_head_) deps_->head_reads_any = true;
-    if (d->kind == RefKind::kPath || d->kind == RefKind::kMolecule) {
-      WalkBody(*d, complete);
+    if (site.filter != nullptr) {
+      define(site);
+      return Descend::kDefine;
     }
-  }
-
-  ObjectStore* store_;
-  RuleDeps* deps_;
-  bool value_creates_;
-  bool in_head_ = false;
-};
+    // A head path always defines on the spine, and at value positions
+    // under kSkolemize; its assert-time lookup is a read either way. A
+    // complex method's own steps define virtual method objects.
+    if (site.place == SitePlace::kHeadSpine || value_creates) {
+      define(site);
+      read(site);
+      return Descend::kDefineAndRead;
+    }
+    read(site);
+    return Descend::kRead;
+  });
+}
 
 }  // namespace
 
@@ -177,11 +86,7 @@ Result<DependencyGraph> DependencyGraph::Build(const std::vector<Rule>& rules,
   bool any_reads_any = false;
   for (const Rule& rule : rules) {
     RuleDeps deps;
-    Collector c(store, &deps, mode);
-    c.WalkHeadTop(*rule.head);
-    for (const Literal& lit : rule.body) {
-      c.WalkBody(*lit.ref, /*complete=*/lit.negated);
-    }
+    CollectDeps(rule, store, mode, &deps);
     any_defines_any |= deps.defines_any;
     any_reads_any |= deps.reads_any;
     g.rule_deps_.push_back(std::move(deps));

@@ -16,40 +16,6 @@ namespace pathlog {
 
 namespace {
 
-void CollectSetRefValueVars(const Ref& t, std::set<std::string>* out) {
-  switch (t.kind) {
-    case RefKind::kName:
-    case RefKind::kVar:
-      return;
-    case RefKind::kParen:
-      CollectSetRefValueVars(*t.base, out);
-      return;
-    case RefKind::kPath:
-      CollectSetRefValueVars(*t.base, out);
-      CollectSetRefValueVars(*t.method, out);
-      for (const RefPtr& a : t.args) CollectSetRefValueVars(*a, out);
-      return;
-    case RefKind::kMolecule:
-      CollectSetRefValueVars(*t.base, out);
-      for (const Filter& f : t.filters) {
-        if (f.kind == FilterKind::kClass) {
-          CollectSetRefValueVars(*f.value, out);
-          continue;
-        }
-        CollectSetRefValueVars(*f.method, out);
-        for (const RefPtr& a : f.args) CollectSetRefValueVars(*a, out);
-        if (f.kind == FilterKind::kSetRef) {
-          CollectVars(*f.value, out);  // everything inside must be bound
-        } else if (f.kind == FilterKind::kScalar) {
-          CollectSetRefValueVars(*f.value, out);
-        } else {
-          for (const RefPtr& e : f.elems) CollectSetRefValueVars(*e, out);
-        }
-      }
-      return;
-  }
-}
-
 /// Puts the body in safety order and checks range restriction.
 Status PlanBody(Rule* rule) {
   std::set<std::string> bound;
@@ -73,7 +39,12 @@ Status PlanBody(Rule* rule) {
 
 std::set<std::string> SetRefValueVars(const Ref& t) {
   std::set<std::string> out;
-  CollectSetRefValueVars(t, &out);
+  ForEachMethodSite(t, [&](const MethodSite& site) {
+    if (site.filter != nullptr && site.filter->kind == FilterKind::kSetRef) {
+      CollectVars(*site.filter->value, &out);
+    }
+    return Descend::kRead;
+  });
   return out;
 }
 

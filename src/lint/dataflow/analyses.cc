@@ -22,15 +22,6 @@ namespace pathlog {
 
 namespace {
 
-struct Span {
-  int line = 0;
-  int column = 0;
-};
-
-Span SpanOf(const Ref& t, Span fallback) {
-  return t.line > 0 ? Span{t.line, t.column} : fallback;
-}
-
 bool IsGuardName(const std::string& name) {
   return name == kLtName || name == kLeqName || name == kGtName ||
          name == kGeqName || name == kIntEqName || name == kIntNeqName ||
@@ -99,6 +90,10 @@ struct ClauseInfo {
   // Liveness.
   std::set<std::string> defines;  ///< head-defined methods
   bool defines_any = false;
+  /// Classes asserted on the head's spine; a variable or complex class
+  /// there sets spine_any_class.
+  std::set<std::string> spine_classes;
+  bool spine_any_class = false;
   std::vector<BodyLiteralInfo> body;  ///< positive literals only
 
   // PL015: ground scalar bindings per (receiver key, method key).
@@ -110,252 +105,164 @@ struct ClauseInfo {
       scalar_bindings;
 };
 
-/// Walks one clause and fills a ClauseInfo. Mirrors the traversal
-/// split of eval/dependency.cc's Collector: head positions assert
-/// (spine always creates, value positions create only under
-/// kSkolemize), body positions read.
-class ClauseWalker {
- public:
-  ClauseWalker(ClauseInfo* out, bool skolemize)
-      : out_(out), skolemize_(skolemize) {}
-
-  void WalkHead(const Ref& t, Span fallback) { Head(t, /*spine=*/true, fallback); }
-
-  void WalkBodyLiteral(const Literal& lit, Span fallback) {
-    current_ = nullptr;
-    if (!lit.negated) {
-      out_->body.push_back({});
-      current_ = &out_->body.back();
-      current_->lit = &lit;
-      current_->span = fallback;
-    }
-    if (lit.ref) Body(*lit.ref, fallback);
-    current_ = nullptr;
+/// Anchor identity for the same-receiver scalar consistency check;
+/// empty when the receiver is not a plain variable or symbol.
+std::string ReceiverKey(const Ref& base) {
+  const Ref& d = Deref(base);
+  if (d.kind == RefKind::kVar) return StrCat("V:", d.text);
+  if (d.kind == RefKind::kName && d.name_kind == NameKind::kSymbol) {
+    return StrCat("N:", d.text);
   }
+  return "";
+}
 
- private:
-  void Head(const Ref& t, bool spine, Span fallback) {
-    Span here = SpanOf(t, fallback);
-    switch (t.kind) {
-      case RefKind::kName:
-      case RefKind::kVar:
-        return;
-      case RefKind::kParen:
-        Head(*t.base, spine, here);
-        return;
-      case RefKind::kPath: {
-        const Ref& m = Deref(*t.method);
-        if (m.kind == RefKind::kName && m.name_kind == NameKind::kSymbol &&
-            !IsBuiltinMethodName(m.text)) {
-          if (spine || skolemize_) {
-            out_->defines.insert(m.text);
-            // The created result is a fresh object; spine inventions
-            // are kept out of the sort conflict (the spine may equally
-            // denote an existing value — see analyses.h), value-path
-            // inventions under kSkolemize always produce objects.
-            if (!spine && skolemize_) {
-              out_->assignments.push_back({m.text, nullptr, here});
-            }
-          }
-        } else if (m.kind != RefKind::kName) {
-          out_->defines_any = true;
-        }
-        Head(*t.base, spine, here);
-        for (const RefPtr& a : t.args) Head(*a, /*spine=*/false, here);
-        return;
-      }
-      case RefKind::kMolecule:
-        Head(*t.base, spine, here);
-        for (const Filter& f : t.filters) {
-          if (f.kind == FilterKind::kClass) {
-            Head(*f.value, /*spine=*/false, here);
-            continue;
-          }
-          const Ref& m = Deref(*f.method);
-          std::string name;
-          if (m.kind == RefKind::kName && m.name_kind == NameKind::kSymbol) {
-            if (IsBuiltinMethodName(m.text)) {
-              name.clear();
-            } else {
-              name = m.text;
-              out_->defines.insert(name);
-            }
-          } else {
-            out_->defines_any = true;
-          }
-          for (const RefPtr& a : f.args) Head(*a, /*spine=*/false, here);
-          auto assign = [&](const Ref& value) {
-            if (!name.empty()) {
-              out_->assignments.push_back({name, &value, SpanOf(value, here)});
-              RecordSortReads(value);
-            }
-            Head(value, /*spine=*/false, here);
-          };
-          switch (f.kind) {
-            case FilterKind::kScalar:
-              assign(*f.value);
-              break;
-            case FilterKind::kSetRef:
-              // Referenced objects become members: their sorts flow in,
-              // but the reference itself is a body-style read.
-              if (!name.empty()) {
-                out_->assignments.push_back(
-                    {name, f.value.get(), SpanOf(*f.value, here)});
-                RecordSortReads(*f.value);
-              }
-              Body(*f.value, here);
-              break;
-            case FilterKind::kSetEnum:
-              for (const RefPtr& e : f.elems) assign(*e);
-              break;
-            case FilterKind::kClass:
-              break;
-          }
-        }
-        return;
+/// The methods a head value's spine consults for its sort.
+void RecordSortReads(const Ref& value, std::set<std::string>* out) {
+  for (const Ref* d = &Deref(value);
+       d->kind == RefKind::kPath || d->kind == RefKind::kMolecule;
+       d = &Deref(*d->base)) {
+    if (d->kind != RefKind::kPath) continue;
+    const Ref& m = Deref(*d->method);
+    if (m.kind == RefKind::kName && m.name_kind == NameKind::kSymbol &&
+        !IsBuiltinMethodName(m.text)) {
+      out->insert(m.text);
     }
   }
+}
 
-  void Body(const Ref& t, Span fallback) {
-    Span here = SpanOf(t, fallback);
-    switch (t.kind) {
-      case RefKind::kName:
-      case RefKind::kVar:
-        return;
-      case RefKind::kPath: {
-        const Ref& m = Deref(*t.method);
-        if (m.kind == RefKind::kName && m.name_kind == NameKind::kSymbol) {
-          if (IsGuardName(m.text)) {
-            GuardUse g;
-            g.receiver = &Deref(*t.base);
-            g.guard = m.text;
-            for (const RefPtr& a : t.args) g.args.push_back(&Deref(*a));
-            g.span = here;
-            out_->guards.push_back(std::move(g));
-          } else if (!IsBuiltinMethodName(m.text)) {
-            AddRead(m.text, here);
-          }
-        } else if (m.kind != RefKind::kName) {
-          if (current_) current_->reads_any = true;
-          Body(m, here);
-        }
-        Body(*t.base, here);
-        for (const RefPtr& a : t.args) Body(*a, here);
-        return;
-      }
-      case RefKind::kParen:
-        Body(*t.base, here);
-        return;
-      case RefKind::kMolecule: {
-        Body(*t.base, here);
-        const std::string receiver_key = ReceiverKey(*t.base);
-        for (const Filter& f : t.filters) {
-          if (f.kind == FilterKind::kClass) {
-            Body(*f.value, here);
-            continue;
-          }
-          const Ref& m = Deref(*f.method);
-          std::string name;
-          if (m.kind == RefKind::kName && m.name_kind == NameKind::kSymbol) {
-            if (!IsBuiltinMethodName(m.text)) {
-              name = m.text;
-              AddRead(name, here);
-            }
-          } else {
-            if (current_) current_->reads_any = true;
-            Body(m, here);
-          }
-          for (const RefPtr& a : f.args) Body(*a, here);
-          // Variable bindings: the method's result sorts flow into the
-          // bound variable.
-          auto bind = [&](const Ref& value) {
-            const Ref& v = Deref(value);
-            if (!name.empty() && v.kind == RefKind::kVar && current_) {
-              out_->var_sources[v.text].push_back(name);
-              out_->sort_reads.insert(name);
-            }
-            Body(value, here);
-          };
-          switch (f.kind) {
-            case FilterKind::kScalar: {
-              bind(*f.value);
-              if (!name.empty() && !receiver_key.empty() && current_) {
-                const Ref& v = Deref(*f.value);
-                if (v.kind == RefKind::kName || v.kind == RefKind::kVar) {
-                  std::string mkey = name;
-                  for (const RefPtr& a : f.args) mkey += "@" + ToString(*a);
-                  out_->scalar_bindings[{receiver_key, mkey}].push_back(
-                      {&v, SpanOf(v, here)});
-                }
-              }
-              break;
-            }
-            case FilterKind::kSetRef:
-              Body(*f.value, here);
-              break;
-            case FilterKind::kSetEnum:
-              for (const RefPtr& e : f.elems) bind(*e);
-              break;
-            case FilterKind::kClass:
-              break;
-          }
-        }
-        return;
-      }
-    }
-  }
-
-  /// Anchor identity for the same-receiver scalar consistency check;
-  /// empty when the receiver is not a plain variable or symbol.
-  static std::string ReceiverKey(const Ref& base) {
-    const Ref& d = Deref(base);
-    if (d.kind == RefKind::kVar) return StrCat("V:", d.text);
-    if (d.kind == RefKind::kName && d.name_kind == NameKind::kSymbol) {
-      return StrCat("N:", d.text);
-    }
+/// The method at `site` when it is a user-defined symbol; empty for a
+/// built-in, a variable, an integer or string, or a complex method.
+std::string UserMethod(const MethodSite& site) {
+  if (!site.is_symbol() || IsBuiltinMethodName(site.position().text)) {
     return "";
   }
+  return site.position().text;
+}
 
-  void AddRead(const std::string& name, Span span) {
-    if (current_ == nullptr) return;  // negated literal: no liveness read
-    for (const auto& [existing, s] : current_->reads) {
-      if (existing == name) return;
-    }
-    current_->reads.push_back({name, span});
+/// Fills a ClauseInfo from one clause's method and class positions.
+void WalkClause(const Rule& rule, bool skolemize, ClauseInfo* out) {
+  // Each positive literal collects its own reads in out->body (indexed
+  // per literal here); negated literals feed no liveness.
+  std::vector<size_t> positive(rule.body.size(), SIZE_MAX);
+  for (size_t i = 0; i < rule.body.size(); ++i) {
+    const Literal& lit = rule.body[i];
+    if (lit.negated) continue;
+    positive[i] = out->body.size();
+    out->body.push_back({&lit, Span{lit.line, lit.column}, {}, false});
   }
 
-  void RecordSortReads(const Ref& value) {
-    const Ref& d = Deref(value);
-    switch (d.kind) {
-      case RefKind::kName:
-      case RefKind::kVar:
-        return;
-      case RefKind::kPath: {
-        const Ref& m = Deref(*d.method);
-        if (m.kind == RefKind::kName && m.name_kind == NameKind::kSymbol &&
-            !IsBuiltinMethodName(m.text)) {
-          out_->sort_reads.insert(m.text);
-        }
-        RecordSortReads(*d.base);
-        return;
+  // The asserted head defines: a filter its method, a path its method
+  // on the spine and, under kSkolemize, at value positions. A complex
+  // method is not looked into.
+  auto head_site = [&](const MethodSite& site) {
+    const std::string name = UserMethod(site);
+    if (site.filter != nullptr) {
+      if (!site.is_symbol()) {
+        out->defines_any = true;
+      } else if (!name.empty()) {
+        out->defines.insert(name);
       }
-      case RefKind::kParen:
-      case RefKind::kMolecule:
-        if (d.base) RecordSortReads(*d.base);
-        return;
+    } else if (name.empty()) {
+      if (site.position().kind != RefKind::kName) out->defines_any = true;
+    } else if (site.place == SitePlace::kHeadSpine) {
+      out->defines.insert(name);
+    } else if (skolemize) {
+      out->defines.insert(name);
+      // The created result is a fresh object; spine inventions are
+      // kept out of the sort conflict (the spine may equally denote an
+      // existing value — see analyses.h), value-path inventions under
+      // kSkolemize always produce objects.
+      out->assignments.push_back({name, nullptr, site.span});
     }
-  }
+  };
 
-  ClauseInfo* out_;
-  bool skolemize_;
-  BodyLiteralInfo* current_ = nullptr;
-};
+  // Everything else reads. Guards count wherever they occur; reads,
+  // bindings and scalar pins only in a positive literal.
+  auto read_site = [&](const MethodSite& site) {
+    const Ref& m = site.position();
+    if (site.filter == nullptr && site.is_symbol() && IsGuardName(m.text)) {
+      GuardUse g;
+      g.receiver = &Deref(*site.node->base);
+      g.guard = m.text;
+      for (const RefPtr& a : site.node->args) g.args.push_back(&Deref(*a));
+      g.span = site.span;
+      out->guards.push_back(std::move(g));
+      return;
+    }
+    if (site.literal < 0 || positive[site.literal] == SIZE_MAX) return;
+    BodyLiteralInfo* current = &out->body[positive[site.literal]];
+    const std::string name = UserMethod(site);
+    if (name.empty()) {
+      // A variable or complex method, or at a filter any non-symbol.
+      if (site.filter != nullptr ? !site.is_symbol()
+                                 : m.kind != RefKind::kName) {
+        current->reads_any = true;
+      }
+      return;
+    }
+    bool seen = false;
+    for (const auto& [existing, span] : current->reads) seen |= existing == name;
+    if (!seen) current->reads.push_back({name, site.span});
+    if (site.filter == nullptr) return;
+    // Variable bindings: the method's result sorts flow into the bound
+    // variable.
+    const Filter& f = *site.filter;
+    auto bind = [&](const Ref& value) {
+      const Ref& v = Deref(value);
+      if (v.kind != RefKind::kVar) return;
+      out->var_sources[v.text].push_back(name);
+      out->sort_reads.insert(name);
+    };
+    if (f.kind == FilterKind::kSetEnum) {
+      for (const RefPtr& e : f.elems) bind(*e);
+    } else if (f.kind == FilterKind::kScalar) {
+      bind(*f.value);
+      const std::string receiver_key = ReceiverKey(*site.node->base);
+      const Ref& v = Deref(*f.value);
+      if (!receiver_key.empty() &&
+          (v.kind == RefKind::kName || v.kind == RefKind::kVar)) {
+        std::string mkey = name;
+        for (const RefPtr& a : f.args) mkey += "@" + ToString(*a);
+        out->scalar_bindings[{receiver_key, mkey}].push_back(
+            {&v, SpanOf(v, site.span)});
+      }
+    }
+  };
+
+  auto on_site = [&](const MethodSite& site) {
+    if (site.is_class()) {
+      if (site.place != SitePlace::kHeadSpine) return Descend::kNo;
+      if (site.is_symbol()) {
+        out->spine_classes.insert(site.position().text);
+      } else {
+        out->spine_any_class = true;
+      }
+      return Descend::kNo;
+    }
+    if (site.in_asserted_head()) {
+      head_site(site);
+      return Descend::kNo;
+    }
+    read_site(site);
+    return Descend::kRead;
+  };
+  // A head filter's results are assigned to its method, each just
+  // before the walk reaches it; a `->>` result's objects become
+  // members, so their sorts flow in as well.
+  auto on_result = [&](const MethodSite& site, const Ref& result) {
+    const std::string name = UserMethod(site);
+    if (!site.in_asserted_head() || name.empty()) return;
+    out->assignments.push_back({name, &result, SpanOf(result, site.span)});
+    RecordSortReads(result, &out->sort_reads);
+  };
+  ForEachMethodSite(rule, on_site, on_result);
+}
 
 // ---- the analyzer ----------------------------------------------------
 
 class Analyzer {
  public:
-  Analyzer(const Program& program, const AnalysisOptions& options,
+  Analyzer(const Program& program, const LintOptions& options,
            LintReport* report)
       : program_(program), options_(options), report_(report) {}
 
@@ -390,11 +297,7 @@ class Analyzer {
       info.rule_index = index;
       info.is_trigger = is_trigger;
       info.span = {rule.line, rule.column};
-      ClauseWalker walker(&info, skolemize());
-      if (rule.head) walker.WalkHead(*rule.head, info.span);
-      for (const Literal& lit : rule.body) {
-        walker.WalkBodyLiteral(lit, Span{lit.line, lit.column});
-      }
+      WalkClause(rule, skolemize(), &info);
       clauses_.push_back(std::move(info));
     };
     for (size_t i = 0; i < program_.rules.size(); ++i) {
@@ -960,50 +863,16 @@ class Analyzer {
     std::set<std::string> methods;  ///< all non-builtin methods mentioned
   };
 
-  static void CollectMethods(const Ref& t, std::set<std::string>* out) {
-    switch (t.kind) {
-      case RefKind::kName:
-      case RefKind::kVar:
-        return;
-      case RefKind::kParen:
-        CollectMethods(*t.base, out);
-        return;
-      case RefKind::kPath: {
-        const Ref& m = Deref(*t.method);
-        if (m.kind == RefKind::kName && m.name_kind == NameKind::kSymbol) {
-          if (!IsBuiltinMethodName(m.text)) out->insert(m.text);
-        } else {
-          CollectMethods(m, out);
-        }
-        CollectMethods(*t.base, out);
-        for (const RefPtr& a : t.args) CollectMethods(*a, out);
-        return;
-      }
-      case RefKind::kMolecule:
-        CollectMethods(*t.base, out);
-        for (const Filter& f : t.filters) {
-          if (f.kind == FilterKind::kClass) {
-            CollectMethods(*f.value, out);
-            continue;
-          }
-          const Ref& m = Deref(*f.method);
-          if (m.kind == RefKind::kName && m.name_kind == NameKind::kSymbol) {
-            if (!IsBuiltinMethodName(m.text)) out->insert(m.text);
-          } else {
-            CollectMethods(m, out);
-          }
-          for (const RefPtr& a : f.args) CollectMethods(*a, out);
-          if (f.value) CollectMethods(*f.value, out);
-          for (const RefPtr& e : f.elems) CollectMethods(*e, out);
-        }
-        return;
-    }
-  }
-
   AnchoredLiteral Classify(const Literal& lit, const std::string& anchor,
                            Span fallback) const {
     AnchoredLiteral out;
-    CollectMethods(*lit.ref, &out.methods);
+    ForEachMethodSite(*lit.ref, [&](const MethodSite& site) {
+      if (!site.is_class() && site.is_symbol() &&
+          !IsBuiltinMethodName(site.position().text)) {
+        out.methods.insert(site.position().text);
+      }
+      return Descend::kRead;
+    });
     if (!VarsOf(*lit.ref).count(anchor)) {
       out.role = LiteralRole::kIgnoresAnchor;
       return out;
@@ -1118,7 +987,8 @@ class Analyzer {
       if (c.rule->IsFact()) continue;
       rule_defined.insert(c.defines.begin(), c.defines.end());
       rule_defines_any |= c.defines_any;
-      CollectHeadClasses(*c.rule->head, &rule_classes, &rule_any_class);
+      rule_classes.insert(c.spine_classes.begin(), c.spine_classes.end());
+      rule_any_class |= c.spine_any_class;
     }
 
     for (const ClauseInfo& c : clauses_) {
@@ -1127,31 +997,6 @@ class Analyzer {
       if (!inv) continue;
       AnalyzeInvention(c, *inv, scc, dep_node, rule_defined, rule_classes,
                        rule_defines_any, rule_any_class);
-    }
-  }
-
-  static void CollectHeadClasses(const Ref& head, std::set<std::string>* out,
-                                 bool* any_class) {
-    switch (head.kind) {
-      case RefKind::kName:
-      case RefKind::kVar:
-        return;
-      case RefKind::kParen:
-      case RefKind::kPath:
-        if (head.base) CollectHeadClasses(*head.base, out, any_class);
-        return;
-      case RefKind::kMolecule:
-        CollectHeadClasses(*head.base, out, any_class);
-        for (const Filter& f : head.filters) {
-          if (f.kind != FilterKind::kClass) continue;
-          const Ref& cls = Deref(*f.value);
-          if (cls.kind == RefKind::kName && cls.name_kind == NameKind::kSymbol) {
-            out->insert(cls.text);
-          } else {
-            *any_class = true;
-          }
-        }
-        return;
     }
   }
 
@@ -1520,7 +1365,7 @@ class Analyzer {
   }
 
   const Program& program_;
-  const AnalysisOptions& options_;
+  const LintOptions& options_;
   LintReport* report_;
   AnalysisSummary summary_;
 
@@ -1533,7 +1378,7 @@ class Analyzer {
 }  // namespace
 
 AnalysisSummary AnalyzeProgram(const Program& program,
-                               const AnalysisOptions& options,
+                               const LintOptions& options,
                                LintReport* report) {
   Analyzer analyzer(program, options, report);
   return analyzer.Run();

@@ -52,28 +52,11 @@
 #include <vector>
 
 #include "ast/program.h"
-#include "eval/head_assert.h"
 #include "lint/dataflow/domains.h"
 #include "lint/diagnostic.h"
+#include "lint/lint.h"
 
 namespace pathlog {
-
-struct AnalysisOptions {
-  /// Mirrors the engine option; kSkolemize turns head value paths into
-  /// definitions (more invention sites, more object sorts).
-  HeadValueMode head_value_mode = HeadValueMode::kRequireDefined;
-
-  /// Methods with extensional facts outside the analysed program (a
-  /// Database's store). They seed the reachability fixpoint live.
-  std::set<std::string> assume_defined;
-
-  /// Observed value sorts of those extensional methods; a method in
-  /// assume_defined but absent here contributes no sort information.
-  std::map<std::string, SortSet> extensional_sorts;
-
-  /// Drop warning-severity findings (keeps PL017, the only error).
-  bool errors_only = false;
-};
 
 /// Binding modes of one body literal at its position in the engine's
 /// evaluation order.
@@ -114,9 +97,13 @@ struct AnalysisSummary {
 };
 
 /// Runs all four analyses over `program`. Appends PL014-PL019 findings
-/// to `report` (pass nullptr when only the summary is wanted).
+/// to `report` (pass nullptr when only the summary is wanted). Reads
+/// head_value_mode, assume_defined (seeded live), extensional_sorts
+/// (their observed value sorts; a method in assume_defined but absent
+/// here contributes no sort information) and errors_only (keeps PL017,
+/// the only error); `analyze` is the caller's switch.
 AnalysisSummary AnalyzeProgram(const Program& program,
-                               const AnalysisOptions& options,
+                               const LintOptions& options,
                                LintReport* report);
 
 }  // namespace pathlog

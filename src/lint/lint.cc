@@ -21,20 +21,6 @@ namespace pathlog {
 
 namespace {
 
-struct Span {
-  int line = 0;
-  int column = 0;
-};
-
-Span SpanOf(const Ref& t, Span fallback) {
-  return t.line > 0 ? Span{t.line, t.column} : fallback;
-}
-
-const Ref* UnwrapParens(const Ref* t) {
-  while (t->kind == RefKind::kParen) t = t->base.get();
-  return t;
-}
-
 // ---- PL002: locating an ill-formed reference ------------------------
 
 struct IllFormedSite {
@@ -44,9 +30,10 @@ struct IllFormedSite {
 
 IllFormedSite LocateIllFormed(const Ref& t, Span fallback);
 
-/// Descends into `child` if it is itself ill-formed; the caller keeps
-/// the blame otherwise.
-std::optional<IllFormedSite> Descend(const Ref& child, Span fallback) {
+/// Blames a site inside `child` if it is itself ill-formed; the caller
+/// keeps the blame otherwise.
+std::optional<IllFormedSite> BlameIfIllFormed(const Ref& child,
+                                              Span fallback) {
   if (CheckWellFormed(child).ok()) return std::nullopt;
   return LocateIllFormed(child, fallback);
 }
@@ -61,20 +48,20 @@ IllFormedSite LocateIllFormed(const Ref& t, Span fallback) {
     case RefKind::kVar:
       break;  // leaves never fail
     case RefKind::kParen:
-      if (auto site = Descend(*t.base, here)) return *site;
+      if (auto site = BlameIfIllFormed(*t.base, here)) return *site;
       break;
     case RefKind::kPath: {
-      if (auto site = Descend(*t.base, here)) return *site;
-      if (auto site = Descend(*t.method, here)) return *site;
+      if (auto site = BlameIfIllFormed(*t.base, here)) return *site;
+      if (auto site = BlameIfIllFormed(*t.method, here)) return *site;
       for (const RefPtr& a : t.args) {
-        if (auto site = Descend(*a, here)) return *site;
+        if (auto site = BlameIfIllFormed(*a, here)) return *site;
       }
       // Sub-references are fine, so the path itself is at fault
       // (a non-simple method position): blame the method.
       return {SpanOf(*t.method, here), CheckWellFormed(t).message()};
     }
     case RefKind::kMolecule: {
-      if (auto site = Descend(*t.base, here)) return *site;
+      if (auto site = BlameIfIllFormed(*t.base, here)) return *site;
       for (const Filter& f : t.filters) {
         // Probe each filter on its own to pin the offending one.
         RefPtr probe = Ref::Molecule(t.base, {f});
@@ -89,7 +76,7 @@ IllFormedSite LocateIllFormed(const Ref& t, Span fallback) {
         if (f.value) parts.push_back(&f.value);
         for (const RefPtr& e : f.elems) parts.push_back(&e);
         for (const RefPtr* part : parts) {
-          if (auto site = Descend(**part, fspan)) return *site;
+          if (auto site = BlameIfIllFormed(**part, fspan)) return *site;
         }
         return {fspan, st.message()};
       }
@@ -116,138 +103,39 @@ struct UseSink {
   bool wildcard_read = false;
 };
 
-/// Mirrors eval/dependency.cc's Collector, but records method *names*
-/// with source spans and a defining/reading split instead of Oids.
-class UseWalker {
- public:
-  UseWalker(UseSink* sink, bool skolemize)
-      : sink_(sink), skolemize_(skolemize) {}
-
-  /// `create` is true on the head spine; value positions define only
-  /// under kSkolemize (eval/head_assert.h).
-  void Head(const Ref& t, bool create, Span fallback) {
-    Span here = SpanOf(t, fallback);
-    switch (t.kind) {
-      case RefKind::kName:
-      case RefKind::kVar:
-        return;
-      case RefKind::kParen:
-        Head(*t.base, create, here);
-        return;
-      case RefKind::kPath:
-        AddUse(*t.method, t.set_valued_path, create || skolemize_, here);
-        Head(*t.base, create, here);
-        for (const RefPtr& a : t.args) Head(*a, skolemize_, here);
-        return;
-      case RefKind::kMolecule:
-        Head(*t.base, create, here);
-        for (const Filter& f : t.filters) {
-          if (f.kind == FilterKind::kClass) {
-            Head(*f.value, skolemize_, here);
-            continue;
-          }
-          AddUse(*f.method, f.kind != FilterKind::kScalar, true, here);
-          for (const RefPtr& a : f.args) Head(*a, skolemize_, here);
-          switch (f.kind) {
-            case FilterKind::kScalar:
-              Head(*f.value, skolemize_, here);
-              break;
-            case FilterKind::kSetRef:
-              Body(*f.value, here);  // referenced, not asserted
-              break;
-            case FilterKind::kSetEnum:
-              for (const RefPtr& e : f.elems) Head(*e, skolemize_, here);
-              break;
-            case FilterKind::kClass:
-              break;
-          }
-        }
-        return;
-    }
-  }
-
-  void Body(const Ref& t, Span fallback) {
-    Span here = SpanOf(t, fallback);
-    switch (t.kind) {
-      case RefKind::kName:
-      case RefKind::kVar:
-        return;
-      case RefKind::kParen:
-        Body(*t.base, here);
-        return;
-      case RefKind::kPath:
-        AddUse(*t.method, t.set_valued_path, false, here);
-        Body(*t.base, here);
-        for (const RefPtr& a : t.args) Body(*a, here);
-        return;
-      case RefKind::kMolecule:
-        Body(*t.base, here);
-        for (const Filter& f : t.filters) {
-          if (f.kind == FilterKind::kClass) {
-            Body(*f.value, here);
-            continue;
-          }
-          AddUse(*f.method, f.kind != FilterKind::kScalar, false, here);
-          for (const RefPtr& a : f.args) Body(*a, here);
-          if (f.value) Body(*f.value, here);
-          for (const RefPtr& e : f.elems) Body(*e, here);
-        }
-        return;
-    }
-  }
-
- private:
-  void AddUse(const Ref& m, bool set_use, bool defining, Span fallback) {
-    const Ref* d = UnwrapParens(&m);
-    if (d->kind == RefKind::kName) {
-      if (d->name_kind == NameKind::kSymbol &&
-          !IsBuiltinMethodName(d->text)) {
-        sink_->uses.push_back(
-            {d->text, set_use, defining, SpanOf(*d, fallback)});
-      }
-      return;
-    }
-    if (defining) {
-      sink_->wildcard_define = true;
-    } else {
-      sink_->wildcard_read = true;
-    }
-    // A complex method reference (the generic `(M.tc)`) contains
-    // method uses of its own.
-    if (d->kind == RefKind::kPath || d->kind == RefKind::kMolecule) {
-      if (defining) {
-        Head(*d, /*create=*/true, fallback);
-      } else {
-        Body(*d, fallback);
-      }
-    }
-  }
-
-  UseSink* sink_;
-  bool skolemize_;
-};
-
 /// Everything the linter gathers about one rule-like clause.
 struct ClauseUses {
   UseSink head;
   std::vector<UseSink> body;  // parallel to the body literal vector
 };
 
+/// Records method *names* with source spans and a defining/reading
+/// split: a head filter always defines, a head path on the spine and,
+/// under kSkolemize, at value positions (eval/head_assert.h).
 ClauseUses CollectUses(const Rule& rule, bool skolemize) {
   ClauseUses out;
-  Span clause{rule.line, rule.column};
-  if (rule.head) {
-    UseWalker walker(&out.head, skolemize);
-    walker.Head(*rule.head, /*create=*/true, clause);
-  }
-  for (const Literal& lit : rule.body) {
-    UseSink sink;
-    if (lit.ref) {
-      UseWalker walker(&sink, skolemize);
-      walker.Body(*lit.ref, Span{lit.line, lit.column});
+  out.body.resize(rule.body.size());
+  ForEachMethodSite(rule, [&](const MethodSite& site) {
+    if (site.is_class()) return Descend::kNo;
+    UseSink& sink = site.in_head() ? out.head : out.body[site.literal];
+    const bool defining =
+        site.in_asserted_head() &&
+        (site.filter != nullptr || site.place == SitePlace::kHeadSpine ||
+         skolemize);
+    const Ref& m = site.position();
+    if (m.kind == RefKind::kName) {
+      if (site.is_symbol() && !IsBuiltinMethodName(m.text)) {
+        const bool set_use = site.filter == nullptr
+                                 ? site.node->set_valued_path
+                                 : site.filter->kind != FilterKind::kScalar;
+        sink.uses.push_back({m.text, set_use, defining, SpanOf(m, site.span)});
+      }
+      return Descend::kNo;
     }
-    out.body.push_back(std::move(sink));
-  }
+    (defining ? sink.wildcard_define : sink.wildcard_read) = true;
+    // A complex method (the generic `(M.tc)`) has uses of its own.
+    return defining ? Descend::kDefine : Descend::kRead;
+  });
   return out;
 }
 
@@ -279,14 +167,7 @@ class LintPass {
       CheckAgainstSignatures(program);
       CheckReachability(program);
     }
-    if (options_.analyze) {
-      AnalysisOptions analysis;
-      analysis.head_value_mode = options_.head_value_mode;
-      analysis.assume_defined = options_.assume_defined;
-      analysis.extensional_sorts = options_.extensional_sorts;
-      analysis.errors_only = options_.errors_only;
-      AnalyzeProgram(program, analysis, report_);
-    }
+    if (options_.analyze) AnalyzeProgram(program, options_, report_);
   }
 
  private:
@@ -307,7 +188,7 @@ class LintPass {
       Span span{decl.line, decl.column};
       bool usable = true;
       auto require_ground_name = [&](const RefPtr& r, const char* role) {
-        const Ref* d = r ? UnwrapParens(r.get()) : nullptr;
+        const Ref* d = r ? &Deref(*r) : nullptr;
         if (d == nullptr || d->kind != RefKind::kName) {
           Add(LintCode::kIllFormed, Severity::kError,
               r ? SpanOf(*r, span) : span,
@@ -323,7 +204,7 @@ class LintPass {
         require_ground_name(a, "argument type");
       }
       if (!usable) continue;
-      SigInfo& info = sigs_[UnwrapParens(decl.method.get())->text];
+      SigInfo& info = sigs_[Deref(*decl.method).text];
       (decl.set_valued ? info.set : info.scalar) = true;
     }
   }
@@ -348,7 +229,7 @@ class LintPass {
                  "section 6): ",
                  ToString(*rule.head)));
     } else {
-      const Ref* h = UnwrapParens(rule.head.get());
+      const Ref* h = &Deref(*rule.head);
       if (h->kind == RefKind::kName || h->kind == RefKind::kVar) {
         Add(LintCode::kTrivialHead, Severity::kError,
             SpanOf(*rule.head, clause),

@@ -72,13 +72,14 @@
 namespace pathlog {
 
 struct LintOptions {
-  /// Mirrors the engine option: in kSkolemize mode head value paths
+  /// The engine's head-value mode: in kSkolemize mode head value paths
   /// define virtual objects, which changes the dependency graph.
   HeadValueMode head_value_mode = HeadValueMode::kRequireDefined;
 
   /// Methods to treat as defined even though no fact or rule head in
   /// the linted program defines them — e.g. methods with extensional
-  /// facts already in a Database's store. Affects PL011 only.
+  /// facts already in a Database's store. Affects PL011, and seeds the
+  /// analyze pass's reachability fixpoint live.
   std::set<std::string> assume_defined;
 
   /// Skip warning-severity checks (PL006, PL008-PL012); errors only.

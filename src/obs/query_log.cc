@@ -82,9 +82,6 @@ Status QueryLog::AppendLineLocked(const std::string& line) {
   PATHLOG_RETURN_IF_ERROR(EnsureOpenLocked());
   PATHLOG_RETURN_IF_ERROR(file_->Append(line));
   file_bytes_ += line.size();
-  if (options_.sync_every_record) {
-    PATHLOG_RETURN_IF_ERROR(file_->Sync());
-  }
   return Status::OK();
 }
 

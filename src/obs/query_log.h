@@ -10,7 +10,8 @@
 // validated by ci/check.sh.
 //
 // Records are written with one Append() call each — an atomic append
-// at these sizes — through an injectable FileOps, and the segment
+// at these sizes, never fsynced: the log is a diagnostic stream, not a
+// ledger — through an injectable FileOps, and the segment
 // rotates (current file renamed to `<path>.1`, fresh file opened) once
 // it exceeds `rotate_bytes`. The last few records are also kept in an
 // in-memory ring so the stats server's /querylogz endpoint serves
@@ -48,9 +49,6 @@ struct QueryLogOptions {
   /// Rotate (rename to `<path>.1`, reopen fresh) past this many bytes;
   /// 0 = never rotate.
   uint64_t rotate_bytes = 16ull << 20;
-  /// fsync after every record. Off by default: the query log is a
-  /// diagnostic stream, not a ledger.
-  bool sync_every_record = false;
   /// Recent records kept in memory for /querylogz and \querylog.
   size_t recent_capacity = 128;
   /// Injectable file system; nullptr = the real one.

@@ -1064,32 +1064,32 @@ Status Database::ReplayProgramText(std::string_view text) {
   return LoadLocked(text, &have);
 }
 
+const DerivationRecord* Database::DerivationOfLocked(uint64_t gen) const {
+  // Records are ordered by first_gen; find the covering one.
+  auto it = std::upper_bound(
+      provenance_.begin(), provenance_.end(), gen,
+      [](uint64_t g, const DerivationRecord& r) { return g < r.first_gen; });
+  if (it == provenance_.begin()) return nullptr;
+  const DerivationRecord& r = *std::prev(it);
+  return gen < r.end_gen && r.rule_index < rules_.size() ? &r : nullptr;
+}
+
 std::string Database::ExplainFact(uint64_t gen) const {
   ReadLock lock(*this);
   if (gen >= store_.generation()) {
     return "no such fact.";
   }
-  // Records are ordered by first_gen; find the covering one.
-  auto it = std::upper_bound(
-      provenance_.begin(), provenance_.end(), gen,
-      [](uint64_t g, const DerivationRecord& r) { return g < r.first_gen; });
-  if (it != provenance_.begin()) {
-    const DerivationRecord& r = *std::prev(it);
-    if (gen < r.end_gen && r.rule_index < rules_.size()) {
-      std::string out =
-          StrCat(FactToString(store_.FactAt(gen), store_),
-                 "\n  derived by rule: ", ToString(rules_[r.rule_index]));
-      if (!r.bindings.empty()) {
-        out += "\n  with";
-        for (const auto& [var, oid] : r.bindings) {
-          out += StrCat(" ", var, "=", store_.DisplayName(oid));
-        }
-      }
-      return out;
+  std::string out = FactToString(store_.FactAt(gen), store_);
+  const DerivationRecord* r = DerivationOfLocked(gen);
+  if (r == nullptr) return out + "\n  extensional (asserted directly).";
+  out += StrCat("\n  derived by rule: ", ToString(rules_[r->rule_index]));
+  if (!r->bindings.empty()) {
+    out += "\n  with";
+    for (const auto& [var, oid] : r->bindings) {
+      out += StrCat(" ", var, "=", store_.DisplayName(oid));
     }
   }
-  return StrCat(FactToString(store_.FactAt(gen), store_),
-                "\n  extensional (asserted directly).");
+  return out;
 }
 
 Result<std::string> Database::ExplainFactJson(uint64_t gen) const {
@@ -1099,29 +1099,20 @@ Result<std::string> Database::ExplainFactJson(uint64_t gen) const {
   }
   std::string out = StrCat("{\"gen\":", gen, ",\"fact\":");
   AppendJsonString(&out, FactToString(store_.FactAt(gen), store_));
-  auto it = std::upper_bound(
-      provenance_.begin(), provenance_.end(), gen,
-      [](uint64_t g, const DerivationRecord& r) { return g < r.first_gen; });
-  if (it != provenance_.begin()) {
-    const DerivationRecord& r = *std::prev(it);
-    if (gen < r.end_gen && r.rule_index < rules_.size()) {
-      out += ",\"kind\":\"derived\",\"rule\":";
-      AppendJsonString(&out, ToString(rules_[r.rule_index]));
-      out += StrCat(",\"rule_index\":", r.rule_index, ",\"bindings\":{");
-      bool first = true;
-      for (const auto& [var, oid] : r.bindings) {
-        if (!first) out += ",";
-        first = false;
-        AppendJsonString(&out, var);
-        out += ":";
-        AppendJsonString(&out, store_.DisplayName(oid));
-      }
-      out += "}}";
-      return out;
-    }
+  const DerivationRecord* r = DerivationOfLocked(gen);
+  if (r == nullptr) return out + ",\"kind\":\"extensional\"}";
+  out += ",\"kind\":\"derived\",\"rule\":";
+  AppendJsonString(&out, ToString(rules_[r->rule_index]));
+  out += StrCat(",\"rule_index\":", r->rule_index, ",\"bindings\":{");
+  bool first = true;
+  for (const auto& [var, oid] : r->bindings) {
+    if (!first) out += ",";
+    first = false;
+    AppendJsonString(&out, var);
+    out += ":";
+    AppendJsonString(&out, store_.DisplayName(oid));
   }
-  out += ",\"kind\":\"extensional\"}";
-  return out;
+  return out + "}}";
 }
 
 }  // namespace pathlog

@@ -377,6 +377,11 @@ class Database {
   /// The planner options every read uses.
   SitePlanOptions PlanOptionsLocked() const REQUIRES_SHARED(state_mu_);
 
+  /// The derivation record covering fact `gen` (ExplainFact and
+  /// ExplainFactJson), or null when the fact is extensional.
+  const DerivationRecord* DerivationOfLocked(uint64_t gen) const
+      REQUIRES_SHARED(state_mu_);
+
   /// Runs `fn` with a fresh budget window built from
   /// options_.engine.limits and counts the window's rejection, if any:
   /// once per call, here.

@@ -239,8 +239,8 @@ class FaultInjectingWritableFile : public FileOps::WritableFile {
 };
 
 void FaultInjectingFileOps::ArmFault(FaultKind kind, uint64_t nth) {
-  armed_ = kind;
-  fault_at_ = op_count_ + nth;
+  SetSchedule(
+      {{FaultEvent{FaultOp::kAny, nth, 1, kind, StatusCode::kInternal}}});
 }
 
 void FaultInjectingFileOps::SetSchedule(FaultSchedule schedule) {
@@ -256,8 +256,6 @@ void FaultInjectingFileOps::RecoverAfterCrash() {
     state.unsynced.clear();
   }
   crashed_ = false;
-  armed_ = FaultKind::kNone;
-  fault_at_ = 0;
 }
 
 FaultInjectingFileOps::FaultDecision FaultInjectingFileOps::TickWriteOp(
@@ -265,12 +263,6 @@ FaultInjectingFileOps::FaultDecision FaultInjectingFileOps::TickWriteOp(
   ++op_count_;
   ++sched_counts_[static_cast<size_t>(FaultOp::kAny)];
   ++sched_counts_[static_cast<size_t>(op)];
-  if (armed_ != FaultKind::kNone && op_count_ == fault_at_) {
-    FaultKind k = armed_;
-    if (k == FaultKind::kCrash) crashed_ = true;
-    armed_ = FaultKind::kNone;
-    return {k, StatusCode::kInternal};
-  }
   for (const FaultEvent& e : schedule_.events) {
     if (e.op != FaultOp::kAny && e.op != op) continue;
     const uint64_t n = sched_counts_[static_cast<size_t>(e.op)];

@@ -112,9 +112,8 @@ class FaultInjectingFileOps : public FileOps {
   };
 
   /// One scripted fault: ops number `at` .. `at`+`count`-1 (1-based,
-  /// counted per `op` kind since SetSchedule) fail with `kind`, and —
-  /// unlike the legacy ArmFault path, which always reports kInternal —
-  /// the injected error carries `code`, so tests can model transient
+  /// counted per `op` kind since SetSchedule) fail with `kind`, and the
+  /// injected error carries `code`, so tests can model transient
   /// conditions (kUnavailable: EIO that clears, an ENOSPC window) as
   /// distinct from persistent ones (kInternal: a dead device).
   struct FaultEvent {
@@ -133,13 +132,16 @@ class FaultInjectingFileOps : public FileOps {
 
   FaultInjectingFileOps() = default;
 
-  /// Arms the fault: the `nth` write-side operation from now (1-based)
-  /// triggers `kind`. Read-side operations are never counted.
+  /// Shorthand for a one-event schedule: the `nth` write-side operation
+  /// from now (1-based) triggers `kind`, with code kInternal (a
+  /// persistent failure). Read-side operations are never counted. Like
+  /// SetSchedule it replaces any installed schedule, and like one it
+  /// stays armed across RecoverAfterCrash until it fires or is replaced.
   void ArmFault(FaultKind kind, uint64_t nth);
 
-  /// Installs a fault script and resets the per-op counters it is
-  /// matched against. An empty schedule clears scripting. The legacy
-  /// ArmFault, when armed, takes precedence over the schedule.
+  /// Installs a fault script, replacing the previous one, and resets
+  /// the per-op counters it is matched against. An empty schedule
+  /// clears scripting.
   void SetSchedule(FaultSchedule schedule);
 
   /// Write-side operations performed since construction — run a
@@ -178,8 +180,7 @@ class FaultInjectingFileOps : public FileOps {
   };
 
   /// The fault a write-side op must honour, and the status code the
-  /// injected error should carry (legacy ArmFault faults are always
-  /// kInternal; scheduled ones carry their event's code).
+  /// injected error should carry (its event's code).
   struct FaultDecision {
     FaultKind kind = FaultKind::kNone;
     StatusCode code = StatusCode::kInternal;
@@ -194,8 +195,6 @@ class FaultInjectingFileOps : public FileOps {
 
   std::map<std::string, FileState> files_;
   std::map<std::string, bool> dirs_;
-  FaultKind armed_ = FaultKind::kNone;
-  uint64_t fault_at_ = 0;   // op index that triggers, 1-based; 0 = off
   uint64_t op_count_ = 0;
   bool crashed_ = false;
   FaultSchedule schedule_;

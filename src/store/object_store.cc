@@ -136,16 +136,14 @@ Status ObjectStore::AddIsa(Oid sub, Oid super) {
     auto& xs = anc_set_[x];
     for (Oid y : above) {
       if (xs.emplace(y, gen).second) {
+        // A new pair is new on both sides: anc_set_ is the one set.
         ancestors_[x].push_back(y);
         ancestor_gens_[x].push_back(gen);
-        // Closure pair: anc_set node + ancestors/gens slots, mirrored
-        // on the member side below.
-        approx_bytes_ += kSlotOverhead + sizeof(Oid) + sizeof(uint64_t);
-        if (member_set_[y].insert(x).second) {
-          members_[y].push_back(x);
-          member_gens_[y].push_back(gen);
-          approx_bytes_ += kSlotOverhead + sizeof(Oid) + sizeof(uint64_t);
-        }
+        members_[y].push_back(x);
+        member_gens_[y].push_back(gen);
+        // Closure pair: the anc_set node, plus an Oid and generation
+        // slot on the ancestor side and again on the member side.
+        approx_bytes_ += kSlotOverhead + 2 * (sizeof(Oid) + sizeof(uint64_t));
       }
     }
   }

@@ -37,7 +37,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "base/result.h"
@@ -344,7 +343,6 @@ class ObjectStore {
   std::unordered_map<Oid, std::unordered_map<Oid, uint64_t>> anc_set_;
   std::unordered_map<Oid, std::vector<Oid>> members_;  // extent
   std::unordered_map<Oid, std::vector<uint64_t>> member_gens_;
-  std::unordered_map<Oid, std::unordered_set<Oid>> member_set_;
 
   std::unordered_map<Oid, ScalarTable> scalar_;
   std::unordered_map<Oid, SetTable> setval_;

@@ -34,7 +34,9 @@ ObjectStore SmallStore() {
   ObjectStore store;
   const Oid m = store.InternSymbol("m");
   for (int i = 0; i < 4; ++i) {
-    const Oid o = store.InternSymbol("o" + std::to_string(i));
+    std::string name = "o";
+    name += std::to_string(i);
+    const Oid o = store.InternSymbol(name);
     EXPECT_TRUE(store.SetScalar(m, o, {}, store.InternInt(i)).ok());
   }
   return store;

@@ -1,13 +1,16 @@
 // Tests for the semantic-analysis layer (lint/dataflow/): the generic
 // fixpoint solver and SCC routine, the abstract domains, the
 // AnalyzeProgram summary, one golden fixture per PL014-PL019 code, the
-// pathlog_lint --analyze --json round trip, and the PL017 acceptance
-// demo (the flagged program really does run away without the check).
+// pathlog_lint --analyze --json round trip, golden full reports of every
+// shipped and fixture program, and the PL017 acceptance demo (the
+// flagged program really does run away without the check).
 
 #include "lint/dataflow/analyses.h"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -230,7 +233,7 @@ TEST(AnalyzeProgramTest, ReachabilityProvesEmptyMethods) {
 
 TEST(AnalyzeProgramTest, AssumeDefinedSeedsReachability) {
   Program program = Parse("X[flag->1] <- X[ghost->1].");
-  AnalysisOptions options;
+  LintOptions options;
   options.assume_defined.insert("ghost");
   AnalysisSummary summary = AnalyzeProgram(program, options, nullptr);
   EXPECT_TRUE(summary.live_methods.count("ghost"));
@@ -240,7 +243,7 @@ TEST(AnalyzeProgramTest, AssumeDefinedSeedsReachability) {
 
 TEST(AnalyzeProgramTest, ExtensionalSortsSeedTypeFlow) {
   Program program = Parse("X[years->A] <- X[age->A].");
-  AnalysisOptions options;
+  LintOptions options;
   options.assume_defined.insert("age");
   options.extensional_sorts["age"] = kSortInt;
   AnalysisSummary summary = AnalyzeProgram(program, options, nullptr);
@@ -369,8 +372,11 @@ TEST(AnalysisFixtureTest, ErrorsOnlyKeepsPl017AndDropsWarnings) {
 
 // ---- pathlog_lint --analyze --json round trip -----------------------
 
+/// Runs pathlog_lint from the source root, so relative paths in `args`
+/// (and in its reports) are repository paths.
 std::string RunLintTool(const std::string& args) {
-  std::string cmd = std::string(PATHLOG_LINT_PATH) + " " + args + " 2>&1";
+  std::string cmd = std::string("cd \"" PATHLOG_SOURCE_DIR "\" && ") +
+                    PATHLOG_LINT_PATH + " " + args + " 2>&1";
   std::array<char, 4096> buffer;
   std::string output;
   FILE* pipe = popen(cmd.c_str(), "r");
@@ -406,6 +412,64 @@ TEST(LintToolTest, WithoutAnalyzeFixturesAreClean) {
                      "/pl017_nonterminating.plg";
   std::string out = RunLintTool(path);
   EXPECT_NE(out.find("clean"), std::string::npos) << out;
+}
+
+// ---- golden reports ---------------------------------------------------
+
+/// Every program the linter ships or is tested on, as repository paths
+/// in a fixed order: the fixtures, the examples, the workload programs.
+std::vector<std::string> GoldenPrograms() {
+  std::vector<std::string> out;
+  for (const char* dir : {"tests/lint_fixtures", "examples/programs",
+                          "src/workload/programs"}) {
+    std::vector<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(
+             std::filesystem::path(PATHLOG_SOURCE_DIR) / dir)) {
+      if (entry.path().extension() == ".plg") {
+        names.push_back(entry.path().filename().string());
+      }
+    }
+    std::sort(names.begin(), names.end());
+    for (const std::string& name : names) {
+      out.push_back(std::string(dir) + "/" + name);
+    }
+  }
+  return out;
+}
+
+/// Compares `pathlog_lint --json --analyze <flags>` over every golden
+/// program, one report line per program, with the stored golden. A
+/// failure prints the command that rewrites the golden, to be run after
+/// an intended change to the linter or to a golden program.
+void CheckGoldenReports(const std::string& flags, const std::string& golden) {
+  SCOPED_TRACE("to rewrite the golden: cd \"" PATHLOG_SOURCE_DIR
+               "\" && LC_ALL=C " PATHLOG_LINT_PATH " --json --analyze" +
+               flags +
+               " tests/lint_fixtures/*.plg examples/programs/*.plg"
+               " src/workload/programs/*.plg > tests/lint_goldens/" +
+               golden);
+  std::vector<std::string> programs = GoldenPrograms();
+  std::string args = "--json --analyze" + flags;
+  for (const std::string& p : programs) args += " " + p;
+  std::istringstream got(RunLintTool(args)),
+      want(ReadFile(std::string(PATHLOG_SOURCE_DIR) + "/tests/lint_goldens/" +
+                    golden));
+  std::string got_line, want_line;
+  for (const std::string& p : programs) {
+    std::getline(got, got_line);
+    std::getline(want, want_line);
+    EXPECT_EQ(got_line, want_line) << p;
+  }
+  EXPECT_FALSE(std::getline(got, got_line)) << "extra output: " << got_line;
+  EXPECT_FALSE(std::getline(want, want_line)) << "extra golden: " << want_line;
+}
+
+TEST(LintToolTest, AnalyzeJsonMatchesTheGoldenReports) {
+  CheckGoldenReports("", "analyze.jsonl");
+}
+
+TEST(LintToolTest, AnalyzeJsonMatchesTheGoldenReportsWhenSkolemizing) {
+  CheckGoldenReports(" --skolemize", "analyze_skolemize.jsonl");
 }
 
 // ---- PL017 acceptance: the flagged program really runs away ---------
