@@ -42,12 +42,12 @@ BENCHMARK(BM_NestedRef_Decomposed)->Arg(100)->Arg(1000)->Arg(10000);
 // Bound-target path matching: "who reports to manager B", written with
 // the target on the receiver side — B[self->X.boss] forces the path
 // X.boss to be matched against the already-bound B. With the inverted
-// value→receiver index each manager costs one bucket probe; without
-// it, every manager pays a scan of boss's whole extent.
+// value→receiver index each manager costs one bucket probe instead of
+// a scan of boss's whole extent.
 constexpr const char* kBoundTarget = "?- B:manager[self->X.boss].";
 
 void BM_NestedRef_BoundTarget(benchmark::State& state) {
-  Database db = bench::MakeDatabase(true);
+  Database db;
   GenerateCompany(&db.store(), bench::ScaledCompany(state.range(0)));
   size_t answers = 0;
   for (auto _ : state) {
@@ -57,37 +57,6 @@ void BM_NestedRef_BoundTarget(benchmark::State& state) {
   bench::ReportThroughput(state, db, answers);
 }
 BENCHMARK(BM_NestedRef_BoundTarget)->Arg(100)->Arg(1000)->Arg(10000);
-
-void BM_NestedRef_BoundTarget_NoIndex(benchmark::State& state) {
-  Database db = bench::MakeDatabase(false);
-  GenerateCompany(&db.store(), bench::ScaledCompany(state.range(0)));
-  size_t answers = 0;
-  for (auto _ : state) {
-    answers = bench::RunPathLog(db, kBoundTarget);
-    benchmark::DoNotOptimize(answers);
-  }
-  bench::ReportThroughput(state, db, answers);
-}
-BENCHMARK(BM_NestedRef_BoundTarget_NoIndex)->Arg(100)->Arg(1000)->Arg(10000);
-
-// Sanity: the indexed and enumerate-and-compare evaluations agree
-// (checked once per run).
-void BM_NestedRef_IndexAgreementCheck(benchmark::State& state) {
-  Database indexed = bench::MakeDatabase(true);
-  Database scanned = bench::MakeDatabase(false);
-  GenerateCompany(&indexed.store(), bench::ScaledCompany(500));
-  GenerateCompany(&scanned.store(), bench::ScaledCompany(500));
-  for (auto _ : state) {
-    size_t a = bench::RunPathLog(indexed, kBoundTarget);
-    size_t b = bench::RunPathLog(scanned, kBoundTarget);
-    if (a != b) {
-      fprintf(stderr, "FATAL: index evaluations disagree: %zu vs %zu\n", a, b);
-      std::abort();
-    }
-    benchmark::DoNotOptimize(a);
-  }
-}
-BENCHMARK(BM_NestedRef_IndexAgreementCheck)->Iterations(1);
 
 void BM_NestedRef_Baseline_JoinPlan(benchmark::State& state) {
   Database db;

@@ -104,11 +104,10 @@ BENCHMARK(BM_SecondDim_Baseline_NestedLoop)
 
 // Bound-target variant: "which newYork employees own a 4-cylinder red
 // automobile". The first literal matches a path against the
-// already-bound color object — the indexed evaluator starts from red's
-// inverted value→receiver bucket, where the fallback enumerates every
-// 4-cylinder automobile's color and compares it to red. The second
-// literal then finds each owner through the inverted member index of
-// `vehicles` (or a scan over every vehicle group without it).
+// already-bound color object, starting from red's inverted
+// value→receiver bucket instead of comparing every 4-cylinder
+// automobile's color to red. The second literal then finds each owner
+// through the inverted member index of `vehicles`.
 constexpr const char* kBoundColor =
     "?- red[self->Y:automobile[cylinders->4].color], "
     "X:employee[city->newYork; vehicles->>{Y}].";
@@ -122,7 +121,7 @@ CompanyConfig ManyColorsConfig(int64_t employees) {
 }
 
 void BM_SecondDim_BoundTarget(benchmark::State& state) {
-  Database db = bench::MakeDatabase(true);
+  Database db;
   GenerateCompany(&db.store(), ManyColorsConfig(state.range(0)));
   size_t answers = 0;
   for (auto _ : state) {
@@ -132,37 +131,6 @@ void BM_SecondDim_BoundTarget(benchmark::State& state) {
   bench::ReportThroughput(state, db, answers);
 }
 BENCHMARK(BM_SecondDim_BoundTarget)->Arg(1000)->Arg(10000);
-
-void BM_SecondDim_BoundTarget_NoIndex(benchmark::State& state) {
-  Database db = bench::MakeDatabase(false);
-  GenerateCompany(&db.store(), ManyColorsConfig(state.range(0)));
-  size_t answers = 0;
-  for (auto _ : state) {
-    answers = bench::RunPathLog(db, kBoundColor);
-    benchmark::DoNotOptimize(answers);
-  }
-  bench::ReportThroughput(state, db, answers);
-}
-BENCHMARK(BM_SecondDim_BoundTarget_NoIndex)->Arg(1000)->Arg(10000);
-
-// Sanity: indexed and enumerate-and-compare evaluation of the bound
-// color query agree (checked once per run).
-void BM_SecondDim_IndexAgreementCheck(benchmark::State& state) {
-  Database indexed = bench::MakeDatabase(true);
-  Database scanned = bench::MakeDatabase(false);
-  GenerateCompany(&indexed.store(), ManyColorsConfig(1000));
-  GenerateCompany(&scanned.store(), ManyColorsConfig(1000));
-  for (auto _ : state) {
-    size_t a = bench::RunPathLog(indexed, kBoundColor);
-    size_t b = bench::RunPathLog(scanned, kBoundColor);
-    if (a != b) {
-      fprintf(stderr, "FATAL: index evaluations disagree: %zu vs %zu\n", a, b);
-      std::abort();
-    }
-    benchmark::DoNotOptimize(a);
-  }
-}
-BENCHMARK(BM_SecondDim_IndexAgreementCheck)->Iterations(1);
 
 // Sanity: the two PathLog formulations agree (checked once per run).
 void BM_SecondDim_AgreementCheck(benchmark::State& state) {

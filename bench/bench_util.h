@@ -71,15 +71,6 @@ inline void WriteBenchMetricsAtExit() {
   }
 }
 
-/// A database with inverted-index evaluation toggled explicitly —
-/// benchmarks pair an indexed run with a NoIndex twin to measure the
-/// bound-target path-matching win.
-inline Database MakeDatabase(bool use_inverted_indexes) {
-  DatabaseOptions opts;
-  opts.engine.use_inverted_indexes = use_inverted_indexes;
-  return Database(opts);
-}
-
 /// Attaches the machine-readable counters every benchmark JSON row
 /// carries (ci/bench_smoke.sh archives them): answer count, stored
 /// fact count, and facts handled per second of wall time.

@@ -94,21 +94,13 @@ Status TriggerEngine::RunRound(uint64_t from, HeadAsserter* asserter,
   return Status::OK();
 }
 
-Status TriggerEngine::Fire() {
-  const ResourceLimits defaults;
-  ResourceBudget budget(defaults);
-  Status st = Fire(&budget);
-  CountBudgetRejection(obs_.metrics, budget);
-  return st;
-}
-
 Status TriggerEngine::Fire(ResourceBudget* budget) {
   FlightSpan fire_span(obs_.flight, "triggers.fire", "triggers");
   const TriggerStats before = stats_;
   const uint64_t start_facts = store_->generation();
 
   Status st = [&]() -> Status {
-    HeadAsserter asserter(store_, options_.head_value_mode);
+    HeadAsserter asserter(store_, head_value_mode_);
     for (;;) {
       const uint64_t from = watermark_;
       const uint64_t end = store_->generation();
@@ -123,7 +115,7 @@ Status TriggerEngine::Fire(ResourceBudget* budget) {
       PATHLOG_RETURN_IF_ERROR(RunRound(from, &asserter, budget));
       // The round's events are consumed only after every one of its
       // assertions landed: an aborted round (deadline, budget, assert
-      // error) leaves the watermark at `from`, so a later Fire()
+      // error) leaves the watermark at `from`, so a later Fire
       // replays the same events — assertion is idempotent — instead of
       // silently dropping a half-processed round.
       watermark_ = end;

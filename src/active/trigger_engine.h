@@ -37,7 +37,6 @@
 namespace pathlog {
 
 struct TriggerOptions {
-  HeadValueMode head_value_mode = HeadValueMode::kRequireDefined;
   /// A cascade round processes the facts appended by the previous one;
   /// exceeding this many rounds aborts with kResourceExhausted.
   uint64_t max_cascade_rounds = 10'000;
@@ -46,30 +45,35 @@ struct TriggerOptions {
 struct TriggerStats {
   uint64_t rounds = 0;       ///< cascade rounds executed
   uint64_t firings = 0;      ///< (event, condition-solution) matches
-  uint64_t facts_added = 0;  ///< store growth caused by Fire()
+  uint64_t facts_added = 0;  ///< store growth caused by Fire
 };
 
 class TriggerEngine {
  public:
   /// Facts with generation >= `watermark` count as fresh events for
-  /// the first Fire() round (pass 0 to replay history). `obs` are the
-  /// caller's sinks (borrowed).
+  /// the first Fire round (pass 0 to replay history). Heads are
+  /// asserted in `head_value_mode`, the one the database's rules use
+  /// (EngineOptions::head_value_mode). `obs` are the caller's sinks
+  /// (borrowed).
   TriggerEngine(ObjectStore* store, uint64_t watermark,
-                TriggerOptions options = {}, const ObsSinks& obs = {})
-      : store_(store), watermark_(watermark), options_(options), obs_(obs) {}
+                HeadValueMode head_value_mode, TriggerOptions options = {},
+                const ObsSinks& obs = {})
+      : store_(store),
+        watermark_(watermark),
+        head_value_mode_(head_value_mode),
+        options_(options),
+        obs_(obs) {}
 
   /// Validates and installs a trigger. The event literal stays first;
   /// condition literals are reordered for safety given the event's
   /// variables.
   Status AddTrigger(const TriggerRule& trigger);
 
-  /// Processes all pending events to quiescence under a window with
-  /// default limits, and counts its rejection, if any.
-  Status Fire();
-  /// Fire() under the caller's window, which the caller counts. A
-  /// budget trip returns *before* any of that round's assertions land
-  /// and without consuming the round's events, so the store is never
-  /// left partially mutated past the last consumed watermark.
+  /// Processes all pending events to quiescence under the caller's
+  /// window, which the caller counts. A budget trip returns *before*
+  /// any of that round's assertions land and without consuming the
+  /// round's events, so the store is never left partially mutated past
+  /// the last consumed watermark.
   Status Fire(ResourceBudget* budget);
 
   uint64_t watermark() const { return watermark_; }
@@ -87,6 +91,7 @@ class TriggerEngine {
 
   ObjectStore* store_;
   uint64_t watermark_;
+  HeadValueMode head_value_mode_;
   TriggerOptions options_;
   ObsSinks obs_;
   std::vector<PlannedTrigger> planned_;

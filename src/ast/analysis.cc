@@ -253,6 +253,11 @@ class SiteWalker {
 
 }  // namespace
 
+std::string MethodSite::name_text() const {
+  const Ref* n = name();
+  return n != nullptr ? ToString(*n) : "";
+}
+
 void ForEachMethodSite(const Rule& rule, const MethodSiteFn& fn,
                        const FilterResultFn& on_result) {
   SiteWalker walker(fn, on_result);

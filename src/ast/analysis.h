@@ -155,12 +155,19 @@ struct MethodSite {
     if (filter == nullptr) return Deref(*node->method);
     return Deref(is_class() ? *filter->value : *filter->method);
   }
-  /// A symbol at the position (as opposed to a variable, an integer or
-  /// string name, or a complex reference).
-  bool is_symbol() const {
+  /// The name at the position; null for a variable or a complex
+  /// reference. Every name is the one method (or class) it denotes,
+  /// an integer or a string name as much as a symbol: the store interns
+  /// it (InternSymbol, InternInt, InternString) and files facts under
+  /// it. So no name is a wildcard, and none is ignored.
+  const Ref* name() const {
     const Ref& p = position();
-    return p.kind == RefKind::kName && p.name_kind == NameKind::kSymbol;
+    return p.kind == RefKind::kName ? &p : nullptr;
   }
+  /// name() as written, the key the linter gives a method: a symbol's
+  /// text, an integer's digits, a string in its quotes (so it never
+  /// meets the symbol of the same text); empty without a name.
+  std::string name_text() const;
 };
 
 /// How ForEachMethodSite continues into a complex method (a path or

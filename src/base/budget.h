@@ -4,10 +4,9 @@
 // ceilings, a CancelToken and an injectable clock. A ResourceBudget is
 // one call's window onto those limits. Every public call that can
 // evaluate (Database::Query, Eval, Holds, ExplainQuery, Materialize,
-// FireTriggers; a standalone Engine::Run or TriggerEngine::Fire)
-// builds one on its stack. The window is armed when it is built and is
-// passed to everything the call runs, so no budget state is shared
-// between threads.
+// FireTriggers; a standalone Engine::Run) builds one on its stack. The
+// window is armed when it is built and is passed to everything the
+// call runs, so no budget state is shared between threads.
 //
 // Checks are cooperative: the engine, the reference evaluator, and the
 // trigger engine poll the window at loop boundaries (per rule

@@ -5,6 +5,7 @@
 #include "ast/analysis.h"
 #include "ast/printer.h"
 #include "base/strings.h"
+#include "semantics/structure.h"
 
 namespace pathlog {
 
@@ -42,15 +43,7 @@ class Flattener {
           StrCat("flat baseline requires a ground name at ", role,
                  " position, got: ", ToString(r))));
     }
-    switch (d->name_kind) {
-      case NameKind::kSymbol:
-        return store_->InternSymbol(d->text);
-      case NameKind::kInt:
-        return store_->InternInt(d->int_value);
-      case NameKind::kString:
-        return store_->InternString(d->text);
-    }
-    return Status(Internal("GroundName: unknown name kind"));
+    return InternName(*d, store_);
   }
 
   /// Emits atoms constraining a term to denote `t`; returns the term.

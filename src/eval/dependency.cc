@@ -1,6 +1,7 @@
 #include "eval/dependency.h"
 
 #include "ast/analysis.h"
+#include "semantics/structure.h"
 
 namespace pathlog {
 
@@ -11,8 +12,8 @@ void CollectDeps(const Rule& rule, ObjectStore* store, HeadValueMode mode,
                  RuleDeps* deps) {
   const bool value_creates = mode == HeadValueMode::kSkolemize;
   auto define = [&](const MethodSite& site) {
-    if (site.is_symbol()) {
-      deps->defines.insert(store->InternSymbol(site.position().text));
+    if (const Ref* name = site.name()) {
+      deps->defines.insert(InternName(*name, store));
     } else {
       // A variable or complex method may define any method.
       deps->defines_any = true;
@@ -23,8 +24,8 @@ void CollectDeps(const Rule& rule, ObjectStore* store, HeadValueMode mode,
   // `->>` result or a negated literal (paper section 6, [NT89]).
   auto read = [&](const MethodSite& site) {
     const bool complete = site.in_set_result || site.negated;
-    if (site.is_symbol()) {
-      Oid o = store->InternSymbol(site.position().text);
+    if (const Ref* name = site.name()) {
+      Oid o = InternName(*name, store);
       deps->reads.insert(o);
       if (complete) deps->reads_complete.insert(o);
       if (site.in_head()) deps->head_reads.insert(o);

@@ -231,7 +231,7 @@ Status Engine::WithLimitContext(const Status& st) {
 Status Engine::EvaluateRule(PlannedRule* pr, HeadAsserter* asserter,
                             std::optional<uint64_t> delta_from) {
   SemanticStructure I(*store_);
-  RefEvaluator eval(I, options_.use_inverted_indexes);
+  RefEvaluator eval(I);
   eval.set_budget(budget_);
   Status st = EvaluateRuleBody(pr, asserter, delta_from, &eval);
   // Flush the evaluator's route counters on every path (including

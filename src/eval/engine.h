@@ -65,11 +65,6 @@ struct EngineOptions {
   /// Engine::provenance and Database::ExplainFact). Off by default:
   /// records cost memory proportional to the number of derivations.
   bool trace_provenance = false;
-  /// Drive bound-target path matching and molecule enumeration from
-  /// the store's inverted value→receiver / member→receiver indexes.
-  /// Answers are identical either way; disabling exists so the
-  /// differential tests can prove that, and to measure the win.
-  bool use_inverted_indexes = true;
   /// Ceiling on fixpoint rounds across all strata: the shape of the
   /// engine's own loop, so it stays here rather than in `limits`.
   uint64_t max_iterations = 1'000'000;

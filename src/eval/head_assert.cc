@@ -97,15 +97,7 @@ Result<Oid> HeadAsserter::Resolve(const Ref& t, bool create, Bindings* b,
                                   Txn* txn) {
   switch (t.kind) {
     case RefKind::kName:
-      switch (t.name_kind) {
-        case NameKind::kSymbol:
-          return store_->InternSymbol(t.text);
-        case NameKind::kInt:
-          return store_->InternInt(t.int_value);
-        case NameKind::kString:
-          return store_->InternString(t.text);
-      }
-      return Status(Internal("Resolve: unknown name kind"));
+      return InternName(t, store_);
     case RefKind::kVar: {
       std::optional<Oid> v = b->Get(t.text);
       if (!v) {

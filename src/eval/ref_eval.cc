@@ -113,15 +113,8 @@ Result<bool> RefEvaluator::MatchRef(const Ref& t, Oid target, Bindings* b,
       return MatchRef(*d.base, target, b, [&]() -> Result<bool> {
         return CheckFilters(d.filters, 0, target, b, cont);
       });
-    default:
-      if (use_inverted_ && d.kind == RefKind::kPath) {
-        return MatchPath(d, target, b, cont);
-      }
-      // Indexes disabled: enumerate the path and compare.
-      return Enumerate(t, b, [&](Oid o) -> Result<bool> {
-        if (o != target) return true;
-        return cont();
-      });
+    default:  // a path (Deref strips brackets)
+      return MatchPath(d, target, b, cont);
   }
 }
 
@@ -449,20 +442,18 @@ Result<bool> RefEvaluator::EnumMolecule(const Ref& t, Bindings* b,
     // treating them as drivers would wrongly yield zero candidates.
     if (!m || I_.IsBuiltinScalar(*m)) continue;
     if (f.kind == FilterKind::kScalar) {
-      if (use_inverted_) {
-        if (std::optional<Oid> v = method_oid(f.value)) {
-          consider(Drive::kScalarValue,
-                   store.ScalarEntriesByValue(*m, *v).size(), *m, *v);
-          continue;
-        }
-        if (Deref(*f.value).kind == RefKind::kName) {
-          return true;  // value name not interned: filter unsatisfiable
-        }
+      if (std::optional<Oid> v = method_oid(f.value)) {
+        consider(Drive::kScalarValue,
+                 store.ScalarEntriesByValue(*m, *v).size(), *m, *v);
+        continue;
+      }
+      if (Deref(*f.value).kind == RefKind::kName) {
+        return true;  // value name not interned: filter unsatisfiable
       }
       consider(Drive::kScalarRecvs, store.ScalarEntries(*m).size(), *m,
                kNilOid);
     } else {
-      if (use_inverted_ && f.kind == FilterKind::kSetEnum) {
+      if (f.kind == FilterKind::kSetEnum) {
         for (const RefPtr& e : f.elems) {
           if (std::optional<Oid> v = method_oid(e)) {
             consider(Drive::kSetMember, store.SetGroupsByMember(*m, *v).size(),

@@ -13,9 +13,14 @@
 // conditions and the oracle tests use, and what reads call for their
 // negated literals and `->>` results. Reads themselves (Query, Eval,
 // Holds) compile to fact-access sites that the cost planner may run in
-// any order (eval/site_program.h, query/planner.h); the scan reference
-// RefEvaluator(I, /*use_inverted_indexes=*/false) is their oracle
-// (site_differential_test.cc).
+// any order (eval/site_program.h, query/planner.h); this walk is their
+// oracle on the differential programs, and Definition 4 is the oracle
+// of both on random stores (site_differential_test.cc,
+// property_test.cc).
+//
+// Matching a path against a bound target and driving a molecule whose
+// base is unbound probe the store's inverted value→receiver and
+// member→receiver indexes.
 //
 // Deviation from the literal Definition 4, by design (documented in
 // DESIGN.md): evaluation is *active-domain* — a `->>` filter with a
@@ -45,14 +50,7 @@ class RefEvaluator {
   /// continue enumeration, false to stop early.
   using EmitFn = std::function<Result<bool>(Oid)>;
 
-  /// `use_inverted_indexes` selects whether path matching against a
-  /// bound target and molecule driving may probe the store's inverted
-  /// value→receiver / member→receiver indexes. Answers are identical
-  /// either way (the differential tests prove it); disabling exists for
-  /// that proof and for benchmarking the enumerate-and-compare cost.
-  explicit RefEvaluator(const SemanticStructure& I,
-                        bool use_inverted_indexes = true)
-      : I_(I), use_inverted_(use_inverted_indexes) {}
+  explicit RefEvaluator(const SemanticStructure& I) : I_(I) {}
 
   /// Enumerates all (object, bindings-extension) solutions of `t`.
   /// On return, `b` is restored to its entry state.
@@ -205,7 +203,6 @@ class RefEvaluator {
   }
 
   const SemanticStructure& I_;
-  bool use_inverted_ = true;
   uint64_t emit_count_ = 0;
   uint64_t duplicates_suppressed_ = 0;
   uint64_t inverted_probes_ = 0;

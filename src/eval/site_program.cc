@@ -351,11 +351,10 @@ namespace {
 class SiteRunner {
  public:
   SiteRunner(const SiteProgram& p, const SemanticStructure& I,
-             bool use_inverted, ResourceBudget* budget, SiteCounters* c)
+             ResourceBudget* budget, SiteCounters* c)
       : p_(p),
         I_(I),
         store_(I.store()),
-        use_inverted_(use_inverted),
         budget_(budget),
         counters_(c),
         slots_(p.slots.size(), kNilOid),
@@ -520,7 +519,7 @@ class SiteRunner {
       }
       case SiteKind::kNegation: {
         Bindings b = ReadBindings(site);
-        RefEvaluator eval(I_, use_inverted_);
+        RefEvaluator eval(I_);
         eval.set_budget(budget_);
         Result<bool> sat = eval.Satisfiable(*site.ref, &b);
         if (!sat.ok()) {
@@ -567,7 +566,7 @@ class SiteRunner {
 
   bool EvalSubset(const Site& site, Frame* f) {
     Bindings b = ReadBindings(site);
-    RefEvaluator eval(I_, use_inverted_);
+    RefEvaluator eval(I_);
     eval.set_budget(budget_);
     Result<std::vector<Oid>> spec = eval.EvalGround(*site.ref, &b);
     if (!spec.ok()) {
@@ -711,7 +710,6 @@ class SiteRunner {
   const SiteProgram& p_;
   const SemanticStructure& I_;
   const ObjectStore& store_;
-  const bool use_inverted_;
   ResourceBudget* budget_;
   SiteCounters* counters_;
   std::vector<Oid> slots_;
@@ -723,10 +721,10 @@ class SiteRunner {
 }  // namespace
 
 Result<bool> RunSites(const SiteProgram& program, const SemanticStructure& I,
-                      bool use_inverted_indexes, ResourceBudget* budget,
-                      SiteCounters* counters, SolutionSink sink) {
+                      ResourceBudget* budget, SiteCounters* counters,
+                      SolutionSink sink) {
   SiteCounters local;
-  SiteRunner runner(program, I, use_inverted_indexes, budget,
+  SiteRunner runner(program, I, budget,
                     counters != nullptr ? counters : &local);
   return runner.Run(sink);
 }

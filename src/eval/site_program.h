@@ -157,12 +157,11 @@ class SolutionSink {
   Result<bool> (*call_)(void*, const Oid*);
 };
 
-/// Runs a planned program. `use_inverted_indexes` is passed to the
-/// RefEvaluator behind negation and `->>` result sites. The Result is
-/// true unless the sink stopped the run.
+/// Runs a planned program. The Result is true unless the sink stopped
+/// the run.
 Result<bool> RunSites(const SiteProgram& program, const SemanticStructure& I,
-                      bool use_inverted_indexes, ResourceBudget* budget,
-                      SiteCounters* counters, SolutionSink sink);
+                      ResourceBudget* budget, SiteCounters* counters,
+                      SolutionSink sink);
 
 }  // namespace pathlog
 

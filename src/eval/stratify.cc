@@ -6,12 +6,6 @@
 
 namespace pathlog {
 
-namespace {
-
-/// Iterative Tarjan SCC. Returns the SCC index of each node; SCCs are
-/// numbered in reverse topological order (every edge goes from a
-/// higher-or-equal SCC index to a lower-or-equal one... precisely: for
-/// an edge u->v in different SCCs, scc[v] < scc[u]).
 std::vector<int> TarjanScc(size_t n,
                            const std::vector<std::vector<uint32_t>>& adj,
                            int* num_sccs) {
@@ -63,9 +57,11 @@ std::vector<int> TarjanScc(size_t n,
       }
     }
   }
-  *num_sccs = next_scc;
+  if (num_sccs != nullptr) *num_sccs = next_scc;
   return scc;
 }
+
+namespace {
 
 /// BFS from `from` to `to` over edges whose endpoints both lie in SCC
 /// `component`, returning the traversed edge chain (empty when from ==

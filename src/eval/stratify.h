@@ -11,6 +11,7 @@
 #ifndef PATHLOG_EVAL_STRATIFY_H_
 #define PATHLOG_EVAL_STRATIFY_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "base/result.h"
@@ -37,6 +38,18 @@ struct Stratification {
 struct CycleExplanation {
   std::vector<DependencyGraph::Edge> edges;
 };
+
+/// Strongly connected components of the graph of `n` nodes with
+/// adjacency lists `adj`, by an iterative Tarjan (deep rule chains
+/// cannot overflow the stack). Returns each node's component; two
+/// nodes share one iff they lie on a common cycle. Components are
+/// numbered in reverse topological order: for an edge u->v between
+/// two components, scc[v] < scc[u]. `num_sccs`, if non-null, receives
+/// their count. Stratify and the linter's termination analysis run it
+/// over the dependency graph.
+std::vector<int> TarjanScc(size_t n,
+                           const std::vector<std::vector<uint32_t>>& adj,
+                           int* num_sccs = nullptr);
 
 /// Computes strata, or kNotStratifiable naming the offending cycle.
 /// On failure, `cycle` (if non-null) receives the offending edge

@@ -14,6 +14,7 @@
 #include "base/strings.h"
 #include "eval/dependency.h"
 #include "eval/engine.h"
+#include "eval/stratify.h"
 #include "lint/dataflow/dataflow.h"
 #include "semantics/structure.h"
 #include "store/object_store.h"
@@ -130,13 +131,11 @@ void RecordSortReads(const Ref& value, std::set<std::string>* out) {
   }
 }
 
-/// The method at `site` when it is a user-defined symbol; empty for a
-/// built-in, a variable, an integer or string, or a complex method.
+/// The method named at `site` (MethodSite::name_text); empty for a
+/// built-in, a variable or a complex method.
 std::string UserMethod(const MethodSite& site) {
-  if (!site.is_symbol() || IsBuiltinMethodName(site.position().text)) {
-    return "";
-  }
-  return site.position().text;
+  std::string name = site.name_text();
+  return IsBuiltinMethodName(name) ? "" : name;
 }
 
 /// Fills a ClauseInfo from one clause's method and class positions.
@@ -156,15 +155,11 @@ void WalkClause(const Rule& rule, bool skolemize, ClauseInfo* out) {
   // method is not looked into.
   auto head_site = [&](const MethodSite& site) {
     const std::string name = UserMethod(site);
-    if (site.filter != nullptr) {
-      if (!site.is_symbol()) {
-        out->defines_any = true;
-      } else if (!name.empty()) {
-        out->defines.insert(name);
-      }
-    } else if (name.empty()) {
-      if (site.position().kind != RefKind::kName) out->defines_any = true;
-    } else if (site.place == SitePlace::kHeadSpine) {
+    if (name.empty()) {
+      // A variable or complex method may define any; a built-in, none.
+      if (site.name() == nullptr) out->defines_any = true;
+    } else if (site.filter != nullptr ||
+               site.place == SitePlace::kHeadSpine) {
       out->defines.insert(name);
     } else if (skolemize) {
       out->defines.insert(name);
@@ -179,11 +174,11 @@ void WalkClause(const Rule& rule, bool skolemize, ClauseInfo* out) {
   // Everything else reads. Guards count wherever they occur; reads,
   // bindings and scalar pins only in a positive literal.
   auto read_site = [&](const MethodSite& site) {
-    const Ref& m = site.position();
-    if (site.filter == nullptr && site.is_symbol() && IsGuardName(m.text)) {
+    const std::string guard = site.name_text();
+    if (site.filter == nullptr && IsGuardName(guard)) {
       GuardUse g;
       g.receiver = &Deref(*site.node->base);
-      g.guard = m.text;
+      g.guard = guard;
       for (const RefPtr& a : site.node->args) g.args.push_back(&Deref(*a));
       g.span = site.span;
       out->guards.push_back(std::move(g));
@@ -193,11 +188,8 @@ void WalkClause(const Rule& rule, bool skolemize, ClauseInfo* out) {
     BodyLiteralInfo* current = &out->body[positive[site.literal]];
     const std::string name = UserMethod(site);
     if (name.empty()) {
-      // A variable or complex method, or at a filter any non-symbol.
-      if (site.filter != nullptr ? !site.is_symbol()
-                                 : m.kind != RefKind::kName) {
-        current->reads_any = true;
-      }
+      // A variable or complex method may read any; a built-in, none.
+      if (site.name() == nullptr) current->reads_any = true;
       return;
     }
     bool seen = false;
@@ -232,8 +224,8 @@ void WalkClause(const Rule& rule, bool skolemize, ClauseInfo* out) {
   auto on_site = [&](const MethodSite& site) {
     if (site.is_class()) {
       if (site.place != SitePlace::kHeadSpine) return Descend::kNo;
-      if (site.is_symbol()) {
-        out->spine_classes.insert(site.position().text);
+      if (site.name() != nullptr) {
+        out->spine_classes.insert(site.name_text());
       } else {
         out->spine_any_class = true;
       }
@@ -867,9 +859,9 @@ class Analyzer {
                            Span fallback) const {
     AnchoredLiteral out;
     ForEachMethodSite(*lit.ref, [&](const MethodSite& site) {
-      if (!site.is_class() && site.is_symbol() &&
-          !IsBuiltinMethodName(site.position().text)) {
-        out.methods.insert(site.position().text);
+      if (site.is_class()) return Descend::kRead;
+      if (std::string name = UserMethod(site); !name.empty()) {
+        out.methods.insert(std::move(name));
       }
       return Descend::kRead;
     });
@@ -968,12 +960,11 @@ class Analyzer {
         DependencyGraph::Build(all_rules, &dep_store, options_.head_value_mode);
     if (!graph.ok()) return;  // ill-formed clauses: structural lint reports
 
-    std::vector<std::pair<uint32_t, uint32_t>> edges;
+    std::vector<std::vector<uint32_t>> adj(graph->num_nodes());
     for (const DependencyGraph::Edge& e : graph->edges()) {
-      edges.push_back({e.from, e.to});
+      adj[e.from].push_back(e.to);
     }
-    std::vector<uint32_t> scc =
-        StronglyConnectedComponents(graph->num_nodes(), edges);
+    const std::vector<int> scc = TarjanScc(graph->num_nodes(), adj);
     std::map<std::string, uint32_t> dep_node;
     for (uint32_t n = 0; n < graph->num_nodes(); ++n) {
       dep_node[graph->NodeName(n)] = n;
@@ -1001,7 +992,7 @@ class Analyzer {
   }
 
   void AnalyzeInvention(const ClauseInfo& c, const Invention& inv,
-                        const std::vector<uint32_t>& scc,
+                        const std::vector<int>& scc,
                         const std::map<std::string, uint32_t>& dep_node,
                         const std::set<std::string>& rule_defined,
                         const std::set<std::string>& rule_classes,

@@ -117,16 +117,6 @@ class FixpointSolver {
   std::vector<uint32_t> changed_nodes_;
 };
 
-/// Strongly connected components of a directed graph, Tarjan's
-/// algorithm (iterative, so deep rule chains cannot overflow the C++
-/// stack). Returns a component id per node; ids are opaque labels —
-/// two nodes share an id iff they lie on a common cycle. Used by the
-/// termination analysis to decide whether an object-inventing rule
-/// sits on a dependency cycle, and by the reachability analysis for
-/// cycle grouping.
-std::vector<uint32_t> StronglyConnectedComponents(
-    size_t num_nodes, const std::vector<std::pair<uint32_t, uint32_t>>& edges);
-
 }  // namespace pathlog
 
 #endif  // PATHLOG_LINT_DATAFLOW_DATAFLOW_H_

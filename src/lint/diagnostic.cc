@@ -1,6 +1,7 @@
 #include "lint/diagnostic.h"
 
 #include "base/strings.h"
+#include "obs/json.h"
 
 namespace pathlog {
 
@@ -60,44 +61,22 @@ std::string LintReport::ToString(std::string_view file) const {
   return out;
 }
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* kHex = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xf];
-          out += kHex[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string LintReport::ToJson(std::string_view file) const {
-  std::string out = StrCat("{\"file\":\"", JsonEscape(file),
-                           "\",\"errors\":", errors(),
-                           ",\"warnings\":", warnings(), ",\"diagnostics\":[");
+  std::string out = "{\"file\":";
+  AppendJsonString(&out, file);
+  out += StrCat(",\"errors\":", errors(), ",\"warnings\":", warnings(),
+                ",\"diagnostics\":[");
   for (size_t i = 0; i < diagnostics_.size(); ++i) {
     const Diagnostic& d = diagnostics_[i];
     if (i > 0) out += ",";
     out += StrCat("{\"code\":\"", LintCodeName(d.code), "\",\"severity\":\"",
                   SeverityName(d.severity), "\",\"line\":", d.line,
-                  ",\"column\":", d.column, ",\"message\":\"",
-                  JsonEscape(d.message), "\",\"notes\":[");
+                  ",\"column\":", d.column, ",\"message\":");
+    AppendJsonString(&out, d.message);
+    out += ",\"notes\":[";
     for (size_t j = 0; j < d.notes.size(); ++j) {
       if (j > 0) out += ",";
-      out += StrCat("\"", JsonEscape(d.notes[j]), "\"");
+      AppendJsonString(&out, d.notes[j]);
     }
     out += "]}";
   }

@@ -96,10 +96,6 @@ class LintReport {
   std::vector<Diagnostic> diagnostics_;
 };
 
-/// Escapes `s` for inclusion in a JSON string literal (quotes not
-/// included).
-std::string JsonEscape(std::string_view s);
-
 }  // namespace pathlog
 
 #endif  // PATHLOG_LINT_DIAGNOSTIC_H_

@@ -122,13 +122,13 @@ ClauseUses CollectUses(const Rule& rule, bool skolemize) {
         site.in_asserted_head() &&
         (site.filter != nullptr || site.place == SitePlace::kHeadSpine ||
          skolemize);
-    const Ref& m = site.position();
-    if (m.kind == RefKind::kName) {
-      if (site.is_symbol() && !IsBuiltinMethodName(m.text)) {
+    if (const Ref* m = site.name()) {
+      const std::string name = site.name_text();
+      if (!IsBuiltinMethodName(name)) {
         const bool set_use = site.filter == nullptr
                                  ? site.node->set_valued_path
                                  : site.filter->kind != FilterKind::kScalar;
-        sink.uses.push_back({m.text, set_use, defining, SpanOf(m, site.span)});
+        sink.uses.push_back({name, set_use, defining, SpanOf(*m, site.span)});
       }
       return Descend::kNo;
     }

@@ -246,18 +246,7 @@ void Database::MaybeDumpFlightRecorder(std::string_view reason) {
 
 void Database::InternNames(const Ref& t) {
   ForEachLeaf(t, [&](const Ref& name) {
-    if (name.kind != RefKind::kName) return;
-    switch (name.name_kind) {
-      case NameKind::kSymbol:
-        store_.InternSymbol(name.text);
-        break;
-      case NameKind::kInt:
-        store_.InternInt(name.int_value);
-        break;
-      case NameKind::kString:
-        store_.InternString(name.text);
-        break;
-    }
+    if (name.kind == RefKind::kName) InternName(name, &store_);
   });
 }
 
@@ -277,12 +266,6 @@ bool Database::ReadOnlyReadyLocked() const {
   // only the intern check gates its fast path.
   if (degraded()) return true;
   return !dirty_ && NothingPendingLocked();
-}
-
-SitePlanOptions Database::PlanOptionsLocked() const {
-  SitePlanOptions options;
-  options.use_inverted_indexes = options_.engine.use_inverted_indexes;
-  return options;
 }
 
 Status Database::Load(std::string_view program_text) {
@@ -540,7 +523,7 @@ Result<Answer> Database::ReadLocked(const SemanticStructure& I,
   rec->budget_store_bytes = store_.ApproxBytes();
   // Per-site estimates and actuals are a query's profile.
   Profiler* profiler = kConjunctive ? options_.engine.obs.profiler : nullptr;
-  SitePlanOptions plan_options = PlanOptionsLocked();
+  SitePlanOptions plan_options;
   plan_options.price_every_site = profiler != nullptr;
   PATHLOG_RETURN_IF_ERROR(PlanSites(program, store_, plan_options));
   if (options_.engine.obs.query_log != nullptr) {
@@ -575,8 +558,7 @@ Result<Answer> Database::ReadLocked(const SemanticStructure& I,
   };
   SiteCounters counters;
   counters.per_site = profiler != nullptr;
-  Result<bool> r = RunSites(*program, I, options_.engine.use_inverted_indexes,
-                            budget, &counters, sink);
+  Result<bool> r = RunSites(*program, I, budget, &counters, sink);
   rec->route_receiver_probes = counters.receiver_probes;
   rec->route_inverted_probes = counters.inverted_probes;
   rec->route_extent_scans = counters.extent_scans;
@@ -613,7 +595,7 @@ Result<std::string> Database::ExplainQuery(std::string_view query_text) {
     PATHLOG_RETURN_IF_ERROR(PrepareReadLocked(*q, budget));
     const SemanticStructure I(store_);
     SiteProgram program = CompileSites(q->body, I);
-    PATHLOG_RETURN_IF_ERROR(PlanSites(&program, store_, PlanOptionsLocked()));
+    PATHLOG_RETURN_IF_ERROR(PlanSites(&program, store_));
     std::string out = "plan:\n";
     for (size_t i = 0; i < program.sites.size(); ++i) {
       const Site& site = program.sites[i];
@@ -666,7 +648,8 @@ Status Database::FireTriggers() {
 
 Status Database::FireTriggersLocked(ResourceBudget* budget) {
   if (degraded()) return DegradedError();
-  TriggerEngine engine(&store_, trigger_watermark_, options_.triggers,
+  TriggerEngine engine(&store_, trigger_watermark_,
+                       options_.engine.head_value_mode, options_.triggers,
                        options_.engine.obs);
   for (const TriggerRule& t : triggers_) {
     PATHLOG_RETURN_IF_ERROR(engine.AddTrigger(t));

@@ -374,9 +374,6 @@ class Database {
                             ResourceBudget* budget, QueryLogRecord* rec)
       REQUIRES_SHARED(state_mu_);
 
-  /// The planner options every read uses.
-  SitePlanOptions PlanOptionsLocked() const REQUIRES_SHARED(state_mu_);
-
   /// The derivation record covering fact `gen` (ExplainFact and
   /// ExplainFactJson), or null when the fact is extensional.
   const DerivationRecord* DerivationOfLocked(uint64_t gen) const

@@ -74,8 +74,8 @@ class SitePlanner {
         const bool vb = s.value != kNoSlot && bound[s.value] != 0;
         return rb && (vb || s.kind == SiteKind::kSubset) ? SiteRoute::kTest
                : rb ? SiteRoute::kReceiverProbe
-               : vb && o_.use_inverted_indexes ? SiteRoute::kInverted
-                                               : SiteRoute::kExtent;
+               : vb ? SiteRoute::kInverted
+                    : SiteRoute::kExtent;
       }
       case SiteKind::kGuard:
       case SiteKind::kNegation:

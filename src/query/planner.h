@@ -37,8 +37,6 @@
 namespace pathlog {
 
 struct SitePlanOptions {
-  /// Off: no inverted value→receiver / member→receiver route is chosen.
-  bool use_inverted_indexes = true;
   /// Variables bound before the program runs (for estimates only).
   const std::set<std::string>* bound = nullptr;
   /// Off, a site that is the only admissible one at its step is placed

@@ -45,6 +45,11 @@ inline constexpr std::string_view kBetweenName = "between";  ///< @(lo,hi)
 /// comparison guard); built-ins cannot be (re)defined by rules.
 bool IsBuiltinMethodName(std::string_view name);
 
+/// Interns the object a name denotes (I_N): symbols, integers and
+/// strings each have their own name space. SemanticStructure::FindName
+/// is the lookup that interns nothing.
+Oid InternName(const Ref& name, ObjectStore* store);
+
 class SemanticStructure {
  public:
   /// The store must outlive the structure. Built-in method names are

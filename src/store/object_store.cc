@@ -188,16 +188,6 @@ const std::vector<uint64_t>& ObjectStore::AncestorGens(Oid o) const {
   return it == ancestor_gens_.end() ? kEmptyGens : it->second;
 }
 
-std::vector<Oid> ObjectStore::ClassesWithMembers() const {
-  std::vector<Oid> out;
-  out.reserve(members_.size());
-  for (const auto& [c, ms] : members_) {
-    if (!ms.empty()) out.push_back(c);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 Status ObjectStore::SetScalar(Oid m, Oid recv, const std::vector<Oid>& args,
                               Oid value) {
   if (!Valid(m) || !Valid(recv) || !Valid(value)) {

@@ -175,9 +175,6 @@ class ObjectStore {
   /// Generations parallel to Ancestors(o).
   const std::vector<uint64_t>& AncestorGens(Oid o) const;
 
-  /// All classes that have at least one member.
-  std::vector<Oid> ClassesWithMembers() const;
-
   // --- Scalar methods (I_->) ----------------------------------------
 
   /// Asserts I_->(m)(recv, args...) = value. Returns OK and records a

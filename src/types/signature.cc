@@ -2,6 +2,7 @@
 
 #include "ast/printer.h"
 #include "base/strings.h"
+#include "semantics/structure.h"
 
 namespace pathlog {
 
@@ -16,15 +17,7 @@ Result<Oid> InternGroundName(const RefPtr& r, ObjectStore* store,
                                    " must be a ground name, got: ",
                                    ToString(*r))));
   }
-  switch (d->name_kind) {
-    case NameKind::kSymbol:
-      return store->InternSymbol(d->text);
-    case NameKind::kInt:
-      return store->InternInt(d->int_value);
-    case NameKind::kString:
-      return store->InternString(d->text);
-  }
-  return Status(Internal("InternGroundName: unknown name kind"));
+  return InternName(*d, store);
 }
 
 }  // namespace

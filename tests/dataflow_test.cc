@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "eval/stratify.h"
 #include "lint/dataflow/dataflow.h"
 #include "lint/dataflow/domains.h"
 #include "lint/lint.h"
@@ -164,11 +165,19 @@ TEST(FixpointSolverTest, ReQueuesOnlyReadersOfChangedNodes) {
 
 // ---- strongly connected components ----------------------------------
 
+/// TarjanScc over an edge list.
+std::vector<int> StronglyConnectedComponents(
+    size_t n, const std::vector<std::pair<uint32_t, uint32_t>>& edges) {
+  std::vector<std::vector<uint32_t>> adj(n);
+  for (const auto& [from, to] : edges) adj[from].push_back(to);
+  return TarjanScc(n, adj);
+}
+
 TEST(SccTest, CycleMembersShareAComponent) {
   // 0 -> 1 -> 2 -> 0 is one cycle; 3 hangs off it; 4 is isolated.
   std::vector<std::pair<uint32_t, uint32_t>> edges = {
       {0, 1}, {1, 2}, {2, 0}, {2, 3}};
-  std::vector<uint32_t> comp = StronglyConnectedComponents(5, edges);
+  std::vector<int> comp = StronglyConnectedComponents(5, edges);
   ASSERT_EQ(comp.size(), 5u);
   EXPECT_EQ(comp[0], comp[1]);
   EXPECT_EQ(comp[1], comp[2]);
@@ -179,15 +188,15 @@ TEST(SccTest, CycleMembersShareAComponent) {
 
 TEST(SccTest, AcyclicChainIsAllSingletons) {
   std::vector<std::pair<uint32_t, uint32_t>> edges = {{0, 1}, {1, 2}, {2, 3}};
-  std::vector<uint32_t> comp = StronglyConnectedComponents(4, edges);
-  std::set<uint32_t> distinct(comp.begin(), comp.end());
+  std::vector<int> comp = StronglyConnectedComponents(4, edges);
+  std::set<int> distinct(comp.begin(), comp.end());
   EXPECT_EQ(distinct.size(), 4u);
 }
 
 TEST(SccTest, TwoDisjointCyclesGetDistinctIds) {
   std::vector<std::pair<uint32_t, uint32_t>> edges = {
       {0, 1}, {1, 0}, {2, 3}, {3, 2}};
-  std::vector<uint32_t> comp = StronglyConnectedComponents(4, edges);
+  std::vector<int> comp = StronglyConnectedComponents(4, edges);
   EXPECT_EQ(comp[0], comp[1]);
   EXPECT_EQ(comp[2], comp[3]);
   EXPECT_NE(comp[0], comp[2]);
@@ -498,6 +507,25 @@ TEST(TerminationAnalysisTest, Pl017ProgramLoopsWithoutTheCheck) {
   EXPECT_TRUE(st.code() == StatusCode::kDeadlineExceeded ||
               st.code() == StatusCode::kResourceExhausted)
       << st;
+}
+
+// ---- An integer name at a method position is one method ------------
+
+TEST(MethodNameTest, AnIntegerHeadMethodHidesNoDeadRule) {
+  // `X[3->a]` and `X.3[k->a]` define the method `3` and nothing else,
+  // so `r`, defined only by a rule that can never fire, stays dead.
+  for (const char* head : {"X[3->a]", "X.3[k->a]"}) {
+    const std::string source =
+        std::string("a : c. ") + head +
+        " <- X:c. Y[r->1] <- Y[ghost->1]. Z[s->1] <- Z[r->1].";
+    LintReport report = AnalyzeLint(source);
+    const Diagnostic* d = FindCode(report, LintCode::kDeadRule);
+    ASSERT_NE(d, nullptr) << source << "\n" << report.ToString("inline");
+    // On the body literal of `Z[s->1] <- Z[r->1].` that reads `r`.
+    EXPECT_EQ(d->column, static_cast<int>(source.find("Z[r->1]")) + 1)
+        << report.ToString("inline");
+    EXPECT_NE(d->message.find("method r"), std::string::npos) << d->message;
+  }
 }
 
 // ---- Database::Lint runs the analyses over the store ----------------

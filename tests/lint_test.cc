@@ -353,7 +353,11 @@ TEST(LintTest, JsonRenderingIsWellShaped) {
 }
 
 TEST(LintTest, JsonEscapesControlCharactersAndQuotes) {
-  EXPECT_EQ(JsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+  LintReport report;
+  report.Add(LintCode::kParseError, Severity::kError, 1, 2, "a\"b\\c\nd");
+  EXPECT_NE(report.ToJson("f").find("\"message\":\"a\\\"b\\\\c\\nd\""),
+            std::string::npos)
+      << report.ToJson("f");
 }
 
 // ---- Status bridging ------------------------------------------------

@@ -430,7 +430,7 @@ TEST_F(ManagerPlanTest, TwoBoundFiltersDriveFromTheSmallerBucket) {
   SiteCounters counters;
   counters.per_site = true;
   auto sink = [](const Oid*) -> Result<bool> { return true; };
-  ASSERT_TRUE(RunSites(p, I, true, nullptr, &counters, sink).ok());
+  ASSERT_TRUE(RunSites(p, I, nullptr, &counters, sink).ok());
   EXPECT_EQ(counters.inverted_probes, 1u);
   EXPECT_EQ(counters.entered[o], counters.produced[o - 1]);
   EXPECT_LE(counters.entered[o], static_cast<uint64_t>(std::min(age, city)));

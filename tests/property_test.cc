@@ -9,6 +9,10 @@
 //     semantics, and the two coincide exactly when the reference has
 //     no `->>`-reference filters (whose empty-set corner is the one
 //     documented divergence).
+//  4. The same with variables: every solution (object, bindings) the
+//     evaluator enumerates is one of Definition 4 under a total
+//     valuation, and the two solution sets coincide under the same
+//     condition (MatchesDefinition4, random_refs.h).
 
 #include <gtest/gtest.h>
 
@@ -83,6 +87,27 @@ TEST_P(PropertyTest, EvaluatorSoundWrtDefinition4) {
     ++checked;
   }
   EXPECT_GT(checked, 60);  // most generated references are well-formed
+}
+
+TEST_P(PropertyTest, OpenReferencesMatchDefinition4) {
+  ObjectStore store = RandomStore(GetParam());
+  SemanticStructure I(store);
+  RefEvaluator eval(I);
+  RefGen gen(GetParam() + 9000, /*with_vars=*/true);
+
+  // Depth 2 drives molecules from their filters more often; depth 3
+  // puts paths inside filter values, which are matched against a bound
+  // target.
+  int open = 0;
+  for (int i = 0; i < 300; ++i) {
+    RefPtr ref = gen.Gen(2 + i % 2);
+    if (!CheckWellFormed(*ref).ok()) continue;
+    EXPECT_TRUE(MatchesDefinition4(I, *ref, [&](const VarValuation& pre) {
+      return EvaluatorSolutions(&eval, *ref, pre);
+    }));
+    open += !IsGround(*ref);
+  }
+  EXPECT_GT(open, 60);  // the generator draws variables often
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PropertyTest,

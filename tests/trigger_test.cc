@@ -66,6 +66,19 @@ TEST(TriggerTest, FiresOncePerMatchingEvent) {
   EXPECT_TRUE(*saw3);
 }
 
+TEST(TriggerTest, HeadsAssertInTheDatabasesHeadValueMode) {
+  // The rules skolemise, so the trigger's head value path invents
+  // p.lead as a rule head would.
+  DatabaseOptions options;
+  options.engine.head_value_mode = HeadValueMode::kSkolemize;
+  Database db(options);
+  ASSERT_TRUE(db.Load("p : person. X[chief->X.lead] <~ X:person.").ok());
+  ASSERT_TRUE(db.FireTriggers().ok());
+  Result<bool> chief = db.Holds("p[chief->p.lead]");
+  ASSERT_TRUE(chief.ok()) << chief.status();
+  EXPECT_TRUE(*chief);
+}
+
 TEST(TriggerTest, ConditionsSeeCurrentState) {
   Database db;
   ASSERT_TRUE(db.Load(R"(
