@@ -4,9 +4,14 @@
 
 #include <benchmark/benchmark.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "base/strings.h"
 #include "bench_util.h"
 #include "store/file_ops.h"
+#include "store/snapshot.h"
 #include "store/wal.h"
 
 namespace pathlog {
@@ -224,6 +229,50 @@ void BM_Store_WalScanOnly(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * fx.wal.size());
 }
 BENCHMARK(BM_Store_WalScanOnly)->Arg(10000)->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_Store_SnapshotLoad(benchmark::State& state) {
+  // Deserialise the snapshot of a materialised company store (the
+  // serve workload's rules over N employees): the reopen cost per fact,
+  // and the heap the loaded store holds per fact, as glibc's malloc
+  // counts it, next to the store's own ApproxBytes estimate.
+  std::string snapshot;
+  {
+    ObjectStore generated;
+    GenerateCompany(&generated, bench::ScaledCompany(state.range(0)));
+    Database db;
+    bench::Check(db.Load(StoreToProgramText(generated)), "load facts");
+    bench::Check(
+        db.Load("X[reports->>{Y}] <- Y[boss->X].\n"
+                "X[reports->>{Y}] <- X[reports->>{Z}], Z[reports->>{Y}].\n"
+                "X.deputy[assists->X; inDept->D] <- X:manager, "
+                "X[worksFor->D].\n"
+                "X[ownsAutomobile->>{V}] <- V : automobile, "
+                "X[vehicles->>{V}].\n"),
+        "load rules");
+    bench::Check(db.Materialize(), "materialize");
+    snapshot = bench::CheckResult(SerializeSnapshot(db.store()), "serialize");
+  }
+  double facts = 0, heap = 0, approx = 0;
+  for (auto _ : state) {
+#if defined(__GLIBC__)
+    const size_t before = mallinfo2().uordblks + mallinfo2().hblkhd;
+#endif
+    Result<ObjectStore> store = DeserializeSnapshot(snapshot);
+    bench::Check(store.status(), "deserialize");
+#if defined(__GLIBC__)
+    heap = static_cast<double>(mallinfo2().uordblks + mallinfo2().hblkhd -
+                               before);
+#endif
+    facts = static_cast<double>(store->FactCount());
+    approx = static_cast<double>(store->ApproxBytes());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(facts));
+  state.counters["heap_bytes_per_fact"] = heap / facts;
+  state.counters["approx_bytes_per_fact"] = approx / facts;
+}
+BENCHMARK(BM_Store_SnapshotLoad)->Arg(2000)->Arg(20000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Store_MembersScan(benchmark::State& state) {

@@ -35,9 +35,11 @@ mkdir -p "${OUT_DIR}"
   --benchmark_out="${OUT_DIR}/BENCH_second_dimension.json" \
   --benchmark_out_format=json
 
-# Durability rows: WAL append throughput and recovery (scan + replay).
+# Durability rows: WAL append throughput and recovery (scan + replay),
+# and a snapshot load with the heap bytes per fact the loaded store
+# holds.
 "${BUILD_DIR}/bench/bench_store" \
-  --benchmark_filter='Wal' \
+  --benchmark_filter='Wal|SnapshotLoad' \
   --benchmark_min_time=0.05 \
   --benchmark_out="${OUT_DIR}/BENCH_store.json" \
   --benchmark_out_format=json

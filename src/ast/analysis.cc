@@ -253,9 +253,9 @@ class SiteWalker {
 
 }  // namespace
 
-std::string MethodSite::name_text() const {
-  const Ref* n = name();
-  return n != nullptr ? ToString(*n) : "";
+std::string NameText(const Ref& ref) {
+  const Ref& d = Deref(ref);
+  return d.kind == RefKind::kName ? ToString(d) : "";
 }
 
 void ForEachMethodSite(const Rule& rule, const MethodSiteFn& fn,

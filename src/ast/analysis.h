@@ -123,6 +123,12 @@ enum class SitePlace : uint8_t {
   kBody,
 };
 
+/// The name `ref` is, as written: a symbol's text, an integer's digits,
+/// a string in its quotes (so it never meets the symbol of the same
+/// text); empty when `ref` (brackets stripped) is not a name. The key
+/// the linter gives a method, a class or a ground receiver.
+std::string NameText(const Ref& ref);
+
 /// One method or class position, as ForEachMethodSite reports it.
 struct MethodSite {
   SitePlace place = SitePlace::kBody;
@@ -139,7 +145,7 @@ struct MethodSite {
   const Filter* filter = nullptr;
   /// Position of `node`, else of the nearest enclosing reference,
   /// literal or clause that has one.
-  Span span;
+  Span span{};
 
   bool is_class() const {
     return filter != nullptr && filter->kind == FilterKind::kClass;
@@ -164,10 +170,8 @@ struct MethodSite {
     const Ref& p = position();
     return p.kind == RefKind::kName ? &p : nullptr;
   }
-  /// name() as written, the key the linter gives a method: a symbol's
-  /// text, an integer's digits, a string in its quotes (so it never
-  /// meets the symbol of the same text); empty without a name.
-  std::string name_text() const;
+  /// NameText of the position: the key the linter gives a method.
+  std::string name_text() const { return NameText(position()); }
 };
 
 /// How ForEachMethodSite continues into a complex method (a path or

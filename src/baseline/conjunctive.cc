@@ -1,5 +1,6 @@
 #include "baseline/conjunctive.h"
 
+#include <functional>
 #include <unordered_map>
 
 #include "base/strings.h"
@@ -210,7 +211,8 @@ Result<Relation> EvalNestedLoop(const ObjectStore& store, const FlatQuery& q) {
       case BAtom::Kind::kSetMember: {
         std::optional<Oid> r = value_of(atom.recv);
         if (r) {
-          const SetGroup* g = store.GetSetGroup(atom.method_or_class, *r, {});
+          const std::optional<SetGroup> g =
+              store.GetSetGroup(atom.method_or_class, *r, {});
           if (!g) return;
           std::optional<Oid> v = value_of(atom.value);
           if (v) {

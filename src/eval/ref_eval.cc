@@ -143,9 +143,9 @@ Result<bool> RefEvaluator::MatchPath(const Ref& t, Oid target, Bindings* b,
           // fact with this value is one candidate derivation; the base
           // pattern and argument patterns prune the rest.
           ++inverted_probes_;
-          const std::vector<uint32_t>& idxs =
+          const std::span<const uint32_t> idxs =
               I_.store().ScalarEntriesByValue(um, target);
-          const std::vector<ScalarEntry>& entries = I_.store().ScalarEntries(um);
+          const ScalarEntryList entries = I_.store().ScalarEntries(um);
           for (uint32_t i : idxs) {
             const ScalarEntry& e = entries[i];
             if (e.args.size() != t.args.size()) continue;
@@ -160,9 +160,9 @@ Result<bool> RefEvaluator::MatchPath(const Ref& t, Oid target, Bindings* b,
         }
         // Set-valued: walk member→receiver backwards.
         ++inverted_probes_;
-        const std::vector<SetMemberRef>& refs =
+        const std::span<const SetMemberRef> refs =
             I_.store().SetGroupsByMember(um, target);
-        const std::vector<SetGroup>& groups = I_.store().SetGroups(um);
+        const SetGroupList groups = I_.store().SetGroups(um);
         for (const SetMemberRef& mr : refs) {
           const SetGroup& g = groups[mr.group];
           if (g.args.size() != t.args.size()) continue;
@@ -177,7 +177,7 @@ Result<bool> RefEvaluator::MatchPath(const Ref& t, Oid target, Bindings* b,
 }
 
 Result<bool> RefEvaluator::MatchArgs(const std::vector<RefPtr>& refs,
-                                     const std::vector<Oid>& oids, size_t i,
+                                     std::span<const Oid> oids, size_t i,
                                      Bindings* b, const Cont& cont) {
   if (i == refs.size()) return cont();
   return MatchRef(*refs[i], oids[i], b, [&]() -> Result<bool> {
@@ -322,8 +322,8 @@ Result<bool> RefEvaluator::EnumScalarInvocations(
     return true;
   }
   return Enumerate(base, b, [&](Oid u0) -> Result<bool> {
-    const std::vector<uint32_t>& idxs = I_.store().ScalarEntriesByRecv(um, u0);
-    const std::vector<ScalarEntry>& entries = I_.store().ScalarEntries(um);
+    const std::span<const uint32_t> idxs = I_.store().ScalarEntriesByRecv(um, u0);
+    const ScalarEntryList entries = I_.store().ScalarEntries(um);
     for (uint32_t i : idxs) {
       const ScalarEntry& e = entries[i];
       if (e.args.size() != args.size()) continue;
@@ -366,8 +366,8 @@ Result<bool> RefEvaluator::EnumSetInvocations(
     return true;
   }
   return Enumerate(base, b, [&](Oid u0) -> Result<bool> {
-    const std::vector<uint32_t>& idxs = I_.store().SetGroupsByRecv(um, u0);
-    const std::vector<SetGroup>& groups = I_.store().SetGroups(um);
+    const std::span<const uint32_t> idxs = I_.store().SetGroupsByRecv(um, u0);
+    const SetGroupList groups = I_.store().SetGroups(um);
     for (uint32_t i : idxs) {
       const SetGroup& g = groups[i];
       if (g.args.size() != args.size()) continue;
@@ -468,15 +468,17 @@ Result<bool> RefEvaluator::EnumMolecule(const Ref& t, Bindings* b,
   }
 
   switch (drive) {
-    case Drive::kClassExtent:
+    case Drive::kClassExtent: {
       ++extent_scans_;
-      candidates = store.Members(drive_m);
+      const std::span<const Oid> extent = store.Members(drive_m);
+      candidates.assign(extent.begin(), extent.end());
       driven = true;
       break;
+    }
     case Drive::kScalarValue: {
       ++inverted_probes_;
       std::unordered_set<Oid> seen;
-      const std::vector<ScalarEntry>& entries = store.ScalarEntries(drive_m);
+      const ScalarEntryList entries = store.ScalarEntries(drive_m);
       for (uint32_t i : store.ScalarEntriesByValue(drive_m, drive_v)) {
         if (seen.insert(entries[i].recv).second) {
           candidates.push_back(entries[i].recv);
@@ -488,7 +490,7 @@ Result<bool> RefEvaluator::EnumMolecule(const Ref& t, Bindings* b,
     case Drive::kSetMember: {
       ++inverted_probes_;
       std::unordered_set<Oid> seen;
-      const std::vector<SetGroup>& groups = store.SetGroups(drive_m);
+      const SetGroupList groups = store.SetGroups(drive_m);
       for (const SetMemberRef& mr : store.SetGroupsByMember(drive_m, drive_v)) {
         if (seen.insert(groups[mr.group].recv).second) {
           candidates.push_back(groups[mr.group].recv);
@@ -568,8 +570,8 @@ Result<bool> RefEvaluator::CheckFilter(const Filter& f, Oid u0, Bindings* b,
   if (f.kind == FilterKind::kClass) {
     const Ref& c = Deref(*f.value);
     if (c.kind == RefKind::kVar && !b->IsBound(c.text)) {
-      const std::vector<Oid>& ancestors = I_.store().Ancestors(u0);
-      const std::vector<uint64_t>& gens = I_.store().AncestorGens(u0);
+      const std::span<const Oid> ancestors = I_.store().Ancestors(u0);
+      const std::span<const uint64_t> gens = I_.store().AncestorGens(u0);
       for (size_t i = 0; i < ancestors.size(); ++i) {
         size_t mark = b->Mark();
         b->Bind(c.text, ancestors[i]);
@@ -603,9 +605,9 @@ Result<bool> RefEvaluator::CheckFilter(const Filter& f, Oid u0, Bindings* b,
             return true;
           });
         }
-        const std::vector<uint32_t>& idxs =
+        const std::span<const uint32_t> idxs =
             I_.store().ScalarEntriesByRecv(um, u0);
-        const std::vector<ScalarEntry>& entries = I_.store().ScalarEntries(um);
+        const ScalarEntryList entries = I_.store().ScalarEntries(um);
         for (uint32_t i : idxs) {
           const ScalarEntry& e = entries[i];
           if (e.args.size() != f.args.size()) continue;
@@ -631,8 +633,8 @@ Result<bool> RefEvaluator::CheckFilter(const Filter& f, Oid u0, Bindings* b,
         Result<std::vector<Oid>> spec = EvalGround(*f.value, b);
         if (!spec.ok()) return spec.status();
         if (spec->empty()) return true;  // no witness: filter fails
-        const std::vector<uint32_t>& idxs = I_.store().SetGroupsByRecv(um, u0);
-        const std::vector<SetGroup>& groups = I_.store().SetGroups(um);
+        const std::span<const uint32_t> idxs = I_.store().SetGroupsByRecv(um, u0);
+        const SetGroupList groups = I_.store().SetGroups(um);
         for (uint32_t i : idxs) {
           const SetGroup& g = groups[i];
           if (g.args.size() != f.args.size()) continue;
@@ -654,8 +656,8 @@ Result<bool> RefEvaluator::CheckFilter(const Filter& f, Oid u0, Bindings* b,
         return true;
       }
       case FilterKind::kSetEnum: {
-        const std::vector<uint32_t>& idxs = I_.store().SetGroupsByRecv(um, u0);
-        const std::vector<SetGroup>& groups = I_.store().SetGroups(um);
+        const std::span<const uint32_t> idxs = I_.store().SetGroupsByRecv(um, u0);
+        const SetGroupList groups = I_.store().SetGroups(um);
         for (uint32_t i : idxs) {
           const SetGroup& g = groups[i];
           if (g.args.size() != f.args.size()) continue;

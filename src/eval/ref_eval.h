@@ -33,6 +33,7 @@
 #define PATHLOG_EVAL_REF_EVAL_H_
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "ast/ref.h"
@@ -149,9 +150,9 @@ class RefEvaluator {
   /// no stored extent, keep their computed semantics.
   Result<bool> MatchPath(const Ref& t, Oid target, Bindings* b,
                          const Cont& cont);
-  /// Pairwise MatchRef over parallel vectors.
+  /// Pairwise MatchRef over parallel sequences.
   Result<bool> MatchArgs(const std::vector<RefPtr>& refs,
-                         const std::vector<Oid>& oids, size_t i, Bindings* b,
+                         std::span<const Oid> oids, size_t i, Bindings* b,
                          const Cont& cont);
 
   /// Enumerates method objects a simple method reference can denote,

@@ -395,13 +395,14 @@ class SiteRunner {
   struct Frame {
     uint32_t pos = 0, end = 0;      // outer cursor
     uint32_t sub = 0, sub_end = 0;  // member cursor inside one group
+    const Oid* members = nullptr;   // that group's members
     const uint32_t* idx = nullptr;  // bucket; null: positions are indexes
     const SetMemberRef* refs = nullptr;
     const Oid* oids = nullptr;  // null with kUniverse: positions are oids
     Oid m = kNilOid;
     // The method's table, looked up once per entry into the site.
-    const ScalarEntry* entries = nullptr;
-    const SetGroup* groups = nullptr;
+    ScalarEntryList entries;
+    SetGroupList groups;
     bool builtin = false;  // a runtime `self` or guard at method position
     std::vector<Oid> list;  // methods, a `->>` result, builtin outputs
   };
@@ -415,7 +416,7 @@ class SiteRunner {
     return slots_[slot] == o;
   }
 
-  bool PutArgs(const Site& site, const std::vector<Oid>& args) {
+  bool PutArgs(const Site& site, std::span<const Oid> args) {
     if (args.size() != site.args.size()) return false;
     for (size_t i = 0; i < args.size(); ++i) {
       if (!Put(site, i + 1, site.args[i], args[i])) return false;
@@ -460,11 +461,12 @@ class SiteRunner {
         if (site.route == SiteRoute::kTest) {
           f.end = store_.IsA(obj, slots_[site.method]) ? 1 : 0;
         } else if (site.Output(1)) {
-          const std::vector<Oid>& up = store_.Ancestors(obj);
+          const std::span<const Oid> up = store_.Ancestors(obj);
           f.oids = up.data();
           f.end = static_cast<uint32_t>(up.size());
         } else {
-          const std::vector<Oid>& members = store_.Members(slots_[site.method]);
+          const std::span<const Oid> members =
+              store_.Members(slots_[site.method]);
           f.oids = members.data();
           f.end = static_cast<uint32_t>(members.size());
         }
@@ -473,19 +475,16 @@ class SiteRunner {
       case SiteKind::kScalar: {
         f.m = slots_[site.method];
         if (I_.IsBuiltinScalar(f.m)) return EnterBuiltin(site, &f);
-        const std::vector<ScalarEntry>& entries = store_.ScalarEntries(f.m);
-        f.entries = entries.data();
-        const std::vector<uint32_t>* bucket = nullptr;
-        if (!site.Output(0)) {
-          bucket = &store_.ScalarEntriesByRecv(f.m, slots_[site.recv]);
-        } else if (site.route == SiteRoute::kInverted) {
-          bucket = &store_.ScalarEntriesByValue(f.m, slots_[site.value]);
-        }
-        if (bucket != nullptr) {
-          f.idx = bucket->data();
-          f.end = static_cast<uint32_t>(bucket->size());
+        f.entries = store_.ScalarEntries(f.m);
+        if (!site.Output(0) || site.route == SiteRoute::kInverted) {
+          const std::span<const uint32_t> bucket =
+              !site.Output(0)
+                  ? store_.ScalarEntriesByRecv(f.m, slots_[site.recv])
+                  : store_.ScalarEntriesByValue(f.m, slots_[site.value]);
+          f.idx = bucket.data();
+          f.end = static_cast<uint32_t>(bucket.size());
         } else {
-          f.end = static_cast<uint32_t>(entries.size());
+          f.end = static_cast<uint32_t>(f.entries.size());
         }
         return;
       }
@@ -493,20 +492,19 @@ class SiteRunner {
       case SiteKind::kSubset: {
         f.m = slots_[site.method];
         if (site.kind == SiteKind::kSubset && !EvalSubset(site, &f)) return;
-        const std::vector<SetGroup>& groups = store_.SetGroups(f.m);
-        f.groups = groups.data();
+        f.groups = store_.SetGroups(f.m);
         if (!site.Output(0)) {
-          const std::vector<uint32_t>& g =
+          const std::span<const uint32_t> g =
               store_.SetGroupsByRecv(f.m, slots_[site.recv]);
           f.idx = g.data();
           f.end = static_cast<uint32_t>(g.size());
         } else if (site.route == SiteRoute::kInverted) {
-          const std::vector<SetMemberRef>& r =
+          const std::span<const SetMemberRef> r =
               store_.SetGroupsByMember(f.m, slots_[site.value]);
           f.refs = r.data();
           f.end = static_cast<uint32_t>(r.size());
         } else {
-          f.end = static_cast<uint32_t>(groups.size());
+          f.end = static_cast<uint32_t>(f.groups.size());
         }
         return;
       }
@@ -653,7 +651,7 @@ class SiteRunner {
 
   bool AdvanceMember(const Site& site, Frame* fp) {
     Frame& f = *fp;
-    const SetGroup* groups = f.groups;
+    const SetGroupList& groups = f.groups;
     const size_t member_op = site.args.size() + 1;
     if (f.refs != nullptr) {
       // Inverted: one membership fact per candidate.
@@ -668,9 +666,7 @@ class SiteRunner {
     }
     while (true) {
       if (f.sub < f.sub_end) {
-        const SetGroup& g = groups[f.idx != nullptr ? f.idx[f.pos - 1]
-                                                    : f.pos - 1];
-        slots_[site.value] = g.members[f.sub++];
+        slots_[site.value] = f.members[f.sub++];
         return true;
       }
       if (f.pos >= f.end) return false;
@@ -686,6 +682,7 @@ class SiteRunner {
       }
       f.sub = 0;
       f.sub_end = static_cast<uint32_t>(g.members.size());
+      f.members = g.members.data();
     }
   }
 

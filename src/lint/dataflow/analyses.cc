@@ -107,14 +107,19 @@ struct ClauseInfo {
 };
 
 /// Anchor identity for the same-receiver scalar consistency check;
-/// empty when the receiver is not a plain variable or symbol.
+/// empty when the receiver is not a plain variable or name.
 std::string ReceiverKey(const Ref& base) {
   const Ref& d = Deref(base);
   if (d.kind == RefKind::kVar) return StrCat("V:", d.text);
-  if (d.kind == RefKind::kName && d.name_kind == NameKind::kSymbol) {
-    return StrCat("N:", d.text);
-  }
-  return "";
+  const std::string name = NameText(d);
+  return name.empty() ? "" : StrCat("N:", name);
+}
+
+/// The method named at `site` (MethodSite::name_text); empty for a
+/// built-in, a variable or a complex method.
+std::string UserMethod(const MethodSite& site) {
+  std::string name = site.name_text();
+  return IsBuiltinMethodName(name) ? "" : name;
 }
 
 /// The methods a head value's spine consults for its sort.
@@ -123,19 +128,10 @@ void RecordSortReads(const Ref& value, std::set<std::string>* out) {
        d->kind == RefKind::kPath || d->kind == RefKind::kMolecule;
        d = &Deref(*d->base)) {
     if (d->kind != RefKind::kPath) continue;
-    const Ref& m = Deref(*d->method);
-    if (m.kind == RefKind::kName && m.name_kind == NameKind::kSymbol &&
-        !IsBuiltinMethodName(m.text)) {
-      out->insert(m.text);
+    if (std::string name = UserMethod(MethodSite{.node = d}); !name.empty()) {
+      out->insert(std::move(name));
     }
   }
-}
-
-/// The method named at `site` (MethodSite::name_text); empty for a
-/// built-in, a variable or a complex method.
-std::string UserMethod(const MethodSite& site) {
-  std::string name = site.name_text();
-  return IsBuiltinMethodName(name) ? "" : name;
 }
 
 /// Fills a ClauseInfo from one clause's method and class positions.
@@ -781,19 +777,14 @@ class Analyzer {
     a.kind = f.kind;
     a.span = fallback;
     a.has_args = !f.args.empty();
+    a.name = MethodSite{.filter = &f}.name_text();
     if (f.kind == FilterKind::kClass) {
-      const Ref& c = Deref(*f.value);
-      a.value = &c;
-      if (c.kind == RefKind::kName && c.name_kind == NameKind::kSymbol) {
-        a.name = c.text;
-      }
+      a.value = &Deref(*f.value);
       return a;
     }
-    const Ref& m = Deref(*f.method);
-    if (m.kind != RefKind::kName || m.name_kind != NameKind::kSymbol) {
+    if (a.name.empty()) {
       return std::nullopt;  // generic method position: not analysable
     }
-    a.name = m.text;
     if (f.value) a.value = &Deref(*f.value);
     for (const RefPtr& e : f.elems) a.elems.push_back(&Deref(*e));
     return a;
@@ -824,12 +815,9 @@ class Analyzer {
     // sound to ignore (fewer grants can only under-approve PL017).
     while (true) {
       if (t->kind == RefKind::kPath) {
-        const Ref& m = Deref(*t->method);
-        if (m.kind != RefKind::kName || m.name_kind != NameKind::kSymbol ||
-            IsBuiltinMethodName(m.text)) {
-          return std::nullopt;
-        }
-        inv.spine_methods.push_back(m.text);
+        std::string name = UserMethod(MethodSite{.node = t});
+        if (name.empty()) return std::nullopt;
+        inv.spine_methods.push_back(std::move(name));
         t = &Deref(*t->base);
       } else if (t->kind == RefKind::kMolecule) {
         t = &Deref(*t->base);
@@ -887,22 +875,20 @@ class Analyzer {
         out.role = LiteralRole::kAnchoredDeep;
         return out;
       }
-      const Ref& m = Deref(*t->method);
-      if (m.kind == RefKind::kName && m.name_kind == NameKind::kSymbol) {
-        if (IsGuardName(m.text)) {
-          out.guard_on_anchor = true;
-          out.role = LiteralRole::kAnchoredSimple;
-          return out;
-        }
-        if (!IsBuiltinMethodName(m.text)) {
-          Atom a;
-          a.path_only = true;
-          a.name = m.text;
-          a.span = SpanOf(*t, fallback);
-          out.atoms.push_back(std::move(a));
-          out.role = LiteralRole::kAnchoredSimple;
-          return out;
-        }
+      const std::string name = MethodSite{.node = t}.name_text();
+      if (IsGuardName(name)) {
+        out.guard_on_anchor = true;
+        out.role = LiteralRole::kAnchoredSimple;
+        return out;
+      }
+      if (!name.empty() && !IsBuiltinMethodName(name)) {
+        Atom a;
+        a.path_only = true;
+        a.name = name;
+        a.span = SpanOf(*t, fallback);
+        out.atoms.push_back(std::move(a));
+        out.role = LiteralRole::kAnchoredSimple;
+        return out;
       }
       out.role = LiteralRole::kAnchoredDeep;
       return out;

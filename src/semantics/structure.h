@@ -104,9 +104,9 @@ class SemanticStructure {
     return store_.GetScalar(m, recv, args);
   }
 
-  /// I_->>(m)(recv, args...): nullptr when the set is empty.
-  const SetGroup* SetVal(Oid m, Oid recv,
-                         const std::vector<Oid>& args) const {
+  /// I_->>(m)(recv, args...): nullopt when the set is empty.
+  std::optional<SetGroup> SetVal(Oid m, Oid recv,
+                                 const std::vector<Oid>& args) const {
     return store_.GetSetGroup(m, recv, args);
   }
 

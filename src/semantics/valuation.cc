@@ -1,6 +1,7 @@
 #include "semantics/valuation.h"
 
 #include <algorithm>
+#include <functional>
 #include <unordered_set>
 
 #include "base/strings.h"
@@ -93,7 +94,7 @@ class Valuator {
             if (std::optional<Oid> r = I_.Scalar(um, u0, argv)) {
               out.push_back(*r);
             }
-          } else if (const SetGroup* g = I_.SetVal(um, u0, argv)) {
+          } else if (std::optional<SetGroup> g = I_.SetVal(um, u0, argv)) {
             out.insert(out.end(), g->members.begin(), g->members.end());
           }
         }
@@ -150,7 +151,7 @@ class Valuator {
             // contained in the method's result set. An empty specified
             // set is trivially contained (the documented vacuous
             // corner of the literal definition).
-            const SetGroup* g = I_.SetVal(um, u0, argv);
+            const std::optional<SetGroup> g = I_.SetVal(um, u0, argv);
             bool subset = true;
             for (Oid s : spec) {
               if (!g || !g->Contains(s)) {

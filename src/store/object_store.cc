@@ -1,7 +1,6 @@
 #include "store/object_store.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "base/strings.h"
 #include "obs/metrics.h"
@@ -9,26 +8,82 @@
 namespace pathlog {
 
 namespace {
-const std::vector<Oid> kEmptyOids;
-const std::vector<uint32_t> kEmptyIdx;
-const std::vector<ScalarEntry> kEmptyScalar;
-const std::vector<SetGroup> kEmptySet;
 
-// ApproxBytes() charges a flat overhead per container slot (hash node,
-// vector slack, bookkeeping) instead of walking containers — the
-// estimate must be monotone and O(1) per mutation, not exact.
-constexpr uint64_t kSlotOverhead = 48;
+using store_detail::GroupRecord;
+using store_detail::ScalarRecord;
+using store_detail::ScalarTable;
+using store_detail::SetTable;
 
-uint64_t FactBytes(const Fact& f) {
-  return sizeof(Fact) + f.args.size() * sizeof(Oid);
+// Groups of more members than this answer membership tests through
+// their method's (group, member) position table; smaller groups (the
+// common case: 2.1 members on average on the company store) are
+// scanned.
+constexpr uint32_t kScanMembers = 16;
+
+// The heap block of a string past the small-string buffer.
+uint64_t StringHeapBytes(const std::string& s) {
+  return s.capacity() > 15 ? ChunkBytes(s.capacity() + 1) : 0;
 }
+
+uint64_t ArgBytes(size_t argc) {
+  return argc == 0 ? 0 : ChunkBytes(argc * sizeof(Oid));
+}
+
+// A node-based map: one node per key plus the bucket array.
+template <typename Map>
+uint64_t MapBytes(const Map& map, size_t node_bytes) {
+  return map.size() * ChunkBytes(node_bytes) +
+         map.bucket_count() * sizeof(void*);
+}
+
+uint64_t InternHash(ObjectKind kind, std::string_view text, int64_t value) {
+  const uint64_t h = kind == ObjectKind::kInt
+                         ? static_cast<uint64_t>(value)
+                         : std::hash<std::string_view>{}(text);
+  return h ^ (static_cast<uint64_t>(kind) << 59);
+}
+
+uint64_t HashInvocation(Oid recv, std::span<const Oid> args) {
+  constexpr uint64_t kMul = 0x9E3779B97F4A7C15ull;
+  uint64_t h = (recv + uint64_t{1}) * kMul;
+  for (Oid a : args) h = (h ^ (a + uint64_t{1})) * kMul;
+  return h ^ (h >> 29);
+}
+
+bool SameArgs(std::span<const Oid> a, std::span<const Oid> b) {
+  return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
+}
+
+template <typename Table, typename Record>
+uint64_t RecordHash(const Table& t, const Record& r) {
+  return HashInvocation(r.recv, t.Args(r));
+}
+
+/// The position of `o` among a group's members, or UINT32_MAX: a scan
+/// for small groups, the method's position table past kScanMembers.
+uint32_t MemberPos(std::span<const Oid> members, const PairMap& positions,
+                   uint32_t group, Oid o) {
+  if (members.size() <= kScanMembers) {
+    for (size_t i = 0; i < members.size(); ++i) {
+      if (members[i] == o) return static_cast<uint32_t>(i);
+    }
+    return UINT32_MAX;
+  }
+  const uint64_t pos = positions.Find(group, o);
+  return pos == PairMap::kAbsent ? UINT32_MAX : static_cast<uint32_t>(pos);
+}
+
 }  // namespace
+
+uint64_t SetGroup::MemberGen(Oid o) const {
+  const uint32_t pos = MemberPos(members, *positions_, index_, o);
+  return pos == UINT32_MAX ? UINT64_MAX : member_gens[pos];
+}
 
 ObjectStore::ObjectStore() = default;
 
 Oid ObjectStore::AddObject(ObjectInfo info) {
-  // ObjectInfo in the table plus the intern-map node most objects get.
-  approx_bytes_ += sizeof(ObjectInfo) + info.name.size() + kSlotOverhead;
+  string_bytes_ += StringHeapBytes(info.name);
   objects_.push_back(std::move(info));
   if (metrics_.objects != nullptr) metrics_.objects->Inc();
   return static_cast<Oid>(objects_.size() - 1);
@@ -49,29 +104,58 @@ void ObjectStore::set_metrics(MetricsRegistry* metrics) {
       "pathlog_store_set_facts_total", "set membership facts asserted");
 }
 
-Oid ObjectStore::InternSymbol(std::string_view name) {
-  auto it = symbols_.find(std::string(name));
-  if (it != symbols_.end()) return it->second;
-  Oid o = AddObject({ObjectKind::kSymbol, std::string(name), 0});
-  symbols_.emplace(std::string(name), o);
+std::string_view ObjectStore::InternText(const ObjectInfo& info) {
+  switch (info.kind) {
+    case ObjectKind::kSymbol:
+      return info.name;
+    case ObjectKind::kString:
+      return std::string_view(info.name).substr(1, info.name.size() - 2);
+    default:
+      return {};
+  }
+}
+
+Oid ObjectStore::FindInterned(ObjectKind kind, std::string_view text,
+                              int64_t value) const {
+  const uint32_t o =
+      interned_.Find(InternHash(kind, text, value), [&](uint32_t i) {
+        const ObjectInfo& info = objects_[i];
+        return info.kind == kind &&
+               (kind == ObjectKind::kInt ? info.int_value == value
+                                         : InternText(info) == text);
+      });
+  return o == IndexSet::kNone ? kNilOid : o;
+}
+
+uint64_t ObjectStore::InternHashOf(Oid o) const {
+  const ObjectInfo& info = objects_[o];
+  return InternHash(info.kind, InternText(info), info.int_value);
+}
+
+Oid ObjectStore::AddInterned(ObjectInfo info, std::string_view text) {
+  const uint64_t hash = InternHash(info.kind, text, info.int_value);
+  const Oid o = AddObject(std::move(info));
+  interned_.Insert(o, hash, [&](uint32_t i) { return InternHashOf(i); });
   return o;
+}
+
+Oid ObjectStore::InternSymbol(std::string_view name) {
+  const Oid o = FindInterned(ObjectKind::kSymbol, name, 0);
+  if (o != kNilOid) return o;
+  return AddInterned({ObjectKind::kSymbol, std::string(name), 0}, name);
 }
 
 Oid ObjectStore::InternInt(int64_t value) {
-  auto it = ints_.find(value);
-  if (it != ints_.end()) return it->second;
-  Oid o = AddObject({ObjectKind::kInt, std::to_string(value), value});
-  ints_.emplace(value, o);
-  return o;
+  const Oid o = FindInterned(ObjectKind::kInt, {}, value);
+  if (o != kNilOid) return o;
+  return AddInterned({ObjectKind::kInt, std::to_string(value), value}, {});
 }
 
 Oid ObjectStore::InternString(std::string_view text) {
-  auto it = strings_.find(std::string(text));
-  if (it != strings_.end()) return it->second;
-  Oid o = AddObject(
-      {ObjectKind::kString, StrCat("\"", text, "\""), 0});
-  strings_.emplace(std::string(text), o);
-  return o;
+  const Oid o = FindInterned(ObjectKind::kString, text, 0);
+  if (o != kNilOid) return o;
+  return AddInterned({ObjectKind::kString, StrCat("\"", text, "\""), 0},
+                     text);
 }
 
 Oid ObjectStore::NewAnonymous(std::string display_name) {
@@ -79,21 +163,21 @@ Oid ObjectStore::NewAnonymous(std::string display_name) {
 }
 
 std::optional<Oid> ObjectStore::FindSymbol(std::string_view name) const {
-  auto it = symbols_.find(std::string(name));
-  if (it == symbols_.end()) return std::nullopt;
-  return it->second;
+  const Oid o = FindInterned(ObjectKind::kSymbol, name, 0);
+  if (o == kNilOid) return std::nullopt;
+  return o;
 }
 
 std::optional<Oid> ObjectStore::FindInt(int64_t value) const {
-  auto it = ints_.find(value);
-  if (it == ints_.end()) return std::nullopt;
-  return it->second;
+  const Oid o = FindInterned(ObjectKind::kInt, {}, value);
+  if (o == kNilOid) return std::nullopt;
+  return o;
 }
 
 std::optional<Oid> ObjectStore::FindString(std::string_view text) const {
-  auto it = strings_.find(std::string(text));
-  if (it == strings_.end()) return std::nullopt;
-  return it->second;
+  const Oid o = FindInterned(ObjectKind::kString, text, 0);
+  if (o == kNilOid) return std::nullopt;
+  return o;
 }
 
 Status ObjectStore::AddIsa(Oid sub, Oid super) {
@@ -106,86 +190,46 @@ Status ObjectStore::AddIsa(Oid sub, Oid super) {
                " would create a cycle; the hierarchy must stay a partial "
                "order"));
   }
-  if (IsA(sub, super)) {
-    // Already reachable. Record a direct edge only if absent, without a
-    // new fact (closure unchanged).
-    auto& ups = up_edges_[sub];
-    if (std::find(ups.begin(), ups.end(), super) == ups.end()) {
-      ups.push_back(super);
-    }
-    return Status::OK();
-  }
-
-  up_edges_[sub].push_back(super);
-  approx_bytes_ += sizeof(Oid) + kSlotOverhead;
+  // Already reachable: the closure is unchanged and no fact is new.
+  if (IsA(sub, super)) return Status::OK();
 
   // Incrementally extend the reachability closure: every x <= sub
   // (including sub) now reaches every y >= super (including super).
+  // Copied out first: the appends below move the arena's lists.
   std::vector<Oid> below;
   below.push_back(sub);
-  if (auto mit = members_.find(sub); mit != members_.end()) {
-    below.insert(below.end(), mit->second.begin(), mit->second.end());
-  }
+  const std::span<const Oid> sub_members = Members(sub);
+  below.insert(below.end(), sub_members.begin(), sub_members.end());
   std::vector<Oid> above;
   above.push_back(super);
-  if (auto ait = ancestors_.find(super); ait != ancestors_.end()) {
-    above.insert(above.end(), ait->second.begin(), ait->second.end());
+  const std::span<const Oid> super_ancestors = Ancestors(super);
+  above.insert(above.end(), super_ancestors.begin(), super_ancestors.end());
+  if (ancestors_.size() < objects_.size()) {
+    ancestors_.resize(objects_.size());
+    members_.resize(objects_.size());
   }
   const uint64_t gen = log_.size();
   for (Oid x : below) {
-    auto& xs = anc_set_[x];
     for (Oid y : above) {
-      if (xs.emplace(y, gen).second) {
-        // A new pair is new on both sides: anc_set_ is the one set.
-        ancestors_[x].push_back(y);
-        ancestor_gens_[x].push_back(gen);
-        members_[y].push_back(x);
-        member_gens_[y].push_back(gen);
-        // Closure pair: the anc_set node, plus an Oid and generation
-        // slot on the ancestor side and again on the member side.
-        approx_bytes_ += kSlotOverhead + 2 * (sizeof(Oid) + sizeof(uint64_t));
+      // A new pair is new on both sides: isa_gen_ is the one set.
+      if (isa_gen_.Insert(x, y, gen)) {
+        closure_.Append(&ancestors_[x], y, gen);
+        closure_.Append(&members_[y], x, gen);
       }
     }
   }
 
   log_.push_back(Fact{FactKind::kIsa, super, sub, {}, kNilOid});
-  approx_bytes_ += FactBytes(log_.back());
   if (metrics_.isa_facts != nullptr) metrics_.isa_facts->Inc();
   return Status::OK();
 }
 
 bool ObjectStore::IsA(Oid sub, Oid super) const {
-  auto it = anc_set_.find(sub);
-  return it != anc_set_.end() && it->second.count(super) > 0;
+  return isa_gen_.Find(sub, super) != PairMap::kAbsent;
 }
 
 uint64_t ObjectStore::IsaGen(Oid sub, Oid super) const {
-  auto it = anc_set_.find(sub);
-  if (it == anc_set_.end()) return UINT64_MAX;
-  auto jt = it->second.find(super);
-  return jt == it->second.end() ? UINT64_MAX : jt->second;
-}
-
-const std::vector<Oid>& ObjectStore::Members(Oid c) const {
-  auto it = members_.find(c);
-  return it == members_.end() ? kEmptyOids : it->second;
-}
-
-const std::vector<uint64_t>& ObjectStore::MemberGens(Oid c) const {
-  static const std::vector<uint64_t> kEmptyGens;
-  auto it = member_gens_.find(c);
-  return it == member_gens_.end() ? kEmptyGens : it->second;
-}
-
-const std::vector<Oid>& ObjectStore::Ancestors(Oid o) const {
-  auto it = ancestors_.find(o);
-  return it == ancestors_.end() ? kEmptyOids : it->second;
-}
-
-const std::vector<uint64_t>& ObjectStore::AncestorGens(Oid o) const {
-  static const std::vector<uint64_t> kEmptyGens;
-  auto it = ancestor_gens_.find(o);
-  return it == ancestor_gens_.end() ? kEmptyGens : it->second;
+  return isa_gen_.Find(sub, super);
 }
 
 Status ObjectStore::SetScalar(Oid m, Oid recv, const std::vector<Oid>& args,
@@ -194,10 +238,12 @@ Status ObjectStore::SetScalar(Oid m, Oid recv, const std::vector<Oid>& args,
     return InvalidArgument("SetScalar: invalid oid");
   }
   ScalarTable& t = scalar_[m];
-  InvocationKey key{recv, args};
-  auto it = t.index.find(key);
-  if (it != t.index.end()) {
-    Oid existing = t.entries[it->second].value;
+  const uint64_t hash = HashInvocation(recv, args);
+  const uint32_t found = t.index.Find(hash, [&](uint32_t i) {
+    return t.entries[i].recv == recv && SameArgs(t.Args(t.entries[i]), args);
+  });
+  if (found != IndexSet::kNone) {
+    Oid existing = t.entries[found].value;
     if (existing == value) return Status::OK();
     std::string call = DisplayName(recv);
     return ScalarConflict(StrCat(
@@ -205,19 +251,23 @@ Status ObjectStore::SetScalar(Oid m, Oid recv, const std::vector<Oid>& args,
         " already yields ", DisplayName(existing), "; cannot also yield ",
         DisplayName(value)));
   }
-  uint32_t idx = static_cast<uint32_t>(t.entries.size());
-  t.entries.push_back(ScalarEntry{recv, args, value, log_.size()});
-  t.index.emplace(std::move(key), idx);
-  t.by_recv[recv].push_back(idx);
-  std::vector<uint32_t>& bucket = t.by_value[value];
-  bucket.push_back(idx);
-  t.stats.Update(value, bucket.size(), /*is_new_value=*/bucket.size() == 1,
-                 log_.size());
-  log_.push_back(Fact{FactKind::kScalar, m, recv, args, value});
-  // Entry + key copy of the args, plus index/by_recv/by_value slots.
-  approx_bytes_ += sizeof(ScalarEntry) +
-                   2 * args.size() * sizeof(Oid) + 3 * kSlotOverhead +
-                   FactBytes(log_.back());
+  const uint64_t gen = log_.size();
+  // The table copies the args from the log's copy, made before the log
+  // grows, so args may be a logged fact's own.
+  log_.push_back(Fact{FactKind::kScalar, m, recv,
+                      std::vector<Oid>(args.begin(), args.end()), value});
+  const std::vector<Oid>& own = log_.back().args;
+  fact_arg_bytes_ += ArgBytes(own.size());
+  const uint32_t idx = static_cast<uint32_t>(t.entries.size());
+  t.entries.push_back(ScalarRecord{recv, value, gen,
+                                   static_cast<uint32_t>(t.args.size()),
+                                   static_cast<uint32_t>(own.size())});
+  t.args.insert(t.args.end(), own.begin(), own.end());
+  t.index.Insert(idx, hash,
+                 [&](uint32_t i) { return RecordHash(t, t.entries[i]); });
+  t.by_recv.Append(recv, idx);
+  const uint32_t bucket = t.by_value.Append(value, idx);
+  t.stats.Update(value, bucket, /*is_new_value=*/bucket == 1, gen);
   if (metrics_.scalar_facts != nullptr) metrics_.scalar_facts->Inc();
   return Status::OK();
 }
@@ -226,35 +276,38 @@ std::optional<Oid> ObjectStore::GetScalar(
     Oid m, Oid recv, const std::vector<Oid>& args) const {
   auto mt = scalar_.find(m);
   if (mt == scalar_.end()) return std::nullopt;
-  auto it = mt->second.index.find(InvocationKey{recv, args});
-  if (it == mt->second.index.end()) return std::nullopt;
-  return mt->second.entries[it->second].value;
+  const ScalarTable& t = mt->second;
+  const uint32_t found =
+      t.index.Find(HashInvocation(recv, args), [&](uint32_t i) {
+        return t.entries[i].recv == recv &&
+               SameArgs(t.Args(t.entries[i]), args);
+      });
+  if (found == IndexSet::kNone) return std::nullopt;
+  return t.entries[found].value;
 }
 
-const std::vector<ScalarEntry>& ObjectStore::ScalarEntries(Oid m) const {
+ScalarEntryList ObjectStore::ScalarEntries(Oid m) const {
   auto mt = scalar_.find(m);
-  return mt == scalar_.end() ? kEmptyScalar : mt->second.entries;
+  return mt == scalar_.end() ? ScalarEntryList() : ScalarEntryList(&mt->second);
 }
 
-const std::vector<uint32_t>& ObjectStore::ScalarEntriesByRecv(Oid m,
-                                                              Oid recv) const {
+std::span<const uint32_t> ObjectStore::ScalarEntriesByRecv(Oid m,
+                                                           Oid recv) const {
   auto mt = scalar_.find(m);
-  if (mt == scalar_.end()) return kEmptyIdx;
-  auto it = mt->second.by_recv.find(recv);
-  return it == mt->second.by_recv.end() ? kEmptyIdx : it->second;
+  if (mt == scalar_.end()) return {};
+  return mt->second.by_recv.Find(recv);
 }
 
-const std::vector<uint32_t>& ObjectStore::ScalarEntriesByValue(
-    Oid m, Oid value) const {
+std::span<const uint32_t> ObjectStore::ScalarEntriesByValue(Oid m,
+                                                            Oid value) const {
   auto mt = scalar_.find(m);
-  if (mt == scalar_.end()) return kEmptyIdx;
-  auto it = mt->second.by_value.find(value);
-  return it == mt->second.by_value.end() ? kEmptyIdx : it->second;
+  if (mt == scalar_.end()) return {};
+  return mt->second.by_value.Find(value);
 }
 
 size_t ObjectStore::ScalarDistinctValues(Oid m) const {
   auto mt = scalar_.find(m);
-  return mt == scalar_.end() ? 0 : mt->second.by_value.size();
+  return mt == scalar_.end() ? 0 : mt->second.by_value.keys();
 }
 
 const MethodStats& ObjectStore::ScalarValueStats(Oid m) const {
@@ -278,74 +331,81 @@ bool ObjectStore::AddSetMember(Oid m, Oid recv, const std::vector<Oid>& args,
   assert(Valid(m) && Valid(recv) && Valid(value) &&
          "AddSetMember: invalid oid");
   SetTable& t = setval_[m];
-  InvocationKey key{recv, args};
-  auto it = t.index.find(key);
-  uint32_t gi;
-  if (it == t.index.end()) {
-    gi = static_cast<uint32_t>(t.groups.size());
-    SetGroup g;
-    g.recv = recv;
-    g.args = args;
-    t.groups.push_back(std::move(g));
-    t.index.emplace(std::move(key), gi);
-    t.by_recv[recv].push_back(gi);
-    // Group + key copy of the args, plus index/by_recv slots.
-    approx_bytes_ += sizeof(SetGroup) + 2 * args.size() * sizeof(Oid) +
-                     2 * kSlotOverhead;
-  } else {
-    gi = it->second;
+  const uint64_t hash = HashInvocation(recv, args);
+  uint32_t gi = t.index.Find(hash, [&](uint32_t i) {
+    return t.groups[i].recv == recv && SameArgs(t.Args(t.groups[i]), args);
+  });
+  if (gi != IndexSet::kNone &&
+      MemberPos(t.members.Get<0>(t.groups[gi].members), t.positions, gi,
+                value) != UINT32_MAX) {
+    return false;
   }
-  SetGroup& g = t.groups[gi];
-  if (!g.member_set.emplace(value, log_.size()).second) return false;
-  std::vector<SetMemberRef>& bucket = t.by_member[value];
-  bucket.push_back(SetMemberRef{gi, static_cast<uint32_t>(g.members.size())});
-  t.stats.Update(value, bucket.size(), /*is_new_value=*/bucket.size() == 1,
-                 log_.size());
-  g.members.push_back(value);
-  g.member_gens.push_back(log_.size());
-  log_.push_back(Fact{FactKind::kSetMember, m, recv, args, value});
-  // Membership: member_set node + members/gens slots + by_member ref.
-  approx_bytes_ += kSlotOverhead + sizeof(Oid) + sizeof(uint64_t) +
-                   sizeof(SetMemberRef) + kSlotOverhead +
-                   FactBytes(log_.back());
+  const uint64_t gen = log_.size();
+  // A new group copies the args from the log's copy, made before the
+  // log grows, so args may be a logged fact's own.
+  log_.push_back(Fact{FactKind::kSetMember, m, recv,
+                      std::vector<Oid>(args.begin(), args.end()), value});
+  const std::vector<Oid>& own = log_.back().args;
+  fact_arg_bytes_ += ArgBytes(own.size());
+  if (gi == IndexSet::kNone) {
+    gi = static_cast<uint32_t>(t.groups.size());
+    t.groups.push_back(GroupRecord{recv, static_cast<uint32_t>(t.args.size()),
+                                   static_cast<uint32_t>(own.size()), {}});
+    t.args.insert(t.args.end(), own.begin(), own.end());
+    t.index.Insert(gi, hash,
+                   [&](uint32_t i) { return RecordHash(t, t.groups[i]); });
+    t.by_recv.Append(recv, gi);
+  }
+  ListRef& members = t.groups[gi].members;
+  const uint32_t pos = members.len;
+  t.members.Append(&members, value, gen);
+  if (members.len == kScanMembers + 1) {
+    // The group outgrew scanning: index every member so far.
+    const std::span<const Oid> all = t.members.Get<0>(members);
+    for (uint32_t i = 0; i < all.size(); ++i) t.positions.Insert(gi, all[i], i);
+  } else if (members.len > kScanMembers) {
+    t.positions.Insert(gi, value, pos);
+  }
+  const uint32_t bucket = t.by_member.Append(value, SetMemberRef{gi, pos});
+  t.stats.Update(value, bucket, /*is_new_value=*/bucket == 1, gen);
   if (metrics_.set_facts != nullptr) metrics_.set_facts->Inc();
   return true;
 }
 
-const SetGroup* ObjectStore::GetSetGroup(Oid m, Oid recv,
-                                         const std::vector<Oid>& args) const {
+std::optional<SetGroup> ObjectStore::GetSetGroup(
+    Oid m, Oid recv, const std::vector<Oid>& args) const {
   auto mt = setval_.find(m);
-  if (mt == setval_.end()) return nullptr;
-  auto it = mt->second.index.find(InvocationKey{recv, args});
-  if (it == mt->second.index.end()) return nullptr;
-  return &mt->second.groups[it->second];
+  if (mt == setval_.end()) return std::nullopt;
+  const SetTable& t = mt->second;
+  const uint32_t gi = t.index.Find(HashInvocation(recv, args), [&](uint32_t i) {
+    return t.groups[i].recv == recv && SameArgs(t.Args(t.groups[i]), args);
+  });
+  if (gi == IndexSet::kNone) return std::nullopt;
+  return SetGroup(t, gi);
 }
 
-const std::vector<SetGroup>& ObjectStore::SetGroups(Oid m) const {
+SetGroupList ObjectStore::SetGroups(Oid m) const {
   auto mt = setval_.find(m);
-  return mt == setval_.end() ? kEmptySet : mt->second.groups;
+  return mt == setval_.end() ? SetGroupList() : SetGroupList(&mt->second);
 }
 
-const std::vector<uint32_t>& ObjectStore::SetGroupsByRecv(Oid m,
-                                                          Oid recv) const {
+std::span<const uint32_t> ObjectStore::SetGroupsByRecv(Oid m,
+                                                       Oid recv) const {
   auto mt = setval_.find(m);
-  if (mt == setval_.end()) return kEmptyIdx;
-  auto it = mt->second.by_recv.find(recv);
-  return it == mt->second.by_recv.end() ? kEmptyIdx : it->second;
+  if (mt == setval_.end()) return {};
+  return mt->second.by_recv.Find(recv);
 }
 
-const std::vector<SetMemberRef>& ObjectStore::SetGroupsByMember(
+std::span<const SetMemberRef> ObjectStore::SetGroupsByMember(
     Oid m, Oid member) const {
-  static const std::vector<SetMemberRef> kEmptyRefs;
   auto mt = setval_.find(m);
-  if (mt == setval_.end()) return kEmptyRefs;
-  auto it = mt->second.by_member.find(member);
-  return it == mt->second.by_member.end() ? kEmptyRefs : it->second;
+  if (mt == setval_.end()) return {};
+  return mt->second.by_member.Find(member);
 }
 
 size_t ObjectStore::SetDistinctMembers(Oid m) const {
   auto mt = setval_.find(m);
-  return mt == setval_.end() ? 0 : mt->second.by_member.size();
+  return mt == setval_.end() ? 0 : mt->second.by_member.keys();
 }
 
 const MethodStats& ObjectStore::SetMemberStats(Oid m) const {
@@ -362,6 +422,44 @@ std::vector<Oid> ObjectStore::SetMethods() const {
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+void ObjectStore::Reserve(size_t objects, size_t facts, size_t isa_facts) {
+  objects_.reserve(objects);
+  interned_.Reserve(objects, [&](uint32_t i) { return InternHashOf(i); });
+  // A reopened store takes the log's facts right after its snapshot:
+  // an eighth more room keeps the first of them from doubling the fact
+  // log, the store's largest vector, while both copies are live.
+  log_.reserve(facts + facts / 8);
+  isa_gen_.Reserve(isa_facts);
+}
+
+void ObjectStore::ReserveScalar(Oid m, size_t facts, size_t no_args) {
+  ScalarTable& t = scalar_[m];
+  t.entries.reserve(facts);
+  t.index.Reserve(facts,
+                  [&](uint32_t i) { return RecordHash(t, t.entries[i]); });
+  t.by_recv.Reserve(no_args);
+}
+
+uint64_t ObjectStore::ApproxBytes() const {
+  uint64_t bytes =
+      VectorBytes(objects_) + string_bytes_ + interned_.Bytes();
+  bytes += isa_gen_.Bytes() + VectorBytes(ancestors_) +
+           VectorBytes(members_) + closure_.Bytes();
+  bytes += MapBytes(scalar_, 16 + sizeof(ScalarTable));
+  for (const auto& [m, t] : scalar_) {
+    bytes += VectorBytes(t.entries) + VectorBytes(t.args) + t.index.Bytes() +
+             t.by_recv.Bytes() + t.by_value.Bytes() +
+             VectorBytes(t.stats.heavy);
+  }
+  bytes += MapBytes(setval_, 16 + sizeof(SetTable));
+  for (const auto& [m, t] : setval_) {
+    bytes += VectorBytes(t.groups) + VectorBytes(t.args) + t.index.Bytes() +
+             t.by_recv.Bytes() + t.by_member.Bytes() + t.members.Bytes() +
+             t.positions.Bytes() + VectorBytes(t.stats.heavy);
+  }
+  return bytes + VectorBytes(log_) + fact_arg_bytes_;
 }
 
 ObjectStore::Stats ObjectStore::ComputeStats() const {

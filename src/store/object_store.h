@@ -34,6 +34,7 @@
 #include <cassert>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -42,6 +43,7 @@
 #include "base/result.h"
 #include "base/status.h"
 #include "store/fact.h"
+#include "store/flat_tables.h"
 #include "store/method_stats.h"
 #include "store/oid.h"
 
@@ -64,31 +66,14 @@ enum class ObjectKind : uint8_t {
   kAnonymous,
 };
 
-/// One scalar-method fact: I_->(m)(recv, args...) = value.
+/// One scalar-method fact: I_->(m)(recv, args...) = value. A view
+/// into the store: `args` is valid until the next mutation.
 struct ScalarEntry {
   Oid recv;
-  std::vector<Oid> args;
+  std::span<const Oid> args;
   Oid value;
   /// Generation at which this fact was asserted.
   uint64_t gen;
-};
-
-/// One set-valued group: I_->>(m)(recv, args...) = {members...}.
-struct SetGroup {
-  Oid recv;
-  std::vector<Oid> args;
-  /// Members in insertion order; `member_gens[i]` stamps `members[i]`.
-  std::vector<Oid> members;
-  std::vector<uint64_t> member_gens;
-  /// member -> generation of its membership fact.
-  std::unordered_map<Oid, uint64_t> member_set;
-
-  bool Contains(Oid o) const { return member_set.count(o) > 0; }
-  /// Generation of o's membership fact; UINT64_MAX if not a member.
-  uint64_t MemberGen(Oid o) const {
-    auto it = member_set.find(o);
-    return it == member_set.end() ? UINT64_MAX : it->second;
-  }
 };
 
 /// Address of one membership fact inside a method's group list: the
@@ -98,6 +83,160 @@ struct SetMemberRef {
   uint32_t group;
   uint32_t pos;
 };
+
+namespace store_detail {
+
+/// A scalar entry as stored: its args are a slice of the table's
+/// `args` vector.
+struct ScalarRecord {
+  Oid recv;
+  Oid value;
+  uint64_t gen;
+  uint32_t args_off;
+  uint32_t argc;
+};
+
+/// A set group as stored: its args are a slice of the table's `args`
+/// vector, its members (with their generations) a list in `members`.
+struct GroupRecord {
+  Oid recv;
+  uint32_t args_off;
+  uint32_t argc;
+  ListRef members;
+};
+
+/// The facts of one scalar method.
+struct ScalarTable {
+  std::vector<ScalarRecord> entries;
+  /// Every entry's args, back to back.
+  std::vector<Oid> args;
+  /// (recv, args) -> entry.
+  IndexSet index;
+  /// recv -> entries, and the inverted value -> entries, in insertion
+  /// order.
+  PostingMap<uint32_t> by_recv;
+  PostingMap<uint32_t> by_value;
+  /// Counters + exact top-k heavy hitters over by_value.
+  MethodStats stats;
+
+  std::span<const Oid> Args(const ScalarRecord& e) const {
+    return {args.data() + e.args_off, e.argc};
+  }
+};
+
+/// The facts of one set-valued method.
+struct SetTable {
+  std::vector<GroupRecord> groups;
+  /// Every group's args, back to back.
+  std::vector<Oid> args;
+  /// (recv, args) -> group.
+  IndexSet index;
+  /// recv -> groups, and the inverted member -> membership facts, in
+  /// insertion order.
+  PostingMap<uint32_t> by_recv;
+  PostingMap<SetMemberRef> by_member;
+  /// Each group's members and their generations, in insertion order.
+  ListArena<Oid, uint64_t> members;
+  /// (group, member) -> position, for groups too large to scan.
+  PairMap positions;
+  /// Counters + exact top-k heavy hitters over by_member.
+  MethodStats stats;
+
+  std::span<const Oid> Args(const GroupRecord& g) const {
+    return {args.data() + g.args_off, g.argc};
+  }
+};
+
+}  // namespace store_detail
+
+/// One set-valued group: I_->>(m)(recv, args...) = {members...}. A view
+/// into the store, valid until the next mutation.
+class SetGroup {
+ public:
+  Oid recv;
+  std::span<const Oid> args;
+  /// Members in insertion order; `member_gens[i]` stamps `members[i]`.
+  std::span<const Oid> members;
+  std::span<const uint64_t> member_gens;
+
+  bool Contains(Oid o) const { return MemberGen(o) != UINT64_MAX; }
+  /// Generation of o's membership fact; UINT64_MAX if not a member.
+  uint64_t MemberGen(Oid o) const;
+
+ private:
+  friend class SetGroupList;
+  friend class ObjectStore;
+  SetGroup(const store_detail::SetTable& t, uint32_t index);
+
+  const PairMap* positions_;
+  uint32_t index_;
+};
+
+/// Iterates a random-access view by index, yielding elements by value.
+template <typename List, typename Elem>
+class IndexIterator {
+ public:
+  IndexIterator(const List* list, size_t i) : list_(list), i_(i) {}
+  Elem operator*() const { return (*list_)[i_]; }
+  IndexIterator& operator++() {
+    ++i_;
+    return *this;
+  }
+  bool operator==(const IndexIterator& o) const { return i_ == o.i_; }
+
+ private:
+  const List* list_;
+  size_t i_;
+};
+
+/// The facts of one scalar method in generation order, as a view valid
+/// until the next mutation of the store.
+class ScalarEntryList {
+ public:
+  ScalarEntryList() = default;
+  explicit ScalarEntryList(const store_detail::ScalarTable* t) : t_(t) {}
+  size_t size() const { return t_ == nullptr ? 0 : t_->entries.size(); }
+  bool empty() const { return size() == 0; }
+  ScalarEntry operator[](size_t i) const {
+    const store_detail::ScalarRecord& e = t_->entries[i];
+    return ScalarEntry{e.recv, t_->Args(e), e.value, e.gen};
+  }
+  IndexIterator<ScalarEntryList, ScalarEntry> begin() const {
+    return {this, 0};
+  }
+  IndexIterator<ScalarEntryList, ScalarEntry> end() const {
+    return {this, size()};
+  }
+
+ private:
+  const store_detail::ScalarTable* t_ = nullptr;
+};
+
+/// The groups of one set-valued method in creation order, as a view
+/// valid until the next mutation of the store.
+class SetGroupList {
+ public:
+  SetGroupList() = default;
+  explicit SetGroupList(const store_detail::SetTable* t) : t_(t) {}
+  size_t size() const { return t_ == nullptr ? 0 : t_->groups.size(); }
+  bool empty() const { return size() == 0; }
+  SetGroup operator[](size_t i) const {
+    return SetGroup(*t_, static_cast<uint32_t>(i));
+  }
+  IndexIterator<SetGroupList, SetGroup> begin() const { return {this, 0}; }
+  IndexIterator<SetGroupList, SetGroup> end() const { return {this, size()}; }
+
+ private:
+  const store_detail::SetTable* t_ = nullptr;
+};
+
+inline SetGroup::SetGroup(const store_detail::SetTable& t, uint32_t index)
+    : recv(t.groups[index].recv),
+      args(t.Args(t.groups[index])),
+      members(t.members.Get<0>(t.groups[index].members)),
+      member_gens(t.members.Get<1>(t.groups[index].members)),
+      positions_(&t.positions),
+      index_(index) {}
 
 /// The mutable object store. Copyable: a copy is an independent
 /// snapshot (used by the engine to run naive/semi-naive as oracles
@@ -164,16 +303,28 @@ class ObjectStore {
   uint64_t IsaGen(Oid sub, Oid super) const;
 
   /// All objects u with u <=_U c (the extent of c), insertion order.
-  const std::vector<Oid>& Members(Oid c) const;
+  std::span<const Oid> Members(Oid c) const {
+    return c < members_.size() ? closure_.Get<0>(members_[c])
+                               : std::span<const Oid>();
+  }
 
   /// Generations parallel to Members(c).
-  const std::vector<uint64_t>& MemberGens(Oid c) const;
+  std::span<const uint64_t> MemberGens(Oid c) const {
+    return c < members_.size() ? closure_.Get<1>(members_[c])
+                               : std::span<const uint64_t>();
+  }
 
-  /// All direct and transitive superclasses of o.
-  const std::vector<Oid>& Ancestors(Oid o) const;
+  /// All direct and transitive superclasses of o, insertion order.
+  std::span<const Oid> Ancestors(Oid o) const {
+    return o < ancestors_.size() ? closure_.Get<0>(ancestors_[o])
+                                 : std::span<const Oid>();
+  }
 
   /// Generations parallel to Ancestors(o).
-  const std::vector<uint64_t>& AncestorGens(Oid o) const;
+  std::span<const uint64_t> AncestorGens(Oid o) const {
+    return o < ancestors_.size() ? closure_.Get<1>(ancestors_[o])
+                                 : std::span<const uint64_t>();
+  }
 
   // --- Scalar methods (I_->) ----------------------------------------
 
@@ -188,16 +339,17 @@ class ObjectStore {
                                const std::vector<Oid>& args) const;
 
   /// All facts of scalar method m (empty if m has none).
-  const std::vector<ScalarEntry>& ScalarEntries(Oid m) const;
+  ScalarEntryList ScalarEntries(Oid m) const;
 
-  /// Indexes of entries in ScalarEntries(m) whose receiver is recv.
-  const std::vector<uint32_t>& ScalarEntriesByRecv(Oid m, Oid recv) const;
+  /// Indexes of entries in ScalarEntries(m) whose receiver is recv, in
+  /// insertion order.
+  std::span<const uint32_t> ScalarEntriesByRecv(Oid m, Oid recv) const;
 
   /// Indexes of entries in ScalarEntries(m) whose *value* is value —
   /// the inverted value→receiver index. Maintained incrementally by
   /// SetScalar, so entry order (and thus generation order) is
   /// preserved within each bucket.
-  const std::vector<uint32_t>& ScalarEntriesByValue(Oid m, Oid value) const;
+  std::span<const uint32_t> ScalarEntriesByValue(Oid m, Oid value) const;
 
   /// Number of distinct values among the facts of scalar method m (the
   /// inverted index's bucket count). The planner's runtime-bound
@@ -222,21 +374,23 @@ class ObjectStore {
   /// membership is new.
   bool AddSetMember(Oid m, Oid recv, const std::vector<Oid>& args, Oid value);
 
-  /// The group for (m, recv, args), or nullptr where the set is empty.
-  const SetGroup* GetSetGroup(Oid m, Oid recv,
-                              const std::vector<Oid>& args) const;
+  /// The group for (m, recv, args), or nullopt where the set is empty.
+  std::optional<SetGroup> GetSetGroup(Oid m, Oid recv,
+                                      const std::vector<Oid>& args) const;
 
   /// All groups of set-valued method m.
-  const std::vector<SetGroup>& SetGroups(Oid m) const;
+  SetGroupList SetGroups(Oid m) const;
 
-  /// Indexes of groups in SetGroups(m) whose receiver is recv.
-  const std::vector<uint32_t>& SetGroupsByRecv(Oid m, Oid recv) const;
+  /// Indexes of groups in SetGroups(m) whose receiver is recv, in
+  /// insertion order.
+  std::span<const uint32_t> SetGroupsByRecv(Oid m, Oid recv) const;
 
   /// Positions of membership facts of m whose member is `member` —
-  /// the inverted member→receiver index. Each SetMemberRef addresses
-  /// one membership fact: `SetGroups(m)[r.group]` is the group and
-  /// `r.pos` indexes its members/member_gens arrays.
-  const std::vector<SetMemberRef>& SetGroupsByMember(Oid m, Oid member) const;
+  /// the inverted member→receiver index, in insertion order. Each
+  /// SetMemberRef addresses one membership fact:
+  /// `SetGroups(m)[r.group]` is the group and `r.pos` indexes its
+  /// members/member_gens arrays.
+  std::span<const SetMemberRef> SetGroupsByMember(Oid m, Oid member) const;
 
   /// Number of distinct members among the facts of set method m (the
   /// inverted index's bucket count).
@@ -269,14 +423,23 @@ class ObjectStore {
   };
   Stats ComputeStats() const;
 
-  /// Approximate heap bytes retained by the store: object table +
-  /// intern maps, hierarchy closure pairs, method tables with their
-  /// inverted-index buckets, and the fact log. Maintained
-  /// incrementally by every mutator (flat per-slot estimates plus
-  /// string payloads), so reads are free and snapshot/WAL replay
-  /// rebuilds the figure exactly (replay re-runs the mutators). This
-  /// is the quantity ResourceBudget's byte dimension governs.
-  uint64_t ApproxBytes() const { return approx_bytes_; }
+  /// Pre-sizes the store for a bulk load of `objects` objects and
+  /// `facts` facts, `isa_facts` of them isa edges. Loading without it
+  /// gives the same store, with more slack in its tables.
+  void Reserve(size_t objects, size_t facts, size_t isa_facts);
+
+  /// Pre-sizes scalar method m's tables for `facts` facts, `no_args`
+  /// of them without arguments (each of those has its own receiver).
+  void ReserveScalar(Oid m, size_t facts, size_t no_args);
+
+  /// Approximate heap bytes retained by the store: the object table
+  /// and intern maps, the hierarchy closure, the method tables with
+  /// their indexes and posting lists, and the fact log. Derived from
+  /// the containers' capacities plus the heap strings and fact
+  /// arguments the mutators count, with the allocator's chunk rounding;
+  /// O(number of methods). This is the quantity ResourceBudget's byte
+  /// dimension governs.
+  uint64_t ApproxBytes() const;
 
   // --- Observability -------------------------------------------------
 
@@ -295,27 +458,18 @@ class ObjectStore {
     int64_t int_value = 0;
   };
 
-  struct ScalarTable {
-    std::unordered_map<InvocationKey, uint32_t, InvocationKeyHash> index;
-    std::vector<ScalarEntry> entries;
-    std::unordered_map<Oid, std::vector<uint32_t>> by_recv;
-    /// Inverted index: value -> entry indexes, in insertion order.
-    std::unordered_map<Oid, std::vector<uint32_t>> by_value;
-    /// Counters + exact top-k heavy hitters over by_value.
-    MethodStats stats;
-  };
-
-  struct SetTable {
-    std::unordered_map<InvocationKey, uint32_t, InvocationKeyHash> index;
-    std::vector<SetGroup> groups;
-    std::unordered_map<Oid, std::vector<uint32_t>> by_recv;
-    /// Inverted index: member -> membership facts, in insertion order.
-    std::unordered_map<Oid, std::vector<SetMemberRef>> by_member;
-    /// Counters + exact top-k heavy hitters over by_member.
-    MethodStats stats;
-  };
-
   Oid AddObject(ObjectInfo info);
+  /// The interned object of this kind and payload (the text of a symbol
+  /// or string, the value of an integer), or kNilOid.
+  Oid FindInterned(ObjectKind kind, std::string_view text,
+                   int64_t value) const;
+  /// Adds `info` as a new interned object.
+  Oid AddInterned(ObjectInfo info, std::string_view text);
+  /// The interned payload hash of object o.
+  uint64_t InternHashOf(Oid o) const;
+  /// The text an object is interned by: a symbol's name, a string's
+  /// text without its quotes; empty for other kinds.
+  static std::string_view InternText(const ObjectInfo& info);
 
   /// Cached metric handles (borrowed from the attached registry; all
   /// null when metrics are detached).
@@ -328,25 +482,28 @@ class ObjectStore {
   MetricsHooks metrics_;
 
   std::vector<ObjectInfo> objects_;
-  std::unordered_map<std::string, Oid> symbols_;
-  std::unordered_map<int64_t, Oid> ints_;
-  std::unordered_map<std::string, Oid> strings_;
+  /// The interned symbols, integers and strings, keyed by kind and
+  /// payload (anonymous objects are not interned).
+  IndexSet interned_;
 
-  // Hierarchy: direct edges plus eagerly-maintained reachability, with
-  // the generation of the establishing fact per closure pair.
-  std::unordered_map<Oid, std::vector<Oid>> up_edges_;
-  std::unordered_map<Oid, std::vector<Oid>> ancestors_;  // closure
-  std::unordered_map<Oid, std::vector<uint64_t>> ancestor_gens_;
-  std::unordered_map<Oid, std::unordered_map<Oid, uint64_t>> anc_set_;
-  std::unordered_map<Oid, std::vector<Oid>> members_;  // extent
-  std::unordered_map<Oid, std::vector<uint64_t>> member_gens_;
+  // Hierarchy: the reachability closure, eagerly maintained. Each
+  // closure pair (x, y) is one isa_gen_ slot, one item of x's ancestor
+  // list and one of y's member list, all stamped with the generation
+  // of the fact that established it.
+  PairMap isa_gen_;
+  std::vector<ListRef> ancestors_;  // per oid, into closure_
+  std::vector<ListRef> members_;    // per oid, into closure_
+  ListArena<Oid, uint64_t> closure_;
 
-  std::unordered_map<Oid, ScalarTable> scalar_;
-  std::unordered_map<Oid, SetTable> setval_;
+  std::unordered_map<Oid, store_detail::ScalarTable> scalar_;
+  std::unordered_map<Oid, store_detail::SetTable> setval_;
 
   std::vector<Fact> log_;
 
-  uint64_t approx_bytes_ = 0;
+  /// Heap bytes of long object names and of fact arguments in the log
+  /// (ApproxBytes).
+  uint64_t string_bytes_ = 0;
+  uint64_t fact_arg_bytes_ = 0;
 };
 
 }  // namespace pathlog

@@ -5,8 +5,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 namespace pathlog {
 
@@ -19,7 +17,7 @@ using Oid = uint32_t;
 /// Sentinel: no object.
 inline constexpr Oid kNilOid = static_cast<Oid>(-1);
 
-/// FNV-1a accumulation, used by the store's composite keys.
+/// FNV-1a accumulation, for hash keys made of several oids.
 inline size_t HashCombine(size_t seed, size_t v) {
   // 64-bit FNV-1a step over the 8 bytes of v.
   size_t h = seed;
@@ -35,22 +33,6 @@ inline size_t HashOidSpan(const Oid* data, size_t n, size_t seed) {
   for (size_t i = 0; i < n; ++i) h = HashCombine(h, data[i]);
   return h;
 }
-
-/// Key of one method invocation: receiver u_0 plus arguments u_1..u_k.
-struct InvocationKey {
-  Oid recv;
-  std::vector<Oid> args;
-
-  friend bool operator==(const InvocationKey& a,
-                         const InvocationKey& b) = default;
-};
-
-struct InvocationKeyHash {
-  size_t operator()(const InvocationKey& k) const {
-    size_t h = HashCombine(14695981039346656037ull, k.recv);
-    return HashOidSpan(k.args.data(), k.args.size(), h);
-  }
-};
 
 }  // namespace pathlog
 

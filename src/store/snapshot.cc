@@ -1,6 +1,7 @@
 #include "store/snapshot.h"
 
 #include <cstring>
+#include <unordered_map>
 
 #include "base/coding.h"
 #include "base/crc32.h"
@@ -59,10 +60,50 @@ Status AppendBody(const ObjectStore& store, std::string* out) {
   return Status::OK();
 }
 
+/// Pre-sizes `store` for the image in `body` from a counting pass: the
+/// object and fact counts, the isa edges, and each scalar method's
+/// facts. A malformed image stops the count; the loading pass reports
+/// it.
+void ReserveForBody(std::string_view body, ObjectStore* store) {
+  ByteReader r(body);
+  const uint64_t n = r.U64();
+  for (uint64_t i = 0; i < n && r.Ok(); ++i) {
+    if (static_cast<ObjectKind>(r.U8()) == ObjectKind::kInt) {
+      r.U64();
+    } else {
+      r.Bytes(r.U32());
+    }
+  }
+  const uint64_t facts = r.Ok() ? r.U64() : 0;
+  uint64_t isa = 0, counted = 0;
+  struct Counts {
+    size_t facts = 0, no_args = 0;
+  };
+  std::unordered_map<Oid, Counts> scalar;
+  for (; counted < facts && r.Ok(); ++counted) {
+    const FactKind kind = static_cast<FactKind>(r.U8());
+    const Oid method = r.U32();
+    r.U32();  // receiver
+    const uint16_t argc = r.U16();
+    r.Bytes(4 * size_t{argc});
+    r.U32();  // value
+    if (kind == FactKind::kIsa) ++isa;
+    if (kind == FactKind::kScalar && method < n) {
+      Counts& c = scalar[method];
+      ++c.facts;
+      if (argc == 0) ++c.no_args;
+    }
+  }
+  if (!r.Ok()) return;
+  store->Reserve(n, counted, isa);
+  for (const auto& [m, c] : scalar) store->ReserveScalar(m, c.facts, c.no_args);
+}
+
 Result<ObjectStore> DeserializeBody(std::string_view body) {
   ByteReader r(body);
 
   ObjectStore store;
+  ReserveForBody(body, &store);
   const uint64_t n = r.U64();
   for (uint64_t i = 0; i < n && r.Ok(); ++i) {
     ObjectKind kind = static_cast<ObjectKind>(r.U8());
@@ -113,7 +154,8 @@ Result<ObjectStore> DeserializeBody(std::string_view body) {
     // tables (AddSetMember trusts its caller) and later reads would be
     // out of bounds. Replay through the public mutators below then
     // rebuilds every derived index — forward, inverted, and hierarchy
-    // closure — so none of them are serialized.
+    // closure — so none of them are serialized; ReserveForBody sized
+    // the tables up front.
     bool oids_ok = store.Valid(method) && store.Valid(recv) &&
                    (kind == FactKind::kIsa || store.Valid(value));
     for (Oid a : args) oids_ok = oids_ok && store.Valid(a);

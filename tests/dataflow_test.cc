@@ -331,6 +331,8 @@ const AnalysisFixture kAnalysisFixtures[] = {
     {"pl015_contradiction.plg", LintCode::kContradiction, Severity::kWarning},
     {"pl016_dead_rule.plg", LintCode::kDeadRule, Severity::kWarning},
     {"pl017_nonterminating.plg", LintCode::kNonTermination, Severity::kError},
+    {"pl017_nonterminating_int.plg", LintCode::kNonTermination,
+     Severity::kError},
     {"pl018_unbounded_invention.plg", LintCode::kUnboundedInvention,
      Severity::kWarning},
     {"pl019_unbound_target.plg", LintCode::kUnboundTarget, Severity::kWarning},

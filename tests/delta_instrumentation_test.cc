@@ -31,9 +31,10 @@ TEST(StoreGenStampsTest, SetMembersCarryGenerations) {
   Oid c = s.InternSymbol("c");
   s.AddSetMember(m, a, {}, b);  // gen 0
   s.AddSetMember(m, a, {}, c);  // gen 1
-  const SetGroup* g = s.GetSetGroup(m, a, {});
-  ASSERT_NE(g, nullptr);
-  EXPECT_EQ(g->member_gens, (std::vector<uint64_t>{0, 1}));
+  const std::optional<SetGroup> g = s.GetSetGroup(m, a, {});
+  ASSERT_TRUE(g.has_value());
+  EXPECT_EQ(std::vector<uint64_t>(g->member_gens.begin(), g->member_gens.end()),
+            (std::vector<uint64_t>{0, 1}));
   EXPECT_EQ(g->MemberGen(b), 0u);
   EXPECT_EQ(g->MemberGen(c), 1u);
   EXPECT_EQ(g->MemberGen(a), UINT64_MAX);

@@ -142,8 +142,8 @@ TEST_F(HeadAssertTest, SetEnumAndSetRefHeads) {
   ASSERT_TRUE(Assert("p2[copies->>p1..kids]").ok());
   Oid copies = *store_.FindSymbol("copies");
   Oid p2 = *store_.FindSymbol("p2");
-  const SetGroup* g = store_.GetSetGroup(copies, p2, {});
-  ASSERT_NE(g, nullptr);
+  const std::optional<SetGroup> g = store_.GetSetGroup(copies, p2, {});
+  ASSERT_TRUE(g.has_value());
   EXPECT_EQ(g->members.size(), 2u);
 }
 

@@ -95,9 +95,8 @@ TEST_P(PropertyTest, OpenReferencesMatchDefinition4) {
   RefEvaluator eval(I);
   RefGen gen(GetParam() + 9000, /*with_vars=*/true);
 
-  // Depth 2 drives molecules from their filters more often; depth 3
-  // puts paths inside filter values, which are matched against a bound
-  // target.
+  // Depth 2 already puts paths inside filter values, which are matched
+  // against a bound target; depth 3 nests one level more.
   int open = 0;
   for (int i = 0; i < 300; ++i) {
     RefPtr ref = gen.Gen(2 + i % 2);

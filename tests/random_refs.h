@@ -31,6 +31,10 @@ inline const char* const kObjects[] = {"a", "b", "c", "d", "e", "f", "g", "h"};
 inline const char* const kClasses[] = {"t0", "t1", "t2", "t3"};
 inline const char* const kScalarMethods[] = {"sm0", "sm1", "sm2"};
 inline const char* const kSetMethods[] = {"pm0", "pm1"};
+/// The arguments of the facts and references that take one (`m@(x)`):
+/// two objects and two integers.
+inline const char* const kArgObjects[] = {"a", "b"};
+inline constexpr int64_t kArgInts = 2;
 
 class RefGen {
  public:
@@ -55,17 +59,19 @@ class RefGen {
     return Ref::Molecule(std::move(base), std::move(filters));
   }
 
+  /// Mostly one of the objects RandomStore files facts on, so that a
+  /// reference usually denotes something; now and then a class, an
+  /// integer or a method name.
   RefPtr GenSimple(int depth) {
     if (with_vars_ && Chance(20)) {
       return Ref::Var(std::string("V") + std::to_string(Pick(3)));
     }
     if (depth > 0 && Chance(15)) return Ref::Paren(GenRef(depth - 1));
-    switch (Pick(4)) {
+    if (Chance(70)) return Ref::Name(kObjects[Pick(std::size(kObjects))]);
+    switch (Pick(3)) {
       case 0:
-        return Ref::Name(kObjects[Pick(std::size(kObjects))]);
-      case 1:
         return Ref::Name(kClasses[Pick(std::size(kClasses))]);
-      case 2:
+      case 1:
         return Ref::Int(static_cast<int64_t>(Pick(4)));
       default:
         return Ref::Name(kScalarMethods[Pick(std::size(kScalarMethods))]);
@@ -77,15 +83,30 @@ class RefGen {
     return Ref::Name(kScalarMethods[Pick(std::size(kScalarMethods))]);
   }
 
+  /// The arguments of one invocation: none, or (one time in four) one
+  /// drawn from the arguments RandomStore's facts take, or a variable.
+  std::vector<RefPtr> GenArgs() {
+    std::vector<RefPtr> args;
+    if (!Chance(25)) return args;
+    if (with_vars_ && Chance(25)) {
+      args.push_back(Ref::Var(std::string("V") + std::to_string(Pick(3))));
+    } else if (Chance(50)) {
+      args.push_back(Ref::Name(kArgObjects[Pick(std::size(kArgObjects))]));
+    } else {
+      args.push_back(Ref::Int(static_cast<int64_t>(Pick(kArgInts))));
+    }
+    return args;
+  }
+
   /// Generates a *scalar* reference (for filter values, args, elems).
   RefPtr GenScalar(int depth) {
     RefPtr r = GenSimple(depth);
     while (IsSetValued(*r)) r = GenSimple(depth);  // parens may be set
     if (depth <= 0) return r;
     // Optionally extend with scalar paths/filters.
-    for (int i = 0; i < 2 && Chance(40); ++i) {
-      if (Chance(60)) {
-        r = Ref::ScalarPath(std::move(r), GenMethod(false));
+    for (int i = 0; i < 2 && Chance(50); ++i) {
+      if (Chance(70)) {
+        r = Ref::ScalarPath(std::move(r), GenMethod(false), GenArgs());
       } else {
         r = AttachFilters(std::move(r), {GenFilter(depth - 1)});
       }
@@ -96,26 +117,29 @@ class RefGen {
   /// Generates a set-valued reference.
   RefPtr GenSetValued(int depth) {
     RefPtr r = Ref::SetPath(GenScalar(depth > 0 ? depth - 1 : 0),
-                            GenMethod(true));
+                            GenMethod(true), GenArgs());
     if (depth > 0 && Chance(30)) {
       r = AttachFilters(std::move(r), {GenFilter(depth - 1)});
     }
     return r;
   }
 
+  /// A filter whose values are references of up to `depth` (so a
+  /// depth-1 filter may match a path value against a bound target).
   Filter GenFilter(int depth) {
-    int d = depth > 0 ? depth - 1 : 0;
     switch (Pick(4)) {
       case 0:
-        return Ref::ScalarFilter(GenMethod(false), GenScalar(d));
+        return Ref::ScalarFilter(GenMethod(false), GenScalar(depth),
+                                 GenArgs());
       case 1: {
         std::vector<RefPtr> elems;
         size_t n = 1 + Pick(2);
-        for (size_t i = 0; i < n; ++i) elems.push_back(GenScalar(d));
-        return Ref::SetEnumFilter(GenMethod(true), std::move(elems));
+        for (size_t i = 0; i < n; ++i) elems.push_back(GenScalar(depth));
+        return Ref::SetEnumFilter(GenMethod(true), std::move(elems), GenArgs());
       }
       case 2:
-        return Ref::SetRefFilter(GenMethod(true), GenSetValued(d));
+        return Ref::SetRefFilter(GenMethod(true), GenSetValued(depth),
+                                 GenArgs());
       default:
         return Ref::ClassFilter(
             Ref::Name(kClasses[Pick(std::size(kClasses))]));
@@ -124,15 +148,19 @@ class RefGen {
 
   RefPtr GenRef(int depth) {
     if (depth <= 0) return GenSimple(0);
-    RefPtr r = GenSimple(depth - 1);
+    // An open base makes the evaluator drive the first molecule from
+    // an index, so it is drawn more often here than elsewhere.
+    RefPtr r = with_vars_ && Chance(25)
+                   ? Ref::Var(std::string("V") + std::to_string(Pick(3)))
+                   : GenSimple(depth - 1);
     int steps = 1 + static_cast<int>(Pick(3));
     for (int i = 0; i < steps; ++i) {
-      switch (Pick(3)) {
+      switch (Pick(4)) {
         case 0:
-          r = Ref::ScalarPath(std::move(r), GenMethod(false));
+          r = Ref::ScalarPath(std::move(r), GenMethod(false), GenArgs());
           break;
         case 1:
-          r = Ref::SetPath(std::move(r), GenMethod(true));
+          r = Ref::SetPath(std::move(r), GenMethod(true), GenArgs());
           break;
         default: {
           std::vector<Filter> filters;
@@ -180,7 +208,7 @@ inline ObjectStore RandomStore(uint64_t seed) {
   for (Oid o : objects) {
     if (pick(3) != 0) (void)store.AddIsa(o, classes[pick(classes.size())]);
   }
-  for (int i = 0; i < 25; ++i) {
+  for (int i = 0; i < 40; ++i) {
     Oid m = scalars[pick(scalars.size())];
     Oid recv = objects[pick(objects.size())];
     Oid value = pool[pick(pool.size())];
@@ -191,6 +219,22 @@ inline ObjectStore RandomStore(uint64_t seed) {
     Oid recv = objects[pick(objects.size())];
     Oid value = pool[pick(pool.size())];
     store.AddSetMember(m, recv, {}, value);
+  }
+  // Facts with one argument (m@(x)), on the same methods.
+  std::vector<Oid> args;
+  for (const char* a : kArgObjects) args.push_back(*store.FindSymbol(a));
+  for (int64_t i = 0; i < kArgInts; ++i) args.push_back(*store.FindInt(i));
+  for (int i = 0; i < 12; ++i) {
+    Oid m = scalars[pick(scalars.size())];
+    Oid recv = objects[pick(objects.size())];
+    Oid value = pool[pick(pool.size())];
+    (void)store.SetScalar(m, recv, {args[pick(args.size())]}, value);
+  }
+  for (int i = 0; i < 12; ++i) {
+    Oid m = sets[pick(sets.size())];
+    Oid recv = objects[pick(objects.size())];
+    Oid value = pool[pick(pool.size())];
+    store.AddSetMember(m, recv, {args[pick(args.size())]}, value);
   }
   return store;
 }

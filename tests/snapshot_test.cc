@@ -239,8 +239,8 @@ TEST(SnapshotTest, RoundTripPreservesGenerationStamps) {
   Result<ObjectStore> copy = DeserializeSnapshot(MustSerialize(store));
   ASSERT_TRUE(copy.ok()) << copy.status();
   for (Oid m : store.ScalarMethods()) {
-    const std::vector<ScalarEntry>& a = store.ScalarEntries(m);
-    const std::vector<ScalarEntry>& b = copy->ScalarEntries(m);
+    const ScalarEntryList a = store.ScalarEntries(m);
+    const ScalarEntryList b = copy->ScalarEntries(m);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].gen, b[i].gen);
@@ -249,18 +249,19 @@ TEST(SnapshotTest, RoundTripPreservesGenerationStamps) {
     }
   }
   for (Oid m : store.SetMethods()) {
-    const std::vector<SetGroup>& a = store.SetGroups(m);
-    const std::vector<SetGroup>& b = copy->SetGroups(m);
+    const SetGroupList a = store.SetGroups(m);
+    const SetGroupList b = copy->SetGroups(m);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].recv, b[i].recv);
-      EXPECT_EQ(a[i].members, b[i].members);
-      EXPECT_EQ(a[i].member_gens, b[i].member_gens);
+      EXPECT_TRUE(std::ranges::equal(a[i].members, b[i].members));
+      EXPECT_TRUE(std::ranges::equal(a[i].member_gens, b[i].member_gens));
     }
   }
   for (Oid o = 0; o < store.UniverseSize(); ++o) {
-    EXPECT_EQ(store.Ancestors(o), copy->Ancestors(o));
-    EXPECT_EQ(store.AncestorGens(o), copy->AncestorGens(o));
+    EXPECT_TRUE(std::ranges::equal(store.Ancestors(o), copy->Ancestors(o)));
+    EXPECT_TRUE(
+        std::ranges::equal(store.AncestorGens(o), copy->AncestorGens(o)));
   }
 }
 
@@ -276,16 +277,16 @@ TEST(SnapshotTest, RoundTripRebuildsInvertedIndexes) {
 
   for (Oid m : copy->ScalarMethods()) {
     EXPECT_EQ(copy->ScalarDistinctValues(m), store.ScalarDistinctValues(m));
-    const std::vector<ScalarEntry>& entries = copy->ScalarEntries(m);
+    const ScalarEntryList entries = copy->ScalarEntries(m);
     for (uint32_t i = 0; i < entries.size(); ++i) {
-      const std::vector<uint32_t>& bucket =
+      const std::span<const uint32_t> bucket =
           copy->ScalarEntriesByValue(m, entries[i].value);
       EXPECT_NE(std::find(bucket.begin(), bucket.end(), i), bucket.end());
     }
   }
   for (Oid m : copy->SetMethods()) {
     EXPECT_EQ(copy->SetDistinctMembers(m), store.SetDistinctMembers(m));
-    const std::vector<SetGroup>& groups = copy->SetGroups(m);
+    const SetGroupList groups = copy->SetGroups(m);
     for (uint32_t gi = 0; gi < groups.size(); ++gi) {
       for (uint32_t pos = 0; pos < groups[gi].members.size(); ++pos) {
         bool found = false;

@@ -3,8 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+#include "query/database.h"
 #include "store/fact.h"
+#include "store/snapshot.h"
+#include "workload/company.h"
 
 namespace pathlog {
 namespace {
@@ -82,7 +90,7 @@ TEST(StoreHierarchyTest, ClosureUpdatesWhenEdgeAddedLate) {
   ASSERT_TRUE(s.AddIsa(v1, automobile).ok());
   ASSERT_TRUE(s.AddIsa(automobile, vehicle).ok());
   EXPECT_TRUE(s.IsA(v1, vehicle));
-  const std::vector<Oid>& members = s.Members(vehicle);
+  const std::span<const Oid> members = s.Members(vehicle);
   EXPECT_NE(std::find(members.begin(), members.end(), v1), members.end());
 }
 
@@ -166,13 +174,13 @@ TEST(StoreSetTest, MembershipAndDedup) {
   EXPECT_TRUE(s.AddSetMember(kids, peter, {}, tim));
   EXPECT_TRUE(s.AddSetMember(kids, peter, {}, mary));
   EXPECT_FALSE(s.AddSetMember(kids, peter, {}, tim));  // duplicate
-  const SetGroup* g = s.GetSetGroup(kids, peter, {});
-  ASSERT_NE(g, nullptr);
+  const std::optional<SetGroup> g = s.GetSetGroup(kids, peter, {});
+  ASSERT_TRUE(g.has_value());
   EXPECT_EQ(g->members.size(), 2u);
   EXPECT_TRUE(g->Contains(tim));
   EXPECT_TRUE(g->Contains(mary));
   EXPECT_FALSE(g->Contains(peter));
-  EXPECT_EQ(s.GetSetGroup(kids, tim, {}), nullptr);
+  EXPECT_FALSE(s.GetSetGroup(kids, tim, {}).has_value());
 }
 
 TEST(StoreSetTest, GroupsByReceiver) {
@@ -200,7 +208,7 @@ TEST(StoreScalarTest, InvertedValueIndex) {
   ASSERT_TRUE(s.SetScalar(color, bike, {}, blue).ok());
   ASSERT_TRUE(s.SetScalar(color, car2, {}, red).ok());
 
-  const std::vector<uint32_t>& reds = s.ScalarEntriesByValue(color, red);
+  const std::span<const uint32_t> reds = s.ScalarEntriesByValue(color, red);
   ASSERT_EQ(reds.size(), 2u);
   // Buckets keep insertion (generation) order.
   EXPECT_EQ(s.ScalarEntries(color)[reds[0]].recv, car1);
@@ -224,9 +232,9 @@ TEST(StoreSetTest, InvertedMemberIndex) {
   s.AddSetMember(kids, b, {}, x);
   s.AddSetMember(kids, b, {}, x);  // duplicate: no new index entry
 
-  const std::vector<SetMemberRef>& xs = s.SetGroupsByMember(kids, x);
+  const std::span<const SetMemberRef> xs = s.SetGroupsByMember(kids, x);
   ASSERT_EQ(xs.size(), 2u);
-  const std::vector<SetGroup>& groups = s.SetGroups(kids);
+  const SetGroupList groups = s.SetGroups(kids);
   EXPECT_EQ(groups[xs[0].group].recv, a);
   EXPECT_EQ(groups[xs[0].group].members[xs[0].pos], x);
   EXPECT_EQ(groups[xs[1].group].recv, b);
@@ -319,6 +327,75 @@ TEST(StoreCopyTest, CopyIsIndependentSnapshot) {
   EXPECT_EQ(copy.FactCount(), 1u);
   EXPECT_EQ(s.FactCount(), 2u);
   EXPECT_EQ(copy.FindSymbol("b"), std::nullopt);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizerOwnsMalloc = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitizerOwnsMalloc = true;
+#else
+constexpr bool kSanitizerOwnsMalloc = false;
+#endif
+#else
+constexpr bool kSanitizerOwnsMalloc = false;
+#endif
+
+TEST(StoreBytesTest, ApproxBytesMatchesTheHeapOfAMaterialisedStore) {
+  // ApproxBytes is what ResourceLimits::max_store_bytes governs, so it
+  // must track what the store really holds: the heap that a snapshot
+  // load allocates, as glibc's malloc counts it.
+#if defined(__GLIBC__)
+  if (kSanitizerOwnsMalloc) {
+    GTEST_SKIP() << "under ASan or TSan, the sanitizer's allocator owns the "
+                    "heap and mallinfo2 does not see it";
+  }
+  std::string snapshot;
+  {
+    ObjectStore generated;
+    CompanyConfig config;
+    config.num_employees = 2000;
+    config.num_companies = 40;
+    GenerateCompany(&generated, config);
+    Database db;
+    ASSERT_TRUE(db.Load(StoreToProgramText(generated)).ok());
+    ASSERT_TRUE(db.Load("X[reports->>{Y}] <- Y[boss->X].\n"
+                        "X[reports->>{Y}] <- X[reports->>{Z}], "
+                        "Z[reports->>{Y}].\n"
+                        "X.deputy[assists->X; inDept->D] <- X:manager, "
+                        "X[worksFor->D].\n"
+                        "X[ownsAutomobile->>{V}] <- V : automobile, "
+                        "X[vehicles->>{V}].\n")
+                    .ok());
+    ASSERT_TRUE(db.Materialize().ok());
+    Result<std::string> bytes = SerializeSnapshot(db.store());
+    ASSERT_TRUE(bytes.ok());
+    snapshot = std::move(*bytes);
+  }
+  auto heap = [] {
+    const struct mallinfo2 mi = mallinfo2();
+    return static_cast<double>(mi.uordblks + mi.hblkhd);
+  };
+  const double before = heap();
+  Result<ObjectStore> store = DeserializeSnapshot(snapshot);
+  const double grown = heap() - before;
+  ASSERT_TRUE(store.ok()) << store.status();
+  const double approx = static_cast<double>(store->ApproxBytes());
+  RecordProperty("heap_bytes_per_fact",
+                 std::to_string(grown / store->FactCount()));
+  RecordProperty("approx_bytes_per_fact",
+                 std::to_string(approx / store->FactCount()));
+  EXPECT_NEAR(approx / grown, 1.0, 0.2)
+      << "ApproxBytes " << approx << " against a heap delta of " << grown
+      << " over " << store->FactCount() << " facts";
+  // The compact layout holds this store in about 153 bytes per fact
+  // (the node-based one took about 420); the ceiling catches a layout
+  // that grows back toward that, which the comparison above, with
+  // ApproxBytes counting the same capacities, would not.
+  EXPECT_LT(grown / store->FactCount(), 180.0);
+#else
+  GTEST_SKIP() << "mallinfo2 is glibc's";
+#endif
 }
 
 }  // namespace

@@ -107,10 +107,11 @@ TEST(KinshipGenTest, ChainShape) {
   EXPECT_EQ(data.people.size(), 10u);
   EXPECT_EQ(data.num_edges, 9u);
   Oid kids = *s.FindSymbol("kids");
-  const SetGroup* g = s.GetSetGroup(kids, data.people[3], {});
-  ASSERT_NE(g, nullptr);
-  EXPECT_EQ(g->members, std::vector<Oid>{data.people[4]});
-  EXPECT_EQ(s.GetSetGroup(kids, data.people[9], {}), nullptr);
+  const std::optional<SetGroup> g = s.GetSetGroup(kids, data.people[3], {});
+  ASSERT_TRUE(g.has_value());
+  EXPECT_EQ(std::vector<Oid>(g->members.begin(), g->members.end()),
+            std::vector<Oid>{data.people[4]});
+  EXPECT_FALSE(s.GetSetGroup(kids, data.people[9], {}).has_value());
 }
 
 TEST(KinshipGenTest, TreeShape) {
@@ -118,11 +119,11 @@ TEST(KinshipGenTest, TreeShape) {
   KinshipData data = GenerateTree(&s, 15, 2);  // perfect binary tree
   EXPECT_EQ(data.num_edges, 14u);
   Oid kids = *s.FindSymbol("kids");
-  const SetGroup* root = s.GetSetGroup(kids, data.people[0], {});
-  ASSERT_NE(root, nullptr);
+  const std::optional<SetGroup> root = s.GetSetGroup(kids, data.people[0], {});
+  ASSERT_TRUE(root.has_value());
   EXPECT_EQ(root->members.size(), 2u);
   // Leaves have no kids.
-  EXPECT_EQ(s.GetSetGroup(kids, data.people[14], {}), nullptr);
+  EXPECT_FALSE(s.GetSetGroup(kids, data.people[14], {}).has_value());
 }
 
 TEST(KinshipGenTest, RandomDagIsAcyclicByConstruction) {
