@@ -17,7 +17,8 @@ JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
 cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "${BUILD_DIR}" -j "${JOBS}" \
-  --target bench_nested_refs bench_second_dimension bench_store bench_tc
+  --target bench_nested_refs bench_second_dimension bench_store \
+  bench_stratification bench_tc
 
 mkdir -p "${OUT_DIR}"
 
@@ -42,6 +43,15 @@ mkdir -p "${OUT_DIR}"
   --benchmark_filter='Wal|SnapshotLoad' \
   --benchmark_min_time=0.05 \
   --benchmark_out="${OUT_DIR}/BENCH_store.json" \
+  --benchmark_out_format=json
+
+# Admission at Load: loading layered rules in three orders, each rule
+# checked against the installed ones, and the Load that rejects an
+# unstratifiable rule (the binary aborts if that Load does not).
+"${BUILD_DIR}/bench/bench_stratification" \
+  --benchmark_filter='LoadRules|RejectionCost' \
+  --benchmark_min_time=0.05 \
+  --benchmark_out="${OUT_DIR}/BENCH_stratification.json" \
   --benchmark_out_format=json
 
 # Overhead gates: the ObsOn/ObsOff twins run the same materialisation

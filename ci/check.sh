@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# CI gate: one combined ASan+UBSan Debug build, the full test suite
-# under both sanitizers, and an analyzer-enabled lint pass over every
-# shipped example and workload scenario program.
+# CI gate: a compile-only Release build of every target, one combined
+# ASan+UBSan Debug build, the full test suite under both sanitizers,
+# and an analyzer-enabled lint pass over every shipped example and
+# workload scenario program.
 #
 #   ci/check.sh [build-dir]
 #
@@ -34,6 +35,12 @@ else
   echo "ci/check.sh: clang++ not found; skipping -Wthread-safety build" \
     "(annotations still lint-checked by tools/lock_lint.py)" >&2
 fi
+
+# Release build of every target, compile only: -O3 raises diagnostics
+# that the Debug and RelWithDebInfo builds never see (GCC's -Wrestrict
+# false positives among them), and -Werror makes each one fatal.
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
+cmake --build build-release -j "${JOBS}"
 
 # -fno-sanitize-recover=all already makes any UB report fatal; the
 # options below make the report actionable (symbolised stack) and keep

@@ -8,10 +8,11 @@
 // window is armed when it is built and is passed to everything the
 // call runs, so no budget state is shared between threads.
 //
-// Checks are cooperative: the engine, the reference evaluator, and the
-// trigger engine poll the window at loop boundaries (per rule
-// evaluation, every ~1k derivations, every ~1k enumeration steps), so a
-// trip is detected within one polling interval, never mid-assertion.
+// Checks are cooperative: the engine (its rules and its trigger
+// cascade) and the reference evaluator poll the window at loop
+// boundaries (per rule evaluation and cascade round, every ~1k
+// derivations, every ~1k enumeration steps), so a trip is detected
+// within one polling interval, never mid-assertion.
 // The window with default limits allocates nothing and reads no clock.
 
 #ifndef PATHLOG_BASE_BUDGET_H_

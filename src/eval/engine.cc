@@ -14,29 +14,6 @@
 
 namespace pathlog {
 
-namespace {
-
-/// Puts the body in safety order and checks range restriction.
-Status PlanBody(Rule* rule) {
-  std::set<std::string> bound;
-  Status st = OrderLiteralsForSafety(&rule->body, &bound);
-  if (!st.ok()) {
-    return UnsafeRule(StrCat("in rule `", ToString(*rule), "`: ",
-                             st.message()));
-  }
-  for (const std::string& v : VarsOf(*rule->head)) {
-    if (!bound.count(v)) {
-      return UnsafeRule(StrCat("head variable ", v, " of rule `",
-                               ToString(*rule),
-                               "` is not bound by any positive body literal "
-                               "(range restriction)"));
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 std::set<std::string> SetRefValueVars(const Ref& t) {
   std::set<std::string> out;
   ForEachMethodSite(t, [&](const MethodSite& site) {
@@ -114,6 +91,41 @@ Status OrderLiteralsForSafety(std::vector<Literal>* body,
   return Status::OK();
 }
 
+Status CheckEventRunsFirst(const Rule& trigger) {
+  // The ordering loop takes the first admissible literal, so the event
+  // stays first exactly when nothing inside it needs a binding.
+  if (SetRefValueVars(*trigger.body.front().ref).empty()) return Status::OK();
+  return UnsafeRule(StrCat(
+      "the event literal of trigger `", ToString(TriggerRule{trigger}),
+      "` cannot be evaluated first (its `->>` filter results need "
+      "variables bound elsewhere)"));
+}
+
+Status AdmitClause(const Rule& rule, bool trigger,
+                   std::vector<Literal>* order) {
+  PATHLOG_RETURN_IF_ERROR(trigger ? CheckTriggerWellFormed(TriggerRule{rule})
+                                  : CheckRuleWellFormed(rule));
+  if (rule.IsFact()) return Status::OK();
+  if (trigger) PATHLOG_RETURN_IF_ERROR(CheckEventRunsFirst(rule));
+  auto printed = [&] {
+    return trigger ? StrCat("trigger `", ToString(TriggerRule{rule}), "`")
+                   : StrCat("rule `", ToString(rule), "`");
+  };
+  std::vector<Literal> body = rule.body;
+  std::set<std::string> bound;
+  Status st = OrderLiteralsForSafety(&body, &bound);
+  if (!st.ok()) return UnsafeRule(StrCat("in ", printed(), ": ", st.message()));
+  for (const std::string& v : VarsOf(*rule.head)) {
+    if (!bound.count(v)) {
+      return UnsafeRule(StrCat("head variable ", v, " of ", printed(),
+                               " is not bound by any positive body literal "
+                               "(range restriction)"));
+    }
+  }
+  if (order != nullptr) *order = std::move(body);
+  return Status::OK();
+}
+
 Status EnumerateBody(const std::vector<Literal>& body,
                      const std::set<std::string>& vars, RefEvaluator* eval,
                      std::set<VarValuation>* out, size_t delta_literal,
@@ -154,15 +166,22 @@ Status EnumerateBody(const std::vector<Literal>& body,
   return r.ok() ? Status::OK() : r.status();
 }
 
-Status Engine::AddRule(const Rule& rule) {
-  PATHLOG_RETURN_IF_ERROR(CheckRuleWellFormed(rule));
+Status Engine::Add(const Rule& rule, bool trigger) {
   PlannedRule pr;
   pr.rule = rule;
-  pr.index = rules_.size();
-  PATHLOG_RETURN_IF_ERROR(PlanBody(&pr.rule));
+  pr.trigger = trigger;
+  PATHLOG_RETURN_IF_ERROR(AdmitClause(rule, trigger, &pr.rule.body));
   pr.head_vars = VarsOf(*pr.rule.head);
-  rules_.push_back(std::move(pr));
+  std::vector<PlannedRule>& into = trigger ? triggers_ : rules_;
+  pr.index = into.size();
+  into.push_back(std::move(pr));
   return Status::OK();
+}
+
+Status Engine::AddRule(const Rule& rule) { return Add(rule, false); }
+
+Status Engine::AddTrigger(const TriggerRule& trigger) {
+  return Add(trigger.rule, true);
 }
 
 Status Engine::AddRules(const std::vector<Rule>& rules) {
@@ -217,7 +236,12 @@ bool Engine::HeadReadsChanged(const PlannedRule& pr,
 
 Status Engine::WithLimitContext(const Status& st) {
   // Without where evaluation stood, a tripped limit on a large program
-  // gives no hint which rule was running away.
+  // gives no hint which rule or cascade was running away.
+  if (st.ok()) return st;
+  if (current_round_ > 0) {
+    return Status(st.code(), StrCat(st.message(), " during trigger round ",
+                                    current_round_));
+  }
   stats_.limit_stratum = current_stratum_;
   stats_.limit_rule =
       current_rule_ != nullptr ? ToString(current_rule_->rule) : "";
@@ -269,24 +293,33 @@ Status Engine::EvaluateRuleBody(PlannedRule* pr, HeadAsserter* asserter,
     }
   }
 
+  PATHLOG_RETURN_IF_ERROR(AssertBatch(*pr, batch, asserter));
+  return budget_->Check(*store_);
+}
+
+Status Engine::AssertBatch(const PlannedRule& pr,
+                           const std::set<VarValuation>& batch,
+                           HeadAsserter* asserter) {
+  uint64_t& asserted = pr.trigger ? trigger_stats_.firings : stats_.derivations;
   for (const VarValuation& v : batch) {
     Bindings hb;
     for (const auto& [var, oid] : v) hb.Bind(var, oid);
     const uint64_t before = store_->generation();
-    PATHLOG_RETURN_IF_ERROR(asserter->Assert(*pr->rule.head, &hb));
-    ++stats_.derivations;
+    PATHLOG_RETURN_IF_ERROR(asserter->Assert(*pr.rule.head, &hb));
+    ++asserted;
     budget_->ChargeDerivations();
-    // Poll mid-batch so a huge assertion batch cannot blow far past a
-    // store or derivation ceiling before the per-rule check.
-    if ((stats_.derivations & 0x3FF) == 0) {
+    // Poll mid-batch so a huge rule batch cannot blow far past a store
+    // or derivation ceiling before the per-rule check. A cascade round
+    // is checked once, before any of its firings land.
+    if (!pr.trigger && (asserted & 0x3FF) == 0) {
       PATHLOG_RETURN_IF_ERROR(budget_->Check(*store_));
     }
     if (options_.trace_provenance && store_->generation() > before) {
-      provenance_.push_back(
-          DerivationRecord{before, store_->generation(), pr->index, v});
+      provenance_.push_back(DerivationRecord{before, store_->generation(),
+                                             pr.index, v, pr.trigger});
     }
   }
-  return budget_->Check(*store_);
+  return Status::OK();
 }
 
 Status Engine::RunStratum(int stratum, const std::vector<size_t>& rule_idxs,
@@ -379,6 +412,78 @@ Status Engine::Run(ResourceBudget* budget) {
   // elapsed time would be undiagnosable.
   stats_.elapsed_ms += run_ms;
   PublishMetrics(before, run_ms);
+  return st;
+}
+
+Status Engine::FireRound(uint64_t from, HeadAsserter* asserter) {
+  PATHLOG_RETURN_IF_ERROR(WithLimitContext(budget_->CheckControl()));
+  SemanticStructure I(*store_);
+  RefEvaluator eval(I);
+  eval.set_budget(budget_);
+  // Every trigger's firings are collected before any is asserted, so
+  // every condition sees the store as the round began. Only the event
+  // literal, body[0], must consume a fact of the round. Budget trips
+  // surface while enumerating too (the evaluator polls), so they need
+  // the round context as much as the explicit gates do.
+  std::vector<std::set<VarValuation>> pending(triggers_.size());
+  for (size_t i = 0; i < triggers_.size(); ++i) {
+    const PlannedRule& pt = triggers_[i];
+    PATHLOG_RETURN_IF_ERROR(WithLimitContext(EnumerateBody(
+        pt.rule.body, pt.head_vars, &eval, &pending[i], 0, from)));
+  }
+  // The gate sits before the assert loop, so an over-budget round lands
+  // none of its firings. The store dimensions see every earlier round.
+  PATHLOG_RETURN_IF_ERROR(WithLimitContext(budget_->Check(*store_)));
+  for (size_t i = 0; i < triggers_.size(); ++i) {
+    PATHLOG_RETURN_IF_ERROR(AssertBatch(triggers_[i], pending[i], asserter));
+  }
+  return Status::OK();
+}
+
+Status Engine::Fire(ResourceBudget* budget, uint64_t* watermark) {
+  FlightSpan fire_span(options_.obs.flight, "triggers.fire", "triggers");
+  const TriggerStats before = trigger_stats_;
+  const uint64_t start_facts = store_->generation();
+  budget_ = budget;
+  Status st = [&]() -> Status {
+    HeadAsserter asserter(store_, options_.head_value_mode);
+    for (current_round_ = 1;; ++current_round_) {
+      const uint64_t from = *watermark;
+      const uint64_t end = store_->generation();
+      if (from == end) break;  // quiescent
+      ++trigger_stats_.rounds;
+      if (current_round_ > options_.max_cascade_rounds) {
+        return ResourceExhausted(StrCat("trigger cascade exceeded ",
+                                        options_.max_cascade_rounds,
+                                        " rounds"));
+      }
+      FlightSpan round_span(options_.obs.flight, "triggers.round", "triggers",
+                            "from", from);
+      PATHLOG_RETURN_IF_ERROR(FireRound(from, &asserter));
+      // An aborted round (deadline, budget, assert error) leaves the
+      // watermark at `from`, so a later Fire replays the same events —
+      // assertion is idempotent — instead of dropping a half-processed
+      // round.
+      *watermark = end;
+    }
+    return Status::OK();
+  }();
+  current_round_ = 0;
+  budget_ = nullptr;
+  trigger_stats_.facts_added += store_->generation() - start_facts;
+  if (MetricsRegistry* m = options_.obs.metrics; m != nullptr) {
+    auto bump = [&](const char* name, const char* help, uint64_t now_v,
+                    uint64_t before_v) {
+      Counter* c = m->GetCounter(name, help);
+      if (c != nullptr && now_v > before_v) c->Inc(now_v - before_v);
+    };
+    bump("pathlog_trigger_rounds_total", "trigger cascade rounds",
+         trigger_stats_.rounds, before.rounds);
+    bump("pathlog_trigger_firings_total", "trigger firings",
+         trigger_stats_.firings, before.firings);
+    bump("pathlog_trigger_facts_total", "facts asserted by triggers",
+         trigger_stats_.facts_added, before.facts_added);
+  }
   return st;
 }
 

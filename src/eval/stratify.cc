@@ -163,4 +163,27 @@ Result<Stratification> Stratify(const DependencyGraph& graph,
   return out;
 }
 
+void EdgeEnds::Add(const DependencyGraph& graph, size_t rule) {
+  const RuleDeps& deps = graph.rule_deps()[rule];
+  wildcard |= deps.defines_any || deps.reads_any;
+  for (const DependencyGraph::Edge& e : graph.edges()) {
+    if (e.rule != static_cast<int32_t>(rule)) continue;
+    from.insert(graph.NodeName(e.from));
+    to.insert(graph.NodeName(e.to));
+    complete |= e.needs_complete;
+    self_loop |= e.from == e.to;
+  }
+}
+
+bool MayCloseCycle(const EdgeEnds& installed, const EdgeEnds& rule) {
+  auto meet = [](const std::unordered_set<std::string>& a,
+                 const std::unordered_set<std::string>& b) {
+    return std::any_of(a.begin(), a.end(),
+                       [&b](const std::string& n) { return b.count(n) > 0; });
+  };
+  return (installed.complete || rule.complete) &&
+         (installed.wildcard || rule.wildcard || rule.self_loop ||
+          (meet(rule.from, installed.to) && meet(rule.to, installed.from)));
+}
+
 }  // namespace pathlog

@@ -12,6 +12,8 @@
 #define PATHLOG_EVAL_STRATIFY_H_
 
 #include <cstdint>
+#include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "base/result.h"
@@ -57,6 +59,31 @@ std::vector<int> TarjanScc(size_t n,
 Result<Stratification> Stratify(const DependencyGraph& graph,
                                 size_t num_rules,
                                 CycleExplanation* cycle = nullptr);
+
+/// The two ends of some rules' dependency edges, by node name (names
+/// compare across graphs built in different stores). What a caller
+/// that keeps a stratifiable rule set needs to tell, without building
+/// the whole graph, that a new rule cannot make it unstratifiable.
+struct EdgeEnds {
+  std::unordered_set<std::string> from;  ///< symbols the rules define
+  std::unordered_set<std::string> to;    ///< symbols read or co-defined
+  bool complete = false;   ///< some edge is needs-complete
+  bool wildcard = false;   ///< some rule may define or read any method
+  bool self_loop = false;  ///< some rule reads a symbol it defines
+
+  /// Adds the ends of rule `rule` of `graph`.
+  void Add(const DependencyGraph& graph, size_t rule);
+};
+
+/// False when rules with edge ends `installed`, which stratify, surely
+/// still stratify with one more rule whose edge ends are `rule`. A
+/// cycle through a needs-complete edge that the rule closes needs such
+/// an edge, and either lies among the rule's own edges, so the rule
+/// reads what it defines, or enters one of the rule's symbols along an
+/// installed edge and leaves along one of the rule's edges into a
+/// symbol an installed rule defines. Wildcard edges couple every
+/// method, so a wildcard always answers true.
+bool MayCloseCycle(const EdgeEnds& installed, const EdgeEnds& rule);
 
 }  // namespace pathlog
 

@@ -261,6 +261,13 @@ class LintPass {
             Span{rule.body.front().line, rule.body.front().column},
             "the event literal of a trigger must be positive (facts are "
             "monotone; there is no deletion event)");
+      } else if (rule.body.front().ref) {
+        // The engine's own admission check, so Load and lint agree.
+        if (Status st = CheckEventRunsFirst(rule); !st.ok()) {
+          Add(LintCode::kIllFormedTrigger, Severity::kError,
+              Span{rule.body.front().line, rule.body.front().column},
+              st.message());
+        }
       }
     }
   }
@@ -524,26 +531,6 @@ LintReport ProgramLinter::LintSource(std::string_view source) const {
     return report;
   }
   return Lint(*program);
-}
-
-Status ReportToStatus(const LintReport& report) {
-  for (const Diagnostic& d : report.diagnostics()) {
-    if (d.severity != Severity::kError) continue;
-    std::string message =
-        StrCat("lint ", LintCodeName(d.code), " at ", d.line, ":", d.column,
-               ": ", d.message);
-    switch (d.code) {
-      case LintCode::kParseError:
-        return ParseError(std::move(message));
-      case LintCode::kUnsafeRule:
-        return UnsafeRule(std::move(message));
-      case LintCode::kNotStratifiable:
-        return NotStratifiable(std::move(message));
-      default:
-        return IllFormed(std::move(message));
-    }
-  }
-  return Status::OK();
 }
 
 }  // namespace pathlog

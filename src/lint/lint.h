@@ -114,12 +114,6 @@ class ProgramLinter {
   LintOptions options_;
 };
 
-/// Status form of a report, for callers that gate on lint: OK when the
-/// report has no errors, otherwise a Status whose code reflects the
-/// first error diagnostic (kUnsafeRule for PL005, kNotStratifiable for
-/// PL007, kParseError for PL001, kIllFormed otherwise).
-Status ReportToStatus(const LintReport& report);
-
 }  // namespace pathlog
 
 #endif  // PATHLOG_LINT_LINT_H_

@@ -4,7 +4,7 @@
 // A fixed-capacity ring buffer of completed spans and instant events
 // that every instrumentation site feeds: the engine's span tree
 // (engine.run, engine.stratify, stratum, iteration, rule.evaluate,
-// delta_pass), the trigger engine (triggers.fire, triggers.round), the
+// delta_pass), the trigger cascade (triggers.fire, triggers.round), the
 // database (db.load, db.materialize, one db.<kind> span per read) and
 // the WAL (wal.fsync, wal.checkpoint, failing appends). Recording
 // never blocks (one fetch_add to claim a slot, a try-only per-slot

@@ -2,8 +2,8 @@
 //
 // A bundle of four optional, borrowed sinks — metrics registry,
 // profiler, flight recorder (the one span sink), query log — threaded
-// through EngineOptions, the TriggerEngine constructor, and
-// DatabaseOptions into every subsystem. All null by default: the
+// through EngineOptions (rules and triggers alike) and
+// DatabaseOptions::engine into every subsystem. All null by default: the
 // disabled cost at an instrumentation site is one pointer test. The
 // caller owns the sink objects and keeps them alive for as long as any
 // component holds the ObsSinks (the shell and benches own them for the

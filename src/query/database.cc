@@ -15,7 +15,9 @@
 #include "base/crc32.h"
 #include "base/strings.h"
 #include "eval/bindings.h"
+#include "eval/dependency.h"
 #include "eval/site_program.h"
+#include "eval/stratify.h"
 #include "lint/dataflow/domains.h"
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
@@ -275,6 +277,31 @@ Status Database::Load(std::string_view program_text) {
 
 namespace {
 
+/// OK when `rules` stratify, else kNotStratifiable; they do without
+/// their last rule, and `*ends` holds the other rules' edge ends and
+/// takes in the last one's. The whole set is stratified only when the
+/// last rule may close a cycle (MayCloseCycle), so rules loaded in
+/// dependency order are checked in time linear in their number. The
+/// method names go into a throwaway store: stratifiability depends
+/// only on which names are equal, and a database's universe must not
+/// grow by, or reorder, a clause it may yet reject.
+Status Stratifies(const std::vector<Rule>& rules, HeadValueMode mode,
+                  EdgeEnds* ends) {
+  ObjectStore names;
+  PATHLOG_ASSIGN_OR_RETURN(
+      DependencyGraph last,
+      DependencyGraph::Build({rules.back()}, &names, mode));
+  EdgeEnds added;
+  added.Add(last, 0);
+  if (MayCloseCycle(*ends, added)) {
+    PATHLOG_ASSIGN_OR_RETURN(DependencyGraph all,
+                             DependencyGraph::Build(rules, &names, mode));
+    PATHLOG_RETURN_IF_ERROR(Stratify(all, rules.size()).status());
+  }
+  ends->Add(last, 0);
+  return Status::OK();
+}
+
 /// Drops from `clause` every rule, trigger and signature whose printed
 /// form is in `installed`.
 void DropInstalled(const std::set<std::string>& installed, Program* clause) {
@@ -292,19 +319,6 @@ Status Database::LoadLocked(std::string_view text,
                             const std::set<std::string>* installed) {
   if (degraded()) return DegradedError();
   FlightSpan load_span(options_.engine.obs.flight, "db.load", "database");
-  if (options_.lint_on_load) {
-    // The linter needs the whole program, so this pre-pass parses the
-    // text once on its own; a text that does not parse or lint clean
-    // installs nothing.
-    Result<Program> program = ParseProgram(text);
-    if (!program.ok()) return program.status();
-    if (installed != nullptr) DropInstalled(*installed, &*program);
-    LintOptions lint_options;
-    lint_options.head_value_mode = options_.engine.head_value_mode;
-    lint_options.errors_only = true;
-    PATHLOG_RETURN_IF_ERROR(
-        ReportToStatus(ProgramLinter(lint_options).Lint(*program)));
-  }
   // Each clause is installed and dropped before the next is read. Once
   // one is in, a later clause's error — lexing, parsing or installing —
   // must still mark the rules stale and commit what went in, or reads
@@ -346,8 +360,11 @@ Status Database::InstallClauseLocked(const Program& clause, bool* installed) {
     signature_text_ += ToString(sig) + "\n";
     queue_for_log(sig);
   }
+  // A rule or trigger that fails admission, or a rule that would leave
+  // the installed rules unstratifiable, could never run: every later
+  // read or firing would fail on it. Neither it nor its names go in.
   for (const TriggerRule& trigger : clause.triggers) {
-    PATHLOG_RETURN_IF_ERROR(CheckTriggerWellFormed(trigger));
+    PATHLOG_RETURN_IF_ERROR(AdmitClause(trigger.rule, /*trigger=*/true));
     *installed = true;
     InternNames(*trigger.rule.head);
     for (const Literal& lit : trigger.rule.body) InternNames(*lit.ref);
@@ -355,7 +372,16 @@ Status Database::InstallClauseLocked(const Program& clause, bool* installed) {
     queue_for_log(trigger);
   }
   for (const Rule& rule : clause.rules) {
-    PATHLOG_RETURN_IF_ERROR(CheckRuleWellFormed(rule));
+    PATHLOG_RETURN_IF_ERROR(AdmitClause(rule, /*trigger=*/false));
+    if (!rule.IsFact()) {
+      rules_.push_back(rule);
+      Status st = Stratifies(rules_, options_.engine.head_value_mode,
+                             &rule_edge_ends_);
+      if (!st.ok()) {
+        rules_.pop_back();
+        return st;
+      }
+    }
     *installed = true;  // a fact failing part-way keeps its first facts
     InternNames(*rule.head);
     for (const Literal& lit : rule.body) InternNames(*lit.ref);
@@ -364,7 +390,6 @@ Status Database::InstallClauseLocked(const Program& clause, bool* installed) {
       Bindings empty;
       PATHLOG_RETURN_IF_ERROR(asserter.Assert(*rule.head, &empty));
     } else {
-      rules_.push_back(rule);
       queue_for_log(rule);
     }
   }
@@ -403,9 +428,6 @@ Status Database::MaterializeLocked(ResourceBudget* budget) {
   UpdateStoreGauges();
   PATHLOG_RETURN_IF_ERROR(run_status);
   dirty_ = false;
-  if (options_.fire_triggers_on_materialize && !triggers_.empty()) {
-    PATHLOG_RETURN_IF_ERROR(FireTriggersLocked(budget));
-  }
   if (options_.type_check_after_materialize && !signatures_.empty()) {
     TypeChecker checker(store_, signatures_);
     std::vector<TypeViolation> violations;
@@ -443,9 +465,9 @@ Result<Answer> Database::Read(std::string_view text) {
   rec.strategy = StrategyName(options_.engine.strategy);
   if (logged) rec.query = std::string(text);
   // The call's one window, armed here: its limits cover the lazy
-  // materialisation and trigger firing as well as the enumeration, and
-  // a rejection anywhere inside reaches the record (and so the
-  // flight-recorder incident dump).
+  // materialisation as well as the enumeration, and a rejection
+  // anywhere inside reaches the record (and so the flight-recorder
+  // incident dump).
   ResourceBudget budget(options_.engine.limits);
   FlightRecorder* flight = options_.engine.obs.flight;
   const uint64_t flight_start_us = flight != nullptr ? flight->NowUs() : 0;
@@ -648,17 +670,16 @@ Status Database::FireTriggers() {
 
 Status Database::FireTriggersLocked(ResourceBudget* budget) {
   if (degraded()) return DegradedError();
-  TriggerEngine engine(&store_, trigger_watermark_,
-                       options_.engine.head_value_mode, options_.triggers,
-                       options_.engine.obs);
+  Engine engine(&store_, options_.engine);
   for (const TriggerRule& t : triggers_) {
     PATHLOG_RETURN_IF_ERROR(engine.AddTrigger(t));
   }
-  Status st = engine.Fire(budget);
-  trigger_watermark_ = engine.watermark();
-  trigger_stats_.rounds += engine.stats().rounds;
-  trigger_stats_.firings += engine.stats().firings;
-  trigger_stats_.facts_added += engine.stats().facts_added;
+  Status st = engine.Fire(budget, &trigger_watermark_);
+  trigger_stats_.rounds += engine.trigger_stats().rounds;
+  trigger_stats_.firings += engine.trigger_stats().firings;
+  trigger_stats_.facts_added += engine.trigger_stats().facts_added;
+  const std::vector<DerivationRecord>& records = engine.provenance();
+  provenance_.insert(provenance_.end(), records.begin(), records.end());
   return FinishMutation(st);
 }
 
@@ -1054,7 +1075,8 @@ const DerivationRecord* Database::DerivationOfLocked(uint64_t gen) const {
       [](uint64_t g, const DerivationRecord& r) { return g < r.first_gen; });
   if (it == provenance_.begin()) return nullptr;
   const DerivationRecord& r = *std::prev(it);
-  return gen < r.end_gen && r.rule_index < rules_.size() ? &r : nullptr;
+  const size_t clauses = r.trigger ? triggers_.size() : rules_.size();
+  return gen < r.end_gen && r.rule_index < clauses ? &r : nullptr;
 }
 
 std::string Database::ExplainFact(uint64_t gen) const {
@@ -1065,7 +1087,10 @@ std::string Database::ExplainFact(uint64_t gen) const {
   std::string out = FactToString(store_.FactAt(gen), store_);
   const DerivationRecord* r = DerivationOfLocked(gen);
   if (r == nullptr) return out + "\n  extensional (asserted directly).";
-  out += StrCat("\n  derived by rule: ", ToString(rules_[r->rule_index]));
+  out += r->trigger ? StrCat("\n  asserted by trigger: ",
+                             ToString(triggers_[r->rule_index]))
+                    : StrCat("\n  derived by rule: ",
+                             ToString(rules_[r->rule_index]));
   if (!r->bindings.empty()) {
     out += "\n  with";
     for (const auto& [var, oid] : r->bindings) {
@@ -1084,9 +1109,16 @@ Result<std::string> Database::ExplainFactJson(uint64_t gen) const {
   AppendJsonString(&out, FactToString(store_.FactAt(gen), store_));
   const DerivationRecord* r = DerivationOfLocked(gen);
   if (r == nullptr) return out + ",\"kind\":\"extensional\"}";
-  out += ",\"kind\":\"derived\",\"rule\":";
-  AppendJsonString(&out, ToString(rules_[r->rule_index]));
-  out += StrCat(",\"rule_index\":", r->rule_index, ",\"bindings\":{");
+  if (r->trigger) {
+    out += ",\"kind\":\"triggered\",\"trigger\":";
+    AppendJsonString(&out, ToString(triggers_[r->rule_index]));
+    out += ",\"trigger_index\":";
+  } else {
+    out += ",\"kind\":\"derived\",\"rule\":";
+    AppendJsonString(&out, ToString(rules_[r->rule_index]));
+    out += ",\"rule_index\":";
+  }
+  out += StrCat(r->rule_index, ",\"bindings\":{");
   bool first = true;
   for (const auto& [var, oid] : r->bindings) {
     if (!first) out += ",";

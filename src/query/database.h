@@ -37,11 +37,16 @@
 // consult; call it only while no other thread is inside the database.
 //
 // One call, one window: a read's limits cover its lazy
-// materialisation and trigger firing as well as its own enumeration;
-// fire_triggers_on_materialize shares the Materialize call's window;
-// and a rejection anywhere inside a call is counted once, by the call,
-// in the query-log record's budget.rejected and in
-// pathlog_budget_rejections_total.
+// materialisation as well as its own enumeration, a FireTriggers
+// window covers every round of its cascade, and a rejection anywhere
+// inside a call is counted once, by the call, in the query-log
+// record's budget.rejected and in pathlog_budget_rejections_total.
+//
+// Admission at Load: every rule and trigger passes the engine's one
+// admission (eval/engine.h AdmitClause) as it is read, and every rule
+// must leave the installed rules stratifiable, so a clause that could
+// never run is rejected by the Load that brings it, not by every later
+// read.
 //
 // Durability: a database from Open() commits every mutation through a
 // DurableLog (store/wal.h), the one owner of the log file, which
@@ -59,7 +64,6 @@
 #include <string_view>
 #include <vector>
 
-#include "active/trigger_engine.h"
 #include "ast/program.h"
 #include "base/mutex.h"
 #include "base/result.h"
@@ -96,24 +100,15 @@ struct DatabaseHealth {
 };
 
 struct DatabaseOptions {
-  /// Engine policy; `engine.limits`, the limits of every call's budget
+  /// Engine policy for rules and triggers, the cascade-round ceiling
+  /// included; `engine.limits`, the limits of every call's budget
   /// window; and `engine.obs`, the database's one sink set. The
-  /// engine, the trigger engine, the store, the WAL and the database's
-  /// own spans and counters all report to it.
+  /// engine, the store, the WAL and the database's own spans and
+  /// counters all report to it.
   EngineOptions engine;
-  /// Trigger head mode and cascade-round ceiling.
-  TriggerOptions triggers;
   /// Run the type checker over newly derived facts after every
   /// materialisation and fail on violations.
   bool type_check_after_materialize = false;
-  /// Fire active rules automatically as part of every materialisation
-  /// (after the deductive fixpoint). Off: call FireTriggers() manually.
-  bool fire_triggers_on_materialize = false;
-  /// Run the linter (errors only) over every program before installing
-  /// any of it; Load fails with the first lint error's status. The
-  /// linter needs the whole program, so such a Load parses its text
-  /// twice, and a text that fails to parse or lint installs nothing.
-  bool lint_on_load = false;
   /// Durability policy (store/wal.h); consulted only by databases from
   /// Open().
   DurabilityOptions durability;
@@ -126,7 +121,12 @@ class Database {
 
   /// Parses and installs a program: facts are asserted immediately,
   /// rules, triggers and signatures are registered, and a `?-` query
-  /// is an error (use Query()). Names are interned eagerly.
+  /// is an error (use Query()). Names are interned eagerly. A rule or
+  /// trigger is installed only once admitted (eval/engine.h
+  /// AdmitClause: well-formed, safe, range-restricted, a trigger's
+  /// event literal able to run first) and, for a rule, only while the
+  /// installed rules with it still stratify; otherwise the Load
+  /// returns its kIllFormed, kUnsafeRule or kNotStratifiable.
   ///
   /// The load streams: it lexes and parses one clause, installs it and
   /// drops it before reading the next, so a bulk load never holds more
@@ -136,8 +136,7 @@ class Database {
   /// clause's error (a syntax error names its line and column). The
   /// clauses before it stay installed: the database is marked for
   /// re-materialisation and, when durable, they are committed to the
-  /// WAL. With options.lint_on_load, the whole text is first parsed
-  /// and linted, and nothing is installed unless it lints clean.
+  /// WAL.
   Status Load(std::string_view program_text);
 
   /// Answers a conjunctive query; variables are reported in name order.
@@ -164,8 +163,10 @@ class Database {
   Status Materialize();
 
   /// Fires active rules (`head <~ event, conditions.`) over every fact
-  /// appended since the last firing, cascading to quiescence. The fact
-  /// log is the event stream: extensional and derived facts alike.
+  /// appended since the last firing, cascading to quiescence
+  /// (Engine::Fire). The fact log is the event stream: extensional and
+  /// derived facts alike. It never materialises: derived facts become
+  /// events once a Materialize or a read has derived them.
   Status FireTriggers();
 
   const TriggerStats& trigger_stats() const { return trigger_stats_; }
@@ -183,18 +184,22 @@ class Database {
 
   /// Explains how the fact with generation `gen` came to be:
   /// "extensional." for directly asserted facts; otherwise the deriving
-  /// rule and the head bindings of the producing instance. Only
-  /// meaningful when options.engine.trace_provenance is set.
+  /// rule, or the trigger that asserted it, and the head bindings of
+  /// the producing instance. Only meaningful when
+  /// options.engine.trace_provenance is set.
   std::string ExplainFact(uint64_t gen) const;
 
   /// ExplainFact as one JSON object:
-  ///   {"gen":N,"fact":"...","kind":"extensional"} or
+  ///   {"gen":N,"fact":"...","kind":"extensional"},
   ///   {"gen":N,"fact":"...","kind":"derived","rule":"...",
-  ///    "rule_index":i,"bindings":{"X":"a1",...}}
+  ///    "rule_index":i,"bindings":{"X":"a1",...}} or
+  ///   {"gen":N,"fact":"...","kind":"triggered","trigger":"...",
+  ///    "trigger_index":i,"bindings":{...}}
   /// kNotFound when `gen` is not a fact generation.
   Result<std::string> ExplainFactJson(uint64_t gen) const;
 
-  /// All derivation records accumulated across materialisations.
+  /// All derivation records accumulated across materialisations and
+  /// trigger firings.
   const std::vector<DerivationRecord>& provenance() const {
     return provenance_;
   }
@@ -263,9 +268,9 @@ class Database {
   DatabaseHealth Health() const;
 
   /// Attaches (or, with all-null sinks, detaches) observability at
-  /// runtime by replacing options.engine.obs: the engine, trigger
-  /// engine, store, log, and the database's own spans and
-  /// counters all pick up the new sinks. The sink objects are
+  /// runtime by replacing options.engine.obs: the engine, store, log,
+  /// and the database's own spans and counters all pick up the new
+  /// sinks. The sink objects are
   /// borrowed; keep them alive until detached or the database is
   /// destroyed. Equivalent to setting DatabaseOptions::engine.obs
   /// before construction.
@@ -393,8 +398,9 @@ class Database {
   Status LoadLocked(std::string_view text,
                     const std::set<std::string>* installed)
       REQUIRES(state_mu_);
-  /// Installs one parsed clause (a query is an error); sets
-  /// `*installed` once anything of it is in.
+  /// Installs one parsed clause (a query is an error), admitting each
+  /// rule and trigger first; sets `*installed` once anything of it is
+  /// in.
   Status InstallClauseLocked(const Program& clause, bool* installed)
       REQUIRES(state_mu_);
   Status MaterializeLocked(ResourceBudget* budget) REQUIRES(state_mu_);
@@ -488,6 +494,9 @@ class Database {
   ObjectStore store_;
   SignatureTable signatures_;
   std::vector<Rule> rules_;
+  /// The ends of rules_'s dependency edges: what Load needs to skip
+  /// re-stratifying every rule when a new one cannot close a cycle.
+  EdgeEnds rule_edge_ends_;
   std::vector<TriggerRule> triggers_;
   uint64_t trigger_watermark_ = 0;
   TriggerStats trigger_stats_;

@@ -292,18 +292,68 @@ TEST(DatabaseLoadTest, NamesTakeTheirOidsInTextOrder) {
   EXPECT_LT(*ann, *person);
 }
 
-TEST(DatabaseLoadTest, LintOnLoadInstallsNothingFromAFailingText) {
-  // lint_on_load lints the whole text before installing any of it, so
-  // neither a lint error nor a syntax error leaves a clause behind.
-  DatabaseOptions opts;
-  opts.lint_on_load = true;
-  Database db(opts);
-  EXPECT_FALSE(db.Load("a[v->1]. X[w->Y] <- X[v->1].").ok());
-  EXPECT_EQ(db.store().FactCount(), 0u);
+TEST(DatabaseLoadErrorTest, ARejectedClauseKeepsTheClausesBeforeIt) {
+  // Load admits each rule as it reads it: an unsafe rule returns its
+  // error as a syntax error does, the clauses before it stay, and
+  // neither it nor its names go in.
+  Database db;
+  EXPECT_EQ(db.Load("a[v->1]. X[w->Y] <- X[v->1].").code(),
+            StatusCode::kUnsafeRule);
+  EXPECT_EQ(db.store().FactCount(), 1u);
+  EXPECT_EQ(db.num_rules(), 0u);
+  EXPECT_FALSE(db.store().FindSymbol("w").has_value());
   EXPECT_EQ(db.Load("a[v->1]. b[v->).").code(), StatusCode::kParseError);
-  EXPECT_EQ(db.store().FactCount(), 0u);
+  EXPECT_EQ(db.store().FactCount(), 1u);
   ASSERT_TRUE(db.Load("a[v->1]. X[w->1] <- X[v->1].").ok());
   EXPECT_EQ(db.num_rules(), 1u);
+}
+
+// ---- admission at Load ----------------------------------------------
+
+/// A Load whose last clause could never run: an unsafe rule or
+/// trigger, a trigger whose event literal cannot run first, or a rule
+/// that would make the installed rules unstratifiable.
+struct PoisonLoad {
+  const char* text;
+  StatusCode code;
+  size_t rules;      ///< clauses admitted before the rejected one
+  size_t triggers;
+  const char* holds;  ///< holds once the admitted clauses have run
+};
+
+const PoisonLoad kPoisonLoads[] = {
+    {"a : c. X[p->Y] <- X:c.", StatusCode::kUnsafeRule, 0, 0, "a:c"},
+    {"a : c. X[p->Y] <~ X:c.", StatusCode::kUnsafeRule, 0, 0, "a:c"},
+    {"a : c. X[c->1] <~ X[m->>Y..n], Y:k.", StatusCode::kUnsafeRule, 0, 0,
+     "a:c"},
+    // The first rule of the pair stays and runs; the second is rejected.
+    {"a : c. X[p->1] <- X:c, not X[q->1]. X[q->1] <- X:c, not X[p->1].",
+     StatusCode::kNotStratifiable, 1, 0, "a[p->1]"},
+    // The cycle runs back against the load order, ...
+    {"a : c. X[q->1] <- X:c, not X[r->1]. X[r->1] <- X[s->1]. "
+     "X[s->1] <- X[q->1].",
+     StatusCode::kNotStratifiable, 2, 0, "a[q->1]"},
+    // ... or enters the last rule's `d` through a co-definition.
+    {"a : c. X[d->1; e->1] <- X:c. X[y->1] <- X:c, not X[e->1]. "
+     "X[d->1] <- X[y->1].",
+     StatusCode::kNotStratifiable, 2, 0, "a[d->1]"},
+};
+
+TEST(DatabaseAdmissionTest, LoadRejectsAClauseThatCouldNeverRun) {
+  for (const PoisonLoad& load : kPoisonLoads) {
+    SCOPED_TRACE(load.text);
+    Database db;
+    Status st = db.Load(load.text);
+    EXPECT_EQ(st.code(), load.code) << st;
+    EXPECT_EQ(db.num_rules(), load.rules);
+    EXPECT_EQ(db.num_triggers(), load.triggers);
+    // The rejected clause poisons nothing that follows.
+    Result<bool> holds = db.Holds(load.holds);
+    ASSERT_TRUE(holds.ok()) << holds.status();
+    EXPECT_TRUE(*holds);
+    EXPECT_TRUE(db.Materialize().ok());
+    EXPECT_TRUE(db.FireTriggers().ok());
+  }
 }
 
 /// Peak resident set of this process so far, in bytes.

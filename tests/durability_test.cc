@@ -1215,6 +1215,69 @@ TEST(DurableDatabaseTest, AFailedLoadNeverReopensClean) {
   EXPECT_TRUE(*derived);
 }
 
+TEST(DurableDatabaseTest, AClauseRejectedAtLoadNeverReachesTheLog) {
+  // Each text's last clause could never run, so its Load rejects it:
+  // the log holds the clauses before it and nothing of it, and the
+  // database answers, materialises and fires after a WAL replay and
+  // after a checkpoint alike.
+  struct PoisonLoad {
+    const char* text;
+    StatusCode code;
+    size_t rules;
+    size_t triggers;
+  };
+  const PoisonLoad loads[] = {
+      {"a : c. X[p->Y] <- X:c.", StatusCode::kUnsafeRule, 0, 0},
+      {"a : c. X[p->Y] <~ X:c.", StatusCode::kUnsafeRule, 0, 0},
+      {"a : c. X[c->1] <~ X[m->>Y..n], Y:k.", StatusCode::kUnsafeRule, 0, 0},
+      {"a : c. X[p->1] <- X:c, not X[q->1]. X[q->1] <- X:c, not X[p->1].",
+       StatusCode::kNotStratifiable, 1, 0},
+  };
+  for (const PoisonLoad& load : loads) {
+    SCOPED_TRACE(load.text);
+    FaultInjectingFileOps fs;
+    auto check = [&](Database* db) {
+      EXPECT_EQ(db->num_rules(), load.rules);
+      EXPECT_EQ(db->num_triggers(), load.triggers);
+      Result<bool> a = db->Holds("a:c");
+      ASSERT_TRUE(a.ok()) << a.status();
+      EXPECT_TRUE(*a);
+      EXPECT_TRUE(db->Materialize().ok());
+      EXPECT_TRUE(db->FireTriggers().ok());
+    };
+    {
+      Result<Database> db = Database::Open("/db", DurableOptions(), &fs);
+      ASSERT_TRUE(db.ok()) << db.status();
+      Status st = db->Load(load.text);
+      EXPECT_EQ(st.code(), load.code) << st;
+      check(&*db);
+    }
+    {
+      Result<Database> db = Database::Open("/db", DurableOptions(), &fs);
+      ASSERT_TRUE(db.ok()) << db.status();
+      check(&*db);
+      ASSERT_TRUE(db->Checkpoint().ok());
+    }
+    Result<Database> db = Database::Open("/db", DurableOptions(), &fs);
+    ASSERT_TRUE(db.ok()) << db.status();
+    check(&*db);
+  }
+}
+
+TEST(DurableDatabaseTest, ALogHoldingAClauseLoadRejectsDoesNotOpen) {
+  // A log written before Load admitted rules may hold one that can
+  // never run. Replay loads program text as Load does, so the Open
+  // fails with that clause's error instead of recovering a database
+  // whose every read fails on it.
+  FaultInjectingFileOps fs;
+  ASSERT_TRUE(fs.CreateDir("/db").ok());
+  std::string wal = FreshWal();
+  AppendWalFrame(&wal, EncodeWalProgram("X[p->Y] <- X:c.\n"));
+  ASSERT_TRUE(WriteFileAtomic(&fs, "/db/wal.plgwal", wal).ok());
+  Result<Database> db = Database::Open("/db", DurableOptions(), &fs);
+  EXPECT_EQ(db.status().code(), StatusCode::kUnsafeRule) << db.status();
+}
+
 TEST(DurableDatabaseTest, SnapshotFileRoundTripsTheFlag) {
   const std::string path =
       ::testing::TempDir() + "/flag_roundtrip." +

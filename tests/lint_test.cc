@@ -286,6 +286,20 @@ TEST(LintTest, PL013NegatedTriggerEvent) {
   EXPECT_EQ(d->line, 2);
 }
 
+TEST(LintTest, PL013TriggerEventThatCannotRunFirst) {
+  // The event's `->>` result Y..n needs Y, which only the condition
+  // binds. Load rejects what the linter reports.
+  const char* text = "X[c->1] <~ X[m->>Y..n], Y:k.\n";
+  LintReport report = Lint(text);
+  const Diagnostic* d = FindCode(report, LintCode::kIllFormedTrigger);
+  ASSERT_NE(d, nullptr) << report.ToString("<test>");
+  EXPECT_EQ(d->severity, Severity::kError);
+  EXPECT_EQ(d->line, 1);
+  EXPECT_EQ(d->column, 12);  // the event literal
+  Database db;
+  EXPECT_EQ(db.Load(text).code(), StatusCode::kUnsafeRule);
+}
+
 // ---- fixture files --------------------------------------------------
 
 struct Fixture {
@@ -360,27 +374,6 @@ TEST(LintTest, JsonEscapesControlCharactersAndQuotes) {
       << report.ToJson("f");
 }
 
-// ---- Status bridging ------------------------------------------------
-
-TEST(LintTest, ReportToStatusMapsCodes) {
-  EXPECT_EQ(ReportToStatus(Lint("mary[age->30")).code(),
-            StatusCode::kParseError);
-  EXPECT_EQ(ReportToStatus(Lint("X[adult->yes] <- not X[age->3].")).code(),
-            StatusCode::kUnsafeRule);
-  EXPECT_EQ(ReportToStatus(Lint("c[items->>{one}].\n"
-                                "a[m->>{X}] <- b[n->>{X}].\n"
-                                "b[n->>{X}] <- a[m->>a..m], "
-                                "c[items->>{X}].\n"))
-                .code(),
-            StatusCode::kNotStratifiable);
-  EXPECT_EQ(ReportToStatus(Lint("mary[friend->tom..kids].")).code(),
-            StatusCode::kIllFormed);
-  // Warnings alone leave the status OK.
-  EXPECT_TRUE(ReportToStatus(Lint("mary[age->30].\n"
-                                  "mary[adult->yes] <- mary[age->A].\n"))
-                  .ok());
-}
-
 // ---- Database integration -------------------------------------------
 
 TEST(LintTest, DatabaseLintTreatsStoreFactsAsDefined) {
@@ -401,10 +394,10 @@ TEST(LintTest, DatabaseLintSeesInstalledRules) {
       << report.ToString("<db>");
 }
 
-TEST(LintTest, LintOnLoadRejectsErrorsButAllowsWarnings) {
-  DatabaseOptions options;
-  options.lint_on_load = true;
-  Database db(options);
+TEST(LintTest, LoadRejectsErrorsButAllowsWarnings) {
+  // Load admits every rule: what the linter reports as an error (an
+  // unsafe rule) fails the Load, what it warns about does not.
+  Database db;
   // Warning-level findings (singleton variable) must not block a load.
   EXPECT_TRUE(db.Load("mary[age->30]. mary[adult->yes] <- mary[age->A].")
                   .ok());

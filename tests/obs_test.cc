@@ -380,9 +380,7 @@ TEST(ObsEndToEndTest, DetachStopsRecording) {
 
 TEST(ObsEndToEndTest, TriggerMetricsAccumulate) {
   MetricsRegistry reg;
-  DatabaseOptions opts;
-  opts.fire_triggers_on_materialize = true;
-  Database db(opts);
+  Database db;
   ObsSinks sinks;
   sinks.metrics = &reg;
   db.SetObsSinks(sinks);
@@ -390,7 +388,7 @@ TEST(ObsEndToEndTest, TriggerMetricsAccumulate) {
     audit[saw->>{X}] <~ X:employee.
     mary : employee.
   )").ok());
-  ASSERT_TRUE(db.Materialize().ok());
+  ASSERT_TRUE(db.FireTriggers().ok());
   Result<MetricsSamples> samples = ParseMetricsJson(reg.ToJson());
   ASSERT_TRUE(samples.ok()) << samples.status();
   EXPECT_GE((*samples)["pathlog_trigger_rounds_total"], 1.0);
@@ -400,11 +398,10 @@ TEST(ObsEndToEndTest, TriggerMetricsAccumulate) {
 
 TEST(ObsEndToEndTest, TriggersReportToSinksGivenAtConstruction) {
   // Sinks set in DatabaseOptions before construction reach the
-  // trigger engine exactly as sinks attached through SetObsSinks do.
+  // trigger cascade exactly as sinks attached through SetObsSinks do.
   MetricsRegistry reg;
   FlightRecorder ring(64);
   DatabaseOptions opts;
-  opts.fire_triggers_on_materialize = true;
   opts.engine.obs.metrics = &reg;
   opts.engine.obs.flight = &ring;
   Database db(opts);
@@ -412,7 +409,7 @@ TEST(ObsEndToEndTest, TriggersReportToSinksGivenAtConstruction) {
     audit[saw->>{X}] <~ X:employee.
     mary : employee.
   )").ok());
-  ASSERT_TRUE(db.Materialize().ok());
+  ASSERT_TRUE(db.FireTriggers().ok());
   Result<MetricsSamples> samples = ParseMetricsJson(reg.ToJson());
   ASSERT_TRUE(samples.ok()) << samples.status();
   EXPECT_EQ((*samples)["pathlog_trigger_firings_total"], 1.0);

@@ -70,6 +70,39 @@ TEST(ProvenanceTest, VirtualObjectCreationIsAttributed) {
   EXPECT_NE(expl.find("X=p1"), std::string::npos);
 }
 
+TEST(ProvenanceTest, TriggerAssertedFactNamesTheTriggerAndBindings) {
+  Database db(Traced());
+  ASSERT_TRUE(
+      db.Load("a : c. log[saw->>{X}] <~ X:c. X[tag->1] <- X:c.").ok());
+  ASSERT_TRUE(db.Materialize().ok());
+  ASSERT_TRUE(db.FireTriggers().ok());
+  // Generation 0 is a:c, 1 the rule's a[tag->1], 2 the trigger's
+  // log[saw->>{a}].
+  std::string rule_expl = db.ExplainFact(1);
+  EXPECT_NE(rule_expl.find("derived by rule: X[tag->1] <- X:c."),
+            std::string::npos)
+      << rule_expl;
+  std::string expl = db.ExplainFact(2);
+  EXPECT_NE(expl.find("log[saw->>{a}]"), std::string::npos) << expl;
+  EXPECT_NE(expl.find("asserted by trigger: log[saw->>{X}] <~ X:c."),
+            std::string::npos)
+      << expl;
+  EXPECT_NE(expl.find("X=a"), std::string::npos) << expl;
+
+  Result<std::string> json = db.ExplainFactJson(2);
+  ASSERT_TRUE(json.ok()) << json.status();
+  Result<JsonValue> v = ParseJson(*json);
+  ASSERT_TRUE(v.ok()) << v.status() << "\njson: " << *json;
+  ASSERT_EQ(v->Find("kind")->as_string(), "triggered");
+  EXPECT_EQ(v->Find("trigger")->as_string(), "log[saw->>{X}] <~ X:c.");
+  EXPECT_DOUBLE_EQ(v->Find("trigger_index")->as_number(), 0.0);
+  EXPECT_EQ(v->Find("rule"), nullptr);
+  const JsonValue* bindings = v->Find("bindings");
+  ASSERT_NE(bindings, nullptr);
+  ASSERT_NE(bindings->Find("X"), nullptr);
+  EXPECT_EQ(bindings->Find("X")->as_string(), "a");
+}
+
 TEST(ProvenanceTest, RecordsSpanMultipleMaterializations) {
   Database db(Traced());
   ASSERT_TRUE(db.Load(R"(

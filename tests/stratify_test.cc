@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
+#include "base/strings.h"
 #include "eval/dependency.h"
 #include "parser/parser.h"
 
@@ -188,6 +191,114 @@ TEST(StratifyTest, FactsAreStratumZero) {
   ASSERT_TRUE(s.ok()) << s.status();
   EXPECT_EQ(s->rule_stratum[0], 0);
   EXPECT_GT(s->rule_stratum[1], 0);
+}
+
+// ---- edge ends: when a new rule cannot close a cycle ----------------
+
+/// Adds the edge ends of `rule`, from its own graph in its own store,
+/// as a Database computes them.
+void AddEnds(const Rule& rule, EdgeEnds* ends) {
+  ObjectStore store;
+  Result<DependencyGraph> g =
+      DependencyGraph::Build({rule}, &store, HeadValueMode::kRequireDefined);
+  ASSERT_TRUE(g.ok()) << g.status();
+  ends->Add(*g, 0);
+}
+
+/// MayCloseCycle for `rule` after the `installed` rules.
+bool MayClose(std::initializer_list<const char*> installed, const char* rule) {
+  EdgeEnds ends, added;
+  for (const char* src : installed) AddEnds(*ParseRule(src), &ends);
+  AddEnds(*ParseRule(rule), &added);
+  return MayCloseCycle(ends, added);
+}
+
+TEST(EdgeEndsTest, ARuleNothingReadsCannotCloseACycle) {
+  // Loaded in dependency order, each rule defines what no installed
+  // rule reads, whichever way the chain runs.
+  EXPECT_FALSE(MayClose({"X[b->1] <- X[a->1], not X[n->1]."},
+                        "X[c->1] <- X[b->1]."));
+  EXPECT_FALSE(MayClose({"X[c->1] <- X[b->1], not X[n->1]."},
+                        "X[b->1] <- X[a->1]."));
+  // Without a needs-complete read anywhere, no cycle can matter.
+  EXPECT_FALSE(MayClose({"X[b->1] <- X[a->1]."}, "X[a->1] <- X[b->1]."));
+}
+
+TEST(EdgeEndsTest, ARuleThatMayCloseACycleIsReported) {
+  EXPECT_TRUE(MayClose({"X[b->1] <- X[a->1], not X[n->1]."},
+                       "X[n->1] <- X[b->1]."));
+  // The cycle enters `d` through a co-definition, not a read.
+  EXPECT_TRUE(MayClose({"X[d->1; e->1] <- X:c.",
+                        "X[y->1] <- X:c, not X[e->1]."},
+                       "X[d->1] <- X[y->1]."));
+  // Reading what it defines needs no installed rule at all.
+  EXPECT_TRUE(MayClose({}, "X[a->>p..a] <- X:c."));
+  // A wildcard couples every method.
+  EXPECT_TRUE(MayClose({"X[b->1] <- X:c, not X[a->1]."},
+                       "X[(M.aux)->1] <- X[M->1]."));
+}
+
+/// A random rule over methods m0..m3 and class c: its head defines
+/// one or two methods or a class; its body reads them plainly, negated
+/// or as a `->>` result.
+std::string RandomRule(std::mt19937* rng) {
+  auto pick = [rng](int n) { return static_cast<int>((*rng)() % n); };
+  auto m = [&pick] { return StrCat("m", pick(4)); };
+  std::string rule;
+  switch (pick(4)) {
+    case 0: rule = StrCat("X[", m(), "->1; ", m(), "->1]"); break;
+    case 1: rule = "X:c"; break;
+    default: rule = StrCat("X[", m(), "->1]"); break;
+  }
+  rule += " <- X[base->1]";
+  for (int i = pick(3); i >= 0; --i) {
+    switch (pick(4)) {
+      case 0: rule += StrCat(", not X[", m(), "->1]"); break;
+      case 1: rule += StrCat(", X[", m(), "->>q..", m(), "]"); break;
+      case 2: rule += pick(2) == 0 ? ", X:c" : ", not X:c"; break;
+      default: rule += StrCat(", X[", m(), "->1]"); break;
+    }
+  }
+  return rule + ".";
+}
+
+TEST(EdgeEndsTest, NoRuleItClearsMakesTheRulesUnstratifiable) {
+  // Rules are offered one at a time and kept while all kept rules
+  // stratify, as Load keeps them. Whenever MayCloseCycle answers
+  // false, the rules with the new one must stratify.
+  int cleared = 0, rejected = 0;
+  for (uint32_t seed = 1; seed <= 300; ++seed) {
+    std::mt19937 rng(seed);
+    std::vector<Rule> kept;
+    EdgeEnds ends;
+    for (int i = 0; i < 8; ++i) {
+      const std::string src = RandomRule(&rng);
+      Result<Rule> rule = ParseRule(src);
+      ASSERT_TRUE(rule.ok()) << src << ": " << rule.status();
+      EdgeEnds added;
+      AddEnds(*rule, &added);
+      const bool may_close = MayCloseCycle(ends, added);
+      kept.push_back(*rule);
+      ObjectStore store;
+      Result<DependencyGraph> g = DependencyGraph::Build(
+          kept, &store, HeadValueMode::kRequireDefined);
+      ASSERT_TRUE(g.ok()) << g.status();
+      const bool stratifies = Stratify(*g, kept.size()).ok();
+      if (!may_close) {
+        ++cleared;
+        EXPECT_TRUE(stratifies) << "seed " << seed << ": " << src;
+      }
+      if (stratifies) {
+        AddEnds(*rule, &ends);
+      } else {
+        ++rejected;
+        kept.pop_back();
+      }
+    }
+  }
+  // Both answers occur often enough for the check to mean something.
+  EXPECT_GT(cleared, 300);
+  EXPECT_GT(rejected, 100);
 }
 
 }  // namespace

@@ -114,9 +114,30 @@ TEST(TriggerTest, CascadesToQuiescence) {
   EXPECT_EQ(db.trigger_stats().firings, 2u);
 }
 
+TEST(TriggerTest, ARoundsConditionsSeeTheStoreAsTheRoundBegan) {
+  // Both triggers match the event p[ev->1] in round 1. The second one's
+  // condition p[a->1] is what the first one asserts, but a round
+  // collects every firing before asserting any, so the condition fails.
+  // Round 2 consumes p[a->1], which is no ev event: quiescence.
+  Database db;
+  ASSERT_TRUE(db.Load(R"(
+    X[a->1] <~ X[ev->1].
+    X[b->1] <~ X[ev->1], X[a->1].
+    p[ev->1].
+  )").ok());
+  ASSERT_TRUE(db.FireTriggers().ok());
+  Result<bool> a = db.Holds("p[a->1]");
+  Result<bool> b = db.Holds("p[b->1]");
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_TRUE(*a);
+  EXPECT_FALSE(*b);
+  EXPECT_EQ(db.trigger_stats().firings, 1u);
+  EXPECT_EQ(db.trigger_stats().rounds, 2u);
+}
+
 TEST(TriggerTest, RunawayCascadeHitsBudget) {
   DatabaseOptions opts;
-  opts.triggers.max_cascade_rounds = 50;
+  opts.engine.max_cascade_rounds = 50;
   Database db(opts);
   // Every spawn event creates a fresh virtual object that spawns again.
   ASSERT_TRUE(db.Load(R"(
@@ -127,15 +148,15 @@ TEST(TriggerTest, RunawayCascadeHitsBudget) {
 }
 
 TEST(TriggerTest, DerivedFactsAreEventsToo) {
-  DatabaseOptions opts;
-  opts.fire_triggers_on_materialize = true;
-  Database db(opts);
+  Database db;
   ASSERT_TRUE(db.Load(R"(
     audit[grew->>{X}] <~ X[desc->>{Y}].
     X[desc->>{Y}] <- X[kids->>{Y}].
     p0[kids->>{p1}].
   )").ok());
-  // Query triggers materialisation, which fires the triggers.
+  // The materialisation derives the desc fact, the firing consumes it.
+  ASSERT_TRUE(db.Materialize().ok());
+  ASSERT_TRUE(db.FireTriggers().ok());
   Result<ResultSet> rs = db.Query("?- audit[grew->>{X}].");
   ASSERT_TRUE(rs.ok()) << rs.status();
   EXPECT_EQ(rs->Column("X", db.store()), (std::vector<std::string>{"p0"}));
