@@ -8,6 +8,12 @@
 #include <malloc.h>
 #endif
 
+#include <stdlib.h>
+
+#include <filesystem>
+#include <memory>
+#include <string>
+
 #include "base/strings.h"
 #include "bench_util.h"
 #include "store/file_ops.h"
@@ -167,7 +173,29 @@ struct WalFixture {
   uint64_t records() const {
     return store.UniverseSize() + store.generation();
   }
+
+  /// Commits every record of the image through `log`, as one batch.
+  void Commit(DurableLog* log) const {
+    bench::Check(log->Commit([this](DurableLog::Batch& batch) {
+      for (Oid o = 0; o < store.UniverseSize(); ++o) {
+        PATHLOG_RETURN_IF_ERROR(batch.Append(
+            EncodeWalIntern(o, store.kind(o), 0, store.DisplayName(o))));
+      }
+      for (uint64_t g = 0; g < store.generation(); ++g) {
+        PATHLOG_RETURN_IF_ERROR(
+            batch.Append(EncodeWalFact(g, store.FactAt(g))));
+      }
+      return Status::OK();
+    }), "commit");
+  }
 };
+
+std::unique_ptr<DurableLog> OpenLog(FileOps* fops, const std::string& path) {
+  return bench::CheckResult(
+      DurableLog::Open(fops, path, DurabilityOptions{},
+                       [](WalRecord&) { return Status::OK(); }),
+      "open");
+}
 
 void BM_Store_WalAppend(benchmark::State& state) {
   // One commit of N records plus its fsync through DurableLog::Commit:
@@ -177,27 +205,40 @@ void BM_Store_WalAppend(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     FaultInjectingFileOps fs;
-    Result<std::unique_ptr<DurableLog>> log = DurableLog::Open(
-        &fs, "/wal", DurabilityOptions{},
-        [](WalRecord&) { return Status::OK(); });
-    bench::Check(log.status(), "open");
+    std::unique_ptr<DurableLog> log = OpenLog(&fs, "/wal");
     state.ResumeTiming();
-    bench::Check((*log)->Commit([&fx](DurableLog::Batch& batch) {
-      for (Oid o = 0; o < fx.store.UniverseSize(); ++o) {
-        PATHLOG_RETURN_IF_ERROR(batch.Append(EncodeWalIntern(
-            o, fx.store.kind(o), 0, fx.store.DisplayName(o))));
-      }
-      for (uint64_t g = 0; g < fx.store.generation(); ++g) {
-        PATHLOG_RETURN_IF_ERROR(
-            batch.Append(EncodeWalFact(g, fx.store.FactAt(g))));
-      }
-      return Status::OK();
-    }), "commit");
+    fx.Commit(log.get());
   }
   state.SetItemsProcessed(state.iterations() * fx.records());
 }
 BENCHMARK(BM_Store_WalAppend)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
+
+void BM_Store_WalCommitFile(benchmark::State& state) {
+  // The same commit into a real file in a temporary directory, with its
+  // fsync: the write calls the in-memory file system hides. Timed by
+  // the wall clock, which the fsync's wait is part of.
+  WalFixture fx(state.range(0));
+  std::string dir = (std::filesystem::temp_directory_path() /
+                     "pathlog_bench_walXXXXXX")
+                        .string();
+  bench::Check(mkdtemp(dir.data()) != nullptr
+                   ? Status::OK()
+                   : Internal("mkdtemp failed"),
+               "temporary directory");
+  const std::string path = dir + "/wal.plgwal";
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::filesystem::remove(path);
+    std::unique_ptr<DurableLog> log = OpenLog(DefaultFileOps(), path);
+    state.ResumeTiming();
+    fx.Commit(log.get());
+  }
+  std::filesystem::remove_all(dir);
+  state.SetItemsProcessed(state.iterations() * fx.records());
+}
+BENCHMARK(BM_Store_WalCommitFile)->Arg(10000)->Arg(100000)
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_Store_WalRecovery(benchmark::State& state) {
   // Scan (CRC every frame) and replay a WAL into an empty store: the

@@ -248,11 +248,13 @@ void FaultInjectingFileOps::SetSchedule(FaultSchedule schedule) {
   for (uint64_t& c : sched_counts_) c = 0;
 }
 
-void FaultInjectingFileOps::RecoverAfterCrash() {
+void FaultInjectingFileOps::RecoverAfterCrash(const KeepPrefix& keep) {
   for (auto& [path, state] : files_) {
     // Tear every unsynced tail: an arbitrary prefix survives. Half
     // exercises both "some bytes landed" and "some were lost".
-    state.durable += state.unsynced.substr(0, state.unsynced.size() / 2);
+    const size_t kept =
+        keep ? keep(path, state.unsynced) : state.unsynced.size() / 2;
+    state.durable += state.unsynced.substr(0, kept);
     state.unsynced.clear();
   }
   crashed_ = false;

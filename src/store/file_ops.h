@@ -26,6 +26,7 @@
 #define PATHLOG_STORE_FILE_OPS_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -150,11 +151,16 @@ class FaultInjectingFileOps : public FileOps {
   uint64_t WriteOpCount() const { return op_count_; }
   bool crashed() const { return crashed_; }
 
-  /// Ends the simulated crash: unsynced tails are torn (each keeps an
-  /// arbitrary prefix — here half, rounded down), open handles are
-  /// invalidated, and the "disk" becomes readable again, as if the
-  /// process restarted.
-  void RecoverAfterCrash();
+  /// Chooses how many bytes of the unsynced tail `tail` of the file at
+  /// `path` survive a crash (at most tail.size()).
+  using KeepPrefix =
+      std::function<size_t(const std::string& path, std::string_view tail)>;
+
+  /// Ends the simulated crash: unsynced tails are torn (each keeps the
+  /// prefix `keep` chooses; by default half, rounded down), open
+  /// handles are invalidated, and the "disk" becomes readable again, as
+  /// if the process restarted.
+  void RecoverAfterCrash(const KeepPrefix& keep = nullptr);
 
   // FileOps:
   Result<std::string> ReadFile(const std::string& path) override;

@@ -86,17 +86,34 @@ class ListArena {
     ++r->len;
   }
 
+  /// Bulk build: appends `slots` slots and returns the first. The
+  /// caller carves them into blocks, BlockSize(len) slots for a list
+  /// that gets `len` items, starts each list as {block, 0}, and fills
+  /// it with Fill.
+  uint32_t AddSlots(size_t slots) {
+    const uint32_t off = static_cast<uint32_t>(std::get<0>(cols_).size());
+    std::apply([&](auto&... c) { (c.resize(off + slots), ...); }, cols_);
+    return off;
+  }
+
+  /// Appends one item to a list laid out by AddSlots, inside its block.
+  void Fill(ListRef* r, const Cols&... v) {
+    Put(r->off + r->len, std::index_sequence_for<Cols...>{}, v...);
+    ++r->len;
+  }
+
   uint64_t Bytes() const {
     return std::apply([](const auto&... c) { return (VectorBytes(c) + ...); },
                       cols_) +
            VectorBytes(free_);
   }
 
- private:
+  /// Slots of the block of a list of `len` items.
   static uint32_t BlockSize(uint32_t len) {
     return len == 0 ? 0 : std::bit_ceil(len);
   }
 
+ private:
   template <size_t... I>
   void Put(size_t at, std::index_sequence<I...>, const Cols&... v) {
     ((std::get<I>(cols_)[at] = v), ...);
@@ -202,6 +219,14 @@ class FlatMap {
     if (SlotsFor(n) > slots_.size()) Rehash(SlotsFor(n));
   }
 
+  /// Calls f(key, value) for every key, in slot order.
+  template <typename F>
+  void ForEach(F f) const {
+    for (const Slot& s : slots_) {
+      if (s.key != kEmpty) f(s.key, s.value);
+    }
+  }
+
   size_t size() const { return size_; }
 
   uint64_t Bytes() const { return VectorBytes(slots_); }
@@ -248,8 +273,40 @@ class PostingMap {
     return list.len;
   }
 
-  /// Sizes the table for `keys` distinct keys.
-  void Reserve(size_t keys) { heads_.Reserve(keys); }
+  /// Builds the map, which must be empty, from `n` items: item i joins
+  /// the list of key_of(i), so every list keeps item order (a stable
+  /// counting sort). `count` holds a zero for every key, and is left so.
+  template <typename KeyOf, typename ItemOf>
+  void Build(size_t n, KeyOf key_of, ItemOf item_of,
+             std::vector<uint32_t>* count) {
+    std::vector<uint32_t>& c = *count;
+    std::vector<Oid> keys;  // in order of first use
+    size_t slots = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (c[key_of(i)]++ == 0) keys.push_back(key_of(i));
+    }
+    for (Oid k : keys) slots += ListArena<T>::BlockSize(c[k]);
+    uint32_t block = lists_.AddSlots(slots);
+    std::vector<ListRef> lists(keys.size());
+    for (uint32_t j = 0; j < keys.size(); ++j) {
+      lists[j] = {block, 0};
+      block += ListArena<T>::BlockSize(c[keys[j]]);
+      c[keys[j]] = j;  // from here on, the key's place in `lists`
+    }
+    for (size_t i = 0; i < n; ++i) lists_.Fill(&lists[c[key_of(i)]], item_of(i));
+    heads_.Reserve(keys.size());
+    for (uint32_t j = 0; j < keys.size(); ++j) {
+      bool added;
+      heads_.Insert(keys[j], &added) = lists[j];
+      c[keys[j]] = 0;
+    }
+  }
+
+  /// Calls f(key, list) for every key, in no particular order.
+  template <typename F>
+  void ForEach(F f) const {
+    heads_.ForEach([&](Oid key, ListRef list) { f(key, lists_.Get(list)); });
+  }
 
   /// Number of keys with a list.
   size_t keys() const { return heads_.size(); }
@@ -288,6 +345,25 @@ class IndexSet {
     }
     Place(idx, hash);
     ++size_;
+  }
+
+  /// The index whose key `eq` accepts; when there is none, adds `idx`,
+  /// whose key hashes to `hash`, and returns kNone.
+  template <typename Eq, typename HashOf>
+  uint32_t FindOrInsert(uint32_t idx, uint64_t hash, Eq eq, HashOf hash_of) {
+    if (4 * (size_ + 1) > 3 * slots_.size()) {
+      Rehash(SlotsFor(size_ + 1), hash_of);
+    }
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = SlotOf(hash, mask);; i = (i + 1) & mask) {
+      const uint32_t e = slots_[i];
+      if (e == kNone) {
+        slots_[i] = idx;
+        ++size_;
+        return kNone;
+      }
+      if (eq(e)) return e;
+    }
   }
 
   /// Sizes the set for `n` indexes.

@@ -29,15 +29,24 @@ void MethodStats::Update(Oid value, uint64_t new_count, bool is_new_value,
       return;
     }
   }
-  HeavyBucket cand{value, new_count};
+  Admit({value, new_count});
+}
+
+void MethodStats::AddBucket(Oid value, uint64_t count) {
+  total += count;
+  ++distinct;
+  Admit({value, count});
+}
+
+void MethodStats::Admit(HeavyBucket cand) {
   if (heavy.size() < kStatsTopK) {
     heavy.push_back(cand);
     std::sort(heavy.begin(), heavy.end(), HeavierThan);
     return;
   }
   // Full: admit only past the current minimum (heavy is sorted, so the
-  // minimum under the order is the last element). Because new_count is
-  // the value's *true* bucket size, an evicted value re-enters intact
+  // minimum under the order is the last element). Because cand.count
+  // is the value's *true* bucket size, an evicted value re-enters intact
   // the moment it outgrows the floor, keeping the top-k exact.
   if (HeavierThan(cand, heavy.back())) {
     heavy.back() = cand;

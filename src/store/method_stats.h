@@ -64,6 +64,11 @@ struct MethodStats {
   /// is true when this is the bucket's first entry.
   void Update(Oid value, uint64_t new_count, bool is_new_value, uint64_t gen);
 
+  /// Counts one whole bucket of a finished index (a bulk build): after
+  /// every bucket, in any order, the counters and heavy hitters are
+  /// those the Updates of its facts reach. Leaves last_gen alone.
+  void AddBucket(Oid value, uint64_t count);
+
   /// Sum of the heavy-hitter counts (the mass the sketch explains).
   uint64_t HeavyMass() const;
 
@@ -71,6 +76,11 @@ struct MethodStats {
     return a.total == b.total && a.distinct == b.distinct &&
            a.last_gen == b.last_gen && a.heavy == b.heavy;
   }
+
+ private:
+  /// Keeps `cand`, a bucket not in `heavy`, if it is among the k
+  /// heaviest.
+  void Admit(HeavyBucket cand);
 };
 
 /// The average bucket, entries / distinct values: blind to skew, and

@@ -59,6 +59,33 @@ uint64_t RecordHash(const Table& t, const Record& r) {
   return HashInvocation(r.recv, t.Args(r));
 }
 
+/// The entry of (recv, args), whose hash is `hash`, or IndexSet::kNone.
+uint32_t FindEntry(const ScalarTable& t, Oid recv, std::span<const Oid> args,
+                   uint64_t hash) {
+  return t.index.Find(hash, [&](uint32_t i) {
+    return t.entries[i].recv == recv && SameArgs(t.Args(t.entries[i]), args);
+  });
+}
+
+/// The group of (recv, args), whose hash is `hash`, or IndexSet::kNone.
+uint32_t FindGroup(const SetTable& t, Oid recv, std::span<const Oid> args,
+                   uint64_t hash) {
+  return t.index.Find(hash, [&](uint32_t i) {
+    return t.groups[i].recv == recv && SameArgs(t.Args(t.groups[i]), args);
+  });
+}
+
+/// The stats of a finished inverted index.
+template <typename T>
+MethodStats StatsOf(const PostingMap<T>& index, uint64_t last_gen) {
+  MethodStats stats;
+  index.ForEach([&stats](Oid value, std::span<const T> bucket) {
+    stats.AddBucket(value, bucket.size());
+  });
+  stats.last_gen = last_gen;
+  return stats;
+}
+
 /// The position of `o` among a group's members, or UINT32_MAX: a scan
 /// for small groups, the method's position table past kScanMembers.
 uint32_t MemberPos(std::span<const Oid> members, const PairMap& positions,
@@ -184,33 +211,39 @@ Status ObjectStore::AddIsa(Oid sub, Oid super) {
   if (!Valid(sub) || !Valid(super)) {
     return InvalidArgument("AddIsa: invalid oid");
   }
+  Result<bool> added = LinkIsa(sub, super, log_.size());
+  if (!added.ok() || !*added) return added.status();
+  log_.push_back(Fact{FactKind::kIsa, super, sub, {}, kNilOid});
+  if (metrics_.isa_facts != nullptr) metrics_.isa_facts->Inc();
+  return Status::OK();
+}
+
+Result<bool> ObjectStore::LinkIsa(Oid sub, Oid super, uint64_t gen) {
   if (sub == super || IsA(super, sub)) {
-    return InvalidArgument(
+    return Status(InvalidArgument(
         StrCat("AddIsa: edge ", DisplayName(sub), " <= ", DisplayName(super),
                " would create a cycle; the hierarchy must stay a partial "
-               "order"));
+               "order")));
   }
   // Already reachable: the closure is unchanged and no fact is new.
-  if (IsA(sub, super)) return Status::OK();
+  if (IsA(sub, super)) return false;
 
   // Incrementally extend the reachability closure: every x <= sub
-  // (including sub) now reaches every y >= super (including super).
-  // Copied out first: the appends below move the arena's lists.
-  std::vector<Oid> below;
-  below.push_back(sub);
-  const std::span<const Oid> sub_members = Members(sub);
-  below.insert(below.end(), sub_members.begin(), sub_members.end());
-  std::vector<Oid> above;
-  above.push_back(super);
-  const std::span<const Oid> super_ancestors = Ancestors(super);
-  above.insert(above.end(), super_ancestors.begin(), super_ancestors.end());
+  // (sub, then its members) now reaches every y >= super (super, then
+  // its ancestors). Neither of those two lists gains an item here (that
+  // would close a cycle), but the appends below may move them, so they
+  // are read by position.
   if (ancestors_.size() < objects_.size()) {
     ancestors_.resize(objects_.size());
     members_.resize(objects_.size());
   }
-  const uint64_t gen = log_.size();
-  for (Oid x : below) {
-    for (Oid y : above) {
+  const uint32_t below = members_[sub].len;
+  const uint32_t above = ancestors_[super].len;
+  for (uint32_t i = 0; i <= below; ++i) {
+    const Oid x = i == 0 ? sub : closure_.Get<0>(members_[sub])[i - 1];
+    for (uint32_t j = 0; j <= above; ++j) {
+      const Oid y =
+          j == 0 ? super : closure_.Get<0>(ancestors_[super])[j - 1];
       // A new pair is new on both sides: isa_gen_ is the one set.
       if (isa_gen_.Insert(x, y, gen)) {
         closure_.Append(&ancestors_[x], y, gen);
@@ -218,10 +251,7 @@ Status ObjectStore::AddIsa(Oid sub, Oid super) {
       }
     }
   }
-
-  log_.push_back(Fact{FactKind::kIsa, super, sub, {}, kNilOid});
-  if (metrics_.isa_facts != nullptr) metrics_.isa_facts->Inc();
-  return Status::OK();
+  return true;
 }
 
 bool ObjectStore::IsA(Oid sub, Oid super) const {
@@ -239,17 +269,11 @@ Status ObjectStore::SetScalar(Oid m, Oid recv, const std::vector<Oid>& args,
   }
   ScalarTable& t = scalar_[m];
   const uint64_t hash = HashInvocation(recv, args);
-  const uint32_t found = t.index.Find(hash, [&](uint32_t i) {
-    return t.entries[i].recv == recv && SameArgs(t.Args(t.entries[i]), args);
-  });
+  const uint32_t found = FindEntry(t, recv, args, hash);
   if (found != IndexSet::kNone) {
-    Oid existing = t.entries[found].value;
-    if (existing == value) return Status::OK();
-    std::string call = DisplayName(recv);
-    return ScalarConflict(StrCat(
-        "scalar method ", DisplayName(m), " on ", call,
-        " already yields ", DisplayName(existing), "; cannot also yield ",
-        DisplayName(value)));
+    const Oid existing = t.entries[found].value;
+    return existing == value ? Status::OK()
+                             : ConflictError(m, recv, existing, value);
   }
   const uint64_t gen = log_.size();
   // The table copies the args from the log's copy, made before the log
@@ -272,16 +296,20 @@ Status ObjectStore::SetScalar(Oid m, Oid recv, const std::vector<Oid>& args,
   return Status::OK();
 }
 
+Status ObjectStore::ConflictError(Oid m, Oid recv, Oid existing,
+                                  Oid value) const {
+  return ScalarConflict(StrCat("scalar method ", DisplayName(m), " on ",
+                               DisplayName(recv), " already yields ",
+                               DisplayName(existing), "; cannot also yield ",
+                               DisplayName(value)));
+}
+
 std::optional<Oid> ObjectStore::GetScalar(
     Oid m, Oid recv, const std::vector<Oid>& args) const {
   auto mt = scalar_.find(m);
   if (mt == scalar_.end()) return std::nullopt;
   const ScalarTable& t = mt->second;
-  const uint32_t found =
-      t.index.Find(HashInvocation(recv, args), [&](uint32_t i) {
-        return t.entries[i].recv == recv &&
-               SameArgs(t.Args(t.entries[i]), args);
-      });
+  const uint32_t found = FindEntry(t, recv, args, HashInvocation(recv, args));
   if (found == IndexSet::kNone) return std::nullopt;
   return t.entries[found].value;
 }
@@ -332,9 +360,7 @@ bool ObjectStore::AddSetMember(Oid m, Oid recv, const std::vector<Oid>& args,
          "AddSetMember: invalid oid");
   SetTable& t = setval_[m];
   const uint64_t hash = HashInvocation(recv, args);
-  uint32_t gi = t.index.Find(hash, [&](uint32_t i) {
-    return t.groups[i].recv == recv && SameArgs(t.Args(t.groups[i]), args);
-  });
+  uint32_t gi = FindGroup(t, recv, args, hash);
   if (gi != IndexSet::kNone &&
       MemberPos(t.members.Get<0>(t.groups[gi].members), t.positions, gi,
                 value) != UINT32_MAX) {
@@ -377,9 +403,7 @@ std::optional<SetGroup> ObjectStore::GetSetGroup(
   auto mt = setval_.find(m);
   if (mt == setval_.end()) return std::nullopt;
   const SetTable& t = mt->second;
-  const uint32_t gi = t.index.Find(HashInvocation(recv, args), [&](uint32_t i) {
-    return t.groups[i].recv == recv && SameArgs(t.Args(t.groups[i]), args);
-  });
+  const uint32_t gi = FindGroup(t, recv, args, HashInvocation(recv, args));
   if (gi == IndexSet::kNone) return std::nullopt;
   return SetGroup(t, gi);
 }
@@ -424,24 +448,6 @@ std::vector<Oid> ObjectStore::SetMethods() const {
   return out;
 }
 
-void ObjectStore::Reserve(size_t objects, size_t facts, size_t isa_facts) {
-  objects_.reserve(objects);
-  interned_.Reserve(objects, [&](uint32_t i) { return InternHashOf(i); });
-  // A reopened store takes the log's facts right after its snapshot:
-  // an eighth more room keeps the first of them from doubling the fact
-  // log, the store's largest vector, while both copies are live.
-  log_.reserve(facts + facts / 8);
-  isa_gen_.Reserve(isa_facts);
-}
-
-void ObjectStore::ReserveScalar(Oid m, size_t facts, size_t no_args) {
-  ScalarTable& t = scalar_[m];
-  t.entries.reserve(facts);
-  t.index.Reserve(facts,
-                  [&](uint32_t i) { return RecordHash(t, t.entries[i]); });
-  t.by_recv.Reserve(no_args);
-}
-
 uint64_t ObjectStore::ApproxBytes() const {
   uint64_t bytes =
       VectorBytes(objects_) + string_bytes_ + interned_.Bytes();
@@ -479,6 +485,245 @@ ObjectStore::Stats ObjectStore::ComputeStats() const {
     }
   }
   return s;
+}
+
+// --- Bulk build --------------------------------------------------------
+
+Status ObjectStore::BuildScalarTable(Oid m, std::span<const uint32_t> gens,
+                                     std::vector<uint32_t>* count,
+                                     uint64_t* repeats, uint64_t* error_gen) {
+  ScalarTable& t = scalar_[m];
+  size_t argc = 0;
+  for (uint32_t g : gens) argc += log_[g].args.size();
+  t.entries.reserve(gens.size());
+  t.args.reserve(argc);
+  auto hash_of = [&t](uint32_t i) { return RecordHash(t, t.entries[i]); };
+  t.index.Reserve(gens.size(), hash_of);
+  for (uint32_t g : gens) {
+    const Fact& f = log_[g];
+    const uint32_t idx = static_cast<uint32_t>(t.entries.size());
+    const uint32_t found = t.index.FindOrInsert(
+        idx, HashInvocation(f.recv, f.args),
+        [&](uint32_t i) {
+          return t.entries[i].recv == f.recv &&
+                 SameArgs(t.Args(t.entries[i]), f.args);
+        },
+        hash_of);
+    if (found == IndexSet::kNone) {
+      t.entries.push_back(ScalarRecord{f.recv, f.value, g,
+                                       static_cast<uint32_t>(t.args.size()),
+                                       static_cast<uint32_t>(f.args.size())});
+      t.args.insert(t.args.end(), f.args.begin(), f.args.end());
+      continue;
+    }
+    const Oid existing = t.entries[found].value;
+    if (existing != f.value) {
+      *error_gen = g;
+      return ConflictError(m, f.recv, existing, f.value);
+    }
+    ++*repeats;
+  }
+  const auto item = [](size_t i) { return static_cast<uint32_t>(i); };
+  t.by_recv.Build(
+      t.entries.size(), [&t](size_t i) { return t.entries[i].recv; }, item,
+      count);
+  t.by_value.Build(
+      t.entries.size(), [&t](size_t i) { return t.entries[i].value; }, item,
+      count);
+  t.stats = StatsOf(t.by_value, t.entries.back().gen);
+  return Status::OK();
+}
+
+void ObjectStore::BuildSetTable(Oid m, std::span<const uint32_t> gens,
+                                std::vector<uint32_t>* count,
+                                uint64_t* repeats) {
+  SetTable& t = setval_[m];
+  auto hash_of = [&t](uint32_t i) { return RecordHash(t, t.groups[i]); };
+  // Each fact's group, the groups made in order of first use, and each
+  // group's fact count, which sizes its block of the member lists.
+  std::vector<uint32_t> group_of(gens.size());
+  std::vector<uint32_t> group_facts;
+  for (size_t i = 0; i < gens.size(); ++i) {
+    const Fact& f = log_[gens[i]];
+    uint32_t gi = static_cast<uint32_t>(t.groups.size());
+    const uint32_t found = t.index.FindOrInsert(
+        gi, HashInvocation(f.recv, f.args),
+        [&](uint32_t j) {
+          return t.groups[j].recv == f.recv &&
+                 SameArgs(t.Args(t.groups[j]), f.args);
+        },
+        hash_of);
+    if (found == IndexSet::kNone) {
+      t.groups.push_back(GroupRecord{f.recv,
+                                     static_cast<uint32_t>(t.args.size()),
+                                     static_cast<uint32_t>(f.args.size()),
+                                     {}});
+      t.args.insert(t.args.end(), f.args.begin(), f.args.end());
+      group_facts.push_back(0);
+    } else {
+      gi = found;
+    }
+    group_of[i] = gi;
+    ++group_facts[gi];
+  }
+  size_t slots = 0, positioned = 0;
+  for (uint32_t n : group_facts) {
+    slots += ListArena<Oid, uint64_t>::BlockSize(n);
+    if (n > kScanMembers) positioned += n;
+  }
+  uint32_t block = t.members.AddSlots(slots);
+  for (uint32_t gi = 0; gi < t.groups.size(); ++gi) {
+    t.groups[gi].members = {block, 0};
+    block += ListArena<Oid, uint64_t>::BlockSize(group_facts[gi]);
+  }
+  t.positions.Reserve(positioned);
+  // The membership facts in log order, as the member index lists them.
+  struct Membership {
+    Oid member;
+    SetMemberRef ref;
+  };
+  std::vector<Membership> added;
+  added.reserve(gens.size());
+  uint64_t last_gen = 0;
+  for (size_t i = 0; i < gens.size(); ++i) {
+    const uint32_t gi = group_of[i];
+    const Oid value = log_[gens[i]].value;
+    ListRef& members = t.groups[gi].members;
+    if (MemberPos(t.members.Get<0>(members), t.positions, gi, value) !=
+        UINT32_MAX) {
+      ++*repeats;
+      continue;
+    }
+    // A group past kScanMembers indexes every member, as AddSetMember's
+    // does once it outgrows scanning.
+    if (group_facts[gi] > kScanMembers) {
+      t.positions.Insert(gi, value, members.len);
+    }
+    added.push_back({value, SetMemberRef{gi, members.len}});
+    t.members.Fill(&members, value, gens[i]);
+    last_gen = gens[i];
+  }
+  t.by_recv.Build(
+      t.groups.size(), [&t](size_t i) { return t.groups[i].recv; },
+      [](size_t i) { return static_cast<uint32_t>(i); }, count);
+  t.by_member.Build(
+      added.size(), [&added](size_t i) { return added[i].member; },
+      [&added](size_t i) { return added[i].ref; }, count);
+  t.stats = StatsOf(t.by_member, last_gen);
+}
+
+ObjectStore::Builder::Builder(size_t objects, size_t facts) {
+  store_.objects_.reserve(objects);
+  store_.log_.reserve(facts + facts / 8);
+}
+
+void ObjectStore::Builder::AddObject(ObjectKind kind, std::string_view text,
+                                     int64_t value) {
+  switch (kind) {
+    case ObjectKind::kInt:
+      store_.AddObject({kind, std::to_string(value), value});
+      break;
+    case ObjectKind::kString:
+      store_.AddObject({kind, StrCat("\"", text, "\""), 0});
+      break;
+    default:
+      store_.AddObject({kind, std::string(text), 0});
+      break;
+  }
+}
+
+void ObjectStore::Builder::AddFact(Fact fact) {
+  const uint32_t gen = static_cast<uint32_t>(store_.log_.size());
+  if (fact.kind == FactKind::kIsa) {
+    fact = {FactKind::kIsa, fact.method, fact.recv, {}, kNilOid};
+    isa_.push_back(gen);
+  } else {
+    if (tables_.empty()) tables_.assign(2 * store_.objects_.size() + 2, 0);
+    ++tables_[TableOf(fact) + 1];
+  }
+  store_.fact_arg_bytes_ += ArgBytes(fact.args.size());
+  store_.log_.push_back(std::move(fact));
+}
+
+Result<ObjectStore> ObjectStore::Builder::Finish(uint64_t* repeats) {
+  ObjectStore& s = store_;
+  *repeats = 0;
+  // The intern index, built once.
+  size_t interned = 0;
+  for (const ObjectInfo& info : s.objects_) {
+    interned += info.kind != ObjectKind::kAnonymous;
+  }
+  auto hash_of = [&s](uint32_t i) { return s.InternHashOf(i); };
+  s.interned_.Reserve(interned, hash_of);
+  for (Oid o = 0; o < s.objects_.size(); ++o) {
+    const ObjectInfo& info = s.objects_[o];
+    if (info.kind == ObjectKind::kAnonymous) continue;
+    const std::string_view text = InternText(info);
+    const uint32_t first = s.interned_.FindOrInsert(
+        o, hash_of(o),
+        [&](uint32_t i) {
+          const ObjectInfo& other = s.objects_[i];
+          return other.kind == info.kind && InternText(other) == text &&
+                 other.int_value == info.int_value;
+        },
+        hash_of);
+    if (first != IndexSet::kNone) {
+      return Status(Internal(StrCat("object ", o, " repeats object ", first,
+                                    " (duplicate table entry?)")));
+    }
+  }
+
+  // Isa facts take AddIsa's closure step in log order. The first one it
+  // rejects ends the facts that count: a replay stops there.
+  uint64_t end = s.log_.size();
+  Status error;
+  s.isa_gen_.Reserve(isa_.size());
+  for (uint32_t g : isa_) {
+    const Fact& f = s.log_[g];
+    Result<bool> added = s.LinkIsa(f.recv, f.method, g);
+    if (!added.ok()) {
+      error = added.status();
+      end = g;
+      break;
+    }
+    if (!*added) ++*repeats;
+  }
+
+  // The other facts before `end`, grouped by table (a counting sort).
+  for (size_t k = 1; k < tables_.size(); ++k) tables_[k] += tables_[k - 1];
+  std::vector<uint32_t> gens(tables_.empty() ? 0 : tables_.back());
+  std::vector<uint32_t> filled(tables_.begin(),
+                               tables_.end() - (tables_.empty() ? 0 : 1));
+  for (uint64_t g = 0; g < end; ++g) {
+    const Fact& f = s.log_[g];
+    if (f.kind != FactKind::kIsa) {
+      gens[filled[TableOf(f)]++] = static_cast<uint32_t>(g);
+    }
+  }
+  // Each scalar table stops at its first conflict; the earliest of
+  // those is where a replay stops, so later tables look only before
+  // it.
+  std::vector<uint32_t> count(s.objects_.size(), 0);
+  for (size_t k = 0; k < filled.size(); ++k) {
+    const uint32_t* first = gens.data() + tables_[k];
+    const uint32_t* last = gens.data() + filled[k];
+    const std::span<const uint32_t> table(first,
+                                          std::lower_bound(first, last, end));
+    if (table.empty()) continue;
+    const Oid m = static_cast<Oid>(k / 2);
+    if (k % 2 == 1) {
+      s.BuildSetTable(m, table, &count, repeats);
+      continue;
+    }
+    uint64_t at = end;
+    Status st = s.BuildScalarTable(m, table, &count, repeats, &at);
+    if (!st.ok()) {
+      error = st;
+      end = at;
+    }
+  }
+  if (!error.ok()) return error;
+  return std::move(store_);
 }
 
 }  // namespace pathlog

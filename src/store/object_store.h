@@ -423,15 +423,6 @@ class ObjectStore {
   };
   Stats ComputeStats() const;
 
-  /// Pre-sizes the store for a bulk load of `objects` objects and
-  /// `facts` facts, `isa_facts` of them isa edges. Loading without it
-  /// gives the same store, with more slack in its tables.
-  void Reserve(size_t objects, size_t facts, size_t isa_facts);
-
-  /// Pre-sizes scalar method m's tables for `facts` facts, `no_args`
-  /// of them without arguments (each of those has its own receiver).
-  void ReserveScalar(Oid m, size_t facts, size_t no_args);
-
   /// Approximate heap bytes retained by the store: the object table
   /// and intern maps, the hierarchy closure, the method tables with
   /// their indexes and posting lists, and the fact log. Derived from
@@ -450,6 +441,8 @@ class ObjectStore {
   /// to the copy are real mutations and count too; callers that copy
   /// for oracle runs should detach on the copy.
   void set_metrics(MetricsRegistry* metrics);
+
+  class Builder;
 
  private:
   struct ObjectInfo {
@@ -470,6 +463,22 @@ class ObjectStore {
   /// The text an object is interned by: a symbol's name, a string's
   /// text without its quotes; empty for other kinds.
   static std::string_view InternText(const ObjectInfo& info);
+
+  /// AddIsa's closure step for the fact with generation `gen`: true if
+  /// the edge is new, false if the closure already has it.
+  Result<bool> LinkIsa(Oid sub, Oid super, uint64_t gen);
+  /// The error of a scalar fact that contradicts an existing one.
+  Status ConflictError(Oid m, Oid recv, Oid existing, Oid value) const;
+
+  // Builder steps: fill one method's table from its facts (generations
+  // `gens`, ascending) as the mutators would, in one pass per index.
+  // A fact the mutators would accept without logging counts in
+  // `*repeats`; `count` is PostingMap::Build's zeroed counts.
+  Status BuildScalarTable(Oid m, std::span<const uint32_t> gens,
+                          std::vector<uint32_t>* count, uint64_t* repeats,
+                          uint64_t* error_gen);
+  void BuildSetTable(Oid m, std::span<const uint32_t> gens,
+                     std::vector<uint32_t>* count, uint64_t* repeats);
 
   /// Cached metric handles (borrowed from the attached registry; all
   /// null when metrics are detached).
@@ -504,6 +513,58 @@ class ObjectStore {
   /// (ApproxBytes).
   uint64_t string_bytes_ = 0;
   uint64_t fact_arg_bytes_ = 0;
+};
+
+/// Builds a store in bulk from an object table and a fact log, as a
+/// snapshot holds them: objects are added in oid order and facts in
+/// generation order, and Finish indexes them in one pass per table
+/// instead of one mutator call per fact. The store answers every
+/// accessor as replaying the same objects and facts through the
+/// mutators would, list order, generation stamps and MethodStats
+/// included. Isa facts do take AddIsa's closure step, in log order,
+/// because the closure lists keep insertion order.
+class ObjectStore::Builder {
+ public:
+  /// A builder sized for `objects` objects and `facts` facts. The fact
+  /// log gets an eighth more room: a reopened store takes the log's
+  /// facts right after its snapshot, and that keeps the first of them
+  /// from doubling the log, the store's largest vector, while both
+  /// copies are live.
+  Builder(size_t objects, size_t facts);
+
+  /// Adds the next object: `text` is a symbol's name, a string's text
+  /// (unquoted) or an anonymous object's display name; `value` is an
+  /// integer's value. Every object comes before the first fact.
+  void AddObject(ObjectKind kind, std::string_view text, int64_t value);
+
+  /// Adds the fact with the next generation. Its oids must name objects
+  /// already added. An isa fact is logged as AddIsa logs it, without
+  /// args or value.
+  void AddFact(Fact fact);
+
+  /// Indexes what was added and hands over the store. Fails as a replay
+  /// through the mutators would stop first: on an interned object that
+  /// repeats an earlier one (kInternal), then on the earliest fact the
+  /// mutators reject: an isa edge that would close a cycle
+  /// (kInvalidArgument) or a second value for a scalar
+  /// (kScalarConflict). Facts the mutators would accept without logging
+  /// them (a repeated fact, an isa edge the closure already implies)
+  /// are not errors here; `*repeats` counts them, and a store with any
+  /// does not match its log.
+  Result<ObjectStore> Finish(uint64_t* repeats);
+
+ private:
+  /// The table a non-isa fact belongs to: 2m for method m's scalars,
+  /// 2m + 1 for its set members.
+  static size_t TableOf(const Fact& f) {
+    return 2 * size_t{f.method} + (f.kind == FactKind::kSetMember);
+  }
+
+  ObjectStore store_;
+  /// Generations of the isa facts.
+  std::vector<uint32_t> isa_;
+  /// Facts per table, at index table + 1 (a counting sort's counts).
+  std::vector<uint32_t> tables_;
 };
 
 }  // namespace pathlog

@@ -1,7 +1,7 @@
 #include "store/snapshot.h"
 
 #include <cstring>
-#include <unordered_map>
+#include <utility>
 
 #include "base/coding.h"
 #include "base/crc32.h"
@@ -60,132 +60,99 @@ Status AppendBody(const ObjectStore& store, std::string* out) {
   return Status::OK();
 }
 
-/// Pre-sizes `store` for the image in `body` from a counting pass: the
-/// object and fact counts, the isa edges, and each scalar method's
-/// facts. A malformed image stops the count; the loading pass reports
-/// it.
-void ReserveForBody(std::string_view body, ObjectStore* store) {
+/// The complete objects and facts of a body, up to the first
+/// malformed one: one counting pass that sizes the builder.
+std::pair<size_t, size_t> CountBody(std::string_view body) {
   ByteReader r(body);
   const uint64_t n = r.U64();
-  for (uint64_t i = 0; i < n && r.Ok(); ++i) {
+  size_t objects = 0, facts = 0;
+  while (objects < n && r.Ok()) {
     if (static_cast<ObjectKind>(r.U8()) == ObjectKind::kInt) {
       r.U64();
     } else {
       r.Bytes(r.U32());
     }
+    objects += r.Ok();
   }
-  const uint64_t facts = r.Ok() ? r.U64() : 0;
-  uint64_t isa = 0, counted = 0;
-  struct Counts {
-    size_t facts = 0, no_args = 0;
-  };
-  std::unordered_map<Oid, Counts> scalar;
-  for (; counted < facts && r.Ok(); ++counted) {
-    const FactKind kind = static_cast<FactKind>(r.U8());
-    const Oid method = r.U32();
-    r.U32();  // receiver
-    const uint16_t argc = r.U16();
-    r.Bytes(4 * size_t{argc});
-    r.U32();  // value
-    if (kind == FactKind::kIsa) ++isa;
-    if (kind == FactKind::kScalar && method < n) {
-      Counts& c = scalar[method];
-      ++c.facts;
-      if (argc == 0) ++c.no_args;
-    }
+  const uint64_t count = r.Ok() ? r.U64() : 0;
+  while (facts < count && r.Ok()) {
+    r.Bytes(9);                          // kind, method, receiver
+    r.Bytes(4 * size_t{r.U16()} + 4);    // args, value
+    facts += r.Ok();
   }
-  if (!r.Ok()) return;
-  store->Reserve(n, counted, isa);
-  for (const auto& [m, c] : scalar) store->ReserveScalar(m, c.facts, c.no_args);
+  return {objects, facts};
 }
 
+/// Builds a store from a body in bulk (ObjectStore::Builder). Whatever
+/// a replay of the body through the mutators would reject, this rejects
+/// with the same code: decoding stops at the first malformed object or
+/// fact, and the builder reports a fact before it that the mutators
+/// reject, which a replay would have met first.
 Result<ObjectStore> DeserializeBody(std::string_view body) {
+  const auto [objects, facts] = CountBody(body);
+  ObjectStore::Builder builder(objects, facts);
   ByteReader r(body);
-
-  ObjectStore store;
-  ReserveForBody(body, &store);
+  Status malformed;
   const uint64_t n = r.U64();
   for (uint64_t i = 0; i < n && r.Ok(); ++i) {
-    ObjectKind kind = static_cast<ObjectKind>(r.U8());
-    Oid o = kNilOid;
-    switch (kind) {
-      case ObjectKind::kInt:
-        o = store.InternInt(r.I64());
-        break;
-      case ObjectKind::kSymbol: {
-        uint32_t len = r.U32();
-        o = store.InternSymbol(r.Bytes(len));
-        break;
-      }
-      case ObjectKind::kString: {
-        uint32_t len = r.U32();
-        o = store.InternString(r.Bytes(len));
-        break;
-      }
-      case ObjectKind::kAnonymous: {
-        uint32_t len = r.U32();
-        o = store.NewAnonymous(std::string(r.Bytes(len)));
-        break;
-      }
-      default:
-        return Status(
-            InvalidArgument("snapshot corrupt: unknown object kind"));
+    const ObjectKind kind = static_cast<ObjectKind>(r.U8());
+    int64_t value = 0;
+    std::string_view text;
+    if (kind == ObjectKind::kInt) {
+      value = r.I64();
+    } else if (kind <= ObjectKind::kAnonymous) {
+      text = r.Bytes(r.U32());
+    } else if (r.Ok()) {
+      malformed = InvalidArgument("snapshot corrupt: unknown object kind");
+      break;
     }
     if (!r.Ok()) break;
-    if (o != static_cast<Oid>(i)) {
-      return Status(Internal(StrCat(
-          "snapshot corrupt: object ", i, " reconstructed with oid ", o,
-          " (duplicate table entry?)")));
-    }
+    builder.AddObject(kind, text, value);
   }
 
-  const uint64_t facts = r.Ok() ? r.U64() : 0;
-  for (uint64_t g = 0; g < facts && r.Ok(); ++g) {
-    FactKind kind = static_cast<FactKind>(r.U8());
-    Oid method = r.U32();
-    Oid recv = r.U32();
-    uint16_t argc = r.U16();
-    std::vector<Oid> args(argc);
-    for (uint16_t i = 0; i < argc; ++i) args[i] = r.U32();
-    Oid value = r.U32();
+  const uint64_t count = malformed.ok() && r.Ok() ? r.U64() : 0;
+  for (uint64_t g = 0; g < count && r.Ok(); ++g) {
+    const FactKind kind = static_cast<FactKind>(r.U8());
+    const Oid method = r.U32();
+    const Oid recv = r.U32();
+    std::vector<Oid> args(r.U16());
+    for (Oid& a : args) a = r.U32();
+    const Oid value = r.U32();
     if (!r.Ok()) break;
     // Every fact oid must refer to an object declared above; without
     // this check a corrupt file would plant out-of-range oids in the
-    // tables (AddSetMember trusts its caller) and later reads would be
-    // out of bounds. Replay through the public mutators below then
-    // rebuilds every derived index — forward, inverted, and hierarchy
-    // closure — so none of them are serialized; ReserveForBody sized
-    // the tables up front.
-    bool oids_ok = store.Valid(method) && store.Valid(recv) &&
-                   (kind == FactKind::kIsa || store.Valid(value));
-    for (Oid a : args) oids_ok = oids_ok && store.Valid(a);
+    // tables. Every derived index (forward, inverted, statistics and
+    // hierarchy closure) is rebuilt, so none of them are serialized.
+    bool oids_ok = method < n && recv < n &&
+                   (kind == FactKind::kIsa || value < n);
+    for (Oid a : args) oids_ok = oids_ok && a < n;
     if (!oids_ok) {
-      return Status(InvalidArgument(
+      malformed = InvalidArgument(
           StrCat("snapshot corrupt: fact ", g, " references an oid outside "
-                 "the object table")));
+                 "the object table"));
+      break;
     }
-    switch (kind) {
-      case FactKind::kIsa:
-        PATHLOG_RETURN_IF_ERROR(store.AddIsa(recv, method));
-        break;
-      case FactKind::kScalar:
-        PATHLOG_RETURN_IF_ERROR(store.SetScalar(method, recv, args, value));
-        break;
-      case FactKind::kSetMember:
-        store.AddSetMember(method, recv, args, value);
-        break;
-      default:
-        return Status(InvalidArgument("snapshot corrupt: unknown fact kind"));
+    if (kind > FactKind::kSetMember) {
+      malformed = InvalidArgument("snapshot corrupt: unknown fact kind");
+      break;
     }
+    builder.AddFact(Fact{kind, method, recv, std::move(args), value});
   }
-  if (!r.Ok()) {
-    return Status(InvalidArgument("snapshot corrupt: truncated input"));
+  if (malformed.ok() && !r.Ok()) {
+    malformed = InvalidArgument("snapshot corrupt: truncated input");
   }
+
+  uint64_t repeats = 0;
+  Result<ObjectStore> store = builder.Finish(&repeats);
+  if (!store.ok()) return store.status();
+  if (!malformed.ok()) return malformed;
   if (r.remaining() != 0) {
     return Status(InvalidArgument("snapshot corrupt: trailing bytes"));
   }
-  if (store.generation() != facts) {
-    return Status(Internal("snapshot replay produced a different log"));
+  if (repeats != 0) {
+    return Status(Internal(
+        "snapshot corrupt: a fact repeats one before it (replay would "
+        "produce a different log)"));
   }
   return store;
 }

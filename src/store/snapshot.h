@@ -4,8 +4,11 @@
 // cannot round-trip *anonymous* objects — a materialised database full
 // of virtual objects like `_boss(p1)` needs a faithful format.
 // Snapshots serialise the object table and the fact log; loading
-// replays the log, so oids, display names, generations and all derived
-// indexes are reproduced exactly.
+// builds the store from them in bulk (ObjectStore::Builder: one pass
+// per method table, not one mutator call per fact), so oids, display
+// names, generations and all derived indexes are reproduced exactly, as
+// a replay of the log through the mutators would reproduce them. Live
+// updates and WAL replay still go through the mutators.
 //
 // Format v2 (little-endian, fixed-width):
 //   magic "PLGSNAP2"
@@ -53,7 +56,8 @@ Status AppendSnapshot(const ObjectStore& store, std::string* out);
 
 /// Reconstructs a store from SerializeSnapshot output (v2) or a legacy
 /// v1 image. The result is bit-for-bit equivalent: same oids, names,
-/// facts and generations.
+/// facts and generations. An image that a replay through the mutators
+/// would reject fails with the code the replay would return.
 Result<ObjectStore> DeserializeSnapshot(std::string_view bytes);
 
 /// File convenience wrappers. Writing is atomic (temp + fsync +

@@ -337,6 +337,7 @@ Status DurableLog::Commit(const std::function<Status(Batch&)>& write) {
     // error in `st`, which counts as one more failed attempt.
     Batch batch(this);
     if (st.ok()) st = write(batch);
+    if (st.ok()) st = batch.Write(batch.buffer_.size());
     if (st.ok() &&
         options_.fsync_policy == DurabilityOptions::FsyncPolicy::kAlways) {
       st = Sync();
@@ -402,18 +403,28 @@ void DurableLog::set_obs(MetricsRegistry* metrics, FlightRecorder* flight) {
 
 Status DurableLog::Batch::Append(std::string_view payload) {
   DurableLog& log = *log_;
-  std::string frame;
-  frame.reserve(payload.size() + 8);
-  AppendWalFrame(&frame, payload);
+  const size_t before = buffer_.size();
+  AppendWalFrame(&buffer_, payload);
+  const size_t frame = buffer_.size() - before;
   if (log.appends_ != nullptr) log.appends_->Inc();
-  if (log.append_bytes_ != nullptr) log.append_bytes_->Inc(frame.size());
-  Status st = log.file_->Append(frame);
-  if (!st.ok()) {
-    RecordWalFailure(log.flight_, "wal.append", st);
-    return st;
-  }
+  if (log.append_bytes_ != nullptr) log.append_bytes_->Inc(frame);
   ++records_;
-  bytes_ += frame.size();
+  bytes_ += frame;
+  return buffer_.size() < kChunkBytes
+             ? Status::OK()
+             : Write(buffer_.size() - buffer_.size() % kChunkBytes);
+}
+
+Status DurableLog::Batch::Write(size_t n) {
+  for (size_t off = 0; off < n; off += kChunkBytes) {
+    Status st = log_->file_->Append(
+        std::string_view(buffer_).substr(off, std::min(kChunkBytes, n - off)));
+    if (!st.ok()) {
+      RecordWalFailure(log_->flight_, "wal.append", st);
+      return st;
+    }
+  }
+  buffer_.erase(0, n);
   return Status::OK();
 }
 

@@ -207,17 +207,26 @@ struct DurabilityOptions {
 /// interleaving bugs the outer lock must prevent anyway.
 class DurableLog {
  public:
+  /// The most bytes a commit hands the file in one append.
+  static constexpr size_t kChunkBytes = size_t{1} << 20;
+
   /// What a commit's batch writer appends through.
   class Batch {
    public:
-    /// Frames `payload` and appends it to the file: one write per
-    /// record, buffered by the OS until the commit's fsync.
+    /// Frames `payload` into the attempt's buffer. The buffer reaches
+    /// the file in appends of kChunkBytes as it fills, and the rest of
+    /// it before the commit syncs or returns, so a small batch is one
+    /// write.
     Status Append(std::string_view payload);
 
    private:
     friend class DurableLog;
     explicit Batch(DurableLog* log) : log_(log) {}
+    /// Appends the buffer's first `n` bytes to the file and drops them.
+    Status Write(size_t n);
+
     DurableLog* log_;
+    std::string buffer_;
     uint64_t records_ = 0;
     uint64_t bytes_ = 0;
   };
@@ -231,11 +240,12 @@ class DurableLog {
       FileOps* fops, std::string path, DurabilityOptions options,
       const std::function<Status(WalRecord&)>& replay);
 
-  /// Runs `write` to append one batch, then fsyncs per policy. A
-  /// transient failure (IsTransientIoError) is retried up to
-  /// max_transient_retries times with capped exponential backoff: each
-  /// retry truncates the file back to the known-good length, reopens it
-  /// and runs `write` again from the start, so `write` must append the
+  /// Runs `write` to append one batch, writes out the rest of the
+  /// batch's buffer, then fsyncs per policy. A transient failure
+  /// (IsTransientIoError) is retried up to max_transient_retries times
+  /// with capped exponential backoff: each retry truncates the file
+  /// back to the known-good length, reopens it and runs `write` again
+  /// from the start, into a fresh buffer, so `write` must append the
   /// same records on every run. Any other failure, or the last retry's,
   /// breaks the log and is returned. A broken log returns its error
   /// without running `write`.

@@ -125,16 +125,17 @@ TEST(ChaosTest, TransientAppendEioRetriesAndClears) {
 }
 
 TEST(ChaosTest, TransientShortWriteMidBatchIsRepairedByTruncation) {
-  // A short write tears the *middle* of a commit's batch: the retry
-  // must truncate back to the last known-good length and re-append the
-  // whole batch, or the log would carry a torn frame mid-file.
+  // A short write tears the *middle* of a commit's batch (half of its
+  // one append lands): the retry must truncate back to the last
+  // known-good length and re-append the whole batch, or the log would
+  // carry a torn frame mid-file.
   ChaosRig rig;
   Result<Database> db = rig.Open();
   ASSERT_TRUE(db.ok()) << db.status();
   ASSERT_TRUE(db->Load("a[v->1].").ok());
   rig.applied.push_back("a[v->1].");
 
-  rig.Inject(FaultOp::kAppend, 2, 1, FaultKind::kShortWrite);
+  rig.Inject(FaultOp::kAppend, 1, 1, FaultKind::kShortWrite);
   ASSERT_TRUE(db->Load("b[v->2]. c[v->3].").ok());
   rig.applied.push_back("b[v->2]. c[v->3].");
   EXPECT_FALSE(db->degraded());
@@ -271,16 +272,17 @@ TEST(ChaosTest, PersistentFsyncOnlyFailureDegradesAndCheckpointHeals) {
 }
 
 TEST(ChaosTest, CrashMidCommitRecoversTheCommittedPrefix) {
-  // A crash in the middle of a commit's append batch: after restart,
-  // recovery must produce exactly the previously committed state — the
-  // torn batch is truncated away, never half-applied.
+  // A crash in the middle of a commit's batch (during its one append,
+  // half of which lands): after restart, recovery must produce exactly
+  // the previously committed state — the torn batch is truncated away,
+  // never half-applied.
   ChaosRig rig;
   Result<Database> db = rig.Open();
   ASSERT_TRUE(db.ok()) << db.status();
   ASSERT_TRUE(db->Load("a[v->1].").ok());
   rig.applied.push_back("a[v->1].");
 
-  rig.Inject(FaultOp::kAppend, 2, 1, FaultKind::kCrash);
+  rig.Inject(FaultOp::kAppend, 1, 1, FaultKind::kCrash);
   EXPECT_FALSE(db->Load("b[v->2]. c[v->3].").ok());
   EXPECT_TRUE(db->degraded()) << "the disk is gone: degraded is all "
                                  "that's left to serve";

@@ -274,13 +274,13 @@ struct LogRig {
 const std::vector<std::string> kThree = {"a.", "b.", "c."};
 
 TEST(DurableLogTest, ARetryWhoseTruncateFailsOnceLandsTheBatchOnce) {
-  // The second append tears (half its frame lands) with a transient
-  // code, and the first retry's truncate fails too. The second retry
-  // cuts the torn bytes away and writes the whole batch again: every
-  // record once, and the known-good length is the file's.
+  // The batch's one append tears (half of its three frames land) with a
+  // transient code, and the first retry's truncate fails too. The
+  // second retry cuts the torn bytes away and writes the whole batch
+  // again: every record once, and the known-good length is the file's.
   LogRig rig;
   ASSERT_NE(rig.log, nullptr);
-  rig.Inject({{FaultOp::kAppend, 2, 1, FaultKind::kShortWrite,
+  rig.Inject({{FaultOp::kAppend, 1, 1, FaultKind::kShortWrite,
                StatusCode::kUnavailable},
               {FaultOp::kTruncate, 1, 1, FaultKind::kFail,
                StatusCode::kUnavailable}});
@@ -298,7 +298,7 @@ TEST(DurableLogTest, ARetryWhoseReopenFailsOnceLandsTheBatchOnce) {
   // succeeded: the log has no file open until the second retry.
   LogRig rig;
   ASSERT_NE(rig.log, nullptr);
-  rig.Inject({{FaultOp::kAppend, 2, 1, FaultKind::kShortWrite,
+  rig.Inject({{FaultOp::kAppend, 1, 1, FaultKind::kShortWrite,
                StatusCode::kUnavailable},
               {FaultOp::kOpen, 1, 1, FaultKind::kFail,
                StatusCode::kUnavailable}});
@@ -308,6 +308,82 @@ TEST(DurableLogTest, ARetryWhoseReopenFailsOnceLandsTheBatchOnce) {
   EXPECT_EQ(rig.log->records(), 3u);
   EXPECT_TRUE(rig.log->error().ok());
   EXPECT_EQ(rig.Texts(), kThree);
+  EXPECT_EQ(rig.log->good_bytes(), rig.FileBytes());
+}
+
+/// The texts of a batch larger than DurableLog::kChunkBytes: 24
+/// program records of 100,000 bytes each, which the log hands the file
+/// in three appends.
+std::vector<std::string> LargeBatchTexts() {
+  std::vector<std::string> texts;
+  for (char c = 'a'; c < 'a' + 24; ++c) texts.push_back(std::string(100000, c));
+  return texts;
+}
+
+Status CommitTexts(DurableLog* log, const std::vector<std::string>& texts) {
+  return log->Commit([&texts](DurableLog::Batch& batch) {
+    for (const std::string& text : texts) {
+      PATHLOG_RETURN_IF_ERROR(batch.Append(EncodeWalProgram(text)));
+    }
+    return Status::OK();
+  });
+}
+
+TEST(DurableLogTest, ACrashAfterALargeBatchsFirstChunkReopensToThePreviousCommit) {
+  LogRig rig;
+  ASSERT_NE(rig.log, nullptr);
+  const uint64_t ops = rig.fs.WriteOpCount();
+  ASSERT_TRUE(rig.CommitThree().ok());
+  EXPECT_EQ(rig.fs.WriteOpCount() - ops, 2u)
+      << "a small batch is one append and one fsync";
+  const uint64_t committed = rig.log->good_bytes();
+
+  // The crash lands in the second chunk's append, after the first
+  // chunk reached the file. Nothing of the batch is synced, so a crash
+  // that keeps none of the unsynced tail leaves the previous commit.
+  rig.Inject({{FaultOp::kAppend, 2, 1, FaultKind::kCrash,
+               StatusCode::kInternal}});
+  EXPECT_FALSE(CommitTexts(rig.log.get(), LargeBatchTexts()).ok());
+  ASSERT_TRUE(rig.fs.crashed());
+  rig.log.reset();
+  size_t unsynced = 0;
+  rig.fs.RecoverAfterCrash([&unsynced](const std::string&,
+                                       std::string_view tail) {
+    unsynced = tail.size();
+    return size_t{0};
+  });
+  EXPECT_GE(unsynced, DurableLog::kChunkBytes) << "the first chunk landed";
+  rig.Inject({});
+
+  std::vector<std::string> replayed;
+  Result<std::unique_ptr<DurableLog>> reopened = DurableLog::Open(
+      &rig.fs, "/log", DurabilityOptions{}, [&replayed](WalRecord& rec) {
+        replayed.push_back(rec.text);
+        return Status::OK();
+      });
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(replayed, kThree);
+  EXPECT_EQ((*reopened)->good_bytes(), committed);
+  EXPECT_EQ(rig.FileBytes(), committed);
+}
+
+TEST(DurableLogTest, AShortWriteInALargeBatchsSecondChunkLandsTheBatchOnce) {
+  LogRig rig;
+  ASSERT_NE(rig.log, nullptr);
+  ASSERT_TRUE(rig.CommitThree().ok());
+  // Half of the second chunk lands, after the whole first one, with a
+  // transient code: the retry cuts both away and writes the batch again.
+  rig.Inject({{FaultOp::kAppend, 2, 1, FaultKind::kShortWrite,
+               StatusCode::kUnavailable}});
+  const std::vector<std::string> large = LargeBatchTexts();
+  ASSERT_TRUE(CommitTexts(rig.log.get(), large).ok());
+  EXPECT_EQ(rig.sleeps, (std::vector<uint64_t>{1}));
+  EXPECT_EQ(rig.log->retries(), 1u);
+  EXPECT_EQ(rig.log->records(), kThree.size() + large.size());
+  EXPECT_TRUE(rig.log->error().ok());
+  std::vector<std::string> want = kThree;
+  want.insert(want.end(), large.begin(), large.end());
+  EXPECT_EQ(rig.Texts(), want);
   EXPECT_EQ(rig.log->good_bytes(), rig.FileBytes());
 }
 
@@ -698,6 +774,45 @@ void ExpectCleanReopenIsAFixpoint(Database* db) {
       << "reopened clean over facts the rules had not seen";
 }
 
+constexpr char kTortureWal[] = "/db/wal.plgwal";
+
+/// Where whole frames end in `tail`, an unsynced stretch of the WAL
+/// that starts at a frame boundary: 0, then after each complete frame.
+std::vector<size_t> FrameBoundaries(std::string_view tail) {
+  std::vector<size_t> cuts = {0};
+  size_t pos = 0;
+  while (tail.size() - pos >= 8) {
+    ByteReader r(tail.substr(pos, 4));
+    const uint32_t len = r.U32();
+    if (tail.size() - pos - 8 < len) break;
+    pos += 8 + len;
+    cuts.push_back(pos);
+  }
+  return cuts;
+}
+
+/// Reopens a recovered file system and runs the torture workload from
+/// step `from` to its end: the answers must be the reference ones, and
+/// must survive one more reopen.
+void FinishTortureWorkload(FaultInjectingFileOps* fs,
+                           const DatabaseOptions& opts, size_t from,
+                           const std::vector<std::string>& expected) {
+  const std::vector<TortureStep> steps = TortureWorkload();
+  {
+    Result<Database> db = Database::Open("/db", opts, fs);
+    ASSERT_TRUE(db.ok()) << db.status();
+    ExpectCleanReopenIsAFixpoint(&*db);
+    for (size_t i = from; i < steps.size(); ++i) {
+      ASSERT_TRUE(RunStep(&*db, steps[i]).ok()) << "at step " << i;
+    }
+    EXPECT_EQ(ReferenceAnswers(&*db), expected);
+  }
+  Result<Database> reopened = Database::Open("/db", opts, fs);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  ExpectCleanReopenIsAFixpoint(&*reopened);
+  EXPECT_EQ(ReferenceAnswers(&*reopened), expected);
+}
+
 TEST(DurabilityTortureTest, CrashAtEveryWriteBoundaryRecoversExactly) {
   const std::vector<TortureStep> steps = TortureWorkload();
   // checkpoint_every exercises the checkpoint crash window mid-run.
@@ -756,6 +871,28 @@ TEST(DurabilityTortureTest, CrashAtEveryWriteBoundaryRecoversExactly) {
       ASSERT_TRUE(fs.crashed()) << "non-crash failure at step " << i
                                 << ": " << st.ToString();
       db.reset();
+      // A commit is one write, so the default tear (half of each
+      // unsynced tail) cuts its batch at one point only. Recover copies
+      // of the crashed disk with the WAL's torn batch cut at each of its
+      // frame boundaries as well, and finish the workload from each.
+      std::string wal_tail;
+      FaultInjectingFileOps probe = fs;
+      probe.RecoverAfterCrash(
+          [&wal_tail](const std::string& path, std::string_view tail) {
+            if (path == kTortureWal) wal_tail = tail;
+            return size_t{0};
+          });
+      const std::vector<size_t> cuts =
+          wal_tail.empty() ? std::vector<size_t>{} : FrameBoundaries(wal_tail);
+      for (size_t cut : cuts) {
+        SCOPED_TRACE("the torn batch cut after byte " + std::to_string(cut));
+        FaultInjectingFileOps torn = fs;
+        torn.RecoverAfterCrash(
+            [cut](const std::string& path, std::string_view tail) {
+              return path == kTortureWal ? cut : tail.size() / 2;
+            });
+        FinishTortureWorkload(&torn, opts, i, expected);
+      }
       fs.RecoverAfterCrash();
       ASSERT_TRUE(reopen());
       ExpectCleanReopenIsAFixpoint(&*db);

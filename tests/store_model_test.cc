@@ -5,18 +5,28 @@
 // every accessor of the store must agree with the model: lookups,
 // closure pairs and their generations, the four posting buckets in
 // insertion order, both MethodStats, and the fact log. At the end a
-// copy, a snapshot round trip and a WAL replay must agree too.
+// copy, a snapshot round trip, a replay of the snapshot through the
+// mutators and a WAL replay must agree too.
+//
+// The snapshot loader builds a store in bulk (ObjectStore::Builder).
+// The replay kept here (ReplayImage) is its reference, as the loader
+// was before it: it must agree with the built store on every accessor,
+// and on corrupt images both must fail with the same status code.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <random>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "base/coding.h"
+#include "base/crc32.h"
 #include "store/fact.h"
 #include "store/method_stats.h"
 #include "store/object_store.h"
@@ -383,6 +393,105 @@ ObjectStore RunSequence(uint64_t seed, int steps, Model* model, Oid* universe) {
   return s;
 }
 
+/// The reference loader: reads a v2 snapshot image and replays its
+/// objects and facts through the mutators, one call per fact, failing
+/// where the mutators fail.
+Result<ObjectStore> ReplayImage(std::string_view image) {
+  ByteReader r(image.substr(std::min<size_t>(image.size(), 20)));
+  ObjectStore store;
+  const uint64_t n = r.U64();
+  for (uint64_t i = 0; i < n && r.Ok(); ++i) {
+    const ObjectKind kind = static_cast<ObjectKind>(r.U8());
+    Oid o = kNilOid;
+    switch (kind) {
+      case ObjectKind::kInt:
+        o = store.InternInt(r.I64());
+        break;
+      case ObjectKind::kSymbol:
+        o = store.InternSymbol(r.Bytes(r.U32()));
+        break;
+      case ObjectKind::kString:
+        o = store.InternString(r.Bytes(r.U32()));
+        break;
+      case ObjectKind::kAnonymous:
+        o = store.NewAnonymous(std::string(r.Bytes(r.U32())));
+        break;
+      default:
+        return Status(InvalidArgument("unknown object kind"));
+    }
+    if (!r.Ok()) break;
+    if (o != static_cast<Oid>(i)) return Status(Internal("duplicate object"));
+  }
+  const uint64_t facts = r.Ok() ? r.U64() : 0;
+  for (uint64_t g = 0; g < facts && r.Ok(); ++g) {
+    const FactKind kind = static_cast<FactKind>(r.U8());
+    const Oid method = r.U32();
+    const Oid recv = r.U32();
+    std::vector<Oid> args(r.U16());
+    for (Oid& a : args) a = r.U32();
+    const Oid value = r.U32();
+    if (!r.Ok()) break;
+    bool oids_ok = store.Valid(method) && store.Valid(recv) &&
+                   (kind == FactKind::kIsa || store.Valid(value));
+    for (Oid a : args) oids_ok = oids_ok && store.Valid(a);
+    if (!oids_ok) return Status(InvalidArgument("oid outside the table"));
+    switch (kind) {
+      case FactKind::kIsa:
+        PATHLOG_RETURN_IF_ERROR(store.AddIsa(recv, method));
+        break;
+      case FactKind::kScalar:
+        PATHLOG_RETURN_IF_ERROR(store.SetScalar(method, recv, args, value));
+        break;
+      case FactKind::kSetMember:
+        store.AddSetMember(method, recv, args, value);
+        break;
+      default:
+        return Status(InvalidArgument("unknown fact kind"));
+    }
+  }
+  if (!r.Ok()) return Status(InvalidArgument("truncated input"));
+  if (r.remaining() != 0) return Status(InvalidArgument("trailing bytes"));
+  if (store.generation() != facts) {
+    return Status(Internal("replay produced a different log"));
+  }
+  return store;
+}
+
+/// A v2 snapshot image holding the object table of `objects` and the
+/// fact records `facts` (which need not be a store's log), with its
+/// body cut to `body_bytes` when that is shorter.
+std::string Image(const ObjectStore& objects, const std::vector<Fact>& facts,
+                  size_t body_bytes = SIZE_MAX) {
+  std::string body;
+  PutU64(&body, objects.UniverseSize());
+  for (Oid o = 0; o < objects.UniverseSize(); ++o) {
+    const ObjectKind kind = objects.kind(o);
+    PutU8(&body, static_cast<uint8_t>(kind));
+    if (kind == ObjectKind::kInt) {
+      PutU64(&body, static_cast<uint64_t>(objects.IntValue(o)));
+      continue;
+    }
+    std::string name = objects.DisplayName(o);
+    if (kind == ObjectKind::kString) name = name.substr(1, name.size() - 2);
+    PutU32(&body, static_cast<uint32_t>(name.size()));
+    body += name;
+  }
+  PutU64(&body, facts.size());
+  for (const Fact& f : facts) {
+    PutU8(&body, static_cast<uint8_t>(f.kind));
+    PutU32(&body, f.method);
+    PutU32(&body, f.recv);
+    PutU16(&body, static_cast<uint16_t>(f.args.size()));
+    for (Oid a : f.args) PutU32(&body, a);
+    PutU32(&body, f.value);
+  }
+  body.resize(std::min(body.size(), body_bytes));
+  std::string image = "PLGSNAP2";
+  PutU32(&image, Crc32(body));
+  PutU64(&image, body.size());
+  return image + body;
+}
+
 TEST(StoreModelTest, EveryAccessorMatchesTheLinearScanModel) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -402,6 +511,13 @@ TEST(StoreModelTest, EveryAccessorMatchesTheLinearScanModel) {
     Result<std::string> again = SerializeSnapshot(*loaded);
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(*again, *snap) << "the round trip is not byte-identical";
+    // The built store and the reference replay both match the model, so
+    // they match each other on every accessor.
+    Result<ObjectStore> replayed_image = ReplayImage(*snap);
+    ASSERT_TRUE(replayed_image.ok()) << replayed_image.status();
+    EXPECT_TRUE(Agrees(*replayed_image, model, universe))
+        << "the snapshot replayed through the mutators";
+    EXPECT_EQ(*snap, Image(s, model.log)) << "Image writes what a snapshot is";
 
     std::string wal(kWalMagic, kWalMagicLen);
     for (Oid o = 0; o < s.UniverseSize(); ++o) {
@@ -421,6 +537,82 @@ TEST(StoreModelTest, EveryAccessorMatchesTheLinearScanModel) {
       ASSERT_TRUE(ApplyWalRecordToStore(r, &replayed).ok());
     }
     EXPECT_TRUE(Agrees(replayed, model, universe)) << "a WAL replay";
+  }
+}
+
+TEST(StoreModelTest, TheBuilderRejectsEveryCorruptImageAsReplayDoes) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Model model;
+    Oid universe = 0;
+    const ObjectStore s = RunSequence(seed, 400, &model, &universe);
+    if (::testing::Test::HasFailure()) return;
+    const std::vector<Fact>& log = model.log;
+    auto first_of = [&log](FactKind kind) {
+      size_t g = 0;
+      while (g < log.size() && log[g].kind != kind) ++g;
+      return g;
+    };
+    const size_t scalar = first_of(FactKind::kScalar);
+    const size_t member = first_of(FactKind::kSetMember);
+    const size_t isa = first_of(FactKind::kIsa);
+    ASSERT_LT(scalar, log.size());
+    ASSERT_LT(member, log.size());
+    ASSERT_LT(isa, log.size());
+    // A closure pair that no isa fact states directly.
+    std::optional<Fact> implied;
+    for (Oid x = 0; x < universe && !implied; ++x) {
+      for (Oid y : s.Ancestors(x)) {
+        const Fact edge{FactKind::kIsa, y, x, {}, kNilOid};
+        if (std::find(log.begin(), log.end(), edge) == log.end()) {
+          implied = edge;
+          break;
+        }
+      }
+    }
+    ASSERT_TRUE(implied.has_value());
+
+    auto with = [&log](size_t at, const Fact& f) {
+      std::vector<Fact> facts = log;
+      facts.insert(facts.begin() + static_cast<std::ptrdiff_t>(at), f);
+      return facts;
+    };
+    Fact second_value = log[scalar];
+    second_value.value = second_value.value == 0 ? 1 : 0;
+    const Fact& edge = log[isa];
+    const Fact cycle{FactKind::kIsa, edge.recv, edge.method, {}, kNilOid};
+    Fact past_table = log[member];
+    past_table.value = static_cast<Oid>(s.UniverseSize());
+    const std::string whole = Image(s, log);
+    struct Corrupt {
+      const char* what;
+      std::string image;
+      StatusCode code;
+    };
+    const Corrupt cases[] = {
+        {"a scalar fact repeated", Image(s, with(scalar + 1, log[scalar])),
+         StatusCode::kInternal},
+        {"a set member repeated", Image(s, with(log.size(), log[member])),
+         StatusCode::kInternal},
+        {"a scalar given a second value",
+         Image(s, with(scalar + 1, second_value)),
+         StatusCode::kScalarConflict},
+        {"an isa edge closing a cycle", Image(s, with(isa + 1, cycle)),
+         StatusCode::kInvalidArgument},
+        {"an isa edge the closure implies",
+         Image(s, with(log.size(), *implied)), StatusCode::kInternal},
+        {"an oid past the object table", Image(s, with(member, past_table)),
+         StatusCode::kInvalidArgument},
+        {"a truncated image", Image(s, log, whole.size() - 20 - 3),
+         StatusCode::kInvalidArgument},
+    };
+    for (const Corrupt& c : cases) {
+      SCOPED_TRACE(c.what);
+      const Status built = DeserializeSnapshot(c.image).status();
+      const Status replayed = ReplayImage(c.image).status();
+      EXPECT_EQ(replayed.code(), c.code) << replayed;
+      EXPECT_EQ(built.code(), replayed.code()) << built;
+    }
   }
 }
 
